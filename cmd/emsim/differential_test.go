@@ -59,8 +59,8 @@ func recordTrace(t *testing.T, dir, workload string, instr uint64) string {
 // TestScalarBatchIdenticalRun: same workload (and same recorded trace),
 // scalar vs batch delivery — stats, events and timeline rows must be
 // byte-identical. The odd timeline interval guarantees sampling points
-// that sit mid-batch, so the boundary-splitting in ckptSink.AccessBatch
-// is what is actually under test.
+// that sit mid-batch, so the run engine's boundary splitting in
+// Stream.AccessBatch is what is actually under test.
 func TestScalarBatchIdenticalRun(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := recordTrace(t, dir, "em3d", 150_000)

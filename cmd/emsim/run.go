@@ -3,15 +3,14 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync/atomic"
 
 	"repro/internal/machine"
 	"repro/internal/mem"
+	engine "repro/internal/run"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/telhttp"
-	"repro/internal/trace"
 	"repro/internal/workloads/suite"
 )
 
@@ -111,209 +110,6 @@ type runResult struct {
 	TimelineDropped uint64
 }
 
-// stopRun is the panic sentinel ckptSink throws to unwind out of a
-// workload generator mid-stream; drive recovers it.
-type stopRun struct{}
-
-// teeSink fans one event stream out to both machines.
-type teeSink struct{ a, b mem.BatchSink }
-
-func (t teeSink) Access(addr mem.Addr, kind mem.Kind) {
-	t.a.Access(addr, kind)
-	t.b.Access(addr, kind)
-}
-func (t teeSink) Instr(n uint64) {
-	t.a.Instr(n)
-	t.b.Instr(n)
-}
-
-// AccessBatch implements mem.BatchSink. Consumers may not retain or
-// mutate the batch, so handing the same one to both machines is safe.
-func (t teeSink) AccessBatch(b *mem.Batch) {
-	t.a.AccessBatch(b)
-	t.b.AccessBatch(b)
-}
-
-// ckptSink numbers events, discards the resume prefix, triggers
-// periodic checkpoints, and aborts on a stop request. Workload
-// generators cannot return early, so the abort is a panic(stopRun{})
-// recovered in drive.
-type ckptSink struct {
-	inner  mem.BatchSink
-	events uint64 // events seen, including the skipped resume prefix
-	skip   uint64 // resume fast-forward: discard the first skip events
-	every  uint64
-	save   func(events uint64)
-	tick   func(events uint64) // timeline sampling hook, nil when disabled
-	// tickEvery is the timeline interval behind tick. The batch path
-	// needs it explicitly: tick's only effects happen at multiples of the
-	// interval, so AccessBatch splits deliveries exactly there and calls
-	// tick once per span instead of once per event.
-	tickEvery uint64
-	stop      *atomic.Bool
-	after     uint64
-
-	// view is the reusable sub-batch header AccessBatch delivers spans
-	// through, so boundary splitting never allocates.
-	view mem.Batch
-}
-
-// Access and Instr inline the shared per-event bookkeeping instead of
-// delegating through a step(func()) helper: the closure that would
-// capture addr/kind costs an allocation per event on the hot path.
-// tick runs inside the events > skip branch (resume fast-forward must
-// not sample discarded events) and before checkStop, so an interrupted
-// run keeps every sample up to the stop point.
-
-func (c *ckptSink) Access(addr mem.Addr, kind mem.Kind) {
-	c.events++
-	if c.events > c.skip {
-		c.inner.Access(addr, kind)
-		if c.tick != nil {
-			c.tick(c.events)
-		}
-		if c.every > 0 && c.save != nil && c.events%c.every == 0 {
-			c.save(c.events)
-		}
-	}
-	c.checkStop()
-}
-
-func (c *ckptSink) Instr(n uint64) {
-	c.events++
-	if c.events > c.skip {
-		c.inner.Instr(n)
-		if c.tick != nil {
-			c.tick(c.events)
-		}
-		if c.every > 0 && c.save != nil && c.events%c.every == 0 {
-			c.save(c.events)
-		}
-	}
-	c.checkStop()
-}
-
-func (c *ckptSink) checkStop() {
-	if (c.stop != nil && c.stop.Load()) || (c.after > 0 && c.events == c.after) {
-		panic(stopRun{})
-	}
-}
-
-// AccessBatch implements mem.BatchSink: the batched counterpart of
-// Access/Instr. Per-event bookkeeping collapses into span arithmetic —
-// a batch is delivered in sub-spans that never straddle an event
-// boundary where the scalar path would do something (a timeline tick, a
-// periodic checkpoint, the -stop-after event, the resume fast-forward
-// edge), and the hook runs once at each boundary, exactly where the
-// scalar path's per-event call would have had an effect. Everything in
-// between is a straight slice handoff to the machine's batch kernel.
-func (c *ckptSink) AccessBatch(b *mem.Batch) {
-	i, n := 0, b.Len()
-	for i < n {
-		if c.events < c.skip {
-			// Resume fast-forward: discard without delivering. The
-			// -stop-after hook can land inside the discarded prefix and
-			// must still stop at its exact event.
-			d := c.skip - c.events
-			if rem := uint64(n - i); d > rem {
-				d = rem
-			}
-			if c.after > c.events && c.after <= c.events+d {
-				c.events = c.after
-				panic(stopRun{})
-			}
-			c.events += d
-			i += int(d)
-			if c.stop != nil && c.stop.Load() {
-				panic(stopRun{})
-			}
-			continue
-		}
-		span := uint64(n - i)
-		if c.tick != nil && c.tickEvery > 0 {
-			if next := c.tickEvery - c.events%c.tickEvery; next < span {
-				span = next
-			}
-		}
-		if c.every > 0 && c.save != nil {
-			if next := c.every - c.events%c.every; next < span {
-				span = next
-			}
-		}
-		if c.after > c.events {
-			if next := c.after - c.events; next < span {
-				span = next
-			}
-		}
-		c.view.Addr = b.Addr[i : i+int(span)]
-		c.view.Kind = b.Kind[i : i+int(span)]
-		c.inner.AccessBatch(&c.view)
-		c.events += span
-		i += int(span)
-		if c.tick != nil {
-			c.tick(c.events)
-		}
-		if c.every > 0 && c.save != nil && c.events%c.every == 0 {
-			c.save(c.events)
-		}
-		c.checkStop()
-	}
-}
-
-// drive pushes the run's input into sink, converting a stopRun panic
-// into interrupted=true. The default path is batched: traces stream
-// through trace.BatchReader's zero-copy decoder and workloads through a
-// mem.Batcher, with sink.AccessBatch handling every event boundary. The
-// -scalar escape hatch replays the legacy one-call-per-record path.
-func drive(p runParams, sink *ckptSink) (interrupted bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(stopRun); ok {
-				interrupted = true
-				return
-			}
-			panic(r)
-		}
-	}()
-	if p.Replay != "" {
-		f, err := os.Open(p.Replay)
-		if err != nil {
-			return false, err
-		}
-		defer f.Close()
-		if p.Scalar {
-			tr, err := trace.NewReader(f)
-			if err != nil {
-				return false, err
-			}
-			if _, err := tr.Replay(sink); err != nil {
-				return false, err
-			}
-			return false, nil
-		}
-		tr, err := trace.NewBatchReader(f)
-		if err != nil {
-			return false, err
-		}
-		if _, err := tr.ReplayBatches(sink, nil); err != nil {
-			return false, err
-		}
-		return false, nil
-	}
-	w, err := suite.Registry().New(p.Workload)
-	if err != nil {
-		return false, err
-	}
-	if p.Scalar {
-		w.Run(sink, p.Instr)
-		return false, nil
-	}
-	ba := mem.NewBatcher(sink, 0)
-	w.Run(ba, p.Instr)
-	ba.Flush()
-	return false, nil
-}
-
 // run executes one simulation pass (or resumes one) and returns the
 // final stats of both machines. When resuming, p's run-shaping fields
 // are overwritten from the checkpoint, so the caller's report sees the
@@ -330,161 +126,79 @@ func run(p *runParams) (*runResult, error) {
 		// including the policy scenario, which rides the checkpoint
 		// extension (absent for default Michaud-on-uniform runs).
 		p.Workload, p.Replay, p.Instr, p.Cores = ck.Workload, ck.Replay, ck.Instr, ck.Cores
-		p.Policy, p.Topology = "", ""
-		if ext := ck.Ext(); ext != nil {
-			p.Policy, p.Topology = ext.Policy, ext.Topology
-		}
+		p.Policy, p.Topology = ck.Scenario()
 		resumeCk = ck
 	}
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-
-	normal, err := machine.New(machine.NormalConfig())
+	pair, err := engine.NewPair(p.Cores, p.Policy, p.Topology)
 	if err != nil {
 		return nil, err
 	}
-	migCfg, err := machine.MigrationConfigScenario(p.Cores, p.Policy, p.Topology)
+	tel, err := newRunTelemetry(p, pair.Normal, pair.Mig)
 	if err != nil {
 		return nil, err
 	}
-	mig, err := machine.New(migCfg)
-	if err != nil {
-		return nil, err
-	}
-	tel, err := newRunTelemetry(p, normal, mig)
-	if err != nil {
-		return nil, err
-	}
+	in := engine.Input{Workload: p.Workload, Replay: p.Replay, Instr: p.Instr, Scalar: p.Scalar}
 
 	// With no checkpoint state in play the two machines never need to
 	// agree on an event boundary, so they can consume independent copies
 	// of the (deterministic) input stream concurrently.
 	if p.Workers != 1 && p.Checkpoint == "" && resumeCk == nil {
-		return runIndependent(p, normal, mig, tel)
+		return runIndependent(p, in, pair, tel)
 	}
 
-	var skip uint64
+	s := &engine.Stream{To: pair.Sinks(), StopAt: p.stopAfter, Stop: p.stop}
 	if resumeCk != nil {
-		ns, err := resumeCk.Machine("normal")
-		if err != nil {
-			return nil, err
+		if err := pair.Restore(resumeCk); err != nil {
+			return nil, fmt.Errorf("emsim: resuming %s: %w", p.Resume, err)
 		}
-		if err := normal.Restore(*ns); err != nil {
-			return nil, err
-		}
-		ms, err := resumeCk.Machine("migration")
-		if err != nil {
-			return nil, err
-		}
-		if err := mig.Restore(*ms); err != nil {
-			return nil, err
-		}
-		// Non-Michaud policies serialise through the checkpoint
-		// extension (the snapshot's Controller field stays nil for
-		// them); restore that state after the cache/stat restore.
-		if ext := resumeCk.Ext(); ext != nil {
-			ps, err := ext.State("migration")
-			if err != nil {
-				return nil, fmt.Errorf("emsim: %w", err)
-			}
-			if err := mig.SetPolicyState(ps); err != nil {
-				return nil, fmt.Errorf("emsim: restoring policy state: %w", err)
-			}
-		}
-		skip = resumeCk.Events
+		s.Skip = resumeCk.Events
 	}
-
-	snapshot := func(events uint64) (*machine.Checkpoint, error) {
-		ns, err := normal.Snapshot()
+	save := func(events uint64) error {
+		ck, err := pair.Checkpoint(in, events)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ms, err := mig.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		ck := &machine.Checkpoint{
-			Workload: p.Workload,
-			Replay:   p.Replay,
-			Instr:    p.Instr,
-			Cores:    p.Cores,
-			Events:   events,
-			Machines: []machine.NamedSnapshot{
-				{Name: "normal", Snap: ns},
-				{Name: "migration", Snap: ms},
-			},
-		}
-		// Non-default scenarios ride the optional checkpoint extension;
-		// default runs attach nothing, keeping their files byte-identical
-		// to the pre-policy format.
-		if p.Policy != "" || p.Topology != "" {
-			ps, err := mig.PolicyState()
-			if err != nil {
-				return nil, err
-			}
-			ck.SetExt(&machine.CheckpointExt{
-				Policy:   p.Policy,
-				Topology: p.Topology,
-				PolicyStates: []machine.NamedPolicyState{
-					{Name: "migration", State: ps},
-				},
-			})
-		}
-		return ck, nil
+		return machine.SaveCheckpoint(p.Checkpoint, ck)
 	}
-
-	var saveErr error
-	save := func(events uint64) {
-		if p.Checkpoint == "" {
-			return
-		}
-		ck, err := snapshot(events)
-		if err == nil {
-			err = machine.SaveCheckpoint(p.Checkpoint, ck)
-		}
-		if err != nil && saveErr == nil {
-			saveErr = err
-		}
-	}
-
-	sink := &ckptSink{
-		inner: teeSink{a: normal, b: mig},
-		skip:  skip,
-		every: p.CheckpointEvery,
-		save:  save,
-		stop:  p.stop,
-		after: p.stopAfter,
+	every := uint64(0)
+	if p.Checkpoint != "" {
+		every = p.CheckpointEvery
 	}
 	if tel != nil {
-		sink.tick = tel.tickBoth
-		sink.tickEvery = tel.interval
+		s.Every = append(s.Every, tel.interval)
 	}
-	interrupted, err := drive(*p, sink)
+	if every > 0 {
+		s.Every = append(s.Every, every)
+	}
+	s.Hook = func(events uint64) error {
+		if tel != nil {
+			tel.tickBoth(events)
+		}
+		if every > 0 && events%every == 0 {
+			if err := save(events); err != nil {
+				return fmt.Errorf("emsim: checkpointing failed: %w", err)
+			}
+		}
+		return nil
+	}
+	interrupted, err := s.Run(in.Feed)
 	if err != nil {
 		return nil, err
 	}
-	if saveErr != nil {
-		return nil, fmt.Errorf("emsim: checkpointing failed: %w", saveErr)
-	}
-	if interrupted {
-		// An interrupt during resume fast-forward leaves the machines
-		// still at the restored event count, not at sink.events.
-		ev := sink.events
-		if ev < skip {
-			ev = skip
-		}
-		save(ev)
-		if saveErr != nil {
-			return nil, fmt.Errorf("emsim: final checkpoint failed: %w", saveErr)
+	if interrupted && p.Checkpoint != "" {
+		if err := save(s.Position()); err != nil {
+			return nil, fmt.Errorf("emsim: final checkpoint failed: %w", err)
 		}
 	}
 	return &runResult{
-		Normal:      normal.FinalStats(),
-		Mig:         mig.FinalStats(),
-		Events:      sink.events,
+		Normal:      pair.Normal.FinalStats(),
+		Mig:         pair.Mig.FinalStats(),
+		Events:      s.Events(),
 		Interrupted: interrupted,
-		Resumed:     skip,
+		Resumed:     s.Skip,
 		Timeline:    tel.finish(),
 
 		TimelineDropped: tel.droppedRows(),
@@ -499,22 +213,19 @@ func run(p *runParams) (*runResult, error) {
 // so also stops deterministically; only an asynchronous SIGINT may
 // catch the two passes at different events, in which case the partial
 // report covers whatever each machine had consumed.
-func runIndependent(p *runParams, normal, mig *machine.Machine, tel *runTelemetry) (*runResult, error) {
-	sinks := [2]*ckptSink{
-		{inner: normal, stop: p.stop, after: p.stopAfter},
-		{inner: mig, stop: p.stop, after: p.stopAfter},
+func runIndependent(p *runParams, in engine.Input, pair *engine.Pair, tel *runTelemetry) (*runResult, error) {
+	streams := [2]*engine.Stream{
+		{To: []mem.BatchSink{pair.Normal}, StopAt: p.stopAfter, Stop: p.stop},
+		{To: []mem.BatchSink{pair.Mig}, StopAt: p.stopAfter, Stop: p.stop},
 	}
 	if tel != nil {
-		sinks[0].tick = tel.tickNormal
-		sinks[1].tick = tel.tickMig
-		sinks[0].tickEvery = tel.interval
-		sinks[1].tickEvery = tel.interval
+		streams[0].Every, streams[0].Hook = []uint64{tel.interval}, tel.tickNormal
+		streams[1].Every, streams[1].Hook = []uint64{tel.interval}, tel.tickMig
 	}
 	var interrupted [2]bool
 	pass := func(i int) func(context.Context) error {
-		return func(context.Context) error {
-			var err error
-			interrupted[i], err = drive(*p, sinks[i])
+		return func(context.Context) (err error) {
+			interrupted[i], err = streams[i].Run(in.Feed)
 			return err
 		}
 	}
@@ -522,9 +233,9 @@ func runIndependent(p *runParams, normal, mig *machine.Machine, tel *runTelemetr
 		return nil, err
 	}
 	return &runResult{
-		Normal:      normal.FinalStats(),
-		Mig:         mig.FinalStats(),
-		Events:      max(sinks[0].events, sinks[1].events),
+		Normal:      pair.Normal.FinalStats(),
+		Mig:         pair.Mig.FinalStats(),
+		Events:      max(streams[0].Events(), streams[1].Events()),
 		Interrupted: interrupted[0] || interrupted[1],
 		Timeline:    tel.finish(),
 

@@ -55,8 +55,8 @@ func (rt *runTelemetry) boundary(events uint64) bool {
 	return events != 0 && events%rt.interval == 0
 }
 
-// tickBoth is the serial tee pass's per-event hook: both machines sit
-// at the same event, so both timelines sample together.
+// tickBoth is the serial tee pass's boundary hook: both machines sit at
+// the same event, so both timelines sample together.
 func (rt *runTelemetry) tickBoth(events uint64) {
 	rt.normal.MaybeSample(events)
 	rt.mig.MaybeSample(events)
@@ -68,18 +68,20 @@ func (rt *runTelemetry) tickBoth(events uint64) {
 
 // tickNormal and tickMig are the independent-pass hooks; each pass
 // numbers its own identical copy of the event stream.
-func (rt *runTelemetry) tickNormal(events uint64) {
+func (rt *runTelemetry) tickNormal(events uint64) error {
 	rt.normal.MaybeSample(events)
 	if rt.live != nil && rt.boundary(events) {
 		rt.live.Publish("normal", rt.normalReg.Snapshot())
 	}
+	return nil
 }
 
-func (rt *runTelemetry) tickMig(events uint64) {
+func (rt *runTelemetry) tickMig(events uint64) error {
 	rt.mig.MaybeSample(events)
 	if rt.live != nil && rt.boundary(events) {
 		rt.live.Publish("migration", rt.migReg.Snapshot())
 	}
+	return nil
 }
 
 // finish publishes the end-of-run values and returns the merged row

@@ -100,9 +100,11 @@ func TestTimelineRowShape(t *testing.T) {
 // TestTimelineSurvivesInterruptAndResume: an interrupted run keeps its
 // samples up to the stop point; the resumed run samples only boundaries
 // past the restored event count (restored metric values included), so
-// the concatenation covers the full run without overlap.
+// the concatenation covers the full run without overlap. The
+// "on-boundary" case cuts exactly at a sampling point: the interrupted
+// run samples it, and the resumed run must not sample it again — the
+// tick hook never fires at the resume edge.
 func TestTimelineSurvivesInterruptAndResume(t *testing.T) {
-	dir := t.TempDir()
 	base := runParams{Workload: "179.art", Instr: 300_000, Cores: 4}
 
 	// Probe the workload's event count so interval and cut can sit at
@@ -125,43 +127,52 @@ func TestTimelineSurvivesInterruptAndResume(t *testing.T) {
 		t.Fatalf("reference run produced only %d rows", len(ref.Timeline))
 	}
 
-	cut := base.TimelineInterval*3 + base.TimelineInterval/2 // between the 3rd and 4th boundary
-	ckpt := filepath.Join(dir, "tl.ckpt")
-	p := base
-	p.Checkpoint = ckpt
-	p.stopAfter = cut
-	res, err := run(&p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Interrupted {
-		t.Fatal("stop-after did not trigger")
-	}
-	wantRows := int(cut/base.TimelineInterval) * 2
-	if len(res.Timeline) != wantRows {
-		t.Fatalf("interrupted run kept %d rows, want %d", len(res.Timeline), wantRows)
-	}
-
-	q := runParams{Resume: ckpt, TimelineInterval: base.TimelineInterval}
-	res2, err := run(&q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined := append(append([]telemetry.Row{}, res.Timeline...), res2.Timeline...)
-	if len(combined) != len(ref.Timeline) {
-		t.Fatalf("interrupt+resume rows = %d, reference %d", len(combined), len(ref.Timeline))
-	}
-	// Event numbering and counter values must line up with the
-	// uninterrupted reference at every sampled boundary.
-	for i, row := range combined {
-		refRow := ref.Timeline[i]
-		if row.Events != refRow.Events || row.Machine != refRow.Machine {
-			t.Fatalf("row %d is (%s, %d), reference (%s, %d)", i, row.Machine, row.Events, refRow.Machine, refRow.Events)
-		}
-		for name, v := range refRow.Counters {
-			if row.Counters[name] != v {
-				t.Fatalf("row %d %s/%s = %d, reference %d", i, row.Machine, name, row.Counters[name], v)
+	for _, tc := range []struct {
+		name string
+		cut  uint64
+	}{
+		{"mid-interval", base.TimelineInterval*3 + base.TimelineInterval/2}, // between the 3rd and 4th boundary
+		{"on-boundary", base.TimelineInterval * 3},                          // exactly the 3rd boundary
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "tl.ckpt")
+			p := base
+			p.Checkpoint = ckpt
+			p.stopAfter = tc.cut
+			res, err := run(&p)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if !res.Interrupted {
+				t.Fatal("stop-after did not trigger")
+			}
+			wantRows := int(tc.cut/base.TimelineInterval) * 2
+			if len(res.Timeline) != wantRows {
+				t.Fatalf("interrupted run kept %d rows, want %d", len(res.Timeline), wantRows)
+			}
+
+			q := runParams{Resume: ckpt, TimelineInterval: base.TimelineInterval}
+			res2, err := run(&q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			combined := append(append([]telemetry.Row{}, res.Timeline...), res2.Timeline...)
+			if len(combined) != len(ref.Timeline) {
+				t.Fatalf("interrupt+resume rows = %d, reference %d", len(combined), len(ref.Timeline))
+			}
+			// Event numbering and counter values must line up with the
+			// uninterrupted reference at every sampled boundary.
+			for i, row := range combined {
+				refRow := ref.Timeline[i]
+				if row.Events != refRow.Events || row.Machine != refRow.Machine {
+					t.Fatalf("row %d is (%s, %d), reference (%s, %d)", i, row.Machine, row.Events, refRow.Machine, refRow.Events)
+				}
+				for name, v := range refRow.Counters {
+					if row.Counters[name] != v {
+						t.Fatalf("row %d %s/%s = %d, reference %d", i, row.Machine, name, row.Counters[name], v)
+					}
+				}
+			}
+		})
 	}
 }

@@ -83,6 +83,7 @@ var resultPackages = map[string]bool{
 	ModulePath + "/internal/trace":     true,
 	ModulePath + "/internal/cache":     true,
 	ModulePath + "/internal/sampling":  true,
+	ModulePath + "/internal/run":       true, // the one event stream every CLI, service and sampled result is numbered on
 }
 
 // ctxPackages are the packages whose goroutines participate in the

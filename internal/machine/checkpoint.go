@@ -103,6 +103,16 @@ func (c *Checkpoint) Ext() *CheckpointExt { return c.ext }
 // original on-disk format).
 func (c *Checkpoint) SetExt(e *CheckpointExt) { c.ext = e }
 
+// Scenario returns the policy and topology names of the run the
+// checkpoint belongs to ("" for the defaults, which attach no
+// extension).
+func (c *Checkpoint) Scenario() (policy, topology string) {
+	if c.ext == nil {
+		return "", ""
+	}
+	return c.ext.Policy, c.ext.Topology
+}
+
 // Machine returns the named snapshot, or an error.
 func (c *Checkpoint) Machine(name string) (*Snapshot, error) {
 	for i := range c.Machines {

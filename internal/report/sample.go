@@ -4,22 +4,20 @@ package report
 // -sample, emsimd sampled runs, tables -sample) goes through, so all of
 // them emit byte-identical estimates for the same configuration. The
 // pipeline is profile -> cluster -> plan -> simulate -> reconstruct,
-// all in internal/sampling; this file owns the input plumbing (workload
-// or trace source), the canonical JSON shape, and the text rendering.
+// all in internal/sampling, fed by the run engine's Input; this file
+// owns the canonical JSON shape and the text rendering.
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"repro/internal/machine"
-	"repro/internal/mem"
+	"repro/internal/run"
 	"repro/internal/runner"
 	"repro/internal/sampling"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -102,46 +100,12 @@ func WriteSampleJSON(w io.Writer, r SampleResultJSON) error {
 	return writeJSON(w, r)
 }
 
-// sampleSource builds the deterministic event source both passes (and
+// sampleSource is the deterministic event source both passes (and
 // every chain job) replay. Each call opens the trace or constructs the
 // workload afresh, so concurrent chain jobs never share generator
 // state.
 func sampleSource(reg *workloads.Registry, cfg SampleConfig) sampling.Source {
-	return func(sink mem.BatchSink) error {
-		if cfg.Replay != "" {
-			f, err := os.Open(cfg.Replay)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if cfg.Scalar {
-				tr, err := trace.NewReader(f)
-				if err != nil {
-					return err
-				}
-				_, err = tr.Replay(sink)
-				return err
-			}
-			tr, err := trace.NewBatchReader(f)
-			if err != nil {
-				return err
-			}
-			_, err = tr.ReplayBatches(sink, nil)
-			return err
-		}
-		w, err := reg.New(cfg.Workload)
-		if err != nil {
-			return err
-		}
-		if cfg.Scalar {
-			w.Run(sink, cfg.Instr)
-			return nil
-		}
-		ba := mem.NewBatcher(sink, 0)
-		w.Run(ba, cfg.Instr)
-		ba.Flush()
-		return nil
-	}
+	return run.Input{Workload: cfg.Workload, Replay: cfg.Replay, Instr: cfg.Instr, Scalar: cfg.Scalar, Registry: reg}.Feed
 }
 
 // SampleRun executes the full sampling pipeline and returns the
@@ -178,11 +142,9 @@ func SampleRun(reg *workloads.Registry, cfg SampleConfig, opt RunOptions) (Sampl
 	cl := sampling.Cluster(intervals, cfg.Clusters, cfg.Seed)
 	plan := sampling.NewPlan(intervals, cl, cfg.Warmup)
 	sim, err := sampling.Simulate(opt.ctx(), src, intervals, plan, sampling.SimConfig{
-		Normal:   normalCfg,
-		Mig:      migCfg,
-		Policy:   cfg.Policy,
-		Topology: cfg.Topology,
-		Workers:  opt.Workers,
+		Normal:  normalCfg,
+		Mig:     migCfg,
+		Workers: opt.Workers,
 	})
 	if err != nil {
 		return SampleResultJSON{}, err

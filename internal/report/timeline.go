@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/run"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -28,27 +29,6 @@ type TimelineResult struct {
 	NormalFinal, MigFinal telemetry.Snapshot
 }
 
-// sampledSink drives one machine while numbering events and sampling
-// its timeline — the same per-event numbering emsim's checkpoint sink
-// uses, so interval boundaries land on identical events everywhere.
-type sampledSink struct {
-	inner  mem.Sink
-	tl     *telemetry.Timeline
-	events uint64
-}
-
-func (s *sampledSink) Access(addr mem.Addr, kind mem.Kind) {
-	s.events++
-	s.inner.Access(addr, kind)
-	s.tl.MaybeSample(s.events)
-}
-
-func (s *sampledSink) Instr(n uint64) {
-	s.events++
-	s.inner.Instr(n)
-	s.tl.MaybeSample(s.events)
-}
-
 // timelineHalf is one machine pass of one workload.
 type timelineHalf struct {
 	rows    []telemetry.Row
@@ -60,10 +40,6 @@ type timelineHalf struct {
 // configuration, sampling every interval events.
 func runTimelineHalf(reg *workloads.Registry, name string, budget uint64,
 	cfg machine.Config, label string, interval uint64) (timelineHalf, error) {
-	w, err := reg.New(name)
-	if err != nil {
-		return timelineHalf{}, err
-	}
 	m, err := machine.New(cfg)
 	if err != nil {
 		return timelineHalf{}, err
@@ -72,7 +48,15 @@ func runTimelineHalf(reg *workloads.Registry, name string, budget uint64,
 	if err != nil {
 		return timelineHalf{}, err
 	}
-	w.Run(&sampledSink{inner: m, tl: tl}, budget)
+	// The run engine numbers events exactly as every other surface
+	// does, so interval boundaries land on identical events everywhere.
+	s := &run.Stream{To: []mem.BatchSink{m}, Every: []uint64{interval}, Hook: func(events uint64) error {
+		tl.MaybeSample(events)
+		return nil
+	}}
+	if _, err := s.Run(run.Input{Workload: name, Instr: budget, Registry: reg}.Feed); err != nil {
+		return timelineHalf{}, err
+	}
 	return timelineHalf{rows: tl.Rows(label), dropped: tl.Dropped(), final: m.Telemetry().Snapshot()}, nil
 }
 

@@ -36,7 +36,7 @@ type Interval struct {
 	Index int
 	// StartEvent and EndEvent delimit the interval on the shared event
 	// numbering (one count per Access or Instr sink call, the same
-	// numbering emsim's checkpoint sink uses): the interval covers
+	// numbering the run engine's Stream uses): the interval covers
 	// events StartEvent+1 .. EndEvent, so StartEvent doubles as the
 	// fast-forward count for a pass that begins at this interval.
 	StartEvent uint64

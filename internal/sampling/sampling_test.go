@@ -349,7 +349,7 @@ func TestSimulateWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestSimulateScalarBatchParity: the chain sink's scalar and batched
+// TestSimulateScalarBatchParity: a chain's scalar and batched
 // delivery paths must act at identical events.
 func TestSimulateScalarBatchParity(t *testing.T) {
 	scalar := phasedSource(5)
@@ -380,7 +380,7 @@ func TestSimulatePolicyScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SimConfig{Normal: machine.NormalConfig(), Mig: mig, Policy: "numa", Topology: "cluster"}
+	cfg := SimConfig{Normal: machine.NormalConfig(), Mig: mig}
 	cl := Cluster(ivs, len(ivs), 7)
 	plan := NewPlan(ivs, cl, 0)
 	sim, err := Simulate(context.Background(), src, ivs, plan, cfg)
@@ -500,4 +500,96 @@ func TestChainSinkGenerator(t *testing.T) {
 	// The generator restarts per pass, so measuring everything must
 	// reproduce the tee exactly (regression guard for source reuse).
 	_ = p
+}
+
+// windowSink feeds the events numbered [from, end) of a stream into
+// fresh machines: the cold-start reference for one interval.
+type windowSink struct {
+	machines  []*machine.Machine
+	from, end uint64
+	n         uint64
+}
+
+func (w *windowSink) Access(addr mem.Addr, kind mem.Kind) {
+	if w.n >= w.from && w.n < w.end {
+		for _, m := range w.machines {
+			m.Access(addr, kind)
+		}
+	}
+	w.n++
+}
+
+func (w *windowSink) Instr(n uint64) {
+	if w.n >= w.from && w.n < w.end {
+		for _, m := range w.machines {
+			m.Instr(n)
+		}
+	}
+	w.n++
+}
+
+func (w *windowSink) AccessBatch(b *mem.Batch) { mem.DeliverBatch(b, w) }
+
+// TestWarmupZeroMeasuresAtSkipEdge: with no warmup, a chain that
+// fast-forwards starts measuring at its skip edge itself, so the cut
+// hook must fire at that edge (unlike emsim's resume edge, where no
+// hook fires). The first measured interval of every such chain must
+// equal a cold pair of machines fed exactly that interval's events, on
+// both the per-event and the batched delivery path.
+func TestWarmupZeroMeasuresAtSkipEdge(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  Source
+	}{
+		{"scalar", phasedSource(4)},
+		{"batched", phasedBatchedSource(4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ivs := profile(t, tc.src, 1000)
+			cfg := testSimConfig(t)
+			plan := NewPlan(ivs, Cluster(ivs, 3, 42), 0)
+			sim, err := Simulate(context.Background(), tc.src, ivs, plan, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byInterval := make(map[int]IntervalMeasure, len(sim.Measures))
+			for _, m := range sim.Measures {
+				byInterval[m.Interval] = m
+			}
+			edges := 0
+			for ci, c := range plan.Chains {
+				if c.SkipEvents == 0 {
+					continue
+				}
+				first := plan.Measured[c.Measured[0]].Interval
+				if first != c.FirstInterval || ivs[first].StartEvent != c.SkipEvents {
+					t.Fatalf("chain %d: warmup 0 must measure interval %d at the skip edge %d, first measured is %d",
+						ci, c.FirstInterval, c.SkipEvents, first)
+				}
+				got, ok := byInterval[first]
+				if !ok {
+					t.Fatalf("chain %d: interval %d at the skip edge was never measured", ci, first)
+				}
+				normal, err := machine.New(cfg.Normal)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mig, err := machine.New(cfg.Mig)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := &windowSink{machines: []*machine.Machine{normal, mig}, from: ivs[first].StartEvent, end: ivs[first].EndEvent}
+				if err := tc.src(w); err != nil {
+					t.Fatal(err)
+				}
+				if want := extract(normal.Stats, mig.Stats); !reflect.DeepEqual(got.Values, want) {
+					t.Fatalf("chain %d: interval %d measured %v, cold reference %v", ci, first, got.Values, want)
+				}
+				edges++
+			}
+			if edges == 0 {
+				t.Fatal("no chain fast-forwards; the plan does not exercise the skip edge")
+			}
+		})
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/run"
 	"repro/internal/runner"
 )
 
@@ -53,13 +54,10 @@ type Source func(sink mem.BatchSink) error
 // SimConfig shapes the simulation pass.
 type SimConfig struct {
 	// Normal and Mig are the two machine configurations of the
-	// experiment tee.
+	// experiment tee. A non-default Mig scenario's policy state rides
+	// the warm-start checkpoint's extension section exactly as emsim
+	// -checkpoint writes it.
 	Normal, Mig machine.Config
-	// Policy and Topology are the normalized scenario names ("" for the
-	// defaults); non-default policy state rides the warm-start
-	// checkpoint's extension section exactly as emsim -checkpoint
-	// writes it.
-	Policy, Topology string
 	// Workers sizes the chain worker pool (0 = all cores). Results
 	// merge in chain order, so every worker count produces identical
 	// output.
@@ -87,115 +85,19 @@ type SimResult struct {
 	DeliveredEvents uint64
 }
 
-// stopChain is the panic sentinel that unwinds the source once a chain
-// has delivered its last measured interval (generators cannot return
-// early); runChain recovers it.
-type stopChain struct{}
-
-// chainTee fans one event stream out to both machines. The machines
-// are re-pointed at each warm-start boundary, so the sink holds the tee
-// by pointer.
-type chainTee struct{ a, b mem.BatchSink }
-
-// chainSink numbers events exactly like emsim's checkpoint sink,
-// discards the chain's fast-forward prefix, fires the boundary hook at
-// each cut event, and aborts at the chain's end. Batches are delivered
-// in sub-spans that never straddle a cut, so the batched and scalar
-// delivery paths act at identical events.
-type chainSink struct {
-	tee    *chainTee
-	events uint64
-	skip   uint64
-	cuts   []uint64 // ascending, unique; the last cut is stopAt
-	ci     int
-	hook   func(event uint64)
-	stopAt uint64
-
-	// view is the reusable sub-batch header, so span splitting never
-	// allocates.
-	view mem.Batch
-}
-
-func (c *chainSink) boundary() {
-	if c.ci < len(c.cuts) && c.events == c.cuts[c.ci] {
-		c.hook(c.events)
-		c.ci++
-	}
-	if c.events == c.stopAt {
-		//emlint:allowpanic control-flow sentinel: generators cannot return early; recovered in runChain
-		panic(stopChain{})
-	}
-}
-
-func (c *chainSink) Access(addr mem.Addr, kind mem.Kind) {
-	c.events++
-	if c.events > c.skip {
-		c.tee.a.Access(addr, kind)
-		c.tee.b.Access(addr, kind)
-	}
-	c.boundary()
-}
-
-func (c *chainSink) Instr(n uint64) {
-	c.events++
-	if c.events > c.skip {
-		c.tee.a.Instr(n)
-		c.tee.b.Instr(n)
-	}
-	c.boundary()
-}
-
-// AccessBatch implements mem.BatchSink: spans split at the skip edge
-// and at every cut, with the hook running once per boundary exactly
-// where the scalar path's per-event call would have fired.
-//
-//emlint:batchpair Access
-//emlint:batchpair Instr
-func (c *chainSink) AccessBatch(b *mem.Batch) {
-	i, n := 0, b.Len()
-	for i < n {
-		if c.events < c.skip {
-			d := c.skip - c.events
-			if rem := uint64(n - i); d > rem {
-				d = rem
-			}
-			c.events += d
-			i += int(d)
-			c.boundary()
-			continue
-		}
-		span := uint64(n - i)
-		if c.ci < len(c.cuts) {
-			if next := c.cuts[c.ci] - c.events; next < span {
-				span = next
-			}
-		}
-		c.view.Addr = b.Addr[i : i+int(span)]
-		c.view.Kind = b.Kind[i : i+int(span)]
-		c.tee.a.AccessBatch(&c.view)
-		c.tee.b.AccessBatch(&c.view)
-		c.events += span
-		i += int(span)
-		c.boundary()
-	}
-}
-
-var _ mem.BatchSink = (*chainSink)(nil)
-
-// chainRun is the per-chain job state.
+// chainRun is the per-chain job state: the hook the run engine's
+// stream fires at every cut.
 type chainRun struct {
 	cfg       SimConfig
 	intervals []Interval
 	measured  []Measured // this chain's measured intervals, ascending
-	normal    *machine.Machine
-	mig       *machine.Machine
-	sink      *chainSink
+	pair      *run.Pair
+	stream    *run.Stream
 
 	mi       int      // next measured interval to open
 	open     bool     // a measured interval is in flight
 	base     []uint64 // metric vector at the open interval's start
 	measures []IntervalMeasure
-	err      error
 }
 
 // cutsFor returns the ascending unique boundary events of the chain:
@@ -214,14 +116,11 @@ func cutsFor(intervals []Interval, measured []Measured) []uint64 {
 
 // hook runs at each cut event: close the open measured interval and/or
 // warm-start the next one through an EMCKPT1 snapshot round-trip.
-func (r *chainRun) hook(event uint64) {
-	if r.err != nil {
-		return
-	}
+func (r *chainRun) hook(event uint64) error {
 	if r.open && event == r.intervals[r.measured[r.mi].Interval].EndEvent {
 		m := r.measured[r.mi]
 		iv := r.intervals[m.Interval]
-		cur := extract(r.normal.Stats, r.mig.Stats)
+		cur := extract(r.pair.Normal.Stats, r.pair.Mig.Stats)
 		for i := range cur {
 			cur[i] -= r.base[i]
 		}
@@ -238,13 +137,12 @@ func (r *chainRun) hook(event uint64) {
 	}
 	if !r.open && r.mi < len(r.measured) && event == r.intervals[r.measured[r.mi].Interval].StartEvent {
 		if err := r.warmStart(event); err != nil {
-			r.err = err
-			//emlint:allowpanic control-flow sentinel: generators cannot return early; recovered in runChain
-			panic(stopChain{})
+			return err
 		}
-		r.base = extract(r.normal.Stats, r.mig.Stats)
+		r.base = extract(r.pair.Normal.Stats, r.pair.Mig.Stats)
 		r.open = true
 	}
+	return nil
 }
 
 // warmStart replaces both machines with fresh ones restored from an
@@ -252,82 +150,31 @@ func (r *chainRun) hook(event uint64) {
 // starts from checkpoint bytes, so the estimate inherits the resume
 // path's bit-exactness guarantee (and its tests).
 func (r *chainRun) warmStart(event uint64) error {
-	ns, err := r.normal.Snapshot()
+	ck, err := r.pair.Checkpoint(run.Input{}, event)
 	if err != nil {
 		return err
 	}
-	ms, err := r.mig.Snapshot()
+	if ck, err = machine.RoundTripCheckpoint(ck); err != nil {
+		return err
+	}
+	fresh, err := run.NewPairConfig(r.cfg.Normal, r.cfg.Mig)
 	if err != nil {
 		return err
 	}
-	ck := &machine.Checkpoint{
-		Cores:  r.cfg.Mig.Cores,
-		Events: event,
-		Machines: []machine.NamedSnapshot{
-			{Name: "normal", Snap: ns},
-			{Name: "migration", Snap: ms},
-		},
-	}
-	if r.cfg.Policy != "" || r.cfg.Topology != "" {
-		ps, err := r.mig.PolicyState()
-		if err != nil {
-			return err
-		}
-		ck.SetExt(&machine.CheckpointExt{
-			Policy:   r.cfg.Policy,
-			Topology: r.cfg.Topology,
-			PolicyStates: []machine.NamedPolicyState{
-				{Name: "migration", State: ps},
-			},
-		})
-	}
-	ck, err = machine.RoundTripCheckpoint(ck)
-	if err != nil {
+	if err := fresh.Restore(ck); err != nil {
 		return err
 	}
-	normal, err := machine.New(r.cfg.Normal)
-	if err != nil {
-		return err
-	}
-	mig, err := machine.New(r.cfg.Mig)
-	if err != nil {
-		return err
-	}
-	rns, err := ck.Machine("normal")
-	if err != nil {
-		return err
-	}
-	if err := normal.Restore(*rns); err != nil {
-		return err
-	}
-	rms, err := ck.Machine("migration")
-	if err != nil {
-		return err
-	}
-	if err := mig.Restore(*rms); err != nil {
-		return err
-	}
-	if ext := ck.Ext(); ext != nil {
-		ps, err := ext.State("migration")
-		if err != nil {
-			return err
-		}
-		if err := mig.SetPolicyState(ps); err != nil {
-			return err
-		}
-	}
-	r.normal, r.mig = normal, mig
-	r.sink.tee.a, r.sink.tee.b = normal, mig
+	r.pair = fresh
+	r.stream.To = fresh.Sinks()
 	return nil
 }
 
-// runChain executes one chain: fast-forward, warmup, measure.
-func runChain(src Source, intervals []Interval, plan Plan, chain Chain, cfg SimConfig) (res []IntervalMeasure, err error) {
-	normal, err := machine.New(cfg.Normal)
-	if err != nil {
-		return nil, err
-	}
-	mig, err := machine.New(cfg.Mig)
+// runChain executes one chain on the run engine: fast-forward to the
+// chain's first interval, deliver through its last, and measure at the
+// cuts. With no warmup the first cut is the skip edge itself, where the
+// stream's cut hook fires before any event is delivered.
+func runChain(src Source, intervals []Interval, plan Plan, chain Chain, cfg SimConfig) ([]IntervalMeasure, error) {
+	pair, err := run.NewPairConfig(cfg.Normal, cfg.Mig)
 	if err != nil {
 		return nil, err
 	}
@@ -335,45 +182,23 @@ func runChain(src Source, intervals []Interval, plan Plan, chain Chain, cfg SimC
 	for i, mi := range chain.Measured {
 		measured[i] = plan.Measured[mi]
 	}
-	run := &chainRun{cfg: cfg, intervals: intervals, measured: measured, normal: normal, mig: mig}
-	sink := &chainSink{
-		tee:    &chainTee{a: normal, b: mig},
-		skip:   chain.SkipEvents,
-		cuts:   cutsFor(intervals, measured),
-		hook:   run.hook,
-		stopAt: intervals[chain.LastInterval].EndEvent,
+	r := &chainRun{cfg: cfg, intervals: intervals, measured: measured, pair: pair}
+	r.stream = &run.Stream{
+		To:     pair.Sinks(),
+		Skip:   chain.SkipEvents,
+		Cuts:   cutsFor(intervals, measured),
+		StopAt: intervals[chain.LastInterval].EndEvent,
+		Hook:   r.hook,
 	}
-	run.sink = sink
-
-	stopped := func() (stopped bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(stopChain); ok {
-					stopped = true
-					return
-				}
-				//emlint:allowpanic re-raise of a foreign panic captured by the sentinel recover
-				panic(r)
-			}
-		}()
-		// A chain with no fast-forward measures its first interval from
-		// event 0: that cut sits before the first delivered event, so it
-		// fires here rather than from a sink call.
-		sink.boundary()
-		err = src(sink)
-		return false
-	}()
+	stopped, err := r.stream.Run(src)
 	if err != nil {
 		return nil, err
 	}
-	if run.err != nil {
-		return nil, run.err
-	}
-	if !stopped || len(run.measures) != len(measured) {
+	if !stopped || len(r.measures) != len(measured) {
 		return nil, fmt.Errorf("sampling: stream ended at event %d before chain [%d..%d] completed (%d/%d intervals measured)",
-			sink.events, chain.FirstInterval, chain.LastInterval, len(run.measures), len(measured))
+			r.stream.Events(), chain.FirstInterval, chain.LastInterval, len(r.measures), len(measured))
 	}
-	return run.measures, nil
+	return r.measures, nil
 }
 
 // Simulate runs every chain of the plan over the worker pool and

@@ -1,26 +1,25 @@
 package service
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"repro/internal/machine"
-	"repro/internal/report"
-	"repro/internal/runner"
 )
 
 // Crash recovery: Drain spools interrupted /run jobs as EMCKPT1
 // checkpoints; Recover, called once at startup, re-adopts them and runs
 // each to completion on the normal worker pool, publishing the finished
 // result through the same cache + store path a fresh request would use.
-// The resumed pass replays the deterministic workload with the
-// checkpointed prefix skipped (jobSink.skip), so a recovered result is
-// byte-identical to one computed without the crash — which is what lets
-// recovery share the content-addressed key space safely.
+// The resumed pass is runJob with the checkpoint: it replays the
+// deterministic workload with the checkpointed prefix skipped, so a
+// recovered result is byte-identical to one computed without the crash
+// — which is what lets recovery share the content-addressed key space
+// safely.
 //
 // A checkpoint that cannot be adopted is never deleted silently:
 // corrupt or unusable files move to SpoolDir/quarantine for inspection,
@@ -93,9 +92,7 @@ func (s *Service) recoverOne(ctx context.Context, path string, rep *RecoveryRepo
 		return
 	}
 	spec := RunSpec{Workload: ck.Workload, Instr: ck.Instr, Cores: ck.Cores}
-	if ext := ck.Ext(); ext != nil {
-		spec.Policy, spec.Topology = ext.Policy, ext.Topology
-	}
+	spec.Policy, spec.Topology = ck.Scenario()
 	spec = spec.normalized()
 	if err := spec.validate(); err != nil {
 		s.quarantineSpool(path, rep, fmt.Errorf("service: unusable spool checkpoint %s: %w", path, err))
@@ -116,10 +113,13 @@ func (s *Service) recoverOne(ctx context.Context, path string, rep *RecoveryRepo
 		rep.Respooled++
 		return
 	}
-	body, respooled, err := s.resumeJob(ctx, spec, ck)
+	body, err := s.runJob(ctx, spec, ck)
 	release()
+	var drained *DrainedError
 	switch {
-	case respooled:
+	case errors.As(err, &drained) && drained.Checkpoint != "":
+		// Drain interrupted the resume; it re-spooled at its current
+		// position for the next start.
 		rep.Respooled++
 	case err != nil:
 		rep.Errors = append(rep.Errors, fmt.Errorf("service: resuming %s: %w", path, err))
@@ -175,91 +175,4 @@ func (s *Service) beginInternal() (release func(), ok bool) {
 		s.jobs.Done()
 		s.publish()
 	}, true
-}
-
-// resumeJob is runJob picking up from a checkpoint: restore both
-// machine snapshots, then replay the workload with the first ck.Events
-// events skipped. If drain interrupts the resume, the job re-spools at
-// its current position (never before the restored one) and reports
-// respooled=true.
-func (s *Service) resumeJob(ctx context.Context, spec RunSpec, ck *machine.Checkpoint) (body []byte, respooled bool, err error) {
-	normal, err := machine.New(machine.NormalConfig())
-	if err != nil {
-		return nil, false, err
-	}
-	migCfg, err := machine.MigrationConfigScenario(spec.Cores, spec.Policy, spec.Topology)
-	if err != nil {
-		return nil, false, err
-	}
-	mig, err := machine.New(migCfg)
-	if err != nil {
-		return nil, false, err
-	}
-	ns, err := ck.Machine("normal")
-	if err != nil {
-		return nil, false, err
-	}
-	if err := normal.Restore(*ns); err != nil {
-		return nil, false, err
-	}
-	ms, err := ck.Machine("migration")
-	if err != nil {
-		return nil, false, err
-	}
-	if err := mig.Restore(*ms); err != nil {
-		return nil, false, err
-	}
-	// Non-Michaud policy state rides the checkpoint extension (the
-	// snapshot's Controller field stays nil for those machines).
-	if ext := ck.Ext(); ext != nil {
-		ps, err := ext.State("migration")
-		if err != nil {
-			return nil, false, err
-		}
-		if err := mig.SetPolicyState(ps); err != nil {
-			return nil, false, err
-		}
-	}
-
-	jobCtx, cancel := s.jobContext(ctx)
-	defer cancel()
-	stop, releaseStop := runner.StopWhenDone(jobCtx)
-	defer releaseStop()
-
-	sink := &jobSink{normal: normal, mig: mig, skip: ck.Events, stop: stop}
-	interrupted, err := driveJob(spec.Workload, spec.Instr, sink)
-	if err != nil {
-		return nil, false, err
-	}
-	if interrupted {
-		if s.jobsCtx.Err() != nil && s.cfg.SpoolDir != "" {
-			// An interrupt during fast-forward leaves the machines at the
-			// restored event count, not at sink.events.
-			ev := sink.events
-			if ev < ck.Events {
-				ev = ck.Events
-			}
-			if _, err := s.spool(spec, normal, mig, ev); err != nil {
-				return nil, false, fmt.Errorf("re-spooling drained recovery: %w", err)
-			}
-			return nil, true, nil
-		}
-		return nil, false, s.ctxError(ctx, "")
-	}
-
-	var buf bytes.Buffer
-	err = report.WriteRunJSON(&buf, report.RunResultJSON{
-		Workload:  spec.Workload,
-		Instr:     spec.Instr,
-		Cores:     spec.Cores,
-		Policy:    spec.Policy,
-		Topology:  spec.Topology,
-		Events:    sink.events,
-		Normal:    normal.FinalStats(),
-		Migration: mig.FinalStats(),
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return buf.Bytes(), false, nil
 }

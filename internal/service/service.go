@@ -307,7 +307,7 @@ func (s *Service) Run(ctx context.Context, spec RunSpec) (body []byte, cached bo
 		return nil, false, err
 	}
 	defer release()
-	b, err := s.runJob(ctx, spec)
+	b, err := s.runJob(ctx, spec, nil)
 	if err != nil {
 		s.metrics.Cancelled.Inc()
 		return nil, false, err

@@ -5,166 +5,69 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sync/atomic"
 
 	"repro/internal/machine"
-	"repro/internal/mem"
 	"repro/internal/report"
+	"repro/internal/run"
 	"repro/internal/runner"
 	"repro/internal/workloads/suite"
 )
 
-// The job bodies below reproduce the emsim CLI's serial tee pass
-// exactly — same machine construction, same event numbering — which is
-// what the byte-identity e2e contract rests on: a /run response must
-// equal `emsim -json` for the same parameters, whether it was computed
-// here or served from the cache.
-
-// stopJob is the panic sentinel that unwinds a workload generator when
-// the job's context ends mid-stream (generators cannot return early);
-// driveJob recovers it.
-type stopJob struct{}
-
-// jobSink tees one event stream into both machines, numbers events, and
-// aborts when the job's stop flag flips (context deadline or drain).
-// skip is the resume fast-forward: the first skip events are counted but
-// not delivered, exactly as emsim's ckptSink does it, so a recovered job
-// replays the deterministic input from the checkpointed event onward and
-// finishes byte-identical to an uninterrupted run.
-type jobSink struct {
-	normal, mig mem.BatchSink
-	events      uint64 // events seen, including the skipped resume prefix
-	skip        uint64
-	stop        *atomic.Bool
-
-	// view is the reusable sub-batch header AccessBatch delivers spans
-	// through, so skip-boundary splitting never allocates.
-	view mem.Batch
-}
-
-func (j *jobSink) Access(addr mem.Addr, kind mem.Kind) {
-	j.events++
-	if j.events > j.skip {
-		j.normal.Access(addr, kind)
-		j.mig.Access(addr, kind)
-	}
-	j.checkStop()
-}
-
-func (j *jobSink) Instr(n uint64) {
-	j.events++
-	if j.events > j.skip {
-		j.normal.Instr(n)
-		j.mig.Instr(n)
-	}
-	j.checkStop()
-}
-
-func (j *jobSink) checkStop() {
-	if j.stop.Load() {
-		//emlint:allowpanic control-flow sentinel: generators cannot return early; recovered in driveJob
-		panic(stopJob{})
-	}
-}
-
-// AccessBatch implements mem.BatchSink: the columnar delivery path of a
-// job. Only the resume fast-forward edge splits a batch — everything
-// past it streams straight into both machines' batch kernels. The stop
-// flag is checked per batch instead of per event; stops are
-// asynchronous (deadline or drain), so the only effect is that a
-// cancelled job runs on for at most one batch before spooling.
-//
-//emlint:batchpair Access
-//emlint:batchpair Instr
-func (j *jobSink) AccessBatch(b *mem.Batch) {
-	i, n := 0, b.Len()
-	for i < n {
-		if j.events < j.skip {
-			d := j.skip - j.events
-			if rem := uint64(n - i); d > rem {
-				d = rem
-			}
-			j.events += d
-			i += int(d)
-		} else {
-			j.view.Addr = b.Addr[i:n]
-			j.view.Kind = b.Kind[i:n]
-			j.normal.AccessBatch(&j.view)
-			j.mig.AccessBatch(&j.view)
-			j.events += uint64(n - i)
-			i = n
-		}
-		j.checkStop()
-	}
-}
-
-// driveJob pushes the workload into sink through the columnar batch
-// path, converting a stopJob panic into interrupted=true.
-func driveJob(workload string, instr uint64, sink mem.BatchSink) (interrupted bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(stopJob); ok {
-				interrupted = true
-				return
-			}
-			//emlint:allowpanic re-raise of a foreign panic captured by the sentinel recover
-			panic(r)
-		}
-	}()
-	w, err := suite.Registry().New(workload)
-	if err != nil {
-		return false, err
-	}
-	ba := mem.NewBatcher(sink, 0)
-	w.Run(ba, instr)
-	ba.Flush()
-	return false, nil
-}
+// Plain /run jobs are thin calls into the run engine (internal/run),
+// the same engine `emsim` runs on: one machine pair, one event stream
+// with one numbering, one checkpoint format. That shared engine is what
+// the byte-identity e2e contract rests on — a /run response equals
+// `emsim -json` for the same parameters, whether it was computed here,
+// resumed from a spooled checkpoint, or served from the cache.
 
 // runJob executes one cold /run request on the calling goroutine (the
-// caller already holds a worker slot). A cancelled job discards its
-// partial stats; when drain caused the cancellation and a spool
-// directory is configured, the partial machines are checkpointed first
-// so the work is resumable with `emsim -resume`.
-func (s *Service) runJob(ctx context.Context, spec RunSpec) ([]byte, error) {
+// caller already holds a worker slot). ck, when non-nil, is a spooled
+// checkpoint to resume from: both machines are restored and the
+// deterministic workload replays with the checkpointed prefix skipped.
+// A cancelled job discards its partial stats; when drain caused the
+// cancellation and a spool directory is configured, the machines are
+// checkpointed first (never behind the restored event) and the
+// DrainedError names the file, which `emsim -resume` and the next
+// Recover both accept.
+func (s *Service) runJob(ctx context.Context, spec RunSpec, ck *machine.Checkpoint) ([]byte, error) {
 	if len(spec.Programs) > 0 {
 		return s.multiJob(ctx, spec)
 	}
 	if spec.Sample {
 		return s.sampleJob(ctx, spec)
 	}
-	normal, err := machine.New(machine.NormalConfig())
+	pair, err := run.NewPair(spec.Cores, spec.Policy, spec.Topology)
 	if err != nil {
 		return nil, err
 	}
-	migCfg, err := machine.MigrationConfigScenario(spec.Cores, spec.Policy, spec.Topology)
-	if err != nil {
-		return nil, &BadRequestError{err}
-	}
-	mig, err := machine.New(migCfg)
-	if err != nil {
-		return nil, err
+	stream := &run.Stream{To: pair.Sinks()}
+	if ck != nil {
+		if err := pair.Restore(ck); err != nil {
+			return nil, err
+		}
+		stream.Skip = ck.Events
 	}
 
 	jobCtx, cancel := s.jobContext(ctx)
 	defer cancel()
 	stop, releaseStop := runner.StopWhenDone(jobCtx)
 	defer releaseStop()
+	stream.Stop = stop
 
-	sink := &jobSink{normal: normal, mig: mig, stop: stop}
-	interrupted, err := driveJob(spec.Workload, spec.Instr, sink)
+	in := run.Input{Workload: spec.Workload, Instr: spec.Instr}
+	interrupted, err := stream.Run(in.Feed)
 	if err != nil {
 		return nil, err
 	}
 	if interrupted {
-		ckpt := ""
+		path := ""
 		if s.jobsCtx.Err() != nil && s.cfg.SpoolDir != "" {
-			ckpt, err = s.spool(spec, normal, mig, sink.events)
+			path, err = s.spool(spec, in, pair, stream.Position())
 			if err != nil {
 				return nil, fmt.Errorf("service: spooling drained job: %w", err)
 			}
 		}
-		return nil, s.ctxError(ctx, ckpt)
+		return nil, s.ctxError(ctx, path)
 	}
 
 	var buf bytes.Buffer
@@ -174,9 +77,9 @@ func (s *Service) runJob(ctx context.Context, spec RunSpec) ([]byte, error) {
 		Cores:     spec.Cores,
 		Policy:    spec.Policy,   // normalized: "" for the Michaud default
 		Topology:  spec.Topology, // normalized: "" for the uniform chip
-		Events:    sink.events,
-		Normal:    normal.FinalStats(),
-		Migration: mig.FinalStats(),
+		Events:    stream.Events(),
+		Normal:    pair.Normal.FinalStats(),
+		Migration: pair.Mig.FinalStats(),
 	})
 	if err != nil {
 		return nil, err
@@ -249,42 +152,12 @@ func (s *Service) sampleJob(ctx context.Context, spec RunSpec) ([]byte, error) {
 // in the exact EMCKPT1 format `emsim -resume` consumes. The file is
 // named by the request's content address, so repeated drains of the
 // same request overwrite one spool entry instead of accumulating.
-func (s *Service) spool(spec RunSpec, normal, mig *machine.Machine, events uint64) (string, error) {
-	ns, err := normal.Snapshot()
-	if err != nil {
-		return "", err
-	}
-	ms, err := mig.Snapshot()
+func (s *Service) spool(spec RunSpec, in run.Input, pair *run.Pair, events uint64) (string, error) {
+	ck, err := pair.Checkpoint(in, events)
 	if err != nil {
 		return "", err
 	}
 	path := filepath.Join(s.cfg.SpoolDir, spec.Key()[:16]+".ckpt")
-	ck := &machine.Checkpoint{
-		Workload: spec.Workload,
-		Instr:    spec.Instr,
-		Cores:    spec.Cores,
-		Events:   events,
-		Machines: []machine.NamedSnapshot{
-			{Name: "normal", Snap: ns},
-			{Name: "migration", Snap: ms},
-		},
-	}
-	// Non-default scenarios ride the optional checkpoint extension,
-	// exactly as emsim -checkpoint writes it, so recovery (and emsim
-	// -resume) rebuilds the same policy.
-	if spec.Policy != "" || spec.Topology != "" {
-		ps, err := mig.PolicyState()
-		if err != nil {
-			return "", err
-		}
-		ck.SetExt(&machine.CheckpointExt{
-			Policy:   spec.Policy,
-			Topology: spec.Topology,
-			PolicyStates: []machine.NamedPolicyState{
-				{Name: "migration", State: ps},
-			},
-		})
-	}
 	if err := machine.SaveCheckpoint(path, ck); err != nil {
 		return "", err
 	}

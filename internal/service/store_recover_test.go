@@ -412,3 +412,41 @@ func TestServiceCacheEviction(t *testing.T) {
 		t.Fatalf("store_hits = %d, want 1", d.Metrics().StoreHits.Value())
 	}
 }
+
+// TestRecoverPrerefactorCheckpoint: recovery adopts a spooled
+// checkpoint that an older binary wrote — the frozen pre-refactor
+// EMCKPT1 file of the mst / 200k instr / 4 cores run, a periodic
+// checkpoint taken mid-stream — and publishes a /run result
+// byte-identical to that binary's frozen `emsim -json` output.
+func TestRecoverPrerefactorCheckpoint(t *testing.T) {
+	frozen := filepath.Join("..", "..", "e2e", "testdata", "prerefactor")
+	ck, err := os.ReadFile(filepath.Join(frozen, "emsim_mst.ckpt.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(frozen, "emsim_json_mst.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spool := t.TempDir()
+	spooled := filepath.Join(spool, "0123456789abcdef.ckpt")
+	if err := os.WriteFile(spooled, ck, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Config{Workers: 1, SpoolDir: spool})
+	rep := s.Recover(context.Background())
+	if rep.Resumed != 1 || len(rep.Errors) != 0 {
+		t.Fatalf("recovery report: %+v", rep)
+	}
+	if _, err := os.Stat(spooled); !os.IsNotExist(err) {
+		t.Fatalf("adopted checkpoint still in spool: %v", err)
+	}
+	rec := post(t, s.Handler(), "/run", `{"workload":"mst","instr":200000,"cores":4}`)
+	if rec.Code != 200 || rec.Header().Get(CacheHeader) != "hit" {
+		t.Fatalf("/run after recovery: %d %s=%q\n%s", rec.Code, CacheHeader, rec.Header().Get(CacheHeader), rec.Body.String())
+	}
+	if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("recovered /run bytes diverge from the frozen emsim -json output:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -44,56 +45,94 @@ func fuzzSeedTraces() [][]byte {
 	return seeds
 }
 
-// FuzzReplay: arbitrary bytes must never panic the reader. Every outcome
-// is either a clean replay or a typed error (ErrTruncated / ErrCorrupt /
-// a header error); ContinueOnCorrupt must uphold the same guarantee.
+// checkTypedError fails unless err is a typed trace error
+// (ErrTruncated / ErrCorrupt) whose *FormatError offset lies inside the
+// input.
+func checkTypedError(t *testing.T, what string, err error, data []byte) {
+	t.Helper()
+	if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("untyped %s error: %v", what, err)
+	}
+	var fe *FormatError
+	if !errors.As(err, &fe) {
+		t.Fatalf("%s error without offset: %v", what, err)
+	}
+	if fe.Offset < 0 || fe.Offset > int64(len(data)) {
+		t.Fatalf("%s offset %d outside input of %d bytes", what, fe.Offset, len(data))
+	}
+}
+
+// replayBody is the fuzz body. Arbitrary bytes must never panic either
+// decoder: every outcome is a clean replay or a typed error
+// (ErrTruncated / ErrCorrupt / a header error), and ContinueOnCorrupt
+// must uphold the same guarantee. The batched decoder — the default on
+// every surface — must reject what it rejects with the same typed
+// errors, and whenever the strict scalar reader succeeds it must
+// deliver the identical record stream and event count.
+func replayBody(t *testing.T, data []byte) {
+	for _, opts := range []ReplayOptions{{}, {ContinueOnCorrupt: true}} {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			continue
+		}
+		if _, err := r.ReplayWith(mem.NullSink{}, opts); err != nil {
+			checkTypedError(t, "replay", err, data)
+			continue
+		}
+		// Clean termination requires having actually seen the
+		// end-of-trace record; the reader cannot have consumed more
+		// than the input.
+		if r.Offset() > int64(len(data)) {
+			t.Fatalf("consumed %d of %d bytes", r.Offset(), len(data))
+		}
+	}
+
+	var scalar recSink
+	var scalarEvents uint64
+	r, scalarErr := NewReader(bytes.NewReader(data))
+	if scalarErr == nil {
+		scalarEvents, scalarErr = r.Replay(&scalar)
+	}
+	var batched recSink
+	var batchEvents uint64
+	br, batchErr := NewBatchReader(bytes.NewReader(data))
+	if batchErr == nil {
+		batchEvents, batchErr = br.ReplayBatches(&batched, nil)
+		if batchErr != nil {
+			checkTypedError(t, "batched replay", batchErr, data)
+		}
+	}
+	if scalarErr != nil {
+		return
+	}
+	if batchErr != nil {
+		t.Fatalf("batched decoder failed where the scalar reader succeeded: %v", batchErr)
+	}
+	if batchEvents != scalarEvents {
+		t.Fatalf("batched replayed %d events, scalar %d", batchEvents, scalarEvents)
+	}
+	if !bytes.Equal(batched.kinds, scalar.kinds) {
+		t.Fatal("batched kind stream diverges from scalar")
+	}
+	for i := range scalar.addrs {
+		if batched.addrs[i] != scalar.addrs[i] {
+			t.Fatalf("record %d: batched addr %#x, scalar %#x", i, batched.addrs[i], scalar.addrs[i])
+		}
+	}
+}
+
+// FuzzReplay drives arbitrary bytes through both trace decoders.
 func FuzzReplay(f *testing.F) {
 	for _, s := range fuzzSeedTraces() {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, opts := range []ReplayOptions{{}, {ContinueOnCorrupt: true}} {
-			r, err := NewReader(bytes.NewReader(data))
-			if err != nil {
-				continue
-			}
-			st, err := r.ReplayWith(mem.NullSink{}, opts)
-			if err != nil {
-				if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("untyped replay error: %v", err)
-				}
-				var fe *FormatError
-				if !errors.As(err, &fe) {
-					t.Fatalf("replay error without offset: %v", err)
-				}
-				if fe.Offset < 0 || fe.Offset > int64(len(data)) {
-					t.Fatalf("offset %d outside input of %d bytes", fe.Offset, len(data))
-				}
-				continue
-			}
-			// Clean termination requires having actually seen the
-			// end-of-trace record; the reader cannot have consumed more
-			// than the input.
-			if r.Offset() > int64(len(data)) {
-				t.Fatalf("consumed %d of %d bytes", r.Offset(), len(data))
-			}
-			_ = st
-		}
-	})
+	f.Fuzz(replayBody)
 }
 
 // TestFuzzCorpusSmoke runs the fuzz body over the seed corpus in a plain
-// test, so `go test` exercises it even without -fuzz.
+// test, so `go test` exercises both decoders even without -fuzz.
 func TestFuzzCorpusSmoke(t *testing.T) {
 	for i, s := range fuzzSeedTraces() {
-		r, err := NewReader(bytes.NewReader(s))
-		if err != nil {
-			continue
-		}
-		if _, err := r.Replay(mem.NullSink{}); err != nil {
-			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("seed %d: untyped error %v", i, err)
-			}
-		}
+		t.Run(fmt.Sprint(i), func(t *testing.T) { replayBody(t, s) })
 	}
 }
