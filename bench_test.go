@@ -296,7 +296,8 @@ func BenchmarkAffinityRef(b *testing.B) {
 }
 
 // BenchmarkMachineAccess measures the end-to-end cost of one reference
-// through the 4-core machine, scalar delivery. The gomaxprocs metric
+// through the 4-core machine, delivered one record at a time (the
+// Access forward into AccessBatch). The gomaxprocs metric
 // rides along so recorded ns/op numbers carry the scheduler width they
 // were measured under (cross-host comparability).
 func BenchmarkMachineAccess(b *testing.B) {

@@ -3,7 +3,7 @@
 // machine-readable JSON document (BENCH_simulator.json via `make
 // bench`). Three measurements:
 //
-//   - ns/ref of Machine.Access+Instr on warm machines, per configuration
+//   - ns/ref of Machine.AccessBatch on warm machines, per configuration
 //     (the same steady-state mix the allocation-regression test drives)
 //   - allocs/op of the same loop (must be 0 — the CI gate)
 //   - wall-clock of the working-set sweep serially vs through the worker
@@ -363,7 +363,7 @@ const hotPathReps = 5
 // (mem.Batcher into Machine.AccessBatch, BatchLen records per batch).
 func measureHotPath(c hotPathConfig, refs uint64) HotPathResult {
 	m := machine.MustNew(c.cfg)
-	trace.Drive(trace.NewCircular(24<<10), m, 100_000, 6, 3)
+	trace.DriveBatched(trace.NewCircular(24<<10), m, 100_000, 6, 3)
 
 	g := trace.NewCircular(24 << 10)
 	ba := mem.NewBatcher(m, 0)
@@ -412,7 +412,7 @@ func measureSamplingProfile(refs uint64) HotPathResult {
 		//emlint:allowpanic compile-time-constant configuration; an error is an internal invariant violation
 		panic(err)
 	}
-	trace.Drive(trace.NewCircular(24<<10), prof, 100_000, 6, 3)
+	trace.DriveBatched(trace.NewCircular(24<<10), prof, 100_000, 6, 3)
 
 	g := trace.NewCircular(24 << 10)
 	ba := mem.NewBatcher(prof, 0)

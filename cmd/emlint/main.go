@@ -1,8 +1,8 @@
-// Command emlint is the repository's static-analysis driver: eight
+// Command emlint is the repository's static-analysis driver: seven
 // analyzers (nondeterminism, snapshotcomplete, hotpath, nopanic,
-// lockguard, batchparity, ctxflow, closecheck) that enforce the
-// simulator's determinism, checkpoint, allocation, locking, kernel-
-// parity and shutdown invariants at build time. The usual invocation is
+// lockguard, ctxflow, closecheck) that enforce the simulator's
+// determinism, checkpoint, allocation, locking and shutdown invariants
+// at build time. The usual invocation is
 // the standalone mode wired up as `make lint`:
 //
 //	emlint [-format text|json|sarif] [-o file] [-baseline ci/emlint.baseline] ./...

@@ -9,16 +9,20 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
+	engine "repro/internal/run"
 	"repro/internal/sampling"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workloads/suite"
 )
 
-// The scalar-vs-batch differential suite: the -scalar escape hatch and
-// the default columnar path must be indistinguishable in every output —
-// final stats, event counts, timeline bytes, and checkpoint/resume
-// behaviour at arbitrary mid-batch events.
+// The batch-length differential suite: emsim's default delivery —
+// DefaultBatchLen-record batches from the workload's Batcher or the
+// trace's BatchReader, split by the run engine at every boundary inside
+// them — must be indistinguishable from a pass that hands the engine
+// one record per call (its Access/Instr forwards), where no boundary
+// ever falls inside a batch: final stats, event counts, timeline bytes,
+// and checkpoint/resume behaviour at arbitrary mid-batch events.
 
 // rowsBytes renders timeline rows exactly as -timeline writes them.
 func rowsBytes(t *testing.T, rows []telemetry.Row) []byte {
@@ -56,10 +60,80 @@ func recordTrace(t *testing.T, dir, workload string, instr uint64) string {
 	return path
 }
 
+// perRecordRun is run's serial pass (fresh, or resumed from ck) with
+// every event reaching the run engine through its one-record
+// Access/Instr forwards: the oracle the batched delivery is compared
+// against.
+func perRecordRun(t *testing.T, p runParams, ck *machine.Checkpoint) *runResult {
+	t.Helper()
+	if ck != nil {
+		p.Workload, p.Replay, p.Instr, p.Cores = ck.Workload, ck.Replay, ck.Instr, ck.Cores
+		p.Policy, p.Topology = ck.Scenario()
+	}
+	if err := p.validate(); err != nil {
+		t.Fatal(err)
+	}
+	pair, err := engine.NewPair(p.Cores, p.Policy, p.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel, err := newRunTelemetry(&p, pair.Normal, pair.Mig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &engine.Stream{To: pair.Sinks()}
+	if ck != nil {
+		if err := pair.Restore(ck); err != nil {
+			t.Fatal(err)
+		}
+		s.Skip = ck.Events
+	}
+	if tel != nil {
+		s.Every = []uint64{tel.interval}
+		s.Hook = func(events uint64) error { tel.tickBoth(events); return nil }
+	}
+	in := engine.Input{Workload: p.Workload, Replay: p.Replay, Instr: p.Instr}
+	if _, err := s.Run(func(sink mem.BatchSink) error { return in.Feed(perRecord{sink}) }); err != nil {
+		t.Fatal(err)
+	}
+	return &runResult{
+		Normal:   pair.Normal.FinalStats(),
+		Mig:      pair.Mig.FinalStats(),
+		Events:   s.Events(),
+		Resumed:  s.Skip,
+		Timeline: tel.finish(),
+	}
+}
+
+// perRecord unrolls every batch into one Access or Instr call per
+// record.
+type perRecord struct{ mem.BatchSink }
+
+func (r perRecord) AccessBatch(b *mem.Batch) { mem.DeliverBatch(b, r.BatchSink) }
+
+// sameRun fails the test unless got reproduces want's stats, event
+// count and timeline bytes.
+func sameRun(t *testing.T, got, want *runResult, gotRows []telemetry.Row) {
+	t.Helper()
+	if got.Events != want.Events {
+		t.Fatalf("events diverge: got %d, want %d", got.Events, want.Events)
+	}
+	if got.Normal != want.Normal {
+		t.Errorf("normal stats diverge:\ngot:  %+v\nwant: %+v", got.Normal, want.Normal)
+	}
+	if got.Mig != want.Mig {
+		t.Errorf("migration stats diverge:\ngot:  %+v\nwant: %+v", got.Mig, want.Mig)
+	}
+	gb, wb := rowsBytes(t, gotRows), rowsBytes(t, want.Timeline)
+	if len(wb) == 0 || !bytes.Equal(gb, wb) {
+		t.Errorf("timeline bytes diverge:\ngot:\n%s\nwant:\n%s", gb, wb)
+	}
+}
+
 // TestScalarBatchIdenticalRun: same workload (and same recorded trace),
-// scalar vs batch delivery — stats, events and timeline rows must be
-// byte-identical. The odd timeline interval guarantees sampling points
-// that sit mid-batch, so the run engine's boundary splitting in
+// batched vs per-record delivery — stats, events and timeline rows must
+// be byte-identical. The odd timeline interval guarantees sampling
+// points that sit mid-batch, so the run engine's boundary splitting in
 // Stream.AccessBatch is what is actually under test.
 func TestScalarBatchIdenticalRun(t *testing.T) {
 	dir := t.TempDir()
@@ -72,44 +146,26 @@ func TestScalarBatchIdenticalRun(t *testing.T) {
 	}
 	for name, base := range cases {
 		t.Run(name, func(t *testing.T) {
-			sp, bp := base, base
-			sp.Scalar = true
-			scalar, err := run(&sp)
-			if err != nil {
-				t.Fatal(err)
-			}
+			bp := base
 			batched, err := run(&bp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if scalar.Events != batched.Events {
-				t.Fatalf("events diverge: scalar %d, batched %d", scalar.Events, batched.Events)
-			}
-			if scalar.Normal != batched.Normal {
-				t.Errorf("normal stats diverge:\nscalar:  %+v\nbatched: %+v", scalar.Normal, batched.Normal)
-			}
-			if scalar.Mig != batched.Mig {
-				t.Errorf("migration stats diverge:\nscalar:  %+v\nbatched: %+v", scalar.Mig, batched.Mig)
-			}
-			sb, bb := rowsBytes(t, scalar.Timeline), rowsBytes(t, batched.Timeline)
-			if !bytes.Equal(sb, bb) {
-				t.Errorf("timeline bytes diverge:\nscalar:\n%s\nbatched:\n%s", sb, bb)
-			}
+			sameRun(t, batched, perRecordRun(t, base, nil), batched.Timeline)
 		})
 	}
 }
 
 // TestScalarBatchCheckpointResume: checkpoints cut at arbitrary
-// mid-batch events must resume to the reference result on either
-// delivery path — including across paths (batch checkpoint resumed
-// scalar, and vice versa), which pins the event numbering to be the
-// same thing on both.
+// mid-batch events must resume to the uninterrupted run's stats and
+// timeline bytes, whether the resumed pass is batched (scalarResume
+// false) or per-record (scalarResume true) — which pins the event
+// numbering to be the same thing at every batch length.
 func TestScalarBatchCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
-	base := runParams{Workload: "179.art", Instr: 300_000, Cores: 4}
+	base := runParams{Workload: "179.art", Instr: 300_000, Cores: 4, TimelineInterval: 7_777}
 
 	refp := base
-	refp.Scalar = true
 	ref, err := run(&refp)
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +175,7 @@ func TestScalarBatchCheckpointResume(t *testing.T) {
 	// one sits exactly one event past a batch boundary. The sampling
 	// profiler's interval boundaries ride along: those are the events the
 	// -sample simulator cuts and warm-starts at, so checkpoint/resume
-	// parity there is what makes sampled estimates trustworthy on either
-	// delivery path.
+	// parity there is what makes sampled estimates trustworthy.
 	cuts := []uint64{1, 4097, 12_345, ref.Events - 3}
 	cuts = append(cuts, samplingCuts(t, base, 3)...)
 	for _, cut := range cuts {
@@ -138,20 +193,39 @@ func TestScalarBatchCheckpointResume(t *testing.T) {
 					t.Fatalf("interrupt at %d: %+v", cut, res)
 				}
 
-				q := runParams{Resume: ckpt, Scalar: resumeScalar}
-				res2, err := run(&q)
-				if err != nil {
-					t.Fatal(err)
+				var res2 *runResult
+				if resumeScalar {
+					ck, err := machine.LoadCheckpoint(ckpt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res2 = perRecordRun(t, runParams{TimelineInterval: base.TimelineInterval}, ck)
+				} else {
+					q := runParams{Resume: ckpt, TimelineInterval: base.TimelineInterval}
+					if res2, err = run(&q); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if res2.Resumed != cut || res2.Events != ref.Events {
-					t.Fatalf("resume: %+v (want resumed=%d events=%d)", res2, cut, ref.Events)
+				if res2.Resumed != cut {
+					t.Fatalf("resumed at %d, want %d", res2.Resumed, cut)
 				}
-				if res2.Normal != ref.Normal || res2.Mig != ref.Mig {
-					t.Errorf("stats diverge from scalar reference after cut %d", cut)
-				}
+				sameRun(t, res2, ref, stitch(res.Timeline, res2.Timeline))
 			})
 		}
 	}
+}
+
+// stitch joins an interrupted run's timeline rows with its resumed
+// run's. Both machines sample at every boundary, so the interrupted
+// part holds len(before)/2 rows per machine, and the resumed run — whose
+// rows number from 0 — continues the interval count there.
+func stitch(before, after []telemetry.Row) []telemetry.Row {
+	rows := append([]telemetry.Row{}, before...)
+	for _, r := range after {
+		r.Interval += len(before) / 2
+		rows = append(rows, r)
+	}
+	return rows
 }
 
 // samplingCuts profiles the same workload the differential run uses and

@@ -64,7 +64,6 @@ func main() {
 		interval  = flag.Uint64("interval", 1_000_000, "events between timeline/metrics samples")
 		metrics   = flag.String("metrics", "", "serve live metrics as JSON on this address (e.g. :8080) for the duration of the run")
 		jsonOut   = flag.Bool("json", false, "print the machine-readable result JSON instead of the human report")
-		scalar    = flag.Bool("scalar", false, "use the per-reference scalar delivery path instead of columnar batches (differential testing)")
 
 		sample         = flag.Bool("sample", false, "interval sampling: estimate the result from representative intervals only (output is clearly labelled ESTIMATED)")
 		sampleInterval = flag.Uint64("sample-interval", 1_000_000, "instructions per sampling interval")
@@ -110,7 +109,7 @@ func main() {
 			{*record != "", "-record"}, {*replay != "", "-replay"},
 			{*ckpt != "", "-checkpoint"}, {*resume != "", "-resume"},
 			{*timeline != "", "-timeline"}, {*metrics != "", "-metrics"},
-			{*scalar, "-scalar"}, {*sample, "-sample"},
+			{*sample, "-sample"},
 		} {
 			if bad.set {
 				fail(fmt.Errorf("emsim: %s is incompatible with -programs", bad.flag))
@@ -161,7 +160,6 @@ func main() {
 		Checkpoint:      *ckpt,
 		CheckpointEvery: *ckptEvery,
 		Resume:          *resume,
-		Scalar:          *scalar,
 	}
 	if *timeline != "" || *metrics != "" {
 		p.TimelineInterval = *interval

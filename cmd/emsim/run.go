@@ -31,12 +31,6 @@ type runParams struct {
 	Policy   string
 	Topology string
 
-	// Scalar selects the legacy per-reference delivery path instead of
-	// the columnar batch path (the -scalar escape hatch, kept for
-	// differential testing — the two paths must produce byte-identical
-	// output).
-	Scalar bool
-
 	// Workers sets the worker pool for the two machine passes: 0 = all
 	// cores, 1 = the legacy serial tee pass. Checkpointing and resuming
 	// force the serial path regardless (a checkpoint must capture both
@@ -140,7 +134,7 @@ func run(p *runParams) (*runResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := engine.Input{Workload: p.Workload, Replay: p.Replay, Instr: p.Instr, Scalar: p.Scalar}
+	in := engine.Input{Workload: p.Workload, Replay: p.Replay, Instr: p.Instr}
 
 	// With no checkpoint state in play the two machines never need to
 	// agree on an event boundary, so they can consume independent copies

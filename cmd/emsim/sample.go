@@ -49,7 +49,6 @@ func runSample(w io.Writer, reg *workloads.Registry, p runParams, sp sampleParam
 		Clusters: sp.Clusters,
 		Seed:     sp.Seed,
 		Warmup:   sp.Warmup,
-		Scalar:   p.Scalar,
 	}
 	if cfg.Replay != "" {
 		cfg.Workload = "" // trace-driven: the workload flag played no part

@@ -33,7 +33,7 @@ func run(cores int, pf bool, ws, laps uint64) machine.Stats {
 		cfg.Prefetch = &p
 	}
 	m := machine.MustNew(cfg)
-	trace.Drive(trace.NewCircular(ws), m, laps*ws, 6, 3)
+	trace.DriveBatched(trace.NewCircular(ws), m, laps*ws, 6, 3)
 	return m.Stats
 }
 

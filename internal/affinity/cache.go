@@ -24,13 +24,9 @@ type Cache struct {
 	valid    []bool
 	age      []uint8
 
-	// Stats
+	// Stats. A telemetry registry exposes them as views (see
+	// telemetry.Registry.View), so these are their only counts.
 	Hits, Misses, Evictions uint64
-
-	// Probes mirror the stats into an optional telemetry registry (the
-	// zero value is a no-op).
-	//emlint:nosnapshot observational handles; counter values live in the owning telemetry registry
-	Probes TableProbes
 }
 
 // NewCache builds an affinity cache with the given total entry count
@@ -88,13 +84,11 @@ func (c *Cache) Lookup(line mem.Line) (int64, bool) {
 		f := c.frameOf(w, line)
 		if c.valid[f] && c.lines[f] == line {
 			c.Hits++
-			c.Probes.Hits.Inc()
 			c.touch(line, f)
 			return c.oe[f], true
 		}
 	}
 	c.Misses++
-	c.Probes.Misses.Inc()
 	return 0, false
 }
 
@@ -126,7 +120,6 @@ func (c *Cache) Store(line mem.Line, oe int64) {
 	}
 	if c.valid[victim] {
 		c.Evictions++
-		c.Probes.Evictions.Inc()
 	}
 	c.lines[victim] = line
 	c.oe[victim] = oe

@@ -2,10 +2,13 @@ package affinity
 
 import "repro/internal/telemetry"
 
-// TableProbes are optional telemetry counters mirroring an affinity
-// table's hit/miss/eviction accounting. The zero value is inert (every
-// handle is a no-op), so tables work unchanged without instrumentation;
-// the machine wires real counters in when it owns a telemetry registry.
+// TableProbes are the unbounded affinity table's optional telemetry
+// counters for hit/miss/eviction accounting, which that table keeps no
+// field for (the bounded Cache keeps its own Hits/Misses/Evictions, and
+// a registry exposes those as views instead). The zero value is inert
+// (every handle is a no-op), so the table works unchanged without
+// instrumentation; the machine wires real counters in when it owns a
+// telemetry registry.
 //
 // Probes are observational only: they are not part of a table's
 // serialisable state (the registry owning the counters snapshots their

@@ -47,11 +47,6 @@ const (
 	// already holds the named mutex, so the function may touch
 	// guardedby fields without acquiring it itself.
 	DirLocked = "locked"
-	// DirBatchPair declares a batch kernel's scalar counterpart:
-	// `//emlint:batchpair <scalar> [-Field ...] [reason]`. The
-	// batchparity analyzer diffs the field sets the two paths mutate;
-	// `-Field` tokens list reviewed scalar-only divergences.
-	DirBatchPair = "batchpair"
 	// DirDetached marks a reviewed goroutine that intentionally runs
 	// without a cancellable context (its lifetime is bounded some other
 	// way, e.g. by a WaitGroup or an http.Server.Shutdown). The reason
@@ -63,7 +58,7 @@ const dirPrefix = "//emlint:"
 
 // Directive is one parsed annotation: its name plus everything after
 // it. For argumentless directives (hotpath) Arg is the reason text; for
-// parameterised ones (guardedby, locked, batchpair) it carries the
+// parameterised ones (guardedby, locked) it carries the
 // operand, and Fields splits it on whitespace.
 type Directive struct {
 	Name string
@@ -163,7 +158,7 @@ func CommentedFunc(decl *ast.FuncDecl, name string) bool {
 
 // FuncArgs returns the argument of every annotation named name in the
 // function's doc comment, one entry per directive line (a declaration
-// may carry several, e.g. one //emlint:batchpair per scalar method).
+// may carry several, e.g. one //emlint:locked per held mutex).
 func FuncArgs(decl *ast.FuncDecl, name string) []string {
 	if decl == nil || decl.Doc == nil {
 		return nil

@@ -12,7 +12,7 @@
 //     on snapshot pairs and annotations respectively);
 //   - nopanic: library packages under internal/ (commands may panic
 //     at top level; tests are exempt inside the analyzers);
-//   - lockguard, batchparity, closecheck: every in-module package (like
+//   - lockguard, closecheck: every in-module package (like
 //     snapshotcomplete they trigger only on annotations, so patrolling
 //     everywhere costs nothing and catches annotations wherever they
 //     appear);
@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/batchparity"
 	"repro/internal/analysis/closecheck"
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/hotpath"
@@ -46,7 +45,6 @@ var All = []*analysis.Analyzer{
 	hotpath.Analyzer,
 	nopanic.Analyzer,
 	lockguard.Analyzer,
-	batchparity.Analyzer,
 	ctxflow.Analyzer,
 	closecheck.Analyzer,
 }
@@ -119,7 +117,7 @@ func ForPackage(pkgPath string) []*analysis.Analyzer {
 	if strings.HasPrefix(pkgPath, ModulePath+"/internal/") {
 		as = append(as, nopanic.Analyzer)
 	}
-	as = append(as, lockguard.Analyzer, batchparity.Analyzer)
+	as = append(as, lockguard.Analyzer)
 	if ctxPackages[pkgPath] {
 		as = append(as, ctxflow.Analyzer)
 	}

@@ -24,8 +24,8 @@ func TestForPackage(t *testing.T) {
 	// Shorthand tiers: result packages get the full battery, library
 	// packages drop nondeterminism, commands drop nopanic too; ctxflow
 	// joins only in the concurrent service layer.
-	result := []string{"nondeterminism", "snapshotcomplete", "hotpath", "nopanic", "lockguard", "batchparity", "closecheck"}
-	resultCtx := []string{"nondeterminism", "snapshotcomplete", "hotpath", "nopanic", "lockguard", "batchparity", "ctxflow", "closecheck"}
+	result := []string{"nondeterminism", "snapshotcomplete", "hotpath", "nopanic", "lockguard", "closecheck"}
+	resultCtx := []string{"nondeterminism", "snapshotcomplete", "hotpath", "nopanic", "lockguard", "ctxflow", "closecheck"}
 	cases := []struct {
 		pkg  string
 		want []string
@@ -39,10 +39,10 @@ func TestForPackage(t *testing.T) {
 		{"repro/internal/service", resultCtx},
 		{"repro/internal/runner", resultCtx},
 		{"repro/internal/health", resultCtx},
-		{"repro/internal/telemetry/telhttp", []string{"snapshotcomplete", "hotpath", "nopanic", "lockguard", "batchparity", "ctxflow", "closecheck"}},
-		{"repro/internal/ioutilx", []string{"snapshotcomplete", "hotpath", "nopanic", "lockguard", "batchparity", "closecheck"}},
-		{"repro/cmd/emsim", []string{"snapshotcomplete", "hotpath", "lockguard", "batchparity", "closecheck"}},
-		{"repro/cmd/emsimd", []string{"snapshotcomplete", "hotpath", "lockguard", "batchparity", "ctxflow", "closecheck"}},
+		{"repro/internal/telemetry/telhttp", []string{"snapshotcomplete", "hotpath", "nopanic", "lockguard", "ctxflow", "closecheck"}},
+		{"repro/internal/ioutilx", []string{"snapshotcomplete", "hotpath", "nopanic", "lockguard", "closecheck"}},
+		{"repro/cmd/emsim", []string{"snapshotcomplete", "hotpath", "lockguard", "closecheck"}},
+		{"repro/cmd/emsimd", []string{"snapshotcomplete", "hotpath", "lockguard", "ctxflow", "closecheck"}},
 		{"repro/internal/runner.test", nil},
 		{"fmt", nil},
 		{"example.com/other", nil},

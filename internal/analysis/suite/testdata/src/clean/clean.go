@@ -79,19 +79,6 @@ func (c *Counter) SetState(s CounterState) {
 	c.total = s.Total
 }
 
-// AddBatch folds a slice of events in one call; the batchpair contract
-// pins it to Add's mutation set.
-//
-//emlint:batchpair Add
-func (c *Counter) AddBatch(names []string) {
-	var n uint64
-	for _, name := range names {
-		c.counts[name]++
-		n++
-	}
-	c.total += n
-}
-
 // Save writes the total out, folding the Close error into the return.
 func (c *Counter) Save(path string) (err error) {
 	f, err := os.Create(path)

@@ -2,33 +2,39 @@ package machine
 
 import "repro/internal/mem"
 
-// Batched event delivery: the columnar fast path of the simulator.
-// AccessBatch consumes a mem.Batch in one call, keeping the L1 probe
-// and the per-record statistics in a tight loop with local accumulators
-// that are folded into Stats and the telemetry counters once per batch.
-// Only L1 misses drop into the branchy request/migration slow path —
-// the same request/fetch/storeThrough code the scalar Access uses, so
-// the two entry points cannot drift apart semantically. The scalar and
-// batched paths are pinned equivalent by TestAccessBatchMatchesScalar.
+// The event kernel. AccessBatch consumes a mem.Batch in one call,
+// keeping the L1 probe and the per-record statistics in a tight loop
+// with local accumulators that are folded into Stats once per batch.
+// Only L1 misses drop into the branchy request/migration slow path.
+// Access and Instr are one-record forwards into it, so the machine has
+// exactly one definition of what an event does; TestAccessBatchMatchesScalar
+// pins it against the record-at-a-time reference model kept in the
+// tests.
 //
-// Equivalence notes (the differential tests rely on these):
-//   - Counter accumulation is observationally safe because telemetry
+// Semantics the reference comparison relies on:
+//   - Accumulating counters is observationally safe because telemetry
 //     snapshots, timeline ticks and checkpoints only read the counters
 //     between sink calls — never inside one — and batch producers align
 //     flushes to those boundaries.
-//   - ctrl.NearMigration is evaluated per instruction record, in stream
-//     order, exactly as the scalar Instr does: the register-update
-//     suppression window depends on the controller state at that point
-//     of the stream.
-//   - Unknown kind tags count a reference and nothing else, matching
-//     the scalar Access (refs increments before the kind switch).
+//   - NearMigration is evaluated per instruction record, in stream
+//     order: the register-update suppression window depends on the
+//     controller state at that point of the stream.
+//   - Unknown kind tags count a reference and nothing else.
+
+// Access implements mem.Sink: one access record through AccessBatch.
+//
+//emlint:hotpath
+func (m *Machine) Access(addr mem.Addr, kind mem.Kind) { m.AccessBatch(m.rec.Access(addr, kind)) }
+
+// Instr implements mem.Sink: one instruction record through AccessBatch.
+//
+//emlint:hotpath
+func (m *Machine) Instr(n uint64) { m.AccessBatch(m.rec.Instr(n)) }
 
 // AccessBatch implements mem.BatchSink. It delivers every record of b
-// in order, semantically identical to calling Access/Instr one record
-// at a time.
+// in order and must stay allocation-free in steady state (see
+// TestAccessBatchSteadyStateZeroAllocs).
 //
-//emlint:batchpair Access
-//emlint:batchpair Instr
 //emlint:hotpath
 func (m *Machine) AccessBatch(b *mem.Batch) {
 	kinds := b.Kind
@@ -62,7 +68,6 @@ func (m *Machine) AccessBatch(b *mem.Batch) {
 				continue
 			}
 			m.Stats.IL1Misses++
-			m.probes.il1Misses.Inc()
 			m.request(line, false, false)
 			m.fillL1(il1, line)
 		case mem.Load, mem.PtrLoad:
@@ -71,7 +76,6 @@ func (m *Machine) AccessBatch(b *mem.Batch) {
 				continue
 			}
 			m.Stats.DL1Misses++
-			m.probes.dl1Misses.Inc()
 			m.request(line, false, mem.Kind(k) == mem.PtrLoad)
 			m.fillL1(dl1, line)
 		case mem.Store:
@@ -80,11 +84,14 @@ func (m *Machine) AccessBatch(b *mem.Batch) {
 				busBytes += 16
 			}
 			if _, ok := dl1.Probe(line); ok {
+				// DL1 hit: write-through to the active L2 without an
+				// L1-miss request (invisible to the controller).
 				m.storeThrough(line)
 				continue
 			}
+			// DL1 miss: non-write-allocate — no DL1 fill, but the store
+			// is an L1-miss request serviced by the L2.
 			m.Stats.DL1Misses++
-			m.probes.dl1Misses.Inc()
 			m.request(line, true, false)
 		}
 	}
@@ -93,8 +100,7 @@ func (m *Machine) AccessBatch(b *mem.Batch) {
 	m.Stats.Stores += stores
 	m.Stats.Instructions += instrs
 	m.Stats.UpdateBusBytes += busBytes
-	m.probes.refs.Add(refs)
-	m.probes.instructions.Add(instrs)
+	m.refs.Add(refs)
 }
 
 // raggedBatch reports a violated Batch invariant. Kept out of the

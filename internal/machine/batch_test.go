@@ -1,28 +1,19 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/migration"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
-// batchConfigs returns fresh machine pairs for the three affinity
-// regimes, one machine for the scalar path and one for the batch path.
-func batchConfigs() map[string]func() *Machine {
-	return map[string]func() *Machine{
-		"normal":    func() *Machine { return MustNew(NormalConfig()) },
-		"migration": func() *Machine { return MustNew(MigrationConfig()) },
-		"migration-8": func() *Machine {
-			return MustNew(MigrationConfigN(8))
-		},
-	}
-}
-
 // driveMix pushes n deterministic records of a mixed-kind stream
 // (including an unknown kind tag, which must count a reference and
-// nothing else on both paths) into sink, with instruction records
+// nothing else on either kernel) into sink, with instruction records
 // interleaved.
 func driveMix(sink mem.Sink, ws int, n int) {
 	g := trace.NewCircular(uint64(ws))
@@ -54,43 +45,74 @@ func driveMix(sink mem.Sink, ws int, n int) {
 }
 
 // TestAccessBatchMatchesScalar is the machine-level differential gate:
-// the same record stream delivered scalar (Access/Instr per record) and
-// batched (Batcher -> AccessBatch) must leave two machines with
-// identical statistics, identical telemetry snapshots, and identical
-// cache/controller state snapshots.
+// the same record stream delivered through the record-at-a-time
+// reference kernel (refSink) and through AccessBatch, at batch lengths
+// from one record (the Access/Instr forwards) to the default 4096, must
+// leave the machines with identical statistics, telemetry snapshots,
+// cache/controller state and policy state.
 func TestAccessBatchMatchesScalar(t *testing.T) {
-	for name, mk := range batchConfigs() {
+	for name, cfg := range referenceConfigs() {
 		t.Run(name, func(t *testing.T) {
-			scalar, batched := mk(), mk()
 			// 200k refs on a 1.5 MB circular set overflows one L2, so the
 			// migration slow path is exercised from inside AccessBatch.
 			const refs = 200_000
-			driveMix(scalar, 24<<10, refs)
-			ba := mem.NewBatcher(batched, 512)
-			driveMix(ba, 24<<10, refs)
-			ba.Flush()
-
-			if scalar.FinalStats() != batched.FinalStats() {
-				t.Errorf("stats diverge:\nscalar:  %+v\nbatched: %+v",
-					scalar.FinalStats(), batched.FinalStats())
+			ref := MustNew(cfg)
+			driveMix(refSink{ref}, 24<<10, refs)
+			want := machineState(t, ref)
+			st := ref.Stats
+			if st.L2Misses == 0 || (cfg.L3 != nil && st.L3Misses == 0) ||
+				(cfg.Prefetch != nil && st.PrefetchIssued == 0) ||
+				(cfg.BroadcastThreshold > 0 && st.SuppressedRegBytes == 0) ||
+				(cfg.Migration != nil && cfg.Policy != migration.PolicyNever && st.Migrations == 0) {
+				t.Fatalf("stream too small to exercise the configuration: %+v", st)
 			}
-			if !reflect.DeepEqual(scalar.Telemetry().Snapshot(), batched.Telemetry().Snapshot()) {
-				t.Errorf("telemetry diverges:\nscalar:  %+v\nbatched: %+v",
-					scalar.Telemetry().Snapshot(), batched.Telemetry().Snapshot())
-			}
-			s1, err := scalar.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			s2, err := batched.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(s1, s2) {
-				t.Error("machine snapshots diverge between scalar and batched delivery")
+			for _, n := range []int{1, 3, 129, mem.DefaultBatchLen} {
+				t.Run(fmt.Sprintf("batch=%d", n), func(t *testing.T) {
+					m := MustNew(cfg)
+					if n == 1 {
+						driveMix(m, 24<<10, refs) // the one-record forwards
+					} else {
+						ba := mem.NewBatcher(m, n)
+						driveMix(ba, 24<<10, refs)
+						ba.Flush()
+					}
+					got := machineState(t, m)
+					if got.stats != want.stats {
+						t.Errorf("stats diverge:\nreference: %+v\nbatched:   %+v", want.stats, got.stats)
+					}
+					if !reflect.DeepEqual(got.tel, want.tel) {
+						t.Errorf("telemetry diverges:\nreference: %+v\nbatched:   %+v", want.tel, got.tel)
+					}
+					if !reflect.DeepEqual(got.snap, want.snap) || !reflect.DeepEqual(got.policy, want.policy) {
+						t.Error("machine state diverges between the reference and the batch kernel")
+					}
+				})
 			}
 		})
 	}
+}
+
+// observed is everything a machine exposes about its run.
+type observed struct {
+	stats  Stats
+	tel    telemetry.Snapshot
+	snap   Snapshot
+	policy migration.PolicyState
+}
+
+func machineState(t *testing.T, m *Machine) observed {
+	t.Helper()
+	o := observed{stats: m.FinalStats(), tel: m.Telemetry().Snapshot()}
+	var err error
+	if o.snap, err = m.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Policy() != nil {
+		if o.policy, err = m.PolicyState(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return o
 }
 
 // TestAccessBatchPartialAndEmpty: AccessBatch must handle empty and

@@ -7,8 +7,12 @@
 // filtering (§3.4).
 //
 // The model is trace-driven and event-counting, like the paper's
-// simulator: it implements mem.Sink, consumes a workload's reference
-// stream, and reports the event counts behind Tables 1 and 2.
+// simulator: it implements mem.BatchSink, consumes a workload's
+// reference stream, and reports the event counts behind Tables 1 and 2.
+// AccessBatch is its one event kernel; Access and Instr forward into it
+// one record at a time. Each count lives in one place: the telemetry
+// registry reads the Stats fields (and the policy's own counters) as
+// views instead of keeping copies.
 package machine
 
 import (
@@ -230,10 +234,11 @@ func (s Stats) Outcome() migration.Outcome {
 	}
 }
 
-// Metric names registered by every Machine. The first group mirrors
-// the headline Stats fields; the controller group exists only in
-// migration mode. Keeping the names exported lets front ends and tests
-// address timeline/snapshot entries without string literals.
+// Metric names registered by every Machine. The first group reads the
+// headline Stats fields (refs excepted, which Stats does not keep); the
+// controller group exists only in migration mode. Keeping the names
+// exported lets front ends and tests address timeline/snapshot entries
+// without string literals.
 const (
 	MetricInstructions = "instructions"
 	MetricRefs         = "refs"
@@ -257,19 +262,7 @@ const (
 	MetricMigrationGap = "migration_gap"
 )
 
-// probes are the machine's own telemetry handles, mirroring the subset
-// of Stats the timeline tracks per interval.
-type probes struct {
-	instructions telemetry.Counter
-	refs         telemetry.Counter
-	il1Misses    telemetry.Counter
-	dl1Misses    telemetry.Counter
-	l2Hits       telemetry.Counter
-	l2Misses     telemetry.Counter
-	migrations   telemetry.Counter
-}
-
-// Machine is the simulated multi-core. It implements mem.Sink.
+// Machine is the simulated multi-core. It implements mem.BatchSink.
 type Machine struct {
 	cfg Config
 	il1 *cache.SetAssoc // mirrored across cores: one physical copy
@@ -288,8 +281,12 @@ type Machine struct {
 	ctrl *migration.Controller
 
 	tel *telemetry.Registry
-	//emlint:nosnapshot observational handles into tel; values restore through Snapshot.Telemetry
-	probes probes
+	// refs counts references: the one registry-owned machine counter,
+	// as Stats keeps no total.
+	//emlint:nosnapshot observational handle into tel; its value restores through Snapshot.Telemetry
+	refs telemetry.Counter
+	//emlint:nosnapshot per-call scratch of the Access/Instr forwards
+	rec mem.Record
 
 	active int
 	Stats  Stats
@@ -362,36 +359,51 @@ func New(cfg Config) (*Machine, error) {
 			return nil, fmt.Errorf("machine: %d cores but a %d-way migration policy", cfg.Cores, w)
 		}
 	}
-	m.tel = telemetry.NewRegistry()
-	m.probes = probes{
-		instructions: m.tel.MustCounter(MetricInstructions),
-		refs:         m.tel.MustCounter(MetricRefs),
-		il1Misses:    m.tel.MustCounter(MetricIL1Misses),
-		dl1Misses:    m.tel.MustCounter(MetricDL1Misses),
-		l2Hits:       m.tel.MustCounter(MetricL2Hits),
-		l2Misses:     m.tel.MustCounter(MetricL2Misses),
-		migrations:   m.tel.MustCounter(MetricMigrations),
-	}
-	if m.pol != nil {
-		pr := migration.Probes{
-			Requests:      m.tel.MustCounter(MetricCtrlRequests),
-			L2MissUpdates: m.tel.MustCounter(MetricCtrlFilterUpdates),
-			MigrationGap:  m.tel.MustHistogram(MetricMigrationGap),
-			Table: affinity.TableProbes{
-				Hits:      m.tel.MustCounter(MetricAffinityHits),
-				Misses:    m.tel.MustCounter(MetricAffinityMisses),
-				Evictions: m.tel.MustCounter(MetricAffinityEvictions),
-			},
-		}
-		// The deferral counter exists only for policies that can defer
-		// (keeps the default Michaud metric set — and hence checkpoint
-		// telemetry snapshots — exactly as before the policy layer).
-		if _, ok := m.pol.(*migration.NumaPolicy); ok {
-			pr.Deferrals = m.tel.MustCounter(MetricMigrationsDeferred)
-		}
-		m.pol.SetProbes(pr)
-	}
+	m.instrument()
 	return m, nil
+}
+
+// instrument registers the machine's metrics. Counts an owner already
+// keeps — the Stats fields, the policy's counters, the bounded affinity
+// cache's tallies — are views onto that field; only refs, the
+// migration-gap histogram and the unbounded table's counters are
+// registry-owned. The registration order is part of the checkpoint and
+// timeline byte format.
+func (m *Machine) instrument() {
+	t := telemetry.NewRegistry()
+	m.tel = t
+	t.MustView(MetricInstructions, &m.Stats.Instructions)
+	m.refs = t.MustCounter(MetricRefs)
+	t.MustView(MetricIL1Misses, &m.Stats.IL1Misses)
+	t.MustView(MetricDL1Misses, &m.Stats.DL1Misses)
+	t.MustView(MetricL2Hits, &m.Stats.L2Hits)
+	t.MustView(MetricL2Misses, &m.Stats.L2Misses)
+	t.MustView(MetricMigrations, &m.Stats.Migrations)
+	if m.pol == nil {
+		return
+	}
+	pc := m.pol.Counters()
+	t.MustView(MetricCtrlRequests, pc.Requests)
+	t.MustView(MetricCtrlFilterUpdates, pc.L2MissUpdates)
+	pr := migration.Probes{MigrationGap: t.MustHistogram(MetricMigrationGap)}
+	if c := pc.Cache; c != nil {
+		t.MustView(MetricAffinityHits, &c.Hits)
+		t.MustView(MetricAffinityMisses, &c.Misses)
+		t.MustView(MetricAffinityEvictions, &c.Evictions)
+	} else {
+		pr.Table = affinity.TableProbes{
+			Hits:      t.MustCounter(MetricAffinityHits),
+			Misses:    t.MustCounter(MetricAffinityMisses),
+			Evictions: t.MustCounter(MetricAffinityEvictions),
+		}
+	}
+	// The deferral counter exists only for policies that can defer
+	// (keeps the default Michaud metric set — and hence checkpoint
+	// telemetry snapshots — exactly as before the policy layer).
+	if pc.Deferred != nil {
+		t.MustView(MetricMigrationsDeferred, pc.Deferred)
+	}
+	m.pol.SetProbes(pr)
 }
 
 // MustNew is New panicking on error, for constant configurations.
@@ -469,68 +481,6 @@ func (m *Machine) Telemetry() *telemetry.Registry { return m.tel }
 // architectural register file (64 × 8 B values + identifiers).
 const RegisterSpillBytes = 64*8 + 64
 
-// Instr implements mem.Sink. It runs once per trace instruction batch.
-//
-//emlint:hotpath
-func (m *Machine) Instr(n uint64) {
-	m.Stats.Instructions += n
-	m.probes.instructions.Add(n)
-	if m.cfg.Migration == nil {
-		return
-	}
-	if m.cfg.BroadcastThreshold > 0 && !m.polNearMigration(m.cfg.BroadcastThreshold) {
-		m.Stats.SuppressedRegBytes += 9 * n
-		return
-	}
-	m.Stats.UpdateBusBytes += 9 * n
-}
-
-// Access implements mem.Sink. It runs once per simulated memory
-// reference and must stay allocation-free in steady state (see
-// TestAccessSteadyStateZeroAllocs).
-//
-//emlint:hotpath
-func (m *Machine) Access(addr mem.Addr, kind mem.Kind) {
-	line := mem.LineOf(addr, m.cfg.LineShift)
-	m.probes.refs.Inc()
-	switch kind {
-	case mem.IFetch:
-		m.Stats.IFetches++
-		if _, ok := m.il1.Probe(line); ok {
-			return
-		}
-		m.Stats.IL1Misses++
-		m.probes.il1Misses.Inc()
-		m.request(line, false, false)
-		m.fillL1(m.il1, line)
-	case mem.Load, mem.PtrLoad:
-		m.Stats.Loads++
-		if _, ok := m.dl1.Probe(line); ok {
-			return
-		}
-		m.Stats.DL1Misses++
-		m.probes.dl1Misses.Inc()
-		m.request(line, false, kind == mem.PtrLoad)
-		m.fillL1(m.dl1, line)
-	case mem.Store:
-		m.Stats.Stores++
-		if m.cfg.Migration != nil {
-			m.Stats.UpdateBusBytes += 16
-		}
-		if _, ok := m.dl1.Probe(line); ok {
-			// DL1 hit: write-through to the active L2 without an
-			// L1-miss request (invisible to the controller).
-			m.storeThrough(line)
-			return
-		}
-		// DL1 miss: non-write-allocate — no DL1 fill, but the store is
-		// an L1-miss request serviced by the L2.
-		m.Stats.DL1Misses++
-		m.probes.dl1Misses.Inc()
-		m.request(line, true, false)
-	}
-}
-
 // spillRegisters accounts the catch-up broadcast a migration requires
 // when register updates were being suppressed (§6).
 func (m *Machine) spillRegisters() {
@@ -564,14 +514,12 @@ func (m *Machine) request(line mem.Line, isStore, isPtrLoad bool) {
 			// Only possible with NoL2Filtering (ablation): the filter
 			// moved on the request itself.
 			m.Stats.Migrations++
-			m.probes.migrations.Inc()
 			m.active = core
 			m.spillRegisters()
 		}
 	}
 	if h, ok := m.l2[m.active].Probe(line); ok {
 		m.Stats.L2Hits++
-		m.probes.l2Hits.Inc()
 		m.notePrefetchHit(h)
 		if isStore {
 			m.markModified(h, line)
@@ -584,14 +532,12 @@ func (m *Machine) request(line mem.Line, isStore, isPtrLoad bool) {
 	if m.pol != nil {
 		if core, migrated := m.polOnL2Miss(isPtrLoad); migrated {
 			m.Stats.Migrations++
-			m.probes.migrations.Inc()
 			m.active = core
 			m.spillRegisters()
 			if h, ok := m.l2[m.active].Probe(line); ok {
 				// The new active L2 holds the line: serviced locally
 				// after the migration, no L3 access.
 				m.Stats.L2Hits++
-				m.probes.l2Hits.Inc()
 				m.Stats.L2HitsAfterMigration++
 				m.notePrefetchHit(h)
 				if isStore {
@@ -602,7 +548,6 @@ func (m *Machine) request(line mem.Line, isStore, isPtrLoad bool) {
 		}
 	}
 	m.Stats.L2Misses++
-	m.probes.l2Misses.Inc()
 	m.fetch(line, isStore)
 	m.prefetchAfterMiss(line)
 }
@@ -648,7 +593,6 @@ func (m *Machine) storeThrough(line mem.Line) {
 	}
 	if m.cfg.CountWriteThroughL2Misses {
 		m.Stats.L2Misses++
-		m.probes.l2Misses.Inc()
 	} else {
 		m.Stats.WriteThroughL2Misses++
 	}
@@ -730,8 +674,6 @@ func (m *Machine) fetch(line mem.Line, isStore bool) {
 		}
 	}
 }
-
-var _ mem.Sink = (*Machine)(nil)
 
 // flagPrefetched marks L2 lines inserted by the prefetcher and not yet
 // touched by a demand request (usefulness accounting).

@@ -129,7 +129,7 @@ func (c *Cluster) Run(feeds []Feed) error {
 				errs[i] = fmt.Errorf("machine: program %d feed: %w", i, err)
 				return
 			}
-			s.flush()
+			s.Flush()
 		}(i, f)
 	}
 	live := len(chans)
@@ -169,30 +169,26 @@ func (c *Cluster) apply(p int, b *mem.Batch) {
 	c.programs[p].AccessBatch(b)
 }
 
-// feedSink adapts one producer goroutine to the coordinator's channel:
-// scalar records accumulate into a batch, and every outgoing batch is
-// copied into one of two alternating buffers the sink owns. Double
-// buffering is sufficient because the channel is unbuffered and the
-// coordinator fully applies a batch before its next receive on the same
-// channel: when the send of buffer B unblocks, buffer A is already
-// consumed.
+// feedSink is one producer goroutine's end of the coordinator's
+// channel: every batch is copied into one of two alternating buffers the
+// sink owns and handed over. Double buffering is sufficient because the
+// channel is unbuffered and the coordinator fully applies a batch before
+// its next receive on the same channel: when the send of buffer B
+// unblocks, buffer A is already consumed. Run wraps it in a mem.Batcher,
+// which accumulates a feed's scalar records into batches.
 type feedSink struct {
 	ch   chan<- *mem.Batch
 	bufs [2]*mem.Batch
 	cur  int
-	acc  *mem.Batch
 }
 
-func newFeedSink(ch chan<- *mem.Batch) *feedSink {
-	return &feedSink{
-		ch:   ch,
-		bufs: [2]*mem.Batch{mem.NewBatch(0), mem.NewBatch(0)},
-		acc:  mem.NewBatch(0),
-	}
+func newFeedSink(ch chan<- *mem.Batch) *mem.Batcher {
+	return mem.NewBatcher(&feedSink{ch: ch, bufs: [2]*mem.Batch{mem.NewBatch(0), mem.NewBatch(0)}}, 0)
 }
 
-// send copies b into an owned buffer and hands it to the coordinator.
-func (s *feedSink) send(b *mem.Batch) {
+// AccessBatch copies b into an owned buffer and hands it to the
+// coordinator.
+func (s *feedSink) AccessBatch(b *mem.Batch) {
 	if b.Len() == 0 {
 		return
 	}
@@ -202,37 +198,3 @@ func (s *feedSink) send(b *mem.Batch) {
 	buf.Kind = append(buf.Kind[:0], b.Kind...)
 	s.ch <- buf
 }
-
-// Access implements mem.Sink.
-func (s *feedSink) Access(addr mem.Addr, kind mem.Kind) {
-	s.acc.Append(addr, kind)
-	if s.acc.Full() {
-		s.flush()
-	}
-}
-
-// Instr implements mem.Sink.
-func (s *feedSink) Instr(n uint64) {
-	s.acc.AppendInstr(n)
-	if s.acc.Full() {
-		s.flush()
-	}
-}
-
-// AccessBatch implements mem.BatchSink. Buffered scalar records flush
-// first so stream order is preserved across mixed producers.
-func (s *feedSink) AccessBatch(b *mem.Batch) {
-	s.flush()
-	s.send(b)
-}
-
-// flush pushes any scalar-accumulated records out as a batch.
-func (s *feedSink) flush() {
-	if s.acc.Len() == 0 {
-		return
-	}
-	s.send(s.acc)
-	s.acc.Reset()
-}
-
-var _ mem.BatchSink = (*feedSink)(nil)

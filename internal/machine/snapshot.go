@@ -28,10 +28,13 @@ type Snapshot struct {
 
 	Stats Stats
 
-	// Telemetry carries the metric registry's values. Checkpoints
-	// written before telemetry existed decode it as the zero Snapshot,
-	// which restores every metric to zero (well-defined, see
-	// telemetry.Registry.SetState).
+	// Telemetry carries the metric registry's values. Restore takes
+	// only the registry-owned ones from it (refs, the migration-gap
+	// histogram, the unbounded affinity table's counters); every view
+	// onto a Stats, policy or affinity-cache field restores with its
+	// owner. Checkpoints written before telemetry existed decode it as
+	// the zero Snapshot, which zeroes just the registry-owned metrics
+	// (see telemetry.Registry.SetState).
 	Telemetry telemetry.Snapshot
 }
 
@@ -143,7 +146,8 @@ func (m *Machine) Restore(s Snapshot) error {
 		}
 	}
 	// Last, so metric values overwrite anything restore-time table
-	// rebuilding might have counted.
+	// rebuilding might have counted. Views are not written: they read
+	// the owner fields restored above and below.
 	if err := m.tel.SetState(s.Telemetry); err != nil {
 		return fmt.Errorf("machine: %w", err)
 	}

@@ -3,6 +3,8 @@ package machine
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // counterOrFail reads a named counter from a telemetry snapshot.
@@ -131,5 +133,58 @@ func TestTelemetrySnapshotRestore(t *testing.T) {
 	if !reflect.DeepEqual(ref.Telemetry().Snapshot(), b.Telemetry().Snapshot()) {
 		t.Fatalf("restored run diverged:\nref %+v\ngot %+v",
 			ref.Telemetry().Snapshot(), b.Telemetry().Snapshot())
+	}
+}
+
+// TestRestoreWithoutTelemetrySection: a checkpoint whose Telemetry
+// section is empty — the shape written before telemetry existed — must
+// still restore every count that has an owner field from that owner's
+// own section (Stats, the controller state, the affinity-cache state),
+// and the registry's views must read those restored fields. Only the
+// registry-owned metrics (refs, the migration-gap histogram) start
+// from zero.
+func TestRestoreWithoutTelemetrySection(t *testing.T) {
+	evs := captureSynthetic(24<<10, 120_000)
+	a := MustNew(MigrationConfig())
+	deliver(t, evs, a)
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Telemetry = telemetry.Snapshot{}
+
+	b := MustNew(MigrationConfig())
+	if err := b.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if b.Stats != a.Stats {
+		t.Fatalf("Stats not restored from their own section:\nwant %+v\ngot  %+v", a.Stats, b.Stats)
+	}
+	ca, cb := a.Controller(), b.Controller()
+	if cb.Requests != ca.Requests || cb.L2MissUpdates != ca.L2MissUpdates {
+		t.Fatalf("controller counters %d/%d, want %d/%d",
+			cb.Requests, cb.L2MissUpdates, ca.Requests, ca.L2MissUpdates)
+	}
+	aa, ab := ca.AffinityCache(), cb.AffinityCache()
+	if ab.Hits != aa.Hits || ab.Misses != aa.Misses || ab.Evictions != aa.Evictions {
+		t.Fatalf("affinity cache counters %d/%d/%d, want %d/%d/%d",
+			ab.Hits, ab.Misses, ab.Evictions, aa.Hits, aa.Misses, aa.Evictions)
+	}
+	if a.Stats.Migrations == 0 || aa.Evictions == 0 {
+		t.Fatal("stream too small to exercise migrations and affinity evictions")
+	}
+	for metric, want := range map[string]uint64{
+		MetricInstructions:      a.Stats.Instructions,
+		MetricL2Misses:          a.Stats.L2Misses,
+		MetricMigrations:        a.Stats.Migrations,
+		MetricCtrlRequests:      ca.Requests,
+		MetricCtrlFilterUpdates: ca.L2MissUpdates,
+		MetricAffinityHits:      aa.Hits,
+		MetricAffinityEvictions: aa.Evictions,
+		MetricRefs:              0,
+	} {
+		if got := counterOrFail(t, b, metric); got != want {
+			t.Errorf("%s = %d after restore, want %d", metric, got, want)
+		}
 	}
 }

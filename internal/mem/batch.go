@@ -86,10 +86,11 @@ func (b *Batch) AppendInstr(n uint64) {
 	b.Kind[i] = KindInstr
 }
 
-// BatchSink consumes the event stream in columnar batches. AccessBatch
-// must be semantically identical to delivering the batch's records
-// one-by-one through the scalar Sink methods, in order — consumers keep
-// both entry points and the differential tests pin their equivalence.
+// BatchSink consumes the event stream in columnar batches. Inside the
+// simulator AccessBatch is a consumer's one event kernel: the scalar
+// Sink methods exist for producers that emit one record at a time, and
+// a consumer implements them as forwards into AccessBatch through a
+// Record, so the two entry points cannot disagree.
 type BatchSink interface {
 	Sink
 	// AccessBatch delivers every record of b, in order. The batch's
@@ -98,9 +99,45 @@ type BatchSink interface {
 	AccessBatch(b *Batch)
 }
 
-// DeliverBatch replays a batch record-by-record into a scalar Sink: the
-// generic fallback for consumers without a native batch kernel, and the
-// reference semantics AccessBatch implementations are tested against.
+// Record is a reusable one-record batch: the shared adapter through
+// which a batch-kernel consumer keeps the scalar Sink methods as
+// zero-alloc forwards:
+//
+//	func (s *T) Access(a mem.Addr, k mem.Kind) { s.AccessBatch(s.rec.Access(a, k)) }
+//	func (s *T) Instr(n uint64)                { s.AccessBatch(s.rec.Instr(n)) }
+//
+// The zero value is ready to use; the returned batch is valid until the
+// next call.
+type Record struct {
+	addr [1]Addr
+	kind [1]uint8
+	b    Batch
+}
+
+// Access returns a batch holding the one access record (addr, kind).
+//
+//emlint:hotpath
+func (r *Record) Access(addr Addr, kind Kind) *Batch {
+	r.addr[0], r.kind[0] = addr, uint8(kind)
+	return r.batch()
+}
+
+// Instr returns a batch holding the one instruction record n.
+//
+//emlint:hotpath
+func (r *Record) Instr(n uint64) *Batch {
+	r.addr[0], r.kind[0] = Addr(n), KindInstr
+	return r.batch()
+}
+
+func (r *Record) batch() *Batch {
+	r.b.Addr, r.b.Kind = r.addr[:], r.kind[:]
+	return &r.b
+}
+
+// DeliverBatch replays a batch record-by-record into a scalar Sink: it
+// lets a record-at-a-time consumer (a counter, a trace writer, a test
+// recorder) stand where a BatchSink is expected.
 func DeliverBatch(b *Batch, s Sink) {
 	kinds := b.Kind
 	addrs := b.Addr
@@ -113,19 +150,20 @@ func DeliverBatch(b *Batch, s Sink) {
 	}
 }
 
-// Batcher adapts the scalar Sink interface to a BatchSink: per-event
+// Batcher adapts the scalar Sink interface to a batch kernel: per-event
 // pushes accumulate into an internal batch that is flushed to the
-// consumer whenever it fills. It lets unmodified workload generators
+// consumer whenever it fills, and whole batches pass straight through
+// after any pending records. It lets unmodified workload generators
 // feed a batch kernel; the producer must call Flush when its stream
 // ends or trailing records are lost.
 type Batcher struct {
-	out BatchSink
+	out interface{ AccessBatch(*Batch) }
 	b   *Batch
 }
 
 // NewBatcher returns a Batcher feeding out in batches of n records
 // (n <= 0 selects DefaultBatchLen).
-func NewBatcher(out BatchSink, n int) *Batcher {
+func NewBatcher(out interface{ AccessBatch(*Batch) }, n int) *Batcher {
 	return &Batcher{out: out, b: NewBatch(n)}
 }
 
@@ -149,6 +187,13 @@ func (ba *Batcher) Instr(n uint64) {
 	}
 }
 
+// AccessBatch implements BatchSink: buffered records flush first, so
+// stream order holds across mixed producers, then b passes through.
+func (ba *Batcher) AccessBatch(b *Batch) {
+	ba.Flush()
+	ba.out.AccessBatch(b)
+}
+
 // Flush delivers any buffered records to the consumer.
 //
 //emlint:hotpath
@@ -160,4 +205,4 @@ func (ba *Batcher) Flush() {
 	ba.b.Reset()
 }
 
-var _ Sink = (*Batcher)(nil)
+var _ BatchSink = (*Batcher)(nil)

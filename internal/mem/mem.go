@@ -139,23 +139,6 @@ func (NullSink) Access(Addr, Kind) {}
 // Instr implements Sink.
 func (NullSink) Instr(uint64) {}
 
-// TeeSink duplicates a stream to two sinks, in order.
-type TeeSink struct {
-	A, B Sink
-}
-
-// Access implements Sink.
-func (t TeeSink) Access(addr Addr, kind Kind) {
-	t.A.Access(addr, kind)
-	t.B.Access(addr, kind)
-}
-
-// Instr implements Sink.
-func (t TeeSink) Instr(n uint64) {
-	t.A.Instr(n)
-	t.B.Instr(n)
-}
-
 // FuncSink adapts a function to the Sink interface, ignoring Instr.
 type FuncSink func(addr Addr, kind Kind)
 

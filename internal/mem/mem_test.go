@@ -72,17 +72,6 @@ func TestCountingSink(t *testing.T) {
 	}
 }
 
-// TestTeeSink duplicates in order.
-func TestTeeSink(t *testing.T) {
-	var a, b CountingSink
-	tee := TeeSink{A: &a, B: &b}
-	tee.Access(0x40, Store)
-	tee.Instr(7)
-	if a.Stores != 1 || b.Stores != 1 || a.Instructions != 7 || b.Instructions != 7 {
-		t.Fatalf("tee: a=%+v b=%+v", a, b)
-	}
-}
-
 // TestNullSink is a no-op Sink (compile-time + smoke).
 func TestNullSink(t *testing.T) {
 	var n NullSink

@@ -131,38 +131,55 @@ type Controller struct {
 	// the reference point of the migration-gap histogram.
 	lastMigRequests uint64
 
-	// probes mirror the counters into an optional telemetry registry
-	// (the zero value is a no-op).
+	// probes carry the telemetry the controller keeps no field for (the
+	// zero value is a no-op).
 	//emlint:nosnapshot observational handles; counter values live in the owning telemetry registry
 	probes Probes
 }
 
-// Probes are the controller's optional telemetry hooks. MigrationGap
-// observes, at each migration, how many L1-miss requests elapsed since
-// the previous one — the controller's effective migration tempo, which
-// the affinity machinery is supposed to keep far above the break-even
-// point (§2.4).
+// Counters addresses a policy's own event counters: the fields a
+// telemetry registry exposes as views (telemetry.Registry.View), so the
+// policy's one increment per event is the metric's only update and the
+// policy's own checkpointed state restores it.
+type Counters struct {
+	Requests, L2MissUpdates *uint64
+	// Deferred counts migrations a policy wanted but withheld (the NUMA
+	// policy's distance hysteresis); nil for policies that never defer.
+	Deferred *uint64
+	// Cache is the bounded affinity cache, whose Hits, Misses and
+	// Evictions are views too; nil with an unbounded table (which counts
+	// through Probes.Table) or no table.
+	Cache *affinity.Cache
+}
+
+// Probes are a policy's optional telemetry hooks for what it keeps no
+// counter field for. MigrationGap observes, at each migration, how many
+// L1-miss requests elapsed since the previous one — the controller's
+// effective migration tempo, which the affinity machinery is supposed
+// to keep far above the break-even point (§2.4).
 type Probes struct {
-	Requests      telemetry.Counter
-	L2MissUpdates telemetry.Counter
-	MigrationGap  telemetry.Histogram
-	// Deferrals counts migrations a policy wanted but withheld (the NUMA
-	// policy's distance hysteresis); the Michaud controller never defers
-	// and leaves it untouched.
-	Deferrals telemetry.Counter
-	// Table is forwarded to the affinity table (bounded or unbounded).
+	MigrationGap telemetry.Histogram
+	// Table is forwarded to an unbounded affinity table.
 	Table affinity.TableProbes
 }
 
-// SetProbes wires telemetry counters into the controller and its
-// affinity table. Call once, before driving references.
+// Counters implements Policy.
+func (c *Controller) Counters() Counters {
+	return Counters{Requests: &c.Requests, L2MissUpdates: &c.L2MissUpdates, Cache: c.AffinityCache()}
+}
+
+// SetProbes wires telemetry hooks into the controller and its affinity
+// table. Call once, before driving references.
 func (c *Controller) SetProbes(p Probes) {
 	c.probes = p
-	switch t := c.table.(type) {
-	case *affinity.Cache:
-		t.Probes = p.Table
-	case *affinity.Unbounded:
-		t.Probes = p.Table
+	setTableProbes(c.table, p.Table)
+}
+
+// setTableProbes forwards table probes to an unbounded table; a bounded
+// cache counts in its own fields.
+func setTableProbes(t affinity.Table, p affinity.TableProbes) {
+	if u, ok := t.(*affinity.Unbounded); ok {
+		u.Probes = p
 	}
 }
 
@@ -301,7 +318,6 @@ func (c *Controller) Active() int { return c.active }
 // every request and a migration may trigger immediately.
 func (c *Controller) OnRequest(line mem.Line) (core int, migrated bool) {
 	c.Requests++
-	c.probes.Requests.Inc()
 	if c.noFiltering {
 		sub := c.split.Ref(line, true)
 		if sub != c.active {
@@ -326,7 +342,6 @@ func (c *Controller) OnL2Miss(isPointerLoad bool) (core int, migrated bool) {
 		return c.active, false
 	}
 	c.L2MissUpdates++
-	c.probes.L2MissUpdates.Inc()
 	sub := c.split.CommitLastFilter()
 	if sub != c.active {
 		c.active = sub

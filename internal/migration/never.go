@@ -24,9 +24,6 @@ type NeverPolicy struct {
 	// real policies in tournament output.
 	Requests      uint64
 	L2MissUpdates uint64
-
-	//emlint:nosnapshot observational handles; counter values live in the owning telemetry registry
-	probes Probes
 }
 
 // NewNeverPolicy builds the baseline for a core count (0 selects the
@@ -55,22 +52,26 @@ func (p *NeverPolicy) Active() int { return 0 }
 // OnRequest implements Policy.
 func (p *NeverPolicy) OnRequest(_ mem.Line) (core int, migrated bool) {
 	p.Requests++
-	p.probes.Requests.Inc()
 	return 0, false
 }
 
 // OnL2Miss implements Policy.
 func (p *NeverPolicy) OnL2Miss(_ bool) (core int, migrated bool) {
 	p.L2MissUpdates++
-	p.probes.L2MissUpdates.Inc()
 	return 0, false
 }
 
 // NearMigration implements Policy: never.
 func (p *NeverPolicy) NearMigration(float64) bool { return false }
 
-// SetProbes implements Policy.
-func (p *NeverPolicy) SetProbes(pr Probes) { p.probes = pr }
+// Counters implements Policy.
+func (p *NeverPolicy) Counters() Counters {
+	return Counters{Requests: &p.Requests, L2MissUpdates: &p.L2MissUpdates}
+}
+
+// SetProbes implements Policy: the baseline never migrates and has no
+// table, so there is nothing to observe.
+func (p *NeverPolicy) SetProbes(Probes) {}
 
 // TableDropped implements Policy: no table, nothing dropped.
 func (p *NeverPolicy) TableDropped() uint64 { return 0 }

@@ -99,15 +99,16 @@ func (n *NumaPolicy) Active() int { return n.active }
 // Topology returns the distance matrix the policy weighs moves by.
 func (n *NumaPolicy) Topology() *Topology { return n.topo }
 
+// Counters implements Policy.
+func (n *NumaPolicy) Counters() Counters {
+	c, _ := n.table.(*affinity.Cache)
+	return Counters{Requests: &n.Requests, L2MissUpdates: &n.L2MissUpdates, Deferred: &n.Deferred, Cache: c}
+}
+
 // SetProbes implements Policy.
 func (n *NumaPolicy) SetProbes(p Probes) {
 	n.probes = p
-	switch t := n.table.(type) {
-	case *affinity.Cache:
-		t.Probes = p.Table
-	case *affinity.Unbounded:
-		t.Probes = p.Table
-	}
+	setTableProbes(n.table, p.Table)
 }
 
 // OnRequest implements Policy: identical request accounting and
@@ -115,7 +116,6 @@ func (n *NumaPolicy) SetProbes(p Probes) {
 // decision (in decide) differs.
 func (n *NumaPolicy) OnRequest(line mem.Line) (core int, migrated bool) {
 	n.Requests++
-	n.probes.Requests.Inc()
 	if n.noFiltering {
 		return n.decide(n.split.Ref(line, true))
 	}
@@ -129,7 +129,6 @@ func (n *NumaPolicy) OnL2Miss(isPointerLoad bool) (core int, migrated bool) {
 		return n.active, false
 	}
 	n.L2MissUpdates++
-	n.probes.L2MissUpdates.Inc()
 	return n.decide(n.split.CommitLastFilter())
 }
 
@@ -157,7 +156,6 @@ func (n *NumaPolicy) decide(sub int) (core int, migrated bool) {
 		return sub, true
 	}
 	n.Deferred++
-	n.probes.Deferrals.Inc()
 	return n.active, false
 }
 

@@ -49,8 +49,11 @@ type Policy interface {
 	// NearMigration reports whether the policy is within frac of
 	// changing its designation (§6's broadcast-gating signal).
 	NearMigration(frac float64) bool
-	// SetProbes wires telemetry counters into the policy. Call once,
-	// before driving references.
+	// Counters addresses the policy's own event counters, which a
+	// telemetry registry exposes as views.
+	Counters() Counters
+	// SetProbes wires the remaining telemetry hooks into the policy.
+	// Call once, before driving references.
 	SetProbes(p Probes)
 	// TableDropped returns how many affinity-table entries the policy's
 	// memory cap evicted (0 for policies without an unbounded table).

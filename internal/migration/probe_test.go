@@ -10,7 +10,7 @@ import (
 )
 
 // TestPolicyProbesAndAccessors: every registered policy wires probes,
-// counts requests through them, and answers the small accessor surface
+// exposes its request count as a telemetry view, and answers the small accessor surface
 // (Active, Ways, TableDropped, Splitter/Topology) consistently.
 func TestPolicyProbesAndAccessors(t *testing.T) {
 	topo, err := NewTopology("cluster", 4)
@@ -23,11 +23,11 @@ func TestPolicyProbesAndAccessors(t *testing.T) {
 			t.Fatalf("NewPolicy(%q): %v", name, err)
 		}
 		reg := telemetry.NewRegistry()
-		requests, err := reg.Counter("requests")
+		requests, err := reg.View("requests", p.Counters().Requests)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.SetProbes(Probes{Requests: requests})
+		p.SetProbes(Probes{MigrationGap: reg.MustHistogram("gap")})
 
 		g := trace.NewCircular(24 << 10)
 		const refs = 100_000

@@ -47,10 +47,6 @@ type SampleConfig struct {
 	// Warmup is the number of unmeasured intervals delivered before
 	// each cold chain start.
 	Warmup int
-	// Scalar drives both passes through the legacy one-call-per-record
-	// path instead of the batched path (the -scalar escape hatch; the
-	// differential tests pin that both produce identical estimates).
-	Scalar bool
 }
 
 // SampleParamsJSON echoes the sampling parameters into the result.
@@ -105,7 +101,7 @@ func WriteSampleJSON(w io.Writer, r SampleResultJSON) error {
 // workload afresh, so concurrent chain jobs never share generator
 // state.
 func sampleSource(reg *workloads.Registry, cfg SampleConfig) sampling.Source {
-	return run.Input{Workload: cfg.Workload, Replay: cfg.Replay, Instr: cfg.Instr, Scalar: cfg.Scalar, Registry: reg}.Feed
+	return run.Input{Workload: cfg.Workload, Replay: cfg.Replay, Instr: cfg.Instr, Registry: reg}.Feed
 }
 
 // SampleRun executes the full sampling pipeline and returns the

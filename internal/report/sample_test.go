@@ -110,9 +110,8 @@ func TestSampleRunErrors(t *testing.T) {
 }
 
 // TestSampleReplayMatchesWorkload: sampling a recorded trace of the
-// workload produces the same estimates as sampling the workload itself
-// (and the scalar escape hatch agrees with the batched path) — the
-// event stream, not its transport, determines the result.
+// workload produces the same estimates as sampling the workload itself —
+// the event stream, not its transport, determines the result.
 func TestSampleReplayMatchesWorkload(t *testing.T) {
 	cfg := sampleTestConfig()
 	ref, err := SampleRun(suite.Registry(), cfg, RunOptions{Workers: 1})
@@ -145,26 +144,23 @@ func TestSampleReplayMatchesWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, scalar := range []bool{false, true} {
-		rcfg := cfg
-		rcfg.Workload = ""
-		rcfg.Instr = 0
-		rcfg.Replay = path
-		rcfg.Scalar = scalar
-		got, err := SampleRun(suite.Registry(), rcfg, RunOptions{Workers: 1})
-		if err != nil {
-			t.Fatalf("scalar=%v: %v", scalar, err)
-		}
-		// Identity fields differ (replay path vs workload name); the
-		// estimates and accounting must not.
-		if got.Events != ref.Events || got.SimulatedEvents != ref.SimulatedEvents ||
-			got.Intervals != ref.Intervals || got.MeasuredIntervals != ref.MeasuredIntervals {
-			t.Fatalf("scalar=%v: replay accounting diverged: %+v vs %+v", scalar, got, ref)
-		}
-		for i, e := range got.Estimates {
-			if e != ref.Estimates[i] {
-				t.Fatalf("scalar=%v: estimate %d diverged: %+v vs %+v", scalar, i, e, ref.Estimates[i])
-			}
+	rcfg := cfg
+	rcfg.Workload = ""
+	rcfg.Instr = 0
+	rcfg.Replay = path
+	got, err := SampleRun(suite.Registry(), rcfg, RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Identity fields differ (replay path vs workload name); the
+	// estimates and accounting must not.
+	if got.Events != ref.Events || got.SimulatedEvents != ref.SimulatedEvents ||
+		got.Intervals != ref.Intervals || got.MeasuredIntervals != ref.MeasuredIntervals {
+		t.Fatalf("replay accounting diverged: %+v vs %+v", got, ref)
+	}
+	for i, e := range got.Estimates {
+		if e != ref.Estimates[i] {
+			t.Fatalf("estimate %d diverged: %+v vs %+v", i, e, ref.Estimates[i])
 		}
 	}
 }

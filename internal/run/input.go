@@ -19,9 +19,6 @@ type Input struct {
 	Workload string
 	Replay   string
 	Instr    uint64
-	// Scalar delivers one sink call per record instead of batches (the
-	// emsim -scalar escape hatch; both paths are byte-identical).
-	Scalar bool
 	// Registry resolves Workload (nil = the paper's suite).
 	Registry *workloads.Registry
 }
@@ -35,14 +32,6 @@ func (in Input) Feed(sink mem.BatchSink) error {
 			return err
 		}
 		defer f.Close()
-		if in.Scalar {
-			tr, err := trace.NewReader(f)
-			if err != nil {
-				return err
-			}
-			_, err = tr.Replay(sink)
-			return err
-		}
 		tr, err := trace.NewBatchReader(f)
 		if err != nil {
 			return err
@@ -57,10 +46,6 @@ func (in Input) Feed(sink mem.BatchSink) error {
 	w, err := reg.New(in.Workload)
 	if err != nil {
 		return err
-	}
-	if in.Scalar {
-		w.Run(sink, in.Instr)
-		return nil
 	}
 	ba := mem.NewBatcher(sink, 0)
 	w.Run(ba, in.Instr)

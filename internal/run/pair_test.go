@@ -144,7 +144,7 @@ func TestPairRestoreRejectsMismatch(t *testing.T) {
 }
 
 // TestInputFeed: a workload and its recorded trace feed the identical
-// stream on the batched and the per-event path; bad inputs are errors.
+// stream; bad inputs are errors.
 func TestInputFeed(t *testing.T) {
 	const instr = 40_000
 	path := filepath.Join(t.TempDir(), "em3d.trace")
@@ -176,10 +176,8 @@ func TestInputFeed(t *testing.T) {
 		t.Fatal("workload fed nothing")
 	}
 	for _, in := range []Input{
-		{Workload: "em3d", Instr: instr, Scalar: true},
 		{Workload: "em3d", Instr: instr, Registry: suite.Registry()},
 		{Replay: path},
-		{Replay: path, Scalar: true},
 	} {
 		var got recSink
 		if err := in.Feed(&got); err != nil {

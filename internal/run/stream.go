@@ -38,10 +38,11 @@ import (
 // Hook runs once per boundary event, after every event up to it and
 // before any later one has reached the machines; a non-nil error stops
 // the stream and Run returns it. Batches are delivered in sub-spans that
-// never straddle a boundary, so the per-event path and the batched path
-// act at identical events on identical machine state. Stop, when it
-// becomes true, stops the stream at the next span or event (the
-// asynchronous interrupt: SIGINT, a deadline, a drain).
+// never straddle a boundary, so every batch length — down to the single
+// record of the Access/Instr forwards — acts at identical events on
+// identical machine state. Stop, when it becomes true, stops the stream
+// at the next span (the asynchronous interrupt: SIGINT, a deadline, a
+// drain).
 //
 // A Stream must be driven through Run, which owns the stop sentinel.
 // To may be re-pointed between events (the sampler's warm start swaps
@@ -61,8 +62,10 @@ type Stream struct {
 	err    error  // the Hook error that stopped the stream
 
 	// view is the reusable sub-batch header spans are delivered
-	// through, so boundary splitting never allocates.
+	// through, so boundary splitting never allocates; rec carries the
+	// Access/Instr forwards' one record.
 	view mem.Batch
+	rec  mem.Record
 }
 
 // stopSignal is the sentinel unwind panics with to end a source early:
@@ -163,30 +166,12 @@ func (s *Stream) nextBoundary() uint64 {
 	return next
 }
 
-// Access and Instr are the per-event path (emsim -scalar and sources
-// that emit one record at a time): each event is a one-record span.
+// Access implements mem.Sink: one record through AccessBatch, for
+// sources that emit a record at a time.
+func (s *Stream) Access(addr mem.Addr, kind mem.Kind) { s.AccessBatch(s.rec.Access(addr, kind)) }
 
-func (s *Stream) Access(addr mem.Addr, kind mem.Kind) {
-	s.cross()
-	if s.events >= s.Skip {
-		for _, o := range s.To {
-			o.Access(addr, kind)
-		}
-	}
-	s.events++
-	s.cross()
-}
-
-func (s *Stream) Instr(n uint64) {
-	s.cross()
-	if s.events >= s.Skip {
-		for _, o := range s.To {
-			o.Instr(n)
-		}
-	}
-	s.events++
-	s.cross()
-}
+// Instr implements mem.Sink: one record through AccessBatch.
+func (s *Stream) Instr(n uint64) { s.AccessBatch(s.rec.Instr(n)) }
 
 // AccessBatch implements mem.BatchSink: the batch is cut at every
 // boundary inside it, each span either discarded (skip prefix) or handed
@@ -194,8 +179,6 @@ func (s *Stream) Instr(n uint64) {
 // mutate the batch, so handing the same view to each is safe.
 //
 //emlint:hotpath
-//emlint:batchpair Access
-//emlint:batchpair Instr
 func (s *Stream) AccessBatch(b *mem.Batch) {
 	i, n := 0, b.Len()
 	for {

@@ -44,8 +44,8 @@ func records(seed uint64, n int) *mem.Batch {
 	return b
 }
 
-// scalarSource delivers recs one sink call per record.
-func scalarSource(recs *mem.Batch) func(mem.BatchSink) error {
+// recordSource delivers recs one Access or Instr call per record.
+func recordSource(recs *mem.Batch) func(mem.BatchSink) error {
 	return func(sink mem.BatchSink) error {
 		mem.DeliverBatch(recs, sink)
 		return nil
@@ -164,12 +164,13 @@ func randomBounds(rng *trace.RNG, total uint64) bounds {
 	return b
 }
 
-// TestStreamPathsAgree is the engine's parity property: the per-event
-// path and the batched path — at batch lengths 1, odd sizes and the
-// default 4096 — deliver identical records, fire the hook at identical
-// events on identical delivered state, and end at identical event
-// counts, for any skip, periodic and absolute boundaries and stop-at
-// event. Both must also match the contract computed event by event.
+// TestStreamPathsAgree is the engine's parity property: the per-record
+// forwards (Access/Instr) and batched delivery — at batch lengths 1,
+// odd sizes and the default 4096 — deliver identical records, fire the
+// hook at identical events on identical delivered state, and end at
+// identical event counts, for any skip, periodic and absolute
+// boundaries and stop-at event. Both must also match the contract
+// computed event by event.
 func TestStreamPathsAgree(t *testing.T) {
 	const total = 5000
 	recs := records(1, total)
@@ -193,9 +194,9 @@ func TestStreamPathsAgree(t *testing.T) {
 	}
 	for _, b := range table {
 		want := reference(b, recs)
-		got := drain(t, b, scalarSource(recs))
+		got := drain(t, b, recordSource(recs))
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: per-event path diverges from the contract:\ngot  hooks %v seen %v events %d stopped %v (%d records)\nwant hooks %v seen %v events %d stopped %v (%d records)",
+			t.Fatalf("%v: per-record path diverges from the contract:\ngot  hooks %v seen %v events %d stopped %v (%d records)\nwant hooks %v seen %v events %d stopped %v (%d records)",
 				b, got.hooks, got.seen, got.events, got.stopped, len(got.rec.kinds),
 				want.hooks, want.seen, want.events, want.stopped, len(want.rec.kinds))
 		}

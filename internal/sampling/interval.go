@@ -111,12 +111,9 @@ func (p *Profiler) Instr(n uint64) {
 	}
 }
 
-// AccessBatch implements mem.BatchSink by replaying the batch
-// record-by-record: interval cuts depend on per-record instruction
-// counts, so a batch is split exactly where the scalar path would cut.
-//
-//emlint:batchpair Access
-//emlint:batchpair Instr
+// AccessBatch implements mem.BatchSink by replaying the batch through
+// Access and Instr, the profiler's one kernel: an interval cut falls on
+// the exact instruction record that crosses its threshold.
 func (p *Profiler) AccessBatch(b *mem.Batch) {
 	kinds, addrs := b.Kind, b.Addr
 	for i, k := range kinds {

@@ -12,6 +12,10 @@
 //     and Histogram are value-type handles into fixed slots owned by a
 //     Registry; the zero handle is a no-op, so probes can be wired
 //     optionally without nil checks at every call site.
+//   - A count that already lives in a model's own field (a Stats
+//     counter, a controller or affinity-cache tally) is registered as
+//     a view onto that field (View) instead of being mirrored: the
+//     model increments it once and the registry reads it in place.
 //   - A Registry is single-goroutine, like the Machine that owns it.
 //     Every parallel job owns its own Registry; cross-job visibility
 //     goes through Snapshot values (copies), merged deterministically
@@ -43,7 +47,10 @@ const HistBuckets = 65
 // model.
 type Registry struct {
 	names []string
-	slots []uint64 // len = registered counters, cap = MaxCounters (never reallocated)
+	// vals[i] is counter i's storage: own[i] for a registry-owned
+	// counter, the owner's field for a view.
+	vals []*uint64
+	own  []uint64 // len = registered counters, cap = MaxCounters (never reallocated)
 
 	histNames []string
 	hists     []*[HistBuckets]uint64
@@ -52,7 +59,7 @@ type Registry struct {
 // NewRegistry returns an empty registry with the full slot budget
 // preallocated.
 func NewRegistry() *Registry {
-	return &Registry{slots: make([]uint64, 0, MaxCounters)}
+	return &Registry{own: make([]uint64, 0, MaxCounters)}
 }
 
 // Counter is a handle to one fixed counter slot. The zero Counter is a
@@ -96,18 +103,65 @@ func (c Counter) Enabled() bool { return c.p != nil }
 // returns the same slot. It fails only when the MaxCounters budget is
 // exhausted.
 func (r *Registry) Counter(name string) (Counter, error) {
+	if i := r.index(name); i >= 0 {
+		return Counter{p: r.vals[i]}, nil
+	}
+	return r.register(name, nil)
+}
+
+// View registers the named counter as a view onto *p, a count its
+// owner already keeps (and checkpoints) in its own field. The registry
+// reads the field in place — the owner's one increment is the metric's
+// only update — and SetState leaves it alone: the owner's own state
+// restore sets it. Re-registering a name is idempotent for the same
+// field and an error for any other.
+func (r *Registry) View(name string, p *uint64) (Counter, error) {
+	if i := r.index(name); i >= 0 {
+		if r.vals[i] != p {
+			return Counter{}, fmt.Errorf("telemetry: counter %q is already registered on other storage", name)
+		}
+		return Counter{p: p}, nil
+	}
+	return r.register(name, p)
+}
+
+// MustView is View panicking on error, for constant metric sets.
+func (r *Registry) MustView(name string, p *uint64) Counter {
+	c, err := r.View(name, p)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// index returns the slot of the named counter, or -1.
+func (r *Registry) index(name string) int {
 	for i, n := range r.names {
 		if n == name {
-			return Counter{p: &r.slots[i]}, nil
+			return i
 		}
 	}
-	if len(r.slots) == cap(r.slots) {
-		return Counter{}, fmt.Errorf("telemetry: counter budget of %d slots exhausted registering %q", cap(r.slots), name)
+	return -1
+}
+
+// register claims the next counter slot for name, stored at p (nil =
+// the registry's own slot). A view claims an own slot too, left unused,
+// which keeps own and vals index-aligned.
+func (r *Registry) register(name string, p *uint64) (Counter, error) {
+	if len(r.own) == cap(r.own) {
+		return Counter{}, fmt.Errorf("telemetry: counter budget of %d slots exhausted registering %q", cap(r.own), name)
 	}
 	r.names = append(r.names, name)
-	r.slots = append(r.slots, 0)
-	return Counter{p: &r.slots[len(r.slots)-1]}, nil
+	r.own = append(r.own, 0)
+	if p == nil {
+		p = &r.own[len(r.own)-1]
+	}
+	r.vals = append(r.vals, p)
+	return Counter{p: p}, nil
 }
+
+// isView reports whether counter i reads an owner's field.
+func (r *Registry) isView(i int) bool { return r.vals[i] != &r.own[i] }
 
 // MustCounter is Counter panicking on error, for registries whose
 // metric set is a compile-time constant (the machine model's).
@@ -216,7 +270,7 @@ func (r *Registry) Snapshot() Snapshot {
 	if len(r.names) > 0 {
 		s.Counters = make([]CounterValue, len(r.names))
 		for i, n := range r.names {
-			s.Counters[i] = CounterValue{Name: n, Value: r.slots[i]}
+			s.Counters[i] = CounterValue{Name: n, Value: *r.vals[i]}
 		}
 	}
 	if len(r.histNames) > 0 {
@@ -257,28 +311,26 @@ func (s Snapshot) Counter(name string) (uint64, bool) {
 // (the checkpoint-restore path). Metrics registered on the receiver but
 // absent from the snapshot reset to zero — a zero-value Snapshot resets
 // the whole registry — so restoring an older checkpoint into a machine
-// with newer metrics stays well-defined. Snapshot entries naming
-// metrics the receiver never registered are rejected: they indicate a
-// checkpoint from a differently instrumented build.
+// with newer metrics stays well-defined. Views are the exception: their
+// values belong to their owners, whose own state restore sets them, so
+// SetState never writes them. Snapshot entries naming metrics the
+// receiver never registered are rejected: they indicate a checkpoint
+// from a differently instrumented build.
 func (r *Registry) SetState(s Snapshot) error {
-	for i := range r.slots {
-		r.slots[i] = 0
+	for i := range r.own {
+		r.own[i] = 0
 	}
 	for _, h := range r.hists {
 		*h = [HistBuckets]uint64{}
 	}
 	for _, cv := range s.Counters {
-		idx := -1
-		for i, n := range r.names {
-			if n == cv.Name {
-				idx = i
-				break
-			}
-		}
+		idx := r.index(cv.Name)
 		if idx < 0 {
 			return fmt.Errorf("telemetry: state holds unknown counter %q", cv.Name)
 		}
-		r.slots[idx] = cv.Value
+		if !r.isView(idx) {
+			r.own[idx] = cv.Value
+		}
 	}
 	for _, hv := range s.Hists {
 		idx := -1

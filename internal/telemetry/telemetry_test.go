@@ -126,6 +126,62 @@ func TestSnapshotAndSetState(t *testing.T) {
 	}
 }
 
+// TestCounterView: a view reads and writes its owner's field in place,
+// keeps its registration slot in snapshots and timelines, and is left
+// alone by SetState (its owner restores it); re-registering a view name
+// on other storage is an error.
+func TestCounterView(t *testing.T) {
+	var field uint64 = 3
+	r := NewRegistry()
+	own := r.MustCounter("own")
+	v := r.MustView("view", &field)
+	if again := r.MustView("view", &field); again != v {
+		t.Fatal("re-registering a view on the same field returned another handle")
+	}
+	if c, err := r.Counter("view"); err != nil || c != v {
+		t.Fatalf("Counter on a view name = %v, %v; want the view", c, err)
+	}
+	var other uint64
+	if _, err := r.View("view", &other); err == nil {
+		t.Fatal("view re-registered on other storage")
+	}
+	if _, err := r.View("own", &other); err == nil {
+		t.Fatal("owned counter re-registered as a view")
+	}
+
+	field += 4 // the owner's one increment
+	own.Add(2)
+	v.Add(1) // a handle writes through to the field
+	if field != 8 || v.Value() != 8 {
+		t.Fatalf("field = %d, view reads %d; want 8", field, v.Value())
+	}
+	tl, err := NewTimeline(r, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl.MaybeSample(1)
+	want := Snapshot{Counters: []CounterValue{{"own", 2}, {"view", 8}}}
+	if snap := r.Snapshot(); !reflect.DeepEqual(snap, want) {
+		t.Fatalf("snapshot = %+v, want %+v", snap, want)
+	}
+	if row := tl.Rows("m")[0]; row.Counters["view"] != 8 {
+		t.Fatalf("timeline row = %+v", row)
+	}
+
+	if err := r.SetState(Snapshot{Counters: []CounterValue{{"own", 9}, {"view", 100}}}); err != nil {
+		t.Fatal(err)
+	}
+	if own.Value() != 9 || field != 8 {
+		t.Fatalf("after SetState: own = %d, field = %d; want 9, 8", own.Value(), field)
+	}
+	if err := r.SetState(Snapshot{}); err != nil {
+		t.Fatal(err)
+	}
+	if own.Value() != 0 || field != 8 {
+		t.Fatalf("after reset: own = %d, field = %d; want 0, 8", own.Value(), field)
+	}
+}
+
 func TestMerge(t *testing.T) {
 	mk := func(av, bv uint64, buckets []uint64) Snapshot {
 		return Snapshot{

@@ -139,7 +139,7 @@ func (t *Timeline) MaybeSample(events uint64) {
 	s := &t.samples[t.n]
 	s.Events = events
 	for i := range t.names {
-		s.Counters[i] = t.reg.slots[i]
+		s.Counters[i] = *t.reg.vals[i]
 	}
 	for i := range t.histNames {
 		copy(s.Hists[i], t.reg.hists[i][:])

@@ -191,7 +191,6 @@ func (t *BatchReader) errBadTag(tag byte) error {
 // a final partial batch), or a *FormatError on damage. The batch's
 // backing arrays are the caller's — reuse them across calls via Reset.
 //
-//emlint:batchpair Reader.ReplayWith -SkippedBytes -Resyncs -sum the strict batch reader has no ContinueOnCorrupt salvage (no skip/resync counters), and CRC folding is span-based bookkeeping (crcPos) instead of the scalar sum flag
 //emlint:hotpath
 func (t *BatchReader) NextBatch(b *mem.Batch) (int, error) {
 	if t.done {
