@@ -27,7 +27,6 @@ import (
 	"repro/internal/prefetch"
 	"repro/internal/report"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 	"repro/internal/workloads/suite"
 )
 
@@ -116,14 +115,11 @@ func BenchmarkTable2(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var row report.Table2Row
 			for i := 0; i < b.N; i++ {
-				factory := func() workloads.Workload {
-					w, err := reg.New(name)
-					if err != nil {
-						b.Fatal(err)
-					}
-					return w
+				rows, err := report.Table2Batch(reg, []string{name}, table2Budget, report.RunOptions{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
 				}
-				row = report.Table2(factory, table2Budget)
+				row = rows[0]
 			}
 			b.ReportMetric(row.Ratio, "missratio")
 			if row.HasMigrations {
@@ -139,11 +135,11 @@ func BenchmarkMcfBreakEven(b *testing.B) {
 	reg := suite.Registry()
 	var be float64
 	for i := 0; i < b.N; i++ {
-		row := report.Table2(func() workloads.Workload {
-			w, _ := reg.New("181.mcf")
-			return w
-		}, table2Budget)
-		be = row.BreakEvenPmig
+		rows, err := report.Table2Batch(reg, []string{"181.mcf"}, table2Budget, report.RunOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		be = rows[0].BreakEvenPmig
 	}
 	b.ReportMetric(be, "breakeven_Pmig")
 }
@@ -422,7 +418,10 @@ func BenchmarkExtensionPointerLoadFiltering(b *testing.B) {
 func BenchmarkSweepWorkingSet(b *testing.B) {
 	var winRatio float64
 	for i := 0; i < b.N; i++ {
-		points := report.SweepWorkingSet(report.DefaultSweepSizes(), 20, 4)
+		points, err := report.SweepWorkingSetOpt(report.DefaultSweepSizes(), 20, 4, report.RunOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, p := range points {
 			if p.Bytes == 1<<20 {
 				winRatio = p.Ratio

@@ -67,13 +67,12 @@ func recordTrace(t *testing.T, dir, workload string, instr uint64) string {
 func perRecordRun(t *testing.T, p runParams, ck *machine.Checkpoint) *runResult {
 	t.Helper()
 	if ck != nil {
-		p.Workload, p.Replay, p.Instr, p.Cores = ck.Workload, ck.Replay, ck.Instr, ck.Cores
-		p.Policy, p.Topology = ck.Scenario()
+		p.Spec = engine.SpecOf(ck)
 	}
 	if err := p.validate(); err != nil {
 		t.Fatal(err)
 	}
-	pair, err := engine.NewPair(p.Cores, p.Policy, p.Topology)
+	pair, err := p.NewPair()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +91,7 @@ func perRecordRun(t *testing.T, p runParams, ck *machine.Checkpoint) *runResult 
 		s.Every = []uint64{tel.interval}
 		s.Hook = func(events uint64) error { tel.tickBoth(events); return nil }
 	}
-	in := engine.Input{Workload: p.Workload, Replay: p.Replay, Instr: p.Instr}
-	if _, err := s.Run(func(sink mem.BatchSink) error { return in.Feed(perRecord{sink}) }); err != nil {
+	if _, err := s.Run(func(sink mem.BatchSink) error { return p.Feed(perRecord{sink}) }); err != nil {
 		t.Fatal(err)
 	}
 	return &runResult{
@@ -140,9 +138,9 @@ func TestScalarBatchIdenticalRun(t *testing.T) {
 	tracePath := recordTrace(t, dir, "em3d", 150_000)
 
 	cases := map[string]runParams{
-		"workload": {Workload: "179.art", Instr: 300_000, Cores: 4, Workers: 1, TimelineInterval: 7_777},
-		"replay":   {Replay: tracePath, Workload: "em3d", Cores: 2, Workers: 1, TimelineInterval: 3_001},
-		"parallel": {Workload: "em3d", Instr: 200_000, Cores: 2, Workers: 2, TimelineInterval: 5_555},
+		"workload": {Spec: engine.Spec{Workload: "179.art", Instr: 300_000, Cores: 4}, Workers: 1, TimelineInterval: 7_777},
+		"replay":   {Spec: engine.Spec{Replay: tracePath, Workload: "em3d", Cores: 2}, Workers: 1, TimelineInterval: 3_001},
+		"parallel": {Spec: engine.Spec{Workload: "em3d", Instr: 200_000, Cores: 2}, Workers: 2, TimelineInterval: 5_555},
 	}
 	for name, base := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -163,7 +161,7 @@ func TestScalarBatchIdenticalRun(t *testing.T) {
 // numbering to be the same thing at every batch length.
 func TestScalarBatchCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
-	base := runParams{Workload: "179.art", Instr: 300_000, Cores: 4, TimelineInterval: 7_777}
+	base := runParams{Spec: engine.Spec{Workload: "179.art", Instr: 300_000, Cores: 4}, TimelineInterval: 7_777}
 
 	refp := base
 	ref, err := run(&refp)

@@ -30,6 +30,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -37,6 +38,7 @@ import (
 	"repro/internal/ioutilx"
 	"repro/internal/migration"
 	"repro/internal/report"
+	engine "repro/internal/run"
 	"repro/internal/stats"
 	"repro/internal/telemetry/telhttp"
 	"repro/internal/trace"
@@ -46,8 +48,8 @@ import (
 func main() {
 	var (
 		name      = flag.String("workload", "179.art", "workload name")
-		instr     = flag.Uint64("instr", 20_000_000, "instruction budget")
-		cores     = flag.Int("cores", 4, "cores in the migration configuration (2, 4 or 8)")
+		instr     = flag.Uint64("instr", engine.DefaultInstr, "instruction budget")
+		cores     = flag.Int("cores", engine.DefaultCores, "cores in the migration configuration (2, 4 or 8)")
 		policy    = flag.String("policy", "", fmt.Sprintf("migration policy %v (default %s)", migration.PolicyNames(), migration.PolicyMichaud))
 		topology  = flag.String("topology", "", fmt.Sprintf("core-distance topology %v (default %s)", migration.TopologyNames(), migration.TopologyUniform))
 		programs  = flag.String("programs", "", "multiprogrammed run: an integer K (K copies of -workload) or a comma-separated workload list sharing one L2 complex")
@@ -66,10 +68,10 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "print the machine-readable result JSON instead of the human report")
 
 		sample         = flag.Bool("sample", false, "interval sampling: estimate the result from representative intervals only (output is clearly labelled ESTIMATED)")
-		sampleInterval = flag.Uint64("sample-interval", 1_000_000, "instructions per sampling interval")
-		sampleClusters = flag.Int("sample-clusters", 8, "number of interval clusters (representatives) to simulate")
-		sampleSeed     = flag.Uint64("sample-seed", 42, "clustering seed (same seed = byte-identical estimates)")
-		sampleWarmup   = flag.Int("sample-warmup", 1, "unmeasured warmup intervals simulated before each sampled interval")
+		sampleInterval = flag.Uint64("sample-interval", engine.DefaultSampleInterval, "instructions per sampling interval")
+		sampleClusters = flag.Int("sample-clusters", engine.DefaultSampleClusters, "number of interval clusters (representatives) to simulate")
+		sampleSeed     = flag.Uint64("sample-seed", engine.DefaultSampleSeed, "clustering seed (same seed = byte-identical estimates)")
+		sampleWarmup   = flag.Int("sample-warmup", engine.DefaultSampleWarmup, "unmeasured warmup intervals simulated before each sampled interval")
 		sampleVerify   = flag.Bool("sample-verify", false, "also run at full fidelity and print the estimate-vs-actual error table")
 	)
 	flag.Parse()
@@ -100,8 +102,9 @@ func main() {
 	}
 	if *programs != "" {
 		// A multiprogrammed run is a different experiment shape: no
-		// single event stream exists to record, replay, checkpoint or
-		// sample, so the stream-shaping flags are rejected up front.
+		// single event stream exists to record, replay or checkpoint, so
+		// the stream-shaping flags are rejected up front (sampling is
+		// rejected by the spec).
 		for _, bad := range []struct {
 			set  bool
 			flag string
@@ -109,7 +112,6 @@ func main() {
 			{*record != "", "-record"}, {*replay != "", "-replay"},
 			{*ckpt != "", "-checkpoint"}, {*resume != "", "-resume"},
 			{*timeline != "", "-timeline"}, {*metrics != "", "-metrics"},
-			{*sample, "-sample"},
 		} {
 			if bad.set {
 				fail(fmt.Errorf("emsim: %s is incompatible with -programs", bad.flag))
@@ -136,35 +138,44 @@ func main() {
 		if *sampleVerify && *jsonOut {
 			fail(fmt.Errorf("emsim: -sample-verify is incompatible with -json (the verify table is human output)"))
 		}
-	} else {
-		// Sampling sub-flags without -sample would silently do nothing;
-		// reject the ones the user explicitly set.
-		sampleFlags := map[string]bool{
-			"sample-interval": true, "sample-clusters": true,
-			"sample-seed": true, "sample-warmup": true, "sample-verify": true,
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if sampleFlags[f.Name] {
-				fail(fmt.Errorf("emsim: -%s requires -sample", f.Name))
-			}
-		})
 	}
 	p := runParams{
-		Workload:        *name,
-		Instr:           *instr,
-		Cores:           *cores,
-		Policy:          *policy,
-		Topology:        *topology,
-		Replay:          *replay,
+		Spec: engine.Spec{
+			Workload: *name,
+			Instr:    *instr,
+			Cores:    *cores,
+			Policy:   *policy,
+			Topology: *topology,
+			Replay:   *replay,
+			Sample:   *sample,
+		},
 		Workers:         *jobs,
 		Checkpoint:      *ckpt,
 		CheckpointEvery: *ckptEvery,
 		Resume:          *resume,
 	}
+	// Sampling sub-flags reach the spec when -sample or any of them is
+	// given, so one set without -sample is the spec's error rather than
+	// a silent no-op.
+	sampleFlags := *sample
+	flag.Visit(func(f *flag.Flag) { sampleFlags = sampleFlags || strings.HasPrefix(f.Name, "sample-") })
+	if sampleFlags {
+		p.SampleInterval, p.SampleClusters = *sampleInterval, *sampleClusters
+		p.SampleSeed, p.SampleWarmup = *sampleSeed, *sampleWarmup
+	}
+	if *programs != "" {
+		names, err := parsePrograms(*programs, *name)
+		if err != nil {
+			fail(err)
+		}
+		p.Workload, p.Programs = "", names
+	}
 	if *timeline != "" || *metrics != "" {
 		p.TimelineInterval = *interval
 	}
-	if *resume == "" {
+	// A resumed run takes its spec from the checkpoint, so its flag
+	// values are checked only when sampling flags stray onto it.
+	if *resume == "" || sampleFlags {
 		if err := p.validate(); err != nil {
 			fail(err)
 		}
@@ -199,7 +210,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if err := runMulti(os.Stdout, reg, *programs, p, *jsonOut); err != nil {
+		if err := runMulti(os.Stdout, p, *jsonOut); err != nil {
 			stopProfiles()
 			fail(err)
 		}
@@ -210,21 +221,11 @@ func main() {
 	}
 
 	if *sample {
-		sp := sampleParams{
-			Interval: *sampleInterval,
-			Clusters: *sampleClusters,
-			Seed:     *sampleSeed,
-			Warmup:   *sampleWarmup,
-			Verify:   *sampleVerify,
-		}
-		if err := sp.validate(); err != nil {
-			fail(err)
-		}
 		stopProfiles, err := startProfiles(*cpuprof, *memprof)
 		if err != nil {
 			fail(err)
 		}
-		if err := runSample(os.Stdout, reg, p, sp, *jsonOut); err != nil {
+		if err := runSample(os.Stdout, p, *sampleVerify, *jsonOut); err != nil {
 			stopProfiles()
 			fail(err)
 		}

@@ -6,8 +6,8 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/migration"
 	"repro/internal/report"
-	"repro/internal/workloads"
 )
 
 // parsePrograms expands the -programs flag into one workload name per
@@ -35,21 +35,11 @@ func parsePrograms(spec, workload string) ([]string, error) {
 	return names, nil
 }
 
-// runMulti executes one multiprogrammed run: K programs co-scheduled on
-// a shared L2 complex (deterministic round robin), each compared against
-// its solo 1-core baseline, rendered as a table or as JSON.
-func runMulti(w io.Writer, reg *workloads.Registry, spec string, p runParams, jsonOut bool) error {
-	names, err := parsePrograms(spec, p.Workload)
-	if err != nil {
-		return err
-	}
-	res, err := report.MultiRun(reg, report.MultiRunConfig{
-		Workloads: names,
-		Instr:     p.Instr,
-		Cores:     p.Cores,
-		Policy:    p.Policy,
-		Topology:  p.Topology,
-	}, report.RunOptions{Workers: p.Workers})
+// runMulti executes one multiprogrammed run: p's programs co-scheduled
+// on a shared L2 complex (deterministic round robin), each compared
+// against its solo 1-core baseline, rendered as a table or as JSON.
+func runMulti(w io.Writer, p runParams, jsonOut bool) error {
+	res, err := report.MultiRun(p.Spec, report.RunOptions{Workers: p.Workers})
 	if err != nil {
 		return err
 	}
@@ -61,10 +51,10 @@ func runMulti(w io.Writer, reg *workloads.Registry, spec string, p runParams, js
 	if res.Policy != "" || res.Topology != "" {
 		pol, topo := res.Policy, res.Topology
 		if pol == "" {
-			pol = "michaud"
+			pol = migration.PolicyMichaud
 		}
 		if topo == "" {
-			topo = "uniform"
+			topo = migration.TopologyUniform
 		}
 		fmt.Fprintf(w, "policy %s, topology %s\n", pol, topo)
 	}

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/report"
-	"repro/internal/workloads/suite"
+	engine "repro/internal/run"
 )
 
 func TestParsePrograms(t *testing.T) {
@@ -53,11 +53,10 @@ func TestParsePrograms(t *testing.T) {
 // header names the scenario, and the JSON form parses into the
 // canonical multiprogram shape with consistent totals.
 func TestRunMultiOutput(t *testing.T) {
-	reg := suite.Registry()
-	p := runParams{Workload: "", Instr: 50_000, Cores: 4, Policy: "numa", Topology: "cluster"}
+	p := runParams{Spec: engine.Spec{Programs: []string{"mst", "em3d"}, Instr: 50_000, Cores: 4, Policy: "numa", Topology: "cluster"}}
 
 	var table bytes.Buffer
-	if err := runMulti(&table, reg, "mst,em3d", p, false); err != nil {
+	if err := runMulti(&table, p, false); err != nil {
 		t.Fatal(err)
 	}
 	out := table.String()
@@ -68,7 +67,7 @@ func TestRunMultiOutput(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := runMulti(&buf, reg, "2", runParams{Workload: "mst", Instr: 50_000, Cores: 4}, true); err != nil {
+	if err := runMulti(&buf, runParams{Spec: engine.Spec{Programs: []string{"mst", "mst"}, Instr: 50_000, Cores: 4}}, true); err != nil {
 		t.Fatal(err)
 	}
 	var res report.MultiRunResultJSON
@@ -86,7 +85,8 @@ func TestRunMultiOutput(t *testing.T) {
 		t.Fatalf("per-program stats do not sum to totals:\n%+v\nvs\n%+v", sum, res.Totals)
 	}
 
-	if err := runMulti(&buf, reg, "mst,nope", p, false); err == nil {
+	p.Programs = []string{"mst", "nope"}
+	if err := runMulti(&buf, p, false); err == nil {
 		t.Fatal("unknown program workload accepted")
 	}
 }

@@ -11,25 +11,15 @@ import (
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/telhttp"
-	"repro/internal/workloads/suite"
 )
 
-// runParams describes one simulation run. Both machines (the 1-core
-// baseline and the N-core migration configuration) are driven in a
-// single pass over the input, so a checkpoint captures them at the same
-// event and a resumed run replays the identical stream to both.
+// runParams describes one simulation run: the experiment's spec plus
+// emsim's side channels. Both machines (the 1-core baseline and the
+// N-core migration configuration) are driven in a single pass over the
+// input, so a checkpoint captures them at the same event and a resumed
+// run replays the identical stream to both.
 type runParams struct {
-	Workload string
-	Instr    uint64
-	Cores    int
-	Replay   string // drive from this trace file instead of a workload
-
-	// Policy and Topology select the migration scenario. validate
-	// normalizes them: the Michaud default and the uniform chip become
-	// "", so spelling out a default is indistinguishable from omitting
-	// it (same report, same JSON bytes, same checkpoint bytes).
-	Policy   string
-	Topology string
+	engine.Spec
 
 	// Workers sets the worker pool for the two machine passes: 0 = all
 	// cores, 1 = the legacy serial tee pass. Checkpointing and resuming
@@ -60,32 +50,18 @@ type runParams struct {
 	stopAfter uint64
 }
 
-// validate rejects malformed parameter combinations up front, before
-// any machine is built (satellite: flag validation — a bad -cores used
-// to survive until a panic deep inside the migration controller).
+// validate rejects a spec the simulator cannot run before any machine
+// is built. emsim's flags carry every default and take explicit zeros
+// literally (-sample-warmup 0 is no warm-up), so only the scenario
+// spelling is normalized. The Michaud default and the uniform chip
+// become "", which makes spelling out a default indistinguishable from
+// omitting it (same report, same JSON bytes, same checkpoint bytes).
 func (p *runParams) validate() error {
-	switch p.Cores {
-	case 2, 4, 8:
-	default:
-		return fmt.Errorf("emsim: -cores must be 2, 4 or 8, got %d", p.Cores)
-	}
-	cfg, err := machine.MigrationConfigScenario(p.Cores, p.Policy, p.Topology)
-	if err != nil {
+	if err := p.Spec.Validate(); err != nil {
 		return fmt.Errorf("emsim: %w", err)
 	}
-	// Write the normalized spelling back so every downstream consumer
-	// (report header, -json encoder, checkpoint extension) sees "" for
-	// the defaults.
-	p.Policy = cfg.Policy
-	p.Topology = ""
-	if cfg.Topology != nil {
-		p.Topology = cfg.Topology.Name
-	}
-	if p.Replay == "" {
-		if _, err := suite.Registry().New(p.Workload); err != nil {
-			return err
-		}
-	}
+	n := p.Spec.Normalize()
+	p.Policy, p.Topology = n.Policy, n.Topology
 	return nil
 }
 
@@ -116,17 +92,14 @@ func run(p *runParams) (*runResult, error) {
 			return nil, err
 		}
 		// The checkpoint is authoritative about the run it belongs to:
-		// flags that shaped the original pass are restored from it —
-		// including the policy scenario, which rides the checkpoint
-		// extension (absent for default Michaud-on-uniform runs).
-		p.Workload, p.Replay, p.Instr, p.Cores = ck.Workload, ck.Replay, ck.Instr, ck.Cores
-		p.Policy, p.Topology = ck.Scenario()
+		// flags that shaped the original pass are restored from it.
+		p.Spec = engine.SpecOf(ck)
 		resumeCk = ck
 	}
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	pair, err := engine.NewPair(p.Cores, p.Policy, p.Topology)
+	pair, err := p.NewPair()
 	if err != nil {
 		return nil, err
 	}
@@ -134,13 +107,12 @@ func run(p *runParams) (*runResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := engine.Input{Workload: p.Workload, Replay: p.Replay, Instr: p.Instr}
 
 	// With no checkpoint state in play the two machines never need to
 	// agree on an event boundary, so they can consume independent copies
 	// of the (deterministic) input stream concurrently.
 	if p.Workers != 1 && p.Checkpoint == "" && resumeCk == nil {
-		return runIndependent(p, in, pair, tel)
+		return runIndependent(p, pair, tel)
 	}
 
 	s := &engine.Stream{To: pair.Sinks(), StopAt: p.stopAfter, Stop: p.stop}
@@ -151,7 +123,7 @@ func run(p *runParams) (*runResult, error) {
 		s.Skip = resumeCk.Events
 	}
 	save := func(events uint64) error {
-		ck, err := pair.Checkpoint(in, events)
+		ck, err := pair.Checkpoint(p.Spec, events)
 		if err != nil {
 			return err
 		}
@@ -178,7 +150,7 @@ func run(p *runParams) (*runResult, error) {
 		}
 		return nil
 	}
-	interrupted, err := s.Run(in.Feed)
+	interrupted, err := s.Run(p.Feed)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +179,7 @@ func run(p *runParams) (*runResult, error) {
 // so also stops deterministically; only an asynchronous SIGINT may
 // catch the two passes at different events, in which case the partial
 // report covers whatever each machine had consumed.
-func runIndependent(p *runParams, in engine.Input, pair *engine.Pair, tel *runTelemetry) (*runResult, error) {
+func runIndependent(p *runParams, pair *engine.Pair, tel *runTelemetry) (*runResult, error) {
 	streams := [2]*engine.Stream{
 		{To: []mem.BatchSink{pair.Normal}, StopAt: p.stopAfter, Stop: p.stop},
 		{To: []mem.BatchSink{pair.Mig}, StopAt: p.stopAfter, Stop: p.stop},
@@ -219,7 +191,7 @@ func runIndependent(p *runParams, in engine.Input, pair *engine.Pair, tel *runTe
 	var interrupted [2]bool
 	pass := func(i int) func(context.Context) error {
 		return func(context.Context) (err error) {
-			interrupted[i], err = streams[i].Run(in.Feed)
+			interrupted[i], err = streams[i].Run(p.Feed)
 			return err
 		}
 	}

@@ -13,25 +13,34 @@ import (
 	"time"
 
 	"repro/internal/machine"
+	engine "repro/internal/run"
 	"repro/internal/trace"
 	"repro/internal/workloads/suite"
 )
 
 func TestValidateParams(t *testing.T) {
 	for _, p := range []runParams{
-		{Workload: "179.art", Cores: 3},
-		{Workload: "179.art", Cores: 0},
-		{Workload: "179.art", Cores: -4},
-		{Workload: "179.art", Cores: 16},
-		{Workload: "no-such-workload", Cores: 4},
+		{Spec: engine.Spec{Workload: "179.art", Cores: 3}},
+		{Spec: engine.Spec{Workload: "179.art", Cores: 0}},
+		{Spec: engine.Spec{Workload: "179.art", Cores: -4}},
+		{Spec: engine.Spec{Workload: "179.art", Cores: 16}},
+		{Spec: engine.Spec{Workload: "no-such-workload", Cores: 4}},
 	} {
 		if err := p.validate(); err == nil {
 			t.Errorf("params %+v accepted", p)
 		}
 	}
-	ok := runParams{Workload: "179.art", Cores: 4}
+	ok := runParams{Spec: engine.Spec{Workload: "179.art", Cores: 4}}
 	if err := ok.validate(); err != nil {
 		t.Errorf("valid params rejected: %v", err)
+	}
+	// Spelled-out defaults normalize to the omitted form.
+	spelled := runParams{Spec: engine.Spec{Workload: "179.art", Cores: 4, Policy: "michaud", Topology: "uniform"}}
+	if err := spelled.validate(); err != nil {
+		t.Fatalf("spelled-out defaults rejected: %v", err)
+	}
+	if spelled.Policy != "" || spelled.Topology != "" {
+		t.Errorf("defaults not normalized: policy %q topology %q", spelled.Policy, spelled.Topology)
 	}
 }
 
@@ -40,7 +49,7 @@ func TestValidateParams(t *testing.T) {
 // to the uninterrupted run — the core resilience guarantee.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	dir := t.TempDir()
-	base := runParams{Workload: "179.art", Instr: 300_000, Cores: 4}
+	base := runParams{Spec: engine.Spec{Workload: "179.art", Instr: 300_000, Cores: 4}}
 
 	refp := base
 	ref, err := run(&refp)
@@ -94,7 +103,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 // file left by the LAST periodic save resumes to the reference result.
 func TestResumeFromPeriodicCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	base := runParams{Workload: "em3d", Instr: 200_000, Cores: 2}
+	base := runParams{Spec: engine.Spec{Workload: "em3d", Instr: 200_000, Cores: 2}}
 
 	refp := base
 	ref, err := run(&refp)
@@ -154,7 +163,7 @@ func TestResumeReplayTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := runParams{Replay: tracePath, Cores: 4}
+	base := runParams{Spec: engine.Spec{Replay: tracePath, Cores: 4}}
 	refp := base
 	ref, err := run(&refp)
 	if err != nil {
@@ -188,7 +197,7 @@ func TestResumeReplayTrace(t *testing.T) {
 // signal happened to land on.
 func TestSIGINTGracefulStop(t *testing.T) {
 	dir := t.TempDir()
-	base := runParams{Workload: "181.mcf", Instr: 3_000_000, Cores: 4}
+	base := runParams{Spec: engine.Spec{Workload: "181.mcf", Instr: 3_000_000, Cores: 4}}
 
 	refp := base
 	ref, err := run(&refp)
@@ -263,8 +272,8 @@ func TestParallelMatchesSerialTee(t *testing.T) {
 		name string
 		base runParams
 	}{
-		{"workload", runParams{Workload: "181.mcf", Instr: 300_000, Cores: 4}},
-		{"replay", runParams{Replay: tracePath, Cores: 2}},
+		{"workload", runParams{Spec: engine.Spec{Workload: "181.mcf", Instr: 300_000, Cores: 4}}},
+		{"replay", runParams{Spec: engine.Spec{Replay: tracePath, Cores: 2}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sp := tc.base
@@ -294,7 +303,7 @@ func TestParallelMatchesSerialTee(t *testing.T) {
 // the stop-after hook deterministic even on the concurrent path — both
 // machines halt at exactly the same event.
 func TestParallelStopAfterDeterministic(t *testing.T) {
-	sp := runParams{Workload: "em3d", Instr: 200_000, Cores: 4, Workers: 1, stopAfter: 34_567}
+	sp := runParams{Spec: engine.Spec{Workload: "em3d", Instr: 200_000, Cores: 4}, Workers: 1, stopAfter: 34_567}
 	serial, err := run(&sp)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +328,7 @@ func TestParallelStopAfterDeterministic(t *testing.T) {
 // that reproduces the uninterrupted run's stats exactly.
 func TestSIGTERMGracefulStop(t *testing.T) {
 	dir := t.TempDir()
-	base := runParams{Workload: "181.mcf", Instr: 3_000_000, Cores: 4}
+	base := runParams{Spec: engine.Spec{Workload: "181.mcf", Instr: 3_000_000, Cores: 4}}
 
 	refp := base
 	ref, err := run(&refp)
@@ -377,7 +386,7 @@ func TestSIGTERMGracefulStop(t *testing.T) {
 // deterministic bytes, workload identity, and the trace-driven mode
 // reporting the replay path instead of a meaningless workload name.
 func TestWriteRunJSON(t *testing.T) {
-	p := runParams{Workload: "mst", Instr: 100_000, Cores: 4}
+	p := runParams{Spec: engine.Spec{Workload: "mst", Instr: 100_000, Cores: 4}}
 	res, err := run(&p)
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +414,7 @@ func TestWriteRunJSON(t *testing.T) {
 		t.Fatalf("bad JSON result: %s", a.String())
 	}
 
-	rp := runParams{Replay: "some.trace", Workload: "mst", Instr: 1, Cores: 4}
+	rp := runParams{Spec: engine.Spec{Replay: "some.trace", Workload: "mst", Instr: 1, Cores: 4}}
 	var c bytes.Buffer
 	if err := writeRunJSON(&c, rp, res); err != nil {
 		t.Fatal(err)

@@ -5,22 +5,24 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/workloads/suite"
+	engine "repro/internal/run"
 )
 
-// TestSampleParamsValidate: the flag-level rejections, before any
-// simulation work starts.
+// TestSampleParamsValidate: the -sample-* flag-level rejections,
+// before any simulation work starts. Flag values are taken literally:
+// a zero interval or cluster count is an error, not a default.
 func TestSampleParamsValidate(t *testing.T) {
-	for _, bad := range []sampleParams{
-		{Interval: 0, Clusters: 4},
-		{Interval: 20_000, Clusters: 0},
-		{Interval: 20_000, Clusters: 4, Warmup: -1},
+	for _, bad := range []engine.Spec{
+		{Workload: "mst", Cores: 4, Sample: true, SampleInterval: 0, SampleClusters: 4},
+		{Workload: "mst", Cores: 4, Sample: true, SampleInterval: 20_000, SampleClusters: 0},
+		{Workload: "mst", Cores: 4, Sample: true, SampleInterval: 20_000, SampleClusters: 4, SampleWarmup: -1},
 	} {
-		if err := bad.validate(); err == nil {
+		p := runParams{Spec: bad}
+		if err := p.validate(); err == nil {
 			t.Errorf("params %+v accepted", bad)
 		}
 	}
-	ok := sampleParams{Interval: 20_000, Clusters: 4}
+	ok := runParams{Spec: engine.Spec{Workload: "mst", Cores: 4, Sample: true, SampleInterval: 20_000, SampleClusters: 4}}
 	if err := ok.validate(); err != nil {
 		t.Errorf("valid params rejected: %v", err)
 	}
@@ -30,11 +32,11 @@ func TestSampleParamsValidate(t *testing.T) {
 // report, appends the verification table when asked, and emits the
 // canonical JSON shape under -json.
 func TestRunSampleRendering(t *testing.T) {
-	p := runParams{Workload: "mst", Instr: 200_000, Cores: 4, Workers: 1}
-	sp := sampleParams{Interval: 20_000, Clusters: 3, Seed: 42, Warmup: 1}
+	p := runParams{Spec: engine.Spec{Workload: "mst", Instr: 200_000, Cores: 4, Sample: true,
+		SampleInterval: 20_000, SampleClusters: 3, SampleSeed: 42, SampleWarmup: 1}, Workers: 1}
 
 	var text bytes.Buffer
-	if err := runSample(&text, suite.Registry(), p, sp, false); err != nil {
+	if err := runSample(&text, p, false, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(text.String(), "ESTIMATED results for mst") {
@@ -45,8 +47,7 @@ func TestRunSampleRendering(t *testing.T) {
 	}
 
 	var verified bytes.Buffer
-	sp.Verify = true
-	if err := runSample(&verified, suite.Registry(), p, sp, false); err != nil {
+	if err := runSample(&verified, p, true, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(verified.String(), "sample verification") {
@@ -57,8 +58,7 @@ func TestRunSampleRendering(t *testing.T) {
 	}
 
 	var js bytes.Buffer
-	sp.Verify = false
-	if err := runSample(&js, suite.Registry(), p, sp, true); err != nil {
+	if err := runSample(&js, p, false, true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(js.String(), `"estimated": true`) {
@@ -67,8 +67,9 @@ func TestRunSampleRendering(t *testing.T) {
 
 	// Errors from the pipeline surface, not panic: an unknown workload
 	// reaches SampleRun and comes back as its error.
-	bad := runParams{Workload: "no-such-workload", Instr: 200_000, Cores: 4, Workers: 1}
-	if err := runSample(&bytes.Buffer{}, suite.Registry(), bad, sp, false); err == nil {
+	bad := p
+	bad.Workload = "no-such-workload"
+	if err := runSample(&bytes.Buffer{}, bad, false, false); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	engine "repro/internal/run"
 	"repro/internal/telemetry"
 )
 
@@ -25,7 +26,7 @@ func timelineBytes(t *testing.T, res *runResult) []byte {
 // of the serial-vs-parallel golden contract — every worker count must
 // produce byte-identical output.
 func TestTimelineSerialParallelByteIdentical(t *testing.T) {
-	base := runParams{Workload: "181.mcf", Instr: 300_000, Cores: 4, TimelineInterval: 50_000}
+	base := runParams{Spec: engine.Spec{Workload: "181.mcf", Instr: 300_000, Cores: 4}, TimelineInterval: 50_000}
 
 	sp := base
 	sp.Workers = 1
@@ -59,7 +60,7 @@ func TestTimelineSerialParallelByteIdentical(t *testing.T) {
 // stats (the last migration row's l2_misses can never exceed the run's
 // total).
 func TestTimelineRowShape(t *testing.T) {
-	p := runParams{Workload: "em3d", Instr: 200_000, Cores: 2, Workers: 1, TimelineInterval: 40_000}
+	p := runParams{Spec: engine.Spec{Workload: "em3d", Instr: 200_000, Cores: 2}, Workers: 1, TimelineInterval: 40_000}
 	res, err := run(&p)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +106,7 @@ func TestTimelineRowShape(t *testing.T) {
 // run samples it, and the resumed run must not sample it again — the
 // tick hook never fires at the resume edge.
 func TestTimelineSurvivesInterruptAndResume(t *testing.T) {
-	base := runParams{Workload: "179.art", Instr: 300_000, Cores: 4}
+	base := runParams{Spec: engine.Spec{Workload: "179.art", Instr: 300_000, Cores: 4}}
 
 	// Probe the workload's event count so interval and cut can sit at
 	// deterministic positions inside the run.

@@ -25,7 +25,9 @@ import (
 	"strings"
 
 	"repro/internal/ioutilx"
+	"repro/internal/migration"
 	"repro/internal/report"
+	"repro/internal/run"
 	"repro/internal/workloads/suite"
 )
 
@@ -34,9 +36,9 @@ func main() {
 		t1       = flag.Bool("table1", false, "print Table 1 only")
 		t2       = flag.Bool("table2", false, "print Table 2 only")
 		sweep    = flag.Bool("sweep", false, "print the working-set-size sweep (the Table 2 trade on a synthetic circular workload) and exit")
-		cores    = flag.Int("cores", 4, "cores for the -sweep and -tournament migration machines")
-		laps     = flag.Uint64("laps", 40, "laps per -sweep point")
-		instr    = flag.Uint64("instr", 20_000_000, "instruction budget per workload (paper: 1e9)")
+		cores    = flag.Int("cores", run.DefaultCores, "cores for the -sweep, -tournament and -sample migration machines")
+		laps     = flag.Uint64("laps", report.DefaultSweepLaps, "laps per -sweep point")
+		instr    = flag.Uint64("instr", run.DefaultInstr, "instruction budget per workload (paper: 1e9)")
 		only     = flag.String("only", "", "comma-separated subset of workloads")
 		jobs     = flag.Int("j", 0, "parallel worker count: 0 = all cores, 1 = serial legacy path")
 		timeline = flag.Bool("timeline", false, "print the per-interval timeline table (Table 2's trade resolved over time) and exit")
@@ -48,10 +50,10 @@ func main() {
 		outPath  = flag.String("o", "", "write the tables to this file instead of stdout")
 
 		sample         = flag.Bool("sample", false, "print the interval-sampling sweep (ESTIMATED Table 2 headline columns with error bars) and exit")
-		sampleInterval = flag.Uint64("sample-interval", 1_000_000, "instructions per sampling interval")
-		sampleClusters = flag.Int("sample-clusters", 8, "interval clusters (representatives) per workload")
-		sampleSeed     = flag.Uint64("sample-seed", 42, "clustering seed")
-		sampleWarmup   = flag.Int("sample-warmup", 1, "unmeasured warmup intervals before each sampled interval")
+		sampleInterval = flag.Uint64("sample-interval", run.DefaultSampleInterval, "instructions per sampling interval")
+		sampleClusters = flag.Int("sample-clusters", run.DefaultSampleClusters, "interval clusters (representatives) per workload")
+		sampleSeed     = flag.Uint64("sample-seed", run.DefaultSampleSeed, "clustering seed")
+		sampleWarmup   = flag.Int("sample-warmup", run.DefaultSampleWarmup, "unmeasured warmup intervals before each sampled interval")
 	)
 	flag.Parse()
 
@@ -99,7 +101,7 @@ func main() {
 			}
 			topo := *topology
 			if topo == "" {
-				topo = "uniform"
+				topo = migration.TopologyUniform
 			}
 			fmt.Fprintf(out, "policy tournament: %s on the %s topology, %d-core machines,\n%dM instructions per run\n\n",
 				strings.Join(pols, " vs "), topo, *cores, *instr/1_000_000)
@@ -122,13 +124,15 @@ func main() {
 			fmt.Fprintf(out, "intervals of %d instr, %d clusters, seed %d, warmup %d; rates are per\n",
 				*sampleInterval, *sampleClusters, *sampleSeed, *sampleWarmup)
 			fmt.Fprintf(out, "retired instruction with ±1 standard error; nothing below is a measured total.\n\n")
-			results, err := report.SampleBatch(reg, names, report.SampleConfig{
-				Instr:    *instr,
-				Cores:    *cores,
-				Interval: *sampleInterval,
-				Clusters: *sampleClusters,
-				Seed:     *sampleSeed,
-				Warmup:   *sampleWarmup,
+			results, err := report.SampleBatch(names, run.Spec{
+				Instr:          *instr,
+				Cores:          *cores,
+				Sample:         true,
+				SampleInterval: *sampleInterval,
+				SampleClusters: *sampleClusters,
+				SampleSeed:     *sampleSeed,
+				SampleWarmup:   *sampleWarmup,
+				Registry:       reg,
 			}, opt("sample"))
 			if err != nil {
 				return err

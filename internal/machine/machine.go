@@ -94,8 +94,8 @@ func MigrationConfig() Config { return MigrationConfigN(4) }
 // MigrationConfigN returns a Table2-style migration-mode machine with 2,
 // 4 or 8 cores (§6: the scheme "works also on 2-core configurations"
 // and extends to more). It panics on any other core count: front ends
-// validate user-supplied counts before calling (see cmd/emsim), so a
-// bad argument here is an internal invariant violation.
+// validate user-supplied counts before calling (see run.Spec.Validate),
+// so a bad argument here is an internal invariant violation.
 func MigrationConfigN(cores int) Config {
 	cfg, err := MigrationConfigFor(cores)
 	if err != nil {

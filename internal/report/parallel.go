@@ -71,7 +71,7 @@ type table2Job struct {
 // the worker pool. Each workload fans out into two jobs — the 1-core
 // baseline and the 4-core migration machine — so a single large
 // workload still fills two cores; rows come back in input order and
-// are bit-identical to serial Table2 calls (each job constructs its
+// are bit-identical for every worker count (each job constructs its
 // own fresh workload and machine).
 func Table2Batch(reg *workloads.Registry, names []string, budget uint64, opt RunOptions) ([]Table2Row, error) {
 	// Validate both machine configurations once, up front; the jobs

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/mem"
-	"repro/internal/workloads"
 	"repro/internal/workloads/suite"
 )
 
@@ -64,7 +63,8 @@ func TestGoldenTable1ParallelMatchesSerial(t *testing.T) {
 }
 
 // TestGoldenTable2ParallelMatchesSerial: Table2Batch (which splits each
-// workload into a baseline job and a migration job) == serial Table2.
+// workload into a baseline job and a migration job) on four workers ==
+// the same batch on one.
 func TestGoldenTable2ParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
@@ -72,16 +72,9 @@ func TestGoldenTable2ParallelMatchesSerial(t *testing.T) {
 	reg := suite.Registry()
 	const budget = 2_000_000
 	names := goldenNames[:2]
-	var serialRows []Table2Row
-	for _, n := range names {
-		n := n
-		serialRows = append(serialRows, Table2(func() workloads.Workload {
-			w, err := reg.New(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w
-		}, budget))
+	serialRows, err := Table2Batch(reg, names, budget, RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
 	parallelRows, err := Table2Batch(reg, names, budget, RunOptions{Workers: 4})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/workloads"
 	"repro/internal/workloads/suite"
 )
 
@@ -171,13 +170,11 @@ func TestTable2RowArt(t *testing.T) {
 		t.Skip("multi-second experiment")
 	}
 	reg := suite.Registry()
-	row := Table2(func() workloads.Workload {
-		w, err := reg.New("179.art")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}, 15_000_000)
+	rows, err := Table2Batch(reg, []string{"179.art"}, 15_000_000, RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := rows[0]
 	if row.Ratio >= 0.8 {
 		t.Fatalf("art miss ratio %.3f, want well below 1", row.Ratio)
 	}
@@ -231,11 +228,14 @@ func TestSweepCrossoverStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
 	}
-	points := SweepWorkingSet([]uint64{
+	points, err := SweepWorkingSetOpt([]uint64{
 		(256 << 10) >> 6, // fits one 512KB L2
 		(1 << 20) >> 6,   // fits 2MB aggregate, not one L2
 		(6 << 20) >> 6,   // beyond the aggregate
-	}, 30, 4)
+	}, 30, 4, RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) != 3 {
 		t.Fatal("points")
 	}

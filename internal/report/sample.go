@@ -4,7 +4,7 @@ package report
 // -sample, emsimd sampled runs, tables -sample) goes through, so all of
 // them emit byte-identical estimates for the same configuration. The
 // pipeline is profile -> cluster -> plan -> simulate -> reconstruct,
-// all in internal/sampling, fed by the run engine's Input; this file
+// all in internal/sampling, fed by the run spec's Feed; this file
 // owns the canonical JSON shape and the text rendering.
 
 import (
@@ -18,36 +18,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sampling"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
-
-// SampleConfig parameterises one sampled run.
-type SampleConfig struct {
-	// Workload names the synthetic workload; Replay names a recorded
-	// trace instead (exactly one must be set).
-	Workload string
-	Replay   string
-	// Instr is the instruction budget (workload runs only; a trace
-	// replays in full).
-	Instr uint64
-	// Cores is the migration machine's core count.
-	Cores int
-	// Policy and Topology are the normalized scenario names ("" for the
-	// Michaud default / uniform chip), as MigrationConfigScenario
-	// normalizes them.
-	Policy   string
-	Topology string
-	// Interval is the instructions-per-interval cut size.
-	Interval uint64
-	// Clusters is the requested cluster count K (clamped to the
-	// interval count).
-	Clusters int
-	// Seed seeds the k-medoids clustering.
-	Seed uint64
-	// Warmup is the number of unmeasured intervals delivered before
-	// each cold chain start.
-	Warmup int
-}
 
 // SampleParamsJSON echoes the sampling parameters into the result.
 type SampleParamsJSON struct {
@@ -96,34 +67,26 @@ func WriteSampleJSON(w io.Writer, r SampleResultJSON) error {
 	return writeJSON(w, r)
 }
 
-// sampleSource is the deterministic event source both passes (and
-// every chain job) replay. Each call opens the trace or constructs the
-// workload afresh, so concurrent chain jobs never share generator
-// state.
-func sampleSource(reg *workloads.Registry, cfg SampleConfig) sampling.Source {
-	return run.Input{Workload: cfg.Workload, Replay: cfg.Replay, Instr: cfg.Instr, Registry: reg}.Feed
-}
-
-// SampleRun executes the full sampling pipeline and returns the
-// canonical result. Deterministic for a fixed configuration and seed:
-// the profile pass is serial, clustering and planning are seeded and
-// ordered, and the chain jobs merge in index order for every Workers
-// value.
-func SampleRun(reg *workloads.Registry, cfg SampleConfig, opt RunOptions) (SampleResultJSON, error) {
-	if cfg.Interval == 0 {
-		return SampleResultJSON{}, fmt.Errorf("report: sample interval must be positive")
-	}
-	if cfg.Clusters < 1 {
-		return SampleResultJSON{}, fmt.Errorf("report: sample cluster count must be positive")
+// SampleRun executes the full sampling pipeline for a sampled spec and
+// returns the canonical result. The spec's scenario names are echoed
+// as given, so callers pass them normalized. Deterministic for a fixed
+// spec: the profile pass is serial, clustering and planning are seeded
+// and ordered, and the chain jobs merge in index order for every
+// Workers value.
+func SampleRun(spec run.Spec, opt RunOptions) (SampleResultJSON, error) {
+	if err := spec.Validate(); err != nil {
+		return SampleResultJSON{}, err
 	}
 	normalCfg := machine.NormalConfig()
-	migCfg, err := machine.MigrationConfigScenario(cfg.Cores, cfg.Policy, cfg.Topology)
+	migCfg, err := spec.MigConfig()
 	if err != nil {
 		return SampleResultJSON{}, err
 	}
-	src := sampleSource(reg, cfg)
+	// Each Feed call opens the trace or constructs the workload afresh,
+	// so concurrent chain jobs never share generator state.
+	src := sampling.Source(spec.Feed)
 
-	prof, err := sampling.NewProfiler(cfg.Interval, normalCfg.LineShift)
+	prof, err := sampling.NewProfiler(spec.SampleInterval, normalCfg.LineShift)
 	if err != nil {
 		return SampleResultJSON{}, err
 	}
@@ -135,8 +98,8 @@ func SampleRun(reg *workloads.Registry, cfg SampleConfig, opt RunOptions) (Sampl
 		return SampleResultJSON{}, fmt.Errorf("report: input stream produced no events to sample")
 	}
 
-	cl := sampling.Cluster(intervals, cfg.Clusters, cfg.Seed)
-	plan := sampling.NewPlan(intervals, cl, cfg.Warmup)
+	cl := sampling.Cluster(intervals, spec.SampleClusters, spec.SampleSeed)
+	plan := sampling.NewPlan(intervals, cl, spec.SampleWarmup)
 	sim, err := sampling.Simulate(opt.ctx(), src, intervals, plan, sampling.SimConfig{
 		Normal:  normalCfg,
 		Mig:     migCfg,
@@ -147,19 +110,19 @@ func SampleRun(reg *workloads.Registry, cfg SampleConfig, opt RunOptions) (Sampl
 	}
 
 	r := SampleResultJSON{
-		Workload: cfg.Workload,
-		Replay:   cfg.Replay,
-		Instr:    cfg.Instr,
-		Cores:    cfg.Cores,
-		Policy:   cfg.Policy,
-		Topology: cfg.Topology,
+		Workload: spec.Workload,
+		Replay:   spec.Replay,
+		Instr:    spec.Instr,
+		Cores:    spec.Cores,
+		Policy:   spec.Policy,
+		Topology: spec.Topology,
 
 		Estimated: true,
 		Sample: SampleParamsJSON{
-			Interval: cfg.Interval,
-			Clusters: cfg.Clusters,
-			Seed:     cfg.Seed,
-			Warmup:   cfg.Warmup,
+			Interval: spec.SampleInterval,
+			Clusters: spec.SampleClusters,
+			Seed:     spec.SampleSeed,
+			Warmup:   spec.SampleWarmup,
 		},
 		Events:              prof.Events(),
 		TotalInstr:          prof.TotalInstr(),
@@ -176,18 +139,16 @@ func SampleRun(reg *workloads.Registry, cfg SampleConfig, opt RunOptions) (Sampl
 	return r, nil
 }
 
-// SampleFullStats runs the same configuration at full fidelity (the
-// -sample-verify reference): two independent passes over the source,
-// one per machine, on the worker pool. The source is deterministic, so
+// SampleFullStats runs the same spec at full fidelity (the
+// -sample-verify reference): two independent passes over the input,
+// one per machine, on the worker pool. The input is deterministic, so
 // the stats are identical to a single teed pass.
-func SampleFullStats(reg *workloads.Registry, cfg SampleConfig, opt RunOptions) (normal, mig machine.Stats, err error) {
-	normalCfg := machine.NormalConfig()
-	migCfg, err := machine.MigrationConfigScenario(cfg.Cores, cfg.Policy, cfg.Topology)
+func SampleFullStats(spec run.Spec, opt RunOptions) (normal, mig machine.Stats, err error) {
+	migCfg, err := spec.MigConfig()
 	if err != nil {
 		return machine.Stats{}, machine.Stats{}, err
 	}
-	src := sampleSource(reg, cfg)
-	cfgs := []machine.Config{normalCfg, migCfg}
+	cfgs := []machine.Config{machine.NormalConfig(), migCfg}
 	halves, err := runner.Map(opt.ctx(), len(cfgs), opt.config(func(i int) string {
 		return []string{"full (1-core)", "full (migration)"}[i]
 	}), func(_ context.Context, i int) (machine.Stats, error) {
@@ -195,7 +156,7 @@ func SampleFullStats(reg *workloads.Registry, cfg SampleConfig, opt RunOptions) 
 		if err != nil {
 			return machine.Stats{}, err
 		}
-		if err := src(m); err != nil {
+		if err := spec.Feed(m); err != nil {
 			return machine.Stats{}, err
 		}
 		return m.FinalStats(), nil
@@ -206,16 +167,16 @@ func SampleFullStats(reg *workloads.Registry, cfg SampleConfig, opt RunOptions) 
 	return halves[0], halves[1], nil
 }
 
-// SampleBatch runs the sampled experiment for each named workload on
+// SampleBatch runs the sampled spec base for each named workload on
 // the worker pool, returning results in input order (byte-identical for
 // every Workers value: each job is a serial SampleRun of its own).
-func SampleBatch(reg *workloads.Registry, names []string, base SampleConfig, opt RunOptions) ([]SampleResultJSON, error) {
+func SampleBatch(names []string, base run.Spec, opt RunOptions) ([]SampleResultJSON, error) {
 	return runner.Map(opt.ctx(), len(names), opt.config(func(i int) string { return names[i] }),
 		func(_ context.Context, i int) (SampleResultJSON, error) {
-			cfg := base
-			cfg.Workload = names[i]
-			cfg.Replay = ""
-			return SampleRun(reg, cfg, RunOptions{Workers: 1, Context: opt.Context})
+			spec := base
+			spec.Workload = names[i]
+			spec.Replay = ""
+			return SampleRun(spec, RunOptions{Workers: 1, Context: opt.Context})
 		})
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/run"
 	"repro/internal/trace"
 	"repro/internal/workloads/suite"
 )
@@ -15,22 +16,23 @@ import (
 // sampleTestConfig is a small-but-real configuration: enough intervals
 // for the clustering to have choices, small enough to keep the test
 // fast.
-func sampleTestConfig() SampleConfig {
-	return SampleConfig{
-		Workload: "mst",
-		Instr:    200_000,
-		Cores:    4,
-		Interval: 20_000,
-		Clusters: 3,
-		Seed:     42,
-		Warmup:   1,
+func sampleTestConfig() run.Spec {
+	return run.Spec{
+		Workload:       "mst",
+		Instr:          200_000,
+		Cores:          4,
+		Sample:         true,
+		SampleInterval: 20_000,
+		SampleClusters: 3,
+		SampleSeed:     42,
+		SampleWarmup:   1,
 	}
 }
 
 // TestSampleRunShape: the sampled run produces a marked-estimated
 // result whose accounting fields are internally consistent.
 func TestSampleRunShape(t *testing.T) {
-	r, err := SampleRun(suite.Registry(), sampleTestConfig(), RunOptions{Workers: 1})
+	r, err := SampleRun(sampleTestConfig(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestSampleRunShape(t *testing.T) {
 // identical for every worker count — chain jobs merge in index order.
 func TestSampleRunDeterministicAcrossWorkers(t *testing.T) {
 	var ref bytes.Buffer
-	r, err := SampleRun(suite.Registry(), sampleTestConfig(), RunOptions{Workers: 1})
+	r, err := SampleRun(sampleTestConfig(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestSampleRunDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		r, err := SampleRun(suite.Registry(), sampleTestConfig(), RunOptions{Workers: workers})
+		r, err := SampleRun(sampleTestConfig(), RunOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,18 +94,18 @@ func TestSampleRunDeterministicAcrossWorkers(t *testing.T) {
 // TestSampleRunErrors: the driver rejects configurations the pipeline
 // cannot run.
 func TestSampleRunErrors(t *testing.T) {
-	for name, mutate := range map[string]func(*SampleConfig){
-		"zero interval":              func(c *SampleConfig) { c.Interval = 0 },
-		"zero clusters":              func(c *SampleConfig) { c.Clusters = 0 },
-		"bad cores":                  func(c *SampleConfig) { c.Cores = 3 },
-		"bad workload":               func(c *SampleConfig) { c.Workload = "no-such-workload" },
-		"bad policy":                 func(c *SampleConfig) { c.Policy = "no-such-policy" },
-		"missing trace":              func(c *SampleConfig) { c.Workload = ""; c.Replay = "no/such/file" },
-		"zero instr means no events": func(c *SampleConfig) { c.Instr = 0 },
+	for name, mutate := range map[string]func(*run.Spec){
+		"zero interval":              func(c *run.Spec) { c.SampleInterval = 0 },
+		"zero clusters":              func(c *run.Spec) { c.SampleClusters = 0 },
+		"bad cores":                  func(c *run.Spec) { c.Cores = 3 },
+		"bad workload":               func(c *run.Spec) { c.Workload = "no-such-workload" },
+		"bad policy":                 func(c *run.Spec) { c.Policy = "no-such-policy" },
+		"missing trace":              func(c *run.Spec) { c.Workload = ""; c.Replay = "no/such/file" },
+		"zero instr means no events": func(c *run.Spec) { c.Instr = 0 },
 	} {
 		cfg := sampleTestConfig()
 		mutate(&cfg)
-		if _, err := SampleRun(suite.Registry(), cfg, RunOptions{Workers: 1}); err == nil {
+		if _, err := SampleRun(cfg, RunOptions{Workers: 1}); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -114,7 +116,7 @@ func TestSampleRunErrors(t *testing.T) {
 // the event stream, not its transport, determines the result.
 func TestSampleReplayMatchesWorkload(t *testing.T) {
 	cfg := sampleTestConfig()
-	ref, err := SampleRun(suite.Registry(), cfg, RunOptions{Workers: 1})
+	ref, err := SampleRun(cfg, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestSampleReplayMatchesWorkload(t *testing.T) {
 	rcfg.Workload = ""
 	rcfg.Instr = 0
 	rcfg.Replay = path
-	got, err := SampleRun(suite.Registry(), rcfg, RunOptions{Workers: 1})
+	got, err := SampleRun(rcfg, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +172,11 @@ func TestSampleReplayMatchesWorkload(t *testing.T) {
 // land inside its own bar.
 func TestSampleFullStatsAndVerify(t *testing.T) {
 	cfg := sampleTestConfig()
-	r, err := SampleRun(suite.Registry(), cfg, RunOptions{Workers: 1})
+	r, err := SampleRun(cfg, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	normal, mig, err := SampleFullStats(suite.Registry(), cfg, RunOptions{Workers: 2})
+	normal, mig, err := SampleFullStats(cfg, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestSampleFullStatsAndVerify(t *testing.T) {
 		t.Fatalf("estimate outside its bars on the test config:\n%s", out)
 	}
 
-	if _, _, err := SampleFullStats(suite.Registry(), SampleConfig{Workload: "mst", Cores: 3}, RunOptions{}); err == nil {
+	if _, _, err := SampleFullStats(run.Spec{Workload: "mst", Cores: 3}, RunOptions{}); err == nil {
 		t.Fatal("bad cores accepted")
 	}
 }
@@ -200,7 +202,7 @@ func TestSampleFullStatsAndVerify(t *testing.T) {
 // TestFormatSample: the human rendering is labelled ESTIMATED and
 // carries every estimate row.
 func TestFormatSample(t *testing.T) {
-	r, err := SampleRun(suite.Registry(), sampleTestConfig(), RunOptions{Workers: 1})
+	r, err := SampleRun(sampleTestConfig(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +226,14 @@ func TestFormatSample(t *testing.T) {
 func TestSampleBatch(t *testing.T) {
 	base := sampleTestConfig()
 	names := []string{"mst", "em3d"}
-	ref, err := SampleBatch(suite.Registry(), names, base, RunOptions{Workers: 1})
+	ref, err := SampleBatch(names, base, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ref) != 2 || ref[0].Workload != "mst" || ref[1].Workload != "em3d" {
 		t.Fatalf("batch order wrong: %+v", ref)
 	}
-	par, err := SampleBatch(suite.Registry(), names, base, RunOptions{Workers: 2})
+	par, err := SampleBatch(names, base, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +259,7 @@ func TestSampleBatch(t *testing.T) {
 		t.Fatalf("batch table missing savings column:\n%s", out)
 	}
 
-	if _, err := SampleBatch(suite.Registry(), []string{"no-such-workload"}, base, RunOptions{Workers: 1}); err == nil {
+	if _, err := SampleBatch([]string{"no-such-workload"}, base, RunOptions{Workers: 1}); err == nil {
 		t.Fatal("bad workload accepted by batch")
 	}
 }

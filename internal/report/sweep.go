@@ -26,25 +26,11 @@ type SweepPoint struct {
 	BreakEvenPmig float64
 }
 
-// SweepWorkingSet runs a circular working set of each given size (in
+// SweepWorkingSetOpt runs a circular working set of each given size (in
 // lines) through the 1-core and migration machines and reports the
 // trade at each point — the crossover structure behind Table 2: no
 // effect while the set fits one L2, a win while it fits the aggregate,
-// suppression beyond. Points fan out across the worker pool; use
-// SweepWorkingSetOpt to control scheduling and surface errors.
-func SweepWorkingSet(sizes []uint64, laps uint64, cores int) []SweepPoint {
-	out, err := SweepWorkingSetOpt(sizes, laps, cores, RunOptions{})
-	if err != nil {
-		// Reachable only through a bad core count or an internal
-		// configuration bug; callers of this legacy signature pass
-		// compile-time-constant cores.
-		//emlint:allowpanic legacy signature; callers pass compile-time-constant cores (use SweepWorkingSetOpt for user input)
-		panic(err)
-	}
-	return out
-}
-
-// SweepWorkingSetOpt is SweepWorkingSet with scheduling options. Both
+// suppression beyond. Points fan out across the worker pool. Both
 // machine configurations are built and validated exactly once and
 // threaded through every point's job (each job constructs its own
 // Machines from the shared configs — machines are mutable, configs are
@@ -94,6 +80,9 @@ func sweepPoint(ws, laps uint64, normalCfg, migCfg machine.Config) (SweepPoint, 
 	}
 	return p, nil
 }
+
+// DefaultSweepLaps is the laps per sweep point when none are given.
+const DefaultSweepLaps = 40
 
 // DefaultSweepSizes returns working-set sizes from 256 KB to 8 MB
 // (in lines), bracketing one L2, the 4-core aggregate, and beyond.

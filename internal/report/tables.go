@@ -85,31 +85,15 @@ type Table2Row struct {
 }
 
 // runBatched drives a workload into a machine through the columnar
-// batch path; both Table2 variants and the sweep use it so every
-// machine-bound workload pass goes through the same delivery kernel.
+// batch path, so every machine-bound workload pass goes through the
+// same delivery kernel.
 func runBatched(wl workloads.Workload, m mem.BatchSink, budget uint64) {
 	ba := mem.NewBatcher(m, 0)
 	wl.Run(ba, budget)
 	ba.Flush()
 }
 
-// Table2 runs one workload through both machine configurations.
-func Table2(w func() workloads.Workload, budget uint64) Table2Row {
-	wl := w()
-	normal := machine.MustNew(machine.NormalConfig())
-	runBatched(wl, normal, budget)
-
-	wl2 := w()
-	mig := machine.MustNew(machine.MigrationConfig())
-	runBatched(wl2, mig, budget)
-
-	return table2Row(wl.Name(), wl.Suite(), normal.Stats, mig.Stats)
-}
-
 // table2Row derives one Table 2 line from the two machines' raw stats.
-// Both the serial Table2 and the parallel Table2Batch assemble rows
-// through this single function, so the derived metrics cannot drift
-// between the two paths.
 func table2Row(name, suite string, normal, mig machine.Stats) Table2Row {
 	row := Table2Row{
 		Name:     name,

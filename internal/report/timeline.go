@@ -54,7 +54,7 @@ func runTimelineHalf(reg *workloads.Registry, name string, budget uint64,
 		tl.MaybeSample(events)
 		return nil
 	}}
-	if _, err := s.Run(run.Input{Workload: name, Instr: budget, Registry: reg}.Feed); err != nil {
+	if _, err := s.Run(run.Spec{Workload: name, Instr: budget, Registry: reg}.Feed); err != nil {
 		return timelineHalf{}, err
 	}
 	return timelineHalf{rows: tl.Rows(label), dropped: tl.Dropped(), final: m.Telemetry().Snapshot()}, nil

@@ -17,6 +17,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/migration"
+	"repro/internal/run"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -192,20 +193,6 @@ func FormatTournament(rows []TournamentRow, pmig float64) string {
 	return t.String()
 }
 
-// MultiRunConfig parameterises a multiprogrammed run.
-type MultiRunConfig struct {
-	// Workloads names one workload per program (K entries = K programs).
-	Workloads []string
-	// Instr is the per-program instruction budget.
-	Instr uint64
-	// Cores is the shared machine's core count.
-	Cores int
-	// Policy/Topology select the migration scenario (defaults: Michaud,
-	// uniform).
-	Policy   string
-	Topology string
-}
-
 // ProgramResultJSON is one program's outcome in a multiprogrammed run:
 // its stats on the contended cluster, and its solo 1-core baseline.
 type ProgramResultJSON struct {
@@ -230,49 +217,48 @@ type MultiRunResultJSON struct {
 // WriteMultiRunJSON encodes r deterministically.
 func WriteMultiRunJSON(w io.Writer, r MultiRunResultJSON) error { return writeJSON(w, r) }
 
-// MultiRun co-schedules the configured programs on one shared-L2
-// cluster (serial, deterministically interleaved), runs each program's
-// solo 1-core baseline on the worker pool, and assembles the combined
+// MultiRun co-schedules the spec's programs on one shared-L2 cluster
+// (serial, deterministically interleaved), runs each program's solo
+// 1-core baseline on the worker pool, and assembles the combined
 // result. Output is byte-identical for every opt.Workers value: the
 // cluster pass is inherently serial and the solo jobs come back in
 // input order.
-func MultiRun(reg *workloads.Registry, mc MultiRunConfig, opt RunOptions) (MultiRunResultJSON, error) {
-	if len(mc.Workloads) == 0 {
+func MultiRun(spec run.Spec, opt RunOptions) (MultiRunResultJSON, error) {
+	if len(spec.Programs) == 0 {
 		return MultiRunResultJSON{}, fmt.Errorf("report: multiprogram run needs at least one workload")
 	}
-	cfg, err := machine.MigrationConfigScenario(mc.Cores, mc.Policy, mc.Topology)
+	// Validating constructs every program's workload, so name typos
+	// surface before the cluster spins up.
+	if err := spec.Validate(); err != nil {
+		return MultiRunResultJSON{}, err
+	}
+	cfg, err := spec.MigConfig()
 	if err != nil {
 		return MultiRunResultJSON{}, err
 	}
-	// Constructing every workload up front surfaces name typos before
-	// the cluster spins up.
-	for _, name := range mc.Workloads {
-		if _, err := reg.New(name); err != nil {
-			return MultiRunResultJSON{}, err
-		}
-	}
-	cluster, err := machine.NewCluster(cfg, len(mc.Workloads))
+	reg := spec.Workloads()
+	cluster, err := machine.NewCluster(cfg, len(spec.Programs))
 	if err != nil {
 		return MultiRunResultJSON{}, err
 	}
-	feeds := make([]machine.Feed, len(mc.Workloads))
-	for i, name := range mc.Workloads {
+	feeds := make([]machine.Feed, len(spec.Programs))
+	for i, name := range spec.Programs {
 		feeds[i] = func(sink mem.BatchSink) error {
 			w, err := reg.New(name)
 			if err != nil {
 				return err
 			}
-			w.Run(sink, mc.Instr)
+			w.Run(sink, spec.Instr)
 			return nil
 		}
 	}
 	if err := cluster.Run(feeds); err != nil {
 		return MultiRunResultJSON{}, err
 	}
-	solo, err := runner.Map(opt.ctx(), len(mc.Workloads),
-		opt.config(func(i int) string { return mc.Workloads[i] + " (solo)" }),
+	solo, err := runner.Map(opt.ctx(), len(spec.Programs),
+		opt.config(func(i int) string { return spec.Programs[i] + " (solo)" }),
 		func(_ context.Context, i int) (machine.Stats, error) {
-			w, err := reg.New(mc.Workloads[i])
+			w, err := reg.New(spec.Programs[i])
 			if err != nil {
 				return machine.Stats{}, err
 			}
@@ -280,23 +266,23 @@ func MultiRun(reg *workloads.Registry, mc MultiRunConfig, opt RunOptions) (Multi
 			if err != nil {
 				return machine.Stats{}, err
 			}
-			runBatched(w, m, mc.Instr)
+			runBatched(w, m, spec.Instr)
 			return m.FinalStats(), nil
 		})
 	if err != nil {
 		return MultiRunResultJSON{}, err
 	}
 	res := MultiRunResultJSON{
-		Instr:    mc.Instr,
-		Cores:    mc.Cores,
-		Programs: len(mc.Workloads),
+		Instr:    spec.Instr,
+		Cores:    spec.Cores,
+		Programs: len(spec.Programs),
 		Policy:   cfg.Policy,
 		Totals:   cluster.Totals(),
 	}
 	if cfg.Topology != nil {
 		res.Topology = cfg.Topology.Name
 	}
-	for i, name := range mc.Workloads {
+	for i, name := range spec.Programs {
 		res.PerProgram = append(res.PerProgram, ProgramResultJSON{
 			Workload: name,
 			Stats:    cluster.Program(i).FinalStats(),

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/run"
 	"repro/internal/workloads/suite"
 )
 
@@ -133,17 +134,16 @@ func TestTournamentRejectsBadConfig(t *testing.T) {
 // cluster totals, and the whole result is identical across worker
 // counts.
 func TestMultiRunTotalsAndDeterminism(t *testing.T) {
-	reg := suite.Registry()
-	mc := MultiRunConfig{
-		Workloads: []string{"mst", "181.mcf"},
-		Instr:     300_000,
-		Cores:     4,
+	mc := run.Spec{
+		Programs: []string{"mst", "181.mcf"},
+		Instr:    300_000,
+		Cores:    4,
 	}
-	serial, err := MultiRun(reg, mc, RunOptions{Workers: 1})
+	serial, err := MultiRun(mc, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := MultiRun(reg, mc, RunOptions{Workers: 4})
+	parallel, err := MultiRun(mc, RunOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +179,12 @@ func TestMultiRunTotalsAndDeterminism(t *testing.T) {
 // hardware scaled: the contended per-program L2 misses are at least the
 // solo-4-core equivalents, and strictly more for cache-pressured mixes.
 func TestMultiRunContention(t *testing.T) {
-	reg := suite.Registry()
-	mc := MultiRunConfig{
-		Workloads: []string{"181.mcf", "181.mcf"},
-		Instr:     300_000,
-		Cores:     4,
+	mc := run.Spec{
+		Programs: []string{"181.mcf", "181.mcf"},
+		Instr:    300_000,
+		Cores:    4,
 	}
-	res, err := MultiRun(reg, mc, RunOptions{Workers: 2})
+	res, err := MultiRun(mc, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

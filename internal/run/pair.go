@@ -14,18 +14,6 @@ type Pair struct {
 	migCfg      machine.Config
 }
 
-// NewPair builds the pair of one scenario: the paper's 1-core baseline
-// and the cores-core migration chip running the named policy on the
-// named topology (defaults spelled "" or out, as
-// machine.MigrationConfigScenario takes them).
-func NewPair(cores int, policy, topology string) (*Pair, error) {
-	migCfg, err := machine.MigrationConfigScenario(cores, policy, topology)
-	if err != nil {
-		return nil, err
-	}
-	return NewPairConfig(machine.NormalConfig(), migCfg)
-}
-
 // NewPairConfig builds a pair from explicit machine configurations.
 func NewPairConfig(normal, mig machine.Config) (*Pair, error) {
 	n, err := machine.New(normal)
@@ -42,12 +30,12 @@ func NewPairConfig(normal, mig machine.Config) (*Pair, error) {
 // Sinks returns the pair as a Stream's tee targets, baseline first.
 func (p *Pair) Sinks() []mem.BatchSink { return []mem.BatchSink{p.Normal, p.Mig} }
 
-// Checkpoint captures both machines after events events of the run in.
-// Non-default scenarios attach the policy and topology names plus the
-// migration machine's policy state as the EMCKPT1 extension; default
-// runs attach nothing, which keeps their files byte-identical to the
-// pre-policy format.
-func (p *Pair) Checkpoint(in Input, events uint64) (*machine.Checkpoint, error) {
+// Checkpoint captures both machines after events events of the run
+// spec describes. Non-default scenarios attach the policy and topology
+// names plus the migration machine's policy state as the EMCKPT1
+// extension; default runs attach nothing, which keeps their files
+// byte-identical to the pre-policy format.
+func (p *Pair) Checkpoint(spec Spec, events uint64) (*machine.Checkpoint, error) {
 	ns, err := p.Normal.Snapshot()
 	if err != nil {
 		return nil, err
@@ -57,9 +45,9 @@ func (p *Pair) Checkpoint(in Input, events uint64) (*machine.Checkpoint, error) 
 		return nil, err
 	}
 	ck := &machine.Checkpoint{
-		Workload: in.Workload,
-		Replay:   in.Replay,
-		Instr:    in.Instr,
+		Workload: spec.Workload,
+		Replay:   spec.Replay,
+		Instr:    spec.Instr,
 		Cores:    p.migCfg.Cores,
 		Events:   events,
 		Machines: []machine.NamedSnapshot{

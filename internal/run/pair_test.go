@@ -26,7 +26,7 @@ func ckptBytes(t *testing.T, ck *machine.Checkpoint) []byte {
 // checkpoint only for non-default scenarios — spelling the defaults out
 // attaches nothing, so default files keep the pre-policy format.
 func TestPairCheckpointExtension(t *testing.T) {
-	in := Input{Workload: "mst", Instr: 1000}
+	in := Spec{Workload: "mst", Instr: 1000, Cores: 4}
 	for _, tc := range []struct {
 		policy, topology string
 		wantExt          bool
@@ -36,7 +36,8 @@ func TestPairCheckpointExtension(t *testing.T) {
 		{"numa", "cluster", true},
 		{"never", "", true},
 	} {
-		p, err := NewPair(4, tc.policy, tc.topology)
+		in.Policy, in.Topology = tc.policy, tc.topology
+		p, err := in.NewPair()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,6 +47,11 @@ func TestPairCheckpointExtension(t *testing.T) {
 		}
 		if ck.Workload != "mst" || ck.Instr != 1000 || ck.Cores != 4 || ck.Events != 7 {
 			t.Fatalf("%s/%s: header %+v", tc.policy, tc.topology, ck)
+		}
+		// The checkpoint gives back the spec it was taken under, in
+		// its normalized spelling.
+		if got, want := SpecOf(ck), in.Normalize(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("SpecOf = %+v, want %+v", got, want)
 		}
 		ext := ck.Ext()
 		if (ext != nil) != tc.wantExt {
@@ -69,9 +75,9 @@ func TestPairCheckpointExtension(t *testing.T) {
 // stopped — for the default scenario and one whose policy state rides
 // the extension.
 func TestPairResumeMatchesUninterrupted(t *testing.T) {
-	in := Input{Workload: "mst", Instr: 60_000}
 	for _, sc := range [][2]string{{"", ""}, {"numa", "ring"}} {
-		ref, err := NewPair(4, sc[0], sc[1])
+		in := Spec{Workload: "mst", Instr: 60_000, Cores: 4, Policy: sc[0], Topology: sc[1]}
+		ref, err := in.NewPair()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +86,7 @@ func TestPairResumeMatchesUninterrupted(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		first, err := NewPair(4, sc[0], sc[1])
+		first, err := in.NewPair()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +102,7 @@ func TestPairResumeMatchesUninterrupted(t *testing.T) {
 		if ck, err = machine.RoundTripCheckpoint(ck); err != nil {
 			t.Fatal(err)
 		}
-		second, err := NewPair(4, sc[0], sc[1])
+		second, err := in.NewPair()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,20 +137,20 @@ func TestPairResumeMatchesUninterrupted(t *testing.T) {
 // TestPairRestoreRejectsMismatch: a checkpoint without the named
 // machines is an error, not a silent half-restore.
 func TestPairRestoreRejectsMismatch(t *testing.T) {
-	p, err := NewPair(4, "", "")
+	p, err := Spec{Cores: 4}.NewPair()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Restore(&machine.Checkpoint{Cores: 4}); err == nil {
 		t.Fatal("restored from a checkpoint with no machines")
 	}
-	if _, err := NewPair(3, "", ""); err == nil {
+	if _, err := (Spec{Cores: 3}).NewPair(); err == nil {
 		t.Fatal("built a pair for an unsupported core count")
 	}
 }
 
-// TestInputFeed: a workload and its recorded trace feed the identical
-// stream; bad inputs are errors.
+// TestInputFeed: a spec's workload and its recorded trace feed the
+// identical stream; bad inputs are errors.
 func TestInputFeed(t *testing.T) {
 	const instr = 40_000
 	path := filepath.Join(t.TempDir(), "em3d.trace")
@@ -169,13 +175,13 @@ func TestInputFeed(t *testing.T) {
 	}
 
 	var want recSink
-	if err := (Input{Workload: "em3d", Instr: instr}).Feed(&want); err != nil {
+	if err := (Spec{Workload: "em3d", Instr: instr}).Feed(&want); err != nil {
 		t.Fatal(err)
 	}
 	if len(want.kinds) == 0 {
 		t.Fatal("workload fed nothing")
 	}
-	for _, in := range []Input{
+	for _, in := range []Spec{
 		{Workload: "em3d", Instr: instr, Registry: suite.Registry()},
 		{Replay: path},
 	} {
@@ -187,7 +193,7 @@ func TestInputFeed(t *testing.T) {
 			t.Fatalf("%+v fed %d records, want the workload's %d", in, len(got.kinds), len(want.kinds))
 		}
 	}
-	for _, in := range []Input{
+	for _, in := range []Spec{
 		{Workload: "no-such-workload", Instr: instr},
 		{Replay: filepath.Join(t.TempDir(), "missing.trace")},
 	} {

@@ -6,7 +6,8 @@
 // skipping and splitting that stream the same way, so this package holds
 // the single copy of that machinery:
 //
-//   - Input.Feed drives a workload (through a mem.Batcher) or a recorded
+//   - Spec names one experiment, normalizes, validates and keys it, and
+//     its Feed drives a workload (through a mem.Batcher) or a recorded
 //     trace (through trace.BatchReader) into a sink;
 //   - Stream tees the events into the machines, numbers them, discards a
 //     resume prefix, splits batches at boundaries and fires one hook at

@@ -150,7 +150,7 @@ func (r *chainRun) hook(event uint64) error {
 // starts from checkpoint bytes, so the estimate inherits the resume
 // path's bit-exactness guarantee (and its tests).
 func (r *chainRun) warmStart(event uint64) error {
-	ck, err := r.pair.Checkpoint(run.Input{}, event)
+	ck, err := r.pair.Checkpoint(run.Spec{}, event)
 	if err != nil {
 		return err
 	}

@@ -59,6 +59,38 @@ func TestHandlerRunColdThenHit(t *testing.T) {
 	}
 }
 
+// TestHandlerRunIgnoresReplay: a trace path in a /run body never
+// reaches the run. The request decodes without it, hashes to the key of
+// the same body without it, and runs the named workload: had the path
+// been opened as the input, the run would fail on its bad magic.
+func TestHandlerRunIgnoresReplay(t *testing.T) {
+	const plain = `{"workload":"mst","instr":50000}`
+	const withReplay = `{"workload":"mst","instr":50000,"replay":"/etc/passwd"}`
+	var a, b RunRequest
+	if err := json.Unmarshal([]byte(plain), &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(withReplay), &b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Replay != "" {
+		t.Fatalf("replay decoded from the wire: %q", b.Replay)
+	}
+	if a.Key() != b.Key() {
+		t.Fatal("replay field changed the key")
+	}
+
+	h := New(Config{Workers: 1}).Handler()
+	cold := post(t, h, "/run", withReplay)
+	if cold.Code != 200 || cold.Header().Get(CacheHeader) != "miss" {
+		t.Fatalf("run with replay field: %d %s=%q\n%s", cold.Code, CacheHeader, cold.Header().Get(CacheHeader), cold.Body.String())
+	}
+	warm := post(t, h, "/run", plain)
+	if warm.Code != 200 || warm.Header().Get(CacheHeader) != "hit" || warm.Body.String() != cold.Body.String() {
+		t.Fatalf("plain body did not hit the replay body's entry: %d %s=%q", warm.Code, CacheHeader, warm.Header().Get(CacheHeader))
+	}
+}
+
 // TestHandlerErrors: bad bodies and bad specs are 400, wrong method is
 // 405, and a deadline-expired request is 504.
 func TestHandlerErrors(t *testing.T) {

@@ -13,171 +13,25 @@
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 
-	"repro/internal/machine"
 	"repro/internal/migration"
 	"repro/internal/report"
-	"repro/internal/trace"
-	"repro/internal/workloads/suite"
+	"repro/internal/run"
 )
 
-// Default request parameters, applied during canonicalization so that a
-// request omitting a field and a request spelling out the default are
-// the same cache entry.
+// RunSpec is the canonical identity of one /run request. The key is
+// computed from the normalized spec, never from the request bytes, so
+// JSON field order and spelled-out defaults are invisible to it.
+type RunSpec = run.Spec
+
+// The sampling defaults under the names perfbench reads when it
+// builds its requests.
 const (
-	DefaultInstr = 20_000_000 // emsim's default instruction budget
-	DefaultCores = 4          // the paper's configuration
-	DefaultLaps  = 40         // tables -sweep default
-
-	// Sampled-run defaults, mirroring the emsim -sample flag defaults.
-	DefaultSampleInterval = 1_000_000
-	DefaultSampleClusters = 8
-	DefaultSampleSeed     = 42
-	DefaultSampleWarmup   = 1
+	DefaultSampleSeed   = run.DefaultSampleSeed
+	DefaultSampleWarmup = run.DefaultSampleWarmup
 )
-
-// RunSpec is the canonical identity of one /run request: workload name,
-// instruction budget, migration-machine core count, and the migration
-// scenario (policy, topology, co-scheduled program list). JSON field
-// order in the request body is irrelevant — the key is computed from
-// this struct after normalization, never from the request bytes.
-type RunSpec struct {
-	Workload string `json:"workload"`
-	Instr    uint64 `json:"instr,omitempty"`
-	Cores    int    `json:"cores,omitempty"`
-
-	// Policy and Topology select the migration scenario; the Michaud
-	// default and the uniform chip normalize to "", so spelling out a
-	// default hits the same cache entry as omitting it.
-	Policy   string `json:"policy,omitempty"`
-	Topology string `json:"topology,omitempty"`
-
-	// Programs, when non-empty, makes this a multiprogrammed request:
-	// one workload name per co-scheduled program sharing an L2 complex.
-	// Mutually exclusive with Workload; the response body is the
-	// MultiRunResultJSON shape instead of RunResultJSON.
-	Programs []string `json:"programs,omitempty"`
-
-	// Sample, when true, makes this an interval-sampling request: the
-	// response body is the SampleResultJSON shape (clearly marked
-	// estimated) instead of RunResultJSON. The Sample* parameters apply
-	// only then (0 selects the default), and they enter the cache key
-	// only when Sample is set, so every full-run key is unchanged.
-	Sample         bool   `json:"sample,omitempty"`
-	SampleInterval uint64 `json:"sample_interval,omitempty"`
-	SampleClusters int    `json:"sample_clusters,omitempty"`
-	SampleSeed     uint64 `json:"sample_seed,omitempty"`
-	SampleWarmup   int    `json:"sample_warmup,omitempty"`
-}
-
-// normalized returns the spec with defaults filled in.
-func (s RunSpec) normalized() RunSpec {
-	if s.Instr == 0 {
-		s.Instr = DefaultInstr
-	}
-	if s.Cores == 0 {
-		s.Cores = DefaultCores
-	}
-	if s.Policy == migration.PolicyMichaud {
-		s.Policy = ""
-	}
-	if s.Topology == migration.TopologyUniform {
-		s.Topology = ""
-	}
-	if s.Sample {
-		if s.SampleInterval == 0 {
-			s.SampleInterval = DefaultSampleInterval
-		}
-		if s.SampleClusters == 0 {
-			s.SampleClusters = DefaultSampleClusters
-		}
-		if s.SampleSeed == 0 {
-			s.SampleSeed = DefaultSampleSeed
-		}
-		if s.SampleWarmup == 0 {
-			s.SampleWarmup = DefaultSampleWarmup
-		}
-	}
-	return s
-}
-
-// validate rejects specs the simulator cannot run. It assumes the spec
-// is already normalized.
-func (s RunSpec) validate() error {
-	switch s.Cores {
-	case 2, 4, 8:
-	default:
-		return fmt.Errorf("cores must be 2, 4 or 8, got %d", s.Cores)
-	}
-	if _, err := machine.MigrationConfigScenario(s.Cores, s.Policy, s.Topology); err != nil {
-		return err
-	}
-	if !s.Sample {
-		// Sampling sub-parameters without sample=true would silently do
-		// nothing; reject them so a mistyped request is an error, not a
-		// cache entry for a different experiment.
-		if s.SampleInterval != 0 || s.SampleClusters != 0 || s.SampleSeed != 0 || s.SampleWarmup != 0 {
-			return fmt.Errorf("sample_* parameters require sample=true")
-		}
-	} else {
-		if len(s.Programs) > 0 {
-			return fmt.Errorf("sample and programs are mutually exclusive")
-		}
-		if s.SampleClusters < 0 || s.SampleWarmup < 0 {
-			return fmt.Errorf("sample_clusters and sample_warmup must be >= 0")
-		}
-	}
-	if len(s.Programs) > 0 {
-		if s.Workload != "" {
-			return fmt.Errorf("workload and programs are mutually exclusive")
-		}
-		for _, n := range s.Programs {
-			if _, err := suite.Registry().New(n); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if s.Workload == "" {
-		return fmt.Errorf("workload is required")
-	}
-	if _, err := suite.Registry().New(s.Workload); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Key returns the spec's content address: a hex SHA-256 over the
-// canonical field encoding plus the trace-format version. Two requests
-// with the same normalized fields share a key regardless of JSON field
-// order or whether defaults were spelled out. Scenario fields append to
-// the encoding only when non-default, so every pre-policy key is
-// unchanged and cached results stay addressable.
-func (s RunSpec) Key() string {
-	n := s.normalized()
-	var b strings.Builder
-	fmt.Fprintf(&b, "op=run\nworkload=%s\ninstr=%d\ncores=%d", n.Workload, n.Instr, n.Cores)
-	if n.Policy != "" {
-		fmt.Fprintf(&b, "\npolicy=%s", n.Policy)
-	}
-	if n.Topology != "" {
-		fmt.Fprintf(&b, "\ntopology=%s", n.Topology)
-	}
-	if len(n.Programs) > 0 {
-		fmt.Fprintf(&b, "\nprograms=%s", strings.Join(n.Programs, ","))
-	}
-	if n.Sample {
-		// Appended only for sampled requests, so every full-run key is
-		// byte-for-byte what it was before sampling existed.
-		fmt.Fprintf(&b, "\nsample=1\nsample_interval=%d\nsample_clusters=%d\nsample_seed=%d\nsample_warmup=%d",
-			n.SampleInterval, n.SampleClusters, n.SampleSeed, n.SampleWarmup)
-	}
-	return hashKey(b.String())
-}
 
 // SweepSpec is the canonical identity of one /sweep request. Sizes are
 // working-set sizes in cache lines; order matters (points come back in
@@ -194,20 +48,18 @@ func (s SweepSpec) normalized() SweepSpec {
 		s.Sizes = report.DefaultSweepSizes()
 	}
 	if s.Laps == 0 {
-		s.Laps = DefaultLaps
+		s.Laps = report.DefaultSweepLaps
 	}
 	if s.Cores == 0 {
-		s.Cores = DefaultCores
+		s.Cores = run.DefaultCores
 	}
 	return s
 }
 
 // validate rejects specs the sweep driver cannot run (normalized input).
 func (s SweepSpec) validate() error {
-	switch s.Cores {
-	case 2, 4, 8:
-	default:
-		return fmt.Errorf("cores must be 2, 4 or 8, got %d", s.Cores)
+	if _, err := migration.ConfigForCores(s.Cores); err != nil {
+		return err
 	}
 	for _, ws := range s.Sizes {
 		if ws == 0 {
@@ -228,13 +80,5 @@ func (s SweepSpec) Key() string {
 		}
 		fmt.Fprintf(&b, "%d", ws)
 	}
-	return hashKey(b.String())
-}
-
-// hashKey finishes a canonical encoding into the content address,
-// folding in the event-stream format version: results computed under
-// one trace encoding are never served for another.
-func hashKey(canonical string) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("tracefmt=%d\n%s\n", trace.FormatVersion, canonical)))
-	return hex.EncodeToString(h[:])
+	return run.HashKey(b.String())
 }

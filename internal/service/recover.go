@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/machine"
+	"repro/internal/run"
 )
 
 // Crash recovery: Drain spools interrupted /run jobs as EMCKPT1
@@ -91,10 +92,8 @@ func (s *Service) recoverOne(ctx context.Context, path string, rep *RecoveryRepo
 		rep.Foreign++
 		return
 	}
-	spec := RunSpec{Workload: ck.Workload, Instr: ck.Instr, Cores: ck.Cores}
-	spec.Policy, spec.Topology = ck.Scenario()
-	spec = spec.normalized()
-	if err := spec.validate(); err != nil {
+	spec := run.SpecOf(ck).Normalize()
+	if err := spec.Validate(); err != nil {
 		s.quarantineSpool(path, rep, fmt.Errorf("service: unusable spool checkpoint %s: %w", path, err))
 		return
 	}

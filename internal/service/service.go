@@ -293,8 +293,13 @@ func (s *Service) Run(ctx context.Context, spec RunSpec) (body []byte, cached bo
 	if s.Draining() {
 		return nil, false, ErrDraining
 	}
-	spec = spec.normalized()
-	if err := spec.validate(); err != nil {
+	if spec.Replay != "" {
+		// The key does not cover a trace's bytes, so replays are not
+		// served; the wire form cannot carry one anyway.
+		return nil, false, &BadRequestError{fmt.Errorf("trace replay is not served")}
+	}
+	spec = spec.Normalize()
+	if err := spec.Validate(); err != nil {
 		return nil, false, &BadRequestError{err}
 	}
 	key := spec.Key()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/run"
 	"repro/internal/runner"
-	"repro/internal/workloads/suite"
 )
 
 // Plain /run jobs are thin calls into the run engine (internal/run),
@@ -30,13 +29,10 @@ import (
 // DrainedError names the file, which `emsim -resume` and the next
 // Recover both accept.
 func (s *Service) runJob(ctx context.Context, spec RunSpec, ck *machine.Checkpoint) ([]byte, error) {
-	if len(spec.Programs) > 0 {
-		return s.multiJob(ctx, spec)
+	if len(spec.Programs) > 0 || spec.Sample {
+		return s.reportJob(ctx, spec)
 	}
-	if spec.Sample {
-		return s.sampleJob(ctx, spec)
-	}
-	pair, err := run.NewPair(spec.Cores, spec.Policy, spec.Topology)
+	pair, err := spec.NewPair()
 	if err != nil {
 		return nil, err
 	}
@@ -54,15 +50,14 @@ func (s *Service) runJob(ctx context.Context, spec RunSpec, ck *machine.Checkpoi
 	defer releaseStop()
 	stream.Stop = stop
 
-	in := run.Input{Workload: spec.Workload, Instr: spec.Instr}
-	interrupted, err := stream.Run(in.Feed)
+	interrupted, err := stream.Run(spec.Feed)
 	if err != nil {
 		return nil, err
 	}
 	if interrupted {
 		path := ""
 		if s.jobsCtx.Err() != nil && s.cfg.SpoolDir != "" {
-			path, err = s.spool(spec, in, pair, stream.Position())
+			path, err = s.spool(spec, pair, stream.Position())
 			if err != nil {
 				return nil, fmt.Errorf("service: spooling drained job: %w", err)
 			}
@@ -87,62 +82,34 @@ func (s *Service) runJob(ctx context.Context, spec RunSpec, ck *machine.Checkpoi
 	return buf.Bytes(), nil
 }
 
-// multiJob executes one multiprogrammed /run request: K programs
-// co-scheduled on a shared L2 complex, each compared against its solo
-// baseline. The cluster pass is inherently serial and uninterruptible;
-// cancellation is observed between phases and during the solo baseline
-// jobs, which is acceptable because multiprogram requests carry no
-// checkpoint machinery to spool.
-func (s *Service) multiJob(ctx context.Context, spec RunSpec) ([]byte, error) {
+// reportJob executes one multiprogrammed or sampled /run request
+// through the report driver `emsim -programs`/`emsim -sample` run, so
+// the response bytes match `emsim -json` for the same parameters.
+// Workers is 1 (the caller already holds a worker slot); both drivers
+// give identical bytes at any worker count anyway. Neither carries
+// checkpoint machinery to spool, so a cancelled job discards its work;
+// the drivers observe cancellation between jobs.
+func (s *Service) reportJob(ctx context.Context, spec RunSpec) ([]byte, error) {
 	jobCtx, cancel := s.jobContext(ctx)
 	defer cancel()
-	res, err := report.MultiRun(suite.Registry(), report.MultiRunConfig{
-		Workloads: spec.Programs,
-		Instr:     spec.Instr,
-		Cores:     spec.Cores,
-		Policy:    spec.Policy,
-		Topology:  spec.Topology,
-	}, report.RunOptions{Workers: 1, Context: jobCtx})
+	opt := report.RunOptions{Workers: 1, Context: jobCtx}
+	var buf bytes.Buffer
+	var err error
+	if spec.Sample {
+		var res report.SampleResultJSON
+		if res, err = report.SampleRun(spec, opt); err == nil {
+			err = report.WriteSampleJSON(&buf, res)
+		}
+	} else {
+		var res report.MultiRunResultJSON
+		if res, err = report.MultiRun(spec, opt); err == nil {
+			err = report.WriteMultiRunJSON(&buf, res)
+		}
+	}
 	if err != nil {
 		if jobCtx.Err() != nil {
 			return nil, s.ctxError(ctx, "")
 		}
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := report.WriteMultiRunJSON(&buf, res); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// sampleJob executes one sampled /run request through the shared
-// report.SampleRun driver — the same code path as `emsim -sample
-// -json`, so the response bytes match the CLI's for the same
-// parameters. Workers is 1 (the caller already holds a worker slot);
-// chain order makes the estimate identical at any worker count anyway.
-func (s *Service) sampleJob(ctx context.Context, spec RunSpec) ([]byte, error) {
-	jobCtx, cancel := s.jobContext(ctx)
-	defer cancel()
-	res, err := report.SampleRun(suite.Registry(), report.SampleConfig{
-		Workload: spec.Workload,
-		Instr:    spec.Instr,
-		Cores:    spec.Cores,
-		Policy:   spec.Policy,
-		Topology: spec.Topology,
-		Interval: spec.SampleInterval,
-		Clusters: spec.SampleClusters,
-		Seed:     spec.SampleSeed,
-		Warmup:   spec.SampleWarmup,
-	}, report.RunOptions{Workers: 1, Context: jobCtx})
-	if err != nil {
-		if jobCtx.Err() != nil {
-			return nil, s.ctxError(ctx, "")
-		}
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := report.WriteSampleJSON(&buf, res); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -152,8 +119,8 @@ func (s *Service) sampleJob(ctx context.Context, spec RunSpec) ([]byte, error) {
 // in the exact EMCKPT1 format `emsim -resume` consumes. The file is
 // named by the request's content address, so repeated drains of the
 // same request overwrite one spool entry instead of accumulating.
-func (s *Service) spool(spec RunSpec, in run.Input, pair *run.Pair, events uint64) (string, error) {
-	ck, err := pair.Checkpoint(in, events)
+func (s *Service) spool(spec RunSpec, pair *run.Pair, events uint64) (string, error) {
+	ck, err := pair.Checkpoint(spec, events)
 	if err != nil {
 		return "", err
 	}

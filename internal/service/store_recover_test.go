@@ -80,7 +80,7 @@ func TestStoreCorruptEntryRecomputed(t *testing.T) {
 	}
 
 	// Rot one payload byte of the single stored entry on disk.
-	key := smallSpec.normalized().Key()
+	key := smallSpec.Normalize().Key()
 	path := filepath.Join(dir, key+".res")
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -205,7 +205,7 @@ func mkSnapshot(t *testing.T) []machine.NamedSnapshot {
 // only the in-flight resume observed ctx; the scan loop never did.)
 func TestRecoverHonorsCancelledContext(t *testing.T) {
 	spool := t.TempDir()
-	spec := mediumSpec.normalized()
+	spec := mediumSpec.Normalize()
 	for _, name := range []string{"1111111111111111.ckpt", "2222222222222222.ckpt"} {
 		ck := &machine.Checkpoint{Workload: spec.Workload, Instr: spec.Instr, Cores: spec.Cores, Machines: mkSnapshot(t)}
 		if err := machine.SaveCheckpoint(filepath.Join(spool, name), ck); err != nil {
@@ -247,7 +247,7 @@ func TestRecoverTriage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A checkpoint for work that is already done.
-	doneSpec := smallSpec.normalized()
+	doneSpec := smallSpec.Normalize()
 	if err := st.Put(doneSpec.Key(), []byte(`{"already":"done"}`)); err != nil {
 		t.Fatal(err)
 	}

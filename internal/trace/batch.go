@@ -14,16 +14,12 @@ import (
 // record streams directly out of an internal read window into a caller-
 // owned mem.Batch: no per-record function call crosses the decoder
 // boundary, no per-record allocation happens, and the version-2 CRC is
-// folded over consumed window spans instead of byte-by-byte (the
-// scalar Reader's countingReader checksums each byte individually,
-// which profiles as most of its replay cost). The decoded stream is
-// identical to Reader.Replay's — TestBatchReaderMatchesScalar pins the
-// equivalence record-for-record, including the error taxonomy
-// (ErrTruncated/ErrCorrupt with byte offsets).
-//
-// BatchReader is strict: it has no ContinueOnCorrupt resynchronisation
-// mode. Salvaging damaged traces stays on the scalar Reader, where the
-// byte-level bookkeeping it needs is already paid for.
+// folded over consumed window spans instead of byte-by-byte. It is the
+// only trace decoder; a strict record-at-a-time reader lives in the
+// tests as its reference, and TestBatchReaderMatchesScalar and
+// FuzzReplay pin the two record-for-record, including the error
+// taxonomy (ErrTruncated/ErrCorrupt with byte offsets). Damage is
+// always an error: nothing resynchronises past a corrupt region.
 
 // batchWindow is the read-window size. One window holds thousands of
 // delta-encoded records, so refills (the only copying the reader does)
@@ -92,8 +88,7 @@ func (t *BatchReader) Version() int { return t.version }
 func (t *BatchReader) offset() int64 { return t.off + int64(t.pos) }
 
 // Stats returns what has been decoded so far; after a clean end of
-// trace it carries the footer's declared event count and CRC verdict,
-// mirroring Reader.ReplayWith's ReplayStats.
+// trace it carries the footer's declared event count and CRC verdict.
 func (t *BatchReader) Stats() ReplayStats { return t.st }
 
 // flushCRC folds the not-yet-checksummed consumed span into the CRC.
@@ -236,7 +231,7 @@ func (t *BatchReader) NextBatch(b *mem.Batch) (int, error) {
 }
 
 // finish validates the footer after the end-of-trace record and returns
-// io.EOF on success, mirroring Reader.finish's strict-mode checks.
+// io.EOF on success: a CRC or event-count mismatch is ErrCorrupt.
 //
 //emlint:coldpath runs once per trace, after the terminator record
 func (t *BatchReader) finish() error {
@@ -277,8 +272,8 @@ func (t *BatchReader) finish() error {
 }
 
 // ReplayBatches streams the whole trace into sink in batches of b's
-// capacity, returning the event count. It is the batched counterpart of
-// Reader.Replay; b may be nil to use a DefaultBatchLen batch.
+// capacity, returning the event count; b may be nil to use a
+// DefaultBatchLen batch.
 func (t *BatchReader) ReplayBatches(sink mem.BatchSink, b *mem.Batch) (uint64, error) {
 	if b == nil {
 		b = mem.NewBatch(0)

@@ -72,10 +72,10 @@ func TestBatchReaderMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sst, err := r.ReplayWith(&scalar, ReplayOptions{})
-		if err != nil {
+		if _, err := r.Replay(&scalar); err != nil {
 			t.Fatal(err)
 		}
+		sst := r.Stats()
 
 		var batched recSink
 		br, err := NewBatchReader(bytes.NewReader(raw))
@@ -108,7 +108,7 @@ func TestBatchReaderMatchesScalar(t *testing.T) {
 }
 
 // TestBatchReaderErrorTaxonomy: damage classification must match the
-// scalar reader's strict mode — truncation and corruption both as
+// scalar reader's — truncation and corruption both as
 // *FormatError wrapping the right sentinel.
 func TestBatchReaderErrorTaxonomy(t *testing.T) {
 	raw := recordMixed(t, 1000)
@@ -132,7 +132,7 @@ func TestBatchReaderErrorTaxonomy(t *testing.T) {
 		r, err2 := NewReader(bytes.NewReader(b))
 		if err2 == nil {
 			var sink recSink
-			_, err2 = r.ReplayWith(&sink, ReplayOptions{})
+			_, err2 = r.Replay(&sink)
 		}
 		if !errors.Is(err2, want) {
 			t.Errorf("%s: scalar reader disagrees: got %v, want %v", name, err2, want)

@@ -45,8 +45,8 @@ const (
 // served for a request made under another.
 const FormatVersion = 2
 
-// Sentinel errors for damaged traces. Errors returned by Reader methods
-// match these with errors.Is; the full error carries the byte offset at
+// Sentinel errors for damaged traces. Errors returned by BatchReader
+// methods match these with errors.Is; the full error carries the byte offset at
 // which the damage was detected.
 var (
 	// ErrTruncated reports a trace that ended before its end-of-trace
@@ -81,7 +81,7 @@ func (e *FormatError) Unwrap() error { return e.Kind }
 
 // Writer records a reference stream to an io.Writer in the version-2
 // format. It implements mem.Sink, so a workload can be traced by running
-// it into a Writer; the trace replays later through Reader without
+// it into a Writer; the trace replays later through BatchReader without
 // re-running the workload.
 type Writer struct {
 	w      *bufio.Writer
@@ -169,223 +169,15 @@ func (t *Writer) Events() uint64 { return t.events }
 
 var _ mem.Sink = (*Writer)(nil)
 
-// countingReader wraps a bufio.Reader, tracking the byte offset consumed
-// and (when sum is set) a running CRC32 of consumed bytes.
-type countingReader struct {
-	br  *bufio.Reader
-	n   int64
-	crc uint32
-	sum bool
-}
-
-// ReadByte implements io.ByteReader.
-func (c *countingReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err != nil {
-		return b, err
-	}
-	c.n++
-	if c.sum {
-		c.crc = crc32.Update(c.crc, crc32.IEEETable, []byte{b})
-	}
-	return b, nil
-}
-
-// readFull fills p, updating offset and CRC.
-func (c *countingReader) readFull(p []byte) error {
-	if _, err := io.ReadFull(c.br, p); err != nil {
-		return err
-	}
-	c.n += int64(len(p))
-	if c.sum {
-		c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-	}
-	return nil
-}
-
-// Reader replays a recorded trace into a mem.Sink. It accepts both
-// version-1 and version-2 files.
-type Reader struct {
-	r       *countingReader
-	last    [4]uint64
-	version int
-}
-
-// NewReader validates the header and prepares replay.
-func NewReader(r io.Reader) (*Reader, error) {
-	cr := &countingReader{br: bufio.NewReaderSize(r, 1<<16)}
-	head := make([]byte, len(traceMagicV2))
-	if err := cr.readFull(head); err != nil {
-		return nil, &FormatError{Offset: cr.n, Kind: ErrTruncated, Detail: "incomplete header"}
-	}
-	switch string(head) {
-	case traceMagicV1:
-		return &Reader{r: cr, version: 1}, nil
-	case traceMagicV2:
-		flags, err := cr.ReadByte()
-		if err != nil {
-			return nil, &FormatError{Offset: cr.n, Kind: ErrTruncated, Detail: "missing flags byte"}
-		}
-		if flags != 0 {
-			return nil, &FormatError{Offset: cr.n - 1, Kind: ErrCorrupt,
-				Detail: fmt.Sprintf("unsupported flags %#x", flags)}
-		}
-		cr.sum = true // CRC covers everything after the header
-		return &Reader{r: cr, version: 2}, nil
-	default:
-		return nil, errors.New("trace: bad magic (not an EMTRACE1/EMTRACE2 file)")
-	}
-}
-
-// Version returns the trace format version (1 or 2).
-func (t *Reader) Version() int { return t.version }
-
-// Offset returns the number of bytes consumed so far.
-func (t *Reader) Offset() int64 { return t.r.n }
-
-// ReplayOptions tunes Replay's damage handling.
-type ReplayOptions struct {
-	// ContinueOnCorrupt resynchronises after structurally corrupt
-	// content (unknown tags, overlong varints) instead of stopping: the
-	// reader scans forward byte-by-byte until a plausible record tag
-	// appears, counting what it skipped in ReplayStats. Replayed
-	// addresses after a corrupt region may be wrong (the delta decoder
-	// state is damaged); the mode exists to salvage event streams for
-	// robustness experiments, not to recover exact traces. Truncation
-	// (EOF before the terminator) still returns ErrTruncated — there is
-	// nothing left to resynchronise with.
-	ContinueOnCorrupt bool
-}
-
-// ReplayStats reports what a replay delivered and what it skipped.
+// ReplayStats reports what a replay delivered and what its footer
+// declared.
 type ReplayStats struct {
 	// Events is the number of records delivered to the sink.
 	Events uint64
-	// SkippedBytes counts bytes discarded while resynchronising
-	// (ContinueOnCorrupt only).
-	SkippedBytes uint64
-	// Resyncs counts distinct corrupt regions skipped.
-	Resyncs uint64
 	// DeclaredEvents is the footer's event count (version 2; 0 for
 	// version 1).
 	DeclaredEvents uint64
 	// CRCVerified reports that a version-2 footer was read and its CRC
 	// matched the stream content.
 	CRCVerified bool
-}
-
-// Replay streams every event into sink and returns the event count. It
-// stops at the end-of-trace marker; a stream that ends without one
-// returns ErrTruncated, and structural damage returns ErrCorrupt (both
-// as *FormatError with the byte offset).
-func (t *Reader) Replay(sink mem.Sink) (uint64, error) {
-	st, err := t.ReplayWith(sink, ReplayOptions{})
-	return st.Events, err
-}
-
-// ReplayWith is Replay with explicit damage-handling options.
-func (t *Reader) ReplayWith(sink mem.Sink, opts ReplayOptions) (ReplayStats, error) {
-	var st ReplayStats
-	inBadRun := false
-	for {
-		tagOff := t.r.n
-		tag, err := t.r.ReadByte()
-		if err != nil {
-			return st, &FormatError{Offset: tagOff, Kind: ErrTruncated,
-				Detail: "stream ended before end-of-trace record"}
-		}
-		switch {
-		case tag == 0xFF:
-			return st, t.finish(&st, opts)
-		case tag == 0xFE:
-			n, err := binary.ReadUvarint(t.r)
-			if err != nil {
-				if fe := t.varintErr(tagOff, "instr record", err, opts, &st, &inBadRun); fe != nil {
-					return st, fe
-				}
-				continue
-			}
-			sink.Instr(n)
-		case tag <= 3:
-			u, err := binary.ReadUvarint(t.r)
-			if err != nil {
-				if fe := t.varintErr(tagOff, "access record", err, opts, &st, &inBadRun); fe != nil {
-					return st, fe
-				}
-				continue
-			}
-			addr := t.last[tag] + uint64(unzigzag(u))
-			t.last[tag] = addr
-			sink.Access(mem.Addr(addr), mem.Kind(tag))
-		default:
-			if !opts.ContinueOnCorrupt {
-				return st, &FormatError{Offset: tagOff, Kind: ErrCorrupt,
-					Detail: fmt.Sprintf("unknown record tag %#x", tag)}
-			}
-			st.SkippedBytes++
-			if !inBadRun {
-				st.Resyncs++
-				inBadRun = true
-			}
-			continue
-		}
-		inBadRun = false
-		st.Events++
-	}
-}
-
-// varintErr classifies a varint read failure: EOF is truncation (fatal
-// even with ContinueOnCorrupt), overflow is corruption (resyncable). It
-// returns nil when the caller should resynchronise and continue.
-func (t *Reader) varintErr(off int64, what string, err error, opts ReplayOptions, st *ReplayStats, inBadRun *bool) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return &FormatError{Offset: t.r.n, Kind: ErrTruncated,
-			Detail: fmt.Sprintf("stream ended inside %s starting at byte %d", what, off)}
-	}
-	if !opts.ContinueOnCorrupt {
-		return &FormatError{Offset: off, Kind: ErrCorrupt,
-			Detail: fmt.Sprintf("%s: %v", what, err)}
-	}
-	st.SkippedBytes += uint64(t.r.n - off)
-	if !*inBadRun {
-		st.Resyncs++
-		*inBadRun = true
-	}
-	return nil
-}
-
-// finish validates the footer after the end-of-trace record. Truncation
-// inside the footer is always fatal; CRC and event-count mismatches are
-// fatal only without ContinueOnCorrupt (with it, the caller reads the
-// damage off ReplayStats: CRCVerified false, Events vs DeclaredEvents).
-func (t *Reader) finish(st *ReplayStats, opts ReplayOptions) error {
-	if t.version == 1 {
-		return nil
-	}
-	declared, err := binary.ReadUvarint(t.r)
-	if err != nil {
-		return &FormatError{Offset: t.r.n, Kind: ErrTruncated, Detail: "stream ended inside footer event count"}
-	}
-	st.DeclaredEvents = declared
-	// The CRC bytes themselves are not part of the checksum.
-	t.r.sum = false
-	want := t.r.crc
-	var crcb [4]byte
-	if err := t.r.readFull(crcb[:]); err != nil {
-		return &FormatError{Offset: t.r.n, Kind: ErrTruncated, Detail: "stream ended inside footer CRC"}
-	}
-	got := binary.LittleEndian.Uint32(crcb[:])
-	if got != want {
-		if opts.ContinueOnCorrupt {
-			return nil
-		}
-		return &FormatError{Offset: t.r.n - 4, Kind: ErrCorrupt,
-			Detail: fmt.Sprintf("CRC mismatch: stream %#08x, footer %#08x", want, got)}
-	}
-	st.CRCVerified = true
-	if declared != st.Events && !opts.ContinueOnCorrupt {
-		return &FormatError{Offset: t.r.n, Kind: ErrCorrupt,
-			Detail: fmt.Sprintf("event count mismatch: replayed %d, footer declares %d", st.Events, declared)}
-	}
-	return nil
 }

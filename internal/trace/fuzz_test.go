@@ -64,34 +64,24 @@ func checkTypedError(t *testing.T, what string, err error, data []byte) {
 
 // replayBody is the fuzz body. Arbitrary bytes must never panic either
 // decoder: every outcome is a clean replay or a typed error
-// (ErrTruncated / ErrCorrupt / a header error), and ContinueOnCorrupt
-// must uphold the same guarantee. The batched decoder — the default on
-// every surface — must reject what it rejects with the same typed
-// errors, and whenever the strict scalar reader succeeds it must
-// deliver the identical record stream and event count.
+// (ErrTruncated / ErrCorrupt / a header error). The batched decoder —
+// the one every surface uses — must reject what it rejects with the
+// same typed errors, and whenever the strict scalar reference reader
+// succeeds it must deliver the identical record stream and event count.
 func replayBody(t *testing.T, data []byte) {
-	for _, opts := range []ReplayOptions{{}, {ContinueOnCorrupt: true}} {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			continue
-		}
-		if _, err := r.ReplayWith(mem.NullSink{}, opts); err != nil {
-			checkTypedError(t, "replay", err, data)
-			continue
-		}
-		// Clean termination requires having actually seen the
-		// end-of-trace record; the reader cannot have consumed more
-		// than the input.
-		if r.Offset() > int64(len(data)) {
-			t.Fatalf("consumed %d of %d bytes", r.Offset(), len(data))
-		}
-	}
-
 	var scalar recSink
 	var scalarEvents uint64
 	r, scalarErr := NewReader(bytes.NewReader(data))
 	if scalarErr == nil {
 		scalarEvents, scalarErr = r.Replay(&scalar)
+		if scalarErr != nil {
+			checkTypedError(t, "replay", scalarErr, data)
+		} else if r.Offset() > int64(len(data)) {
+			// Clean termination requires having actually seen the
+			// end-of-trace record; the reader cannot have consumed
+			// more than the input.
+			t.Fatalf("consumed %d of %d bytes", r.Offset(), len(data))
+		}
 	}
 	var batched recSink
 	var batchEvents uint64
