@@ -138,6 +138,14 @@ func main() {
 		if *sampleVerify && *jsonOut {
 			fail(fmt.Errorf("emsim: -sample-verify is incompatible with -json (the verify table is human output)"))
 		}
+	} else {
+		// The sampling sub-flags only shape a sampled run: set without
+		// -sample they are an error, not a silent no-op.
+		flag.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Name, "sample-") {
+				fail(fmt.Errorf("emsim: -%s needs -sample", f.Name))
+			}
+		})
 	}
 	p := runParams{
 		Spec: engine.Spec{
@@ -154,12 +162,7 @@ func main() {
 		CheckpointEvery: *ckptEvery,
 		Resume:          *resume,
 	}
-	// Sampling sub-flags reach the spec when -sample or any of them is
-	// given, so one set without -sample is the spec's error rather than
-	// a silent no-op.
-	sampleFlags := *sample
-	flag.Visit(func(f *flag.Flag) { sampleFlags = sampleFlags || strings.HasPrefix(f.Name, "sample-") })
-	if sampleFlags {
+	if *sample {
 		p.SampleInterval, p.SampleClusters = *sampleInterval, *sampleClusters
 		p.SampleSeed, p.SampleWarmup = *sampleSeed, *sampleWarmup
 	}
@@ -174,8 +177,8 @@ func main() {
 		p.TimelineInterval = *interval
 	}
 	// A resumed run takes its spec from the checkpoint, so its flag
-	// values are checked only when sampling flags stray onto it.
-	if *resume == "" || sampleFlags {
+	// values are not checked.
+	if *resume == "" {
 		if err := p.validate(); err != nil {
 			fail(err)
 		}

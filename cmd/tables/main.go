@@ -61,6 +61,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	if !*sample {
+		// The sampling sub-flags only shape the sampled sweep: set
+		// without -sample they are an error, not a silent no-op.
+		flag.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Name, "sample-") {
+				fail(fmt.Errorf("tables: -%s needs -sample", f.Name))
+			}
+		})
+	}
 	opt := func(stage string) report.RunOptions {
 		return report.RunOptions{
 			Workers:  *jobs,

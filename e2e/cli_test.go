@@ -164,3 +164,28 @@ func TestTablesTimelineGolden(t *testing.T) {
 		t.Fatalf("tables -timeline diverged between -j 1 and -j 2:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
 }
+
+// TestSampleFlagsNeedSample: a -sample-* flag given without -sample is
+// rejected by name, even at values equal to the defaults or zero,
+// instead of running a full simulation that ignores it.
+func TestSampleFlagsNeedSample(t *testing.T) {
+	for _, tc := range []struct {
+		bin  string
+		args []string
+		want string
+	}{
+		{"emsim", []string{"-workload", "mst", "-instr", "100000", "-sample-interval", "0", "-sample-clusters", "0", "-sample-seed", "0", "-sample-warmup", "0"},
+			"emsim: -sample-clusters needs -sample"},
+		{"emsim", []string{"-workload", "mst", "-instr", "100000", "-sample-verify"}, "emsim: -sample-verify needs -sample"},
+		{"tables", []string{"-table2", "-instr", "100000", "-sample-interval", "5"}, "tables: -sample-interval needs -sample"},
+	} {
+		code, stdout, stderr := runCLIExit(t, tc.bin, tc.args...)
+		if code == 0 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%s %s: exit %d, stderr %q, want nonzero exit and %q",
+				tc.bin, strings.Join(tc.args, " "), code, stderr, tc.want)
+		}
+		if stdout != "" {
+			t.Errorf("%s %s printed a report:\n%s", tc.bin, strings.Join(tc.args, " "), stdout)
+		}
+	}
+}

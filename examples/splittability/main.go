@@ -23,23 +23,23 @@ import (
 // analyze pushes n references from g through the Figure 4/5 pipeline:
 // one unbounded stack for p1, a 4-way splitter + 4 stacks for p4.
 func analyze(name string, g trace.Generator, n uint64, thresholds []int64) {
-	single := lrustack.New()
-	p1 := lrustack.NewProfile(thresholds)
+	single := lrustack.New(thresholds, 0)
 	split := affinity.NewSplitter4(affinity.Fig45Config(), affinity.NewUnbounded())
-	multi := lrustack.NewMultiStack(4, thresholds)
+	multi := lrustack.NewMultiStack(4, thresholds, 0)
 
 	for i := uint64(0); i < n; i++ {
 		line := mem.Line(g.Next())
-		p1.Record(single.Ref(line))
+		single.Ref(line)
 		multi.Ref(split.Ref(line, true), line)
 	}
+	p1, p4 := single.Profile(), multi.Profile()
 
 	fmt.Printf("%-12s transitions: 1 per %.0f refs\n", name,
 		float64(split.Refs())/float64(split.Transitions()+1))
 	fmt.Printf("%-12s %8s  %8s  %8s\n", "", "size", "p1", "p4")
 	var maxGap float64
 	for i, th := range thresholds {
-		a, b := p1.Frac(i), multi.Profile.Frac(i)
+		a, b := p1.Frac(i), p4.Frac(i)
 		if a-b > maxGap {
 			maxGap = a - b
 		}

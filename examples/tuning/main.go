@@ -62,7 +62,7 @@ func main() {
 		cfg := affinity.Fig45Config()
 		cfg.SampleLimit = limit
 		split := affinity.NewSplitter4(cfg, affinity.NewUnbounded())
-		multi := lrustack.NewMultiStack(4, []int64{8192})
+		multi := lrustack.NewMultiStack(4, []int64{8192}, 0)
 		g := trace.NewCircular(24 << 10)
 		const refs = 2_000_000
 		for i := 0; i < refs; i++ {
@@ -70,7 +70,7 @@ func main() {
 			multi.Ref(split.Ref(line, true), line)
 		}
 		fmt.Printf("   %7.0f%%  %10.3f  %12.6f\n",
-			float64(limit)/31*100, multi.Profile.Frac(0),
+			float64(limit)/31*100, multi.Profile().Frac(0),
 			float64(split.Transitions())/float64(split.Refs()))
 	}
 
@@ -82,23 +82,23 @@ func main() {
 		// bigger lines glue unrelated nodes together.
 		rng := trace.NewRNG(11)
 		perm := rng.Perm(24 << 10)
-		single := lrustack.New()
-		p1 := lrustack.NewProfile([]int64{(512 << 10) >> shift})
+		th := []int64{(512 << 10) >> shift}
+		single := lrustack.New(th, 0)
 		split := affinity.NewSplitter4(affinity.Fig45Config(), affinity.NewUnbounded())
-		multi := lrustack.NewMultiStack(4, []int64{(512 << 10) >> shift})
+		multi := lrustack.NewMultiStack(4, th, 0)
 		const refs = 2_000_000
 		pos := 0
 		for i := 0; i < refs; i++ {
 			addr := mem.Addr(perm[pos] * 64)
 			line := mem.LineOf(addr, shift)
-			p1.Record(single.Ref(line))
+			single.Ref(line)
 			multi.Ref(split.Ref(line, true), line)
 			pos++
 			if pos == len(perm) {
 				pos = 0
 			}
 		}
-		a, b := p1.Frac(0), multi.Profile.Frac(0)
+		a, b := single.Profile().Frac(0), multi.Profile().Frac(0)
 		fmt.Printf("   %7dB  %8.3f  %8.3f  %8.3f\n", 1<<shift, a, b, a-b)
 	}
 }

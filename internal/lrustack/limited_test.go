@@ -38,7 +38,7 @@ func (n *naiveLimited) ref(line mem.Line) int64 {
 // tree repeatedly while live stays small).
 func TestLimitedMatchesNaive(t *testing.T) {
 	rng := trace.NewRNG(21)
-	s := NewLimited(50)
+	s := newFenwickLimited(50)
 	n := &naiveLimited{cap: 50}
 	for i := 0; i < 50_000; i++ {
 		line := mem.Line(rng.Uint64n(300))
@@ -62,7 +62,7 @@ func TestLimitedMatchesNaive(t *testing.T) {
 // evict the least recently used one, and re-referencing revives a line
 // as a fresh first touch.
 func TestLimitedEvictionOrder(t *testing.T) {
-	s := NewLimited(2)
+	s := newFenwickLimited(2)
 	s.Ref(1) // stack: [1]
 	s.Ref(2) // stack: [2 1]
 	s.Ref(3) // evicts 1 → [3 2]
@@ -89,8 +89,7 @@ func TestLimitedEvictionOrder(t *testing.T) {
 // differs.
 func TestLimitedExactBelowCap(t *testing.T) {
 	thresholds := []int64{16, 64, 256}
-	full, capped := New(), NewLimited(256)
-	pf, pc := NewProfile(thresholds), NewProfile(thresholds)
+	full, capped := New(thresholds, 0), New(thresholds, 256)
 
 	rng := trace.NewRNG(31)
 	for i := 0; i < 200_000; i++ {
@@ -101,12 +100,13 @@ func TestLimitedExactBelowCap(t *testing.T) {
 		} else {
 			line = mem.Line(1000 + rng.Uint64n(100_000))
 		}
-		pf.Record(full.Ref(line))
-		pc.Record(capped.Ref(line))
+		full.Ref(line)
+		capped.Ref(line)
 	}
 	if capped.Dropped() == 0 {
 		t.Fatal("cap never exercised")
 	}
+	pf, pc := full.Profile(), capped.Profile()
 	for i := range thresholds {
 		if pf.Misses[i] != pc.Misses[i] {
 			t.Fatalf("threshold %d: capped misses %d, unbounded %d",
@@ -126,7 +126,7 @@ func TestLimitedExactBelowCap(t *testing.T) {
 // TestLimitedUnboundedBelowLimit: a stream that never exceeds the cap
 // behaves identically to the unbounded stack and drops nothing.
 func TestLimitedUnboundedBelowLimit(t *testing.T) {
-	full, capped := New(), NewLimited(1000)
+	full, capped := newFenwick(), newFenwickLimited(1000)
 	rng := trace.NewRNG(41)
 	for i := 0; i < 100_000; i++ {
 		line := mem.Line(rng.Uint64n(1000))
@@ -141,7 +141,7 @@ func TestLimitedUnboundedBelowLimit(t *testing.T) {
 
 // TestMultiStackLimited: per-stack caps and the aggregated Dropped.
 func TestMultiStackLimited(t *testing.T) {
-	ms := NewMultiStackLimited(4, []int64{8}, 16)
+	ms := NewMultiStack(4, []int64{8}, 16)
 	rng := trace.NewRNG(51)
 	for i := 0; i < 40_000; i++ {
 		ms.Ref(int(rng.Uint64n(4)), mem.Line(rng.Uint64n(500)))
@@ -155,5 +155,8 @@ func TestMultiStackLimited(t *testing.T) {
 	}
 	if dropped == 0 || ms.Dropped() != dropped {
 		t.Fatalf("Dropped() = %d, want %d (nonzero)", ms.Dropped(), dropped)
+	}
+	if p := ms.Profile(); p.Refs != 40_000 {
+		t.Fatalf("profile refs = %d, want 40000", p.Refs)
 	}
 }

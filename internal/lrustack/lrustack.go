@@ -5,227 +5,234 @@
 // miss ratio of a fully-associative LRU cache of that size — the curve
 // p(x) plotted in the paper's Figures 4 and 5.
 //
-// The classical stack is a move-to-front list with O(depth) search. We
-// use the standard time-slot/Fenwick-tree reformulation: each line
-// holds the (monotonically increasing) time slot of its last reference;
-// the stack depth of a reference equals the number of lines whose slot
-// is more recent — a prefix-sum query, O(log n). Slots are compacted
-// when the slot array outgrows twice the number of live lines, keeping
-// memory proportional to the distinct-line count.
+// Every consumer asks about a fixed grid of sizes, so the stack answers
+// bucket queries rather than exact depths, with the marker technique of
+// stack simulation over a size grid (Kim, Hill and Wood, "Implementing
+// Stack Simulation for Highly-Associative Memories", SIGMETRICS '91).
+// The stack is a move-to-front list of lines in a slice arena. One
+// marker per threshold T[j] points at the node at depth T[j], and each
+// node carries the index of the bucket it sits in. A reference looks its
+// line up, counts its bucket, and moves it to the front; the only nodes
+// that change bucket are the ones next to the markers above it, so a
+// reference costs O(number of thresholds) whatever the stack depth.
 package lrustack
 
 import (
-	"sort"
-
 	"repro/internal/mem"
 )
 
-// Infinite is the depth reported for a first-touch reference (the paper:
-// "a reference which is encountered for the first time has an infinite
-// LRU stack depth").
-const Infinite = int64(^uint64(0) >> 1)
+// none marks an absent node link or an unset marker.
+const none = -1
 
-// Stack is an LRU stack with O(log n) depth queries. By default it is
-// unbounded — it tracks every distinct line ever referenced; NewLimited
-// caps the live-line count with LRU eviction.
+// node is one stack entry: a line, its MRU-side and LRU-side
+// neighbours, and the bucket its depth falls in.
+type node struct {
+	line       mem.Line
+	prev, next int32 // toward the head (MRU) and toward the tail (LRU)
+	bucket     uint8
+}
+
+// Stack is an exact LRU stack over a fixed threshold grid. It counts,
+// per reference, which bucket of the grid its stack depth falls in:
+// bucket b holds depths d with T[b-1] <= d < T[b], and the last bucket
+// holds every depth >= the largest threshold. First touches count as
+// Cold. Profile turns the counts into miss counts per threshold.
+//
+// The depth of a reference is the number of other distinct lines
+// referenced since the previous reference to the same line, so a
+// fully-associative LRU cache of capacity x lines misses exactly when
+// the depth is >= x.
 type Stack struct {
-	slot map[mem.Line]int64 // line → time slot of last reference
-	// Fenwick tree over slots, 1-based.
-	//emlint:nosnapshot rebuilt from slot by SetState
-	tree []int64
-	// used is the next free slot (number of slots consumed).
-	//emlint:nosnapshot slots are re-densified to 0..live-1 on restore
-	used int64
-	// live is the number of live (distinct) lines.
-	//emlint:nosnapshot derived: len(slot)
-	live int64
-	// scratch is reused during compaction.
-	//emlint:nosnapshot scratch, no cross-call state
-	scratch []mem.Line
-	limit   int64 // max live lines (0 = unbounded)
-	// rev maps slot → line, maintained only when limited.
-	//emlint:nosnapshot rebuilt from slot by SetState
-	rev     map[int64]mem.Line
-	dropped uint64 // lines evicted by the cap
+	th    []int64
+	limit int64 // max live lines (0 = unbounded)
+
+	index map[mem.Line]int32 // line → node
+	nodes []node             // arena; freed nodes chain through next
+	free  int32
+	head  int32
+	tail  int32
+	live  int64
+
+	// marker[j] is the node at depth th[j], or none while the stack is
+	// shallower than that.
+	marker []int32
+
+	counts  []uint64 // non-cold references per bucket, since ResetCounts
+	cold    uint64   // first touches, since ResetCounts
+	dropped uint64   // lines evicted by the cap
 }
 
-// New returns an empty unbounded stack.
-func New() *Stack {
-	return &Stack{
-		slot: make(map[mem.Line]int64),
-		tree: make([]int64, 1024),
-	}
-}
-
-// NewLimited returns a stack that never tracks more than limit distinct
-// lines: when a first touch would exceed the cap, the least recently
-// used line is evicted and counted in Dropped, and its next reference
-// reads as a first touch (Infinite) again. limit <= 0 means unbounded.
+// New returns an empty stack over the given ascending thresholds (in
+// lines, each >= 1) that never tracks more than limit distinct lines:
+// when a first touch would exceed the cap, the least recently used line
+// is evicted and counted in Dropped, and its next reference counts as a
+// first touch again. limit <= 0 means unbounded.
 //
 // The capped stack stays EXACT for every threshold <= limit: an evicted
 // line had depth >= limit at eviction, and depth only grows until the
-// line is re-referenced, so the unbounded stack would also report a
-// miss at every threshold <= limit for that reference. Only the
+// line is re-referenced, so an unbounded stack would also count a miss
+// at every threshold <= limit for that reference. Only the
 // cold-versus-deep-miss attribution above the cap is approximated.
-func NewLimited(limit int64) *Stack {
-	s := New()
-	if limit > 0 {
-		s.limit = limit
-		s.rev = make(map[int64]mem.Line)
+func New(thresholds []int64, limit int64) *Stack {
+	checkThresholds(thresholds)
+	if len(thresholds) > 255 {
+		//emlint:allowpanic threshold grids are compile-time experiment constants (see report/fig45.go)
+		panic("lrustack: at most 255 thresholds")
+	}
+	s := &Stack{
+		th:     append([]int64(nil), thresholds...),
+		limit:  limit,
+		index:  make(map[mem.Line]int32),
+		free:   none,
+		head:   none,
+		tail:   none,
+		marker: make([]int32, len(thresholds)),
+		counts: make([]uint64, len(thresholds)+1),
+	}
+	for j := range s.marker {
+		s.marker[j] = none
 	}
 	return s
 }
 
-// add updates the Fenwick tree at slot i (0-based) by delta.
-func (s *Stack) add(i int64, delta int64) {
-	for j := i + 1; j <= int64(len(s.tree)-1); j += j & (-j) {
-		s.tree[j] += delta
-	}
-}
-
-// sum returns the count of live slots in [0, i] (0-based inclusive).
-func (s *Stack) sum(i int64) int64 {
-	var t int64
-	for j := i + 1; j > 0; j -= j & (-j) {
-		t += s.tree[j]
-	}
-	return t
-}
-
-// grow ensures capacity for one more slot, compacting or resizing.
-func (s *Stack) grow() {
-	if s.used+1 < int64(len(s.tree)) {
+// Ref records one reference to line.
+//
+//emlint:hotpath
+func (s *Stack) Ref(line mem.Line) {
+	if x, ok := s.index[line]; ok {
+		s.hit(x)
 		return
 	}
-	if s.used >= 2*s.live && s.live > 0 {
-		s.compact()
-		return
-	}
-	// Double the tree, rebuilding (O(n)); amortised O(log n) per ref.
-	old := s.tree
-	s.tree = make([]int64, 2*len(old))
-	s.rebuild()
-}
-
-// compact reassigns dense slots preserving order, then rebuilds.
-func (s *Stack) compact() {
-	// Collect lines ordered by slot. Counting them in slot order via a
-	// scratch array indexed by old slot would need O(used) memory, which
-	// we already have in the tree; simplest is sort-free bucketing:
-	lines := s.scratch[:0]
-	for l := range s.slot {
-		lines = append(lines, l)
-	}
-	// insertion-free ordering: sort by slot using a simple slice sort.
-	sortBySlot(lines, s.slot)
-	s.scratch = lines[:0]
-	for i, l := range lines {
-		s.slot[l] = int64(i)
-	}
-	if s.rev != nil {
-		clear(s.rev)
-		for i, l := range lines {
-			s.rev[int64(i)] = l
-		}
-	}
-	s.used = int64(len(lines))
-	s.rebuild()
-}
-
-// rebuild zeroes and repopulates the Fenwick tree from the slot map.
-func (s *Stack) rebuild() {
-	for i := range s.tree {
-		s.tree[i] = 0
-	}
-	for _, sl := range s.slot {
-		s.add(sl, 1)
-	}
-}
-
-// sortBySlot sorts lines ascending by their last-reference slot.
-// Compaction is rare (amortised over ≥ live references), so stdlib sort
-// is fine here.
-func sortBySlot(lines []mem.Line, slot map[mem.Line]int64) {
-	sort.Slice(lines, func(i, j int) bool { return slot[lines[i]] < slot[lines[j]] })
-}
-
-// Ref records a reference to line and returns its stack depth BEFORE the
-// reference: the number of distinct lines referenced since the previous
-// reference to line, or Infinite on first touch. A depth of 0 means line
-// was also the immediately preceding reference.
-func (s *Stack) Ref(line mem.Line) int64 {
-	old, seen := s.slot[line]
-	var depth int64
-	if seen {
-		// lines with slot strictly greater than old
-		depth = s.live - s.sum(old)
-		s.add(old, -1)
-		// Remove the stale mapping before grow(): a rebuild/compaction
-		// inside grow() repopulates the tree from the slot map and must
-		// not resurrect the old slot.
-		delete(s.slot, line)
-		if s.rev != nil {
-			delete(s.rev, old)
-		}
-	} else {
-		depth = Infinite
-		s.live++
-	}
-	s.grow()
-	s.slot[line] = s.used
-	s.add(s.used, 1)
-	if s.rev != nil {
-		s.rev[s.used] = line
-	}
-	s.used++
+	s.cold++
+	x := s.alloc(line)
+	s.index[line] = x
+	s.push(x)
 	if s.limit > 0 && s.live > s.limit {
 		s.evict()
 	}
-	return depth
 }
 
-// evict removes the least recently used live line. Only called when
-// live > limit >= 1, so the victim is never the line just inserted
-// (which holds the highest slot while at least one other line is live).
-func (s *Stack) evict() {
-	sl := s.lowestLive()
-	line, ok := s.rev[sl]
-	if !ok {
-		//emlint:allowpanic internal invariant: rev mirrors slot whenever limit > 0
-		panic("lrustack: reverse slot map out of sync")
+// hit counts a reference to the live node x and moves it to the front.
+// Each of the b boundaries above x moves up by one node: the node just
+// above marker j slides down to depth th[j] and so into bucket j+1.
+func (s *Stack) hit(x int32) {
+	nodes := s.nodes
+	b := nodes[x].bucket
+	s.counts[b]++
+	for j := uint8(0); j < b; j++ {
+		m := nodes[s.marker[j]].prev
+		s.marker[j] = m
+		nodes[m].bucket = j + 1
 	}
-	s.add(sl, -1)
-	delete(s.slot, line)
-	delete(s.rev, sl)
+	if x == s.head {
+		return
+	}
+	p, n := nodes[x].prev, nodes[x].next
+	nodes[p].next = n
+	if n == none {
+		s.tail = p
+	} else {
+		nodes[n].prev = p
+	}
+	nodes[x].prev = none
+	nodes[x].next = s.head
+	nodes[s.head].prev = x
+	s.head = x
+	nodes[x].bucket = 0
+}
+
+// push puts the new node x at the front. Every live node moves one
+// deeper, so every boundary the stack already reaches moves up by one
+// node; a boundary exactly one past the old tail picks up the old tail.
+func (s *Stack) push(x int32) {
+	nodes := s.nodes
+	for j, t := range s.th {
+		if t > s.live {
+			break
+		}
+		m := s.tail
+		if s.marker[j] != none {
+			m = nodes[s.marker[j]].prev
+		}
+		s.marker[j] = m
+		nodes[m].bucket = uint8(j + 1)
+	}
+	nodes[x].next = s.head
+	if s.head == none {
+		s.tail = x
+	} else {
+		nodes[s.head].prev = x
+	}
+	s.head = x
+	s.live++
+}
+
+// alloc takes a node off the free list, or grows the arena by one, and
+// initialises it for line.
+//
+//emlint:coldpath arena growth, amortised over the stack's distinct lines
+func (s *Stack) alloc(line mem.Line) int32 {
+	x := s.free
+	if x == none {
+		x = int32(len(s.nodes))
+		s.nodes = append(s.nodes, node{})
+	} else {
+		s.free = s.nodes[x].next
+	}
+	s.nodes[x] = node{line: line, prev: none, next: none}
+	return x
+}
+
+// evict drops the least recently used line. Only called when
+// live > limit >= 1, so the tail is never the node just pushed.
+func (s *Stack) evict() {
+	x := s.tail
+	for j, t := range s.th {
+		if t == s.live-1 {
+			s.marker[j] = none
+		}
+	}
+	s.tail = s.nodes[x].prev
+	s.nodes[s.tail].next = none
+	delete(s.index, s.nodes[x].line)
+	s.nodes[x].next = s.free
+	s.free = x
 	s.live--
 	s.dropped++
 }
 
-// lowestLive returns the 0-based slot of the oldest live line — the
-// smallest slot whose prefix count reaches 1 — via the standard Fenwick
-// binary descend: walk power-of-two strides, keeping the largest tree
-// index whose cumulative sum is still short of the target.
-func (s *Stack) lowestLive() int64 {
-	var pos int64
-	rem := int64(1)
-	mask := int64(1)
-	for mask*2 < int64(len(s.tree)) {
-		mask *= 2
+// Profile returns the counts since the last ResetCounts as a Profile
+// over the stack's thresholds: Misses[i] is the number of references
+// with depth >= Thresholds[i], cold ones included.
+func (s *Stack) Profile() *Profile {
+	p := NewProfile(s.th)
+	s.addTo(p)
+	return p
+}
+
+// addTo adds the stack's counts into p, which must be over the same
+// thresholds, materializing Misses as suffix sums of the bucket counts.
+func (s *Stack) addTo(p *Profile) {
+	deep := s.cold
+	for i := len(s.th) - 1; i >= 0; i-- {
+		deep += s.counts[i+1]
+		p.Misses[i] += deep
 	}
-	for ; mask > 0; mask >>= 1 {
-		if next := pos + mask; next < int64(len(s.tree)) && s.tree[next] < rem {
-			rem -= s.tree[next]
-			pos = next
-		}
-	}
-	return pos
+	p.Cold += s.cold
+	p.Refs += deep + s.counts[0]
+}
+
+// ResetCounts zeroes the reference counts and keeps the stack: the
+// interval sampler carves one long stream into per-interval profiles
+// this way, with each interval's counts starting fresh over the
+// cross-interval reuse history.
+func (s *Stack) ResetCounts() {
+	clear(s.counts)
+	s.cold = 0
 }
 
 // Live returns the number of live (distinct, not evicted) lines.
 func (s *Stack) Live() int64 { return s.live }
-
-// Limit returns the live-line cap (0 = unbounded).
-func (s *Stack) Limit() int64 { return s.limit }
 
 // Dropped returns the number of lines evicted by the cap.
 func (s *Stack) Dropped() uint64 { return s.dropped }

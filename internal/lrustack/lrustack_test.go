@@ -30,7 +30,7 @@ func (n *naiveDepth) ref(line mem.Line) int64 {
 // the move-to-front model on random streams.
 func TestStackMatchesNaive(t *testing.T) {
 	rng := trace.NewRNG(11)
-	s := New()
+	s := newFenwick()
 	n := &naiveDepth{}
 	for i := 0; i < 50_000; i++ {
 		line := mem.Line(rng.Uint64n(300))
@@ -47,7 +47,7 @@ func TestStackMatchesNaive(t *testing.T) {
 // TestStackMatchesNaiveSmallAlphabet forces heavy compaction.
 func TestStackMatchesNaiveSmallAlphabet(t *testing.T) {
 	rng := trace.NewRNG(12)
-	s := New()
+	s := newFenwick()
 	n := &naiveDepth{}
 	for i := 0; i < 100_000; i++ {
 		line := mem.Line(rng.Uint64n(8))
@@ -60,7 +60,7 @@ func TestStackMatchesNaiveSmallAlphabet(t *testing.T) {
 // TestStackSequential: depth of a repeated circular sweep over N lines
 // is N−1 for every non-cold reference.
 func TestStackSequential(t *testing.T) {
-	s := New()
+	s := newFenwick()
 	const n = 1000
 	g := trace.NewCircular(n)
 	for i := 0; i < n; i++ {
@@ -77,7 +77,7 @@ func TestStackSequential(t *testing.T) {
 
 // TestStackImmediateRepeat: re-referencing the same line has depth 0.
 func TestStackImmediateRepeat(t *testing.T) {
-	s := New()
+	s := newFenwick()
 	s.Ref(42)
 	for i := 0; i < 10; i++ {
 		if d := s.Ref(42); d != 0 {
@@ -91,8 +91,7 @@ func TestStackImmediateRepeat(t *testing.T) {
 // every threshold (the Mattson inclusion property).
 func TestProfileMatchesCacheSimulation(t *testing.T) {
 	thresholds := []int64{16, 64, 256}
-	p := NewProfile(thresholds)
-	s := New()
+	s := New(thresholds, 0)
 
 	caches := make([]*cache.FullyAssoc, len(thresholds))
 	misses := make([]uint64, len(thresholds))
@@ -109,7 +108,7 @@ func TestProfileMatchesCacheSimulation(t *testing.T) {
 		} else {
 			line = mem.Line(1000 + rng.Uint64n(100_000))
 		}
-		p.Record(s.Ref(line))
+		s.Ref(line)
 		for j, c := range caches {
 			if _, ok := c.Access(line); !ok {
 				misses[j]++
@@ -117,6 +116,7 @@ func TestProfileMatchesCacheSimulation(t *testing.T) {
 			}
 		}
 	}
+	p := s.Profile()
 	for i := range thresholds {
 		if p.Misses[i] != misses[i] {
 			t.Fatalf("threshold %d: profile misses %d, cache simulation %d",
@@ -127,12 +127,12 @@ func TestProfileMatchesCacheSimulation(t *testing.T) {
 
 // TestProfileMonotone: p(x) must be non-increasing in x (inclusion).
 func TestProfileMonotone(t *testing.T) {
-	p := NewProfile(PaperThresholds(6))
-	s := New()
+	s := New(PaperThresholds(6), 0)
 	rng := trace.NewRNG(3)
 	for i := 0; i < 300_000; i++ {
-		p.Record(s.Ref(mem.Line(rng.Uint64n(5000))))
+		s.Ref(mem.Line(rng.Uint64n(5000)))
 	}
+	p := s.Profile()
 	for i := 1; i < len(p.Thresholds); i++ {
 		if p.Misses[i] > p.Misses[i-1] {
 			t.Fatalf("p(x) not monotone at %d: %d > %d", p.Thresholds[i], p.Misses[i], p.Misses[i-1])
@@ -157,7 +157,7 @@ func TestPaperThresholds(t *testing.T) {
 // it.
 func TestStackDepthProperty(t *testing.T) {
 	f := func(fill []uint16, target uint16) bool {
-		s := New()
+		s := newFenwick()
 		s.Ref(mem.Line(target))
 		for _, l := range fill {
 			s.Ref(mem.Line(l))
@@ -184,24 +184,42 @@ func TestStackDepthProperty(t *testing.T) {
 }
 
 // TestMultiStackIndependent: routing disjoint streams to different
-// stacks must give each the depth it would see alone.
+// stacks must give each the depth it would see alone. Two interleaved
+// circular sweeps of 16 lines have depth 15 each on their own stacks
+// (a miss at 8, a hit at 16); on one shared stack they would have depth
+// 31 and miss at 16 too.
 func TestMultiStackIndependent(t *testing.T) {
-	ms := NewMultiStack(4, []int64{8})
-	// Two interleaved circular sweeps on different stacks.
+	ms := NewMultiStack(4, []int64{8, 16}, 0)
 	gA, gB := trace.NewCircular(16), trace.NewCircular(16)
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 16+64; i++ {
 		ms.Ref(0, mem.Line(gA.Next()))
 		ms.Ref(1, mem.Line(1000+gB.Next()))
 	}
-	for i := 0; i < 64; i++ {
-		if d := ms.Ref(0, mem.Line(gA.Next())); d != 15 {
-			t.Fatalf("stack 0 depth %d, want 15", d)
-		}
-		if d := ms.Ref(1, mem.Line(1000+gB.Next())); d != 15 {
-			t.Fatalf("stack 1 depth %d, want 15", d)
-		}
+	p := ms.Profile()
+	if p.Refs != 2*16+2*64 || p.Cold != 2*16 {
+		t.Fatalf("profile refs = %d cold = %d", p.Refs, p.Cold)
 	}
-	if ms.Profile.Refs != 2*16+2*64 {
-		t.Fatalf("profile refs = %d", ms.Profile.Refs)
+	if p.Misses[0] != p.Refs || p.Misses[1] != p.Cold {
+		t.Fatalf("misses = %v, want [%d %d]", p.Misses, p.Refs, p.Cold)
+	}
+}
+
+// TestNewRejectsBadGrid: a grid that is not positive and strictly
+// ascending, or too long for a byte bucket index, is a programming
+// error caught at construction.
+func TestNewRejectsBadGrid(t *testing.T) {
+	long := make([]int64, 256)
+	for i := range long {
+		long[i] = int64(i + 1)
+	}
+	for _, th := range [][]int64{{0, 4}, {4, 4}, {8, 2}, long} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%v) did not panic", th[:min(len(th), 4)])
+				}
+			}()
+			New(th, 0)
+		}()
 	}
 }

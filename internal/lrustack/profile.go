@@ -2,12 +2,6 @@ package lrustack
 
 import "repro/internal/mem"
 
-// Depth semantics: Stack.Ref returns the number of OTHER distinct lines
-// referenced since the previous reference to the same line (0 when the
-// line was the immediately preceding reference; Infinite on first
-// touch). A fully-associative LRU cache of capacity x lines therefore
-// MISSES exactly when depth >= x.
-
 // Profile accumulates a stack-distance profile over a set of capacity
 // thresholds, yielding the paper's p(x): the fraction of references
 // whose stack depth exceeds each cache size.
@@ -23,18 +17,24 @@ type Profile struct {
 	Refs uint64
 }
 
-// NewProfile builds a profile over the given ascending capacities
-// (in lines).
+// NewProfile builds a profile over the given positive ascending
+// capacities (in lines).
 func NewProfile(thresholds []int64) *Profile {
-	for i := 1; i < len(thresholds); i++ {
-		if thresholds[i] <= thresholds[i-1] {
-			//emlint:allowpanic threshold grids are compile-time experiment constants (see report/fig45.go)
-			panic("lrustack: thresholds must ascend")
-		}
-	}
+	checkThresholds(thresholds)
 	return &Profile{
 		Thresholds: append([]int64(nil), thresholds...),
 		Misses:     make([]uint64, len(thresholds)),
+	}
+}
+
+// checkThresholds panics unless the grid is positive and strictly
+// ascends.
+func checkThresholds(thresholds []int64) {
+	for i, t := range thresholds {
+		if t < 1 || i > 0 && t <= thresholds[i-1] {
+			//emlint:allowpanic threshold grids are compile-time experiment constants (see report/fig45.go)
+			panic("lrustack: thresholds must be positive and ascend")
+		}
 	}
 }
 
@@ -49,28 +49,6 @@ func PaperThresholds(lineShift uint) []int64 {
 	return t
 }
 
-// Record adds one observed depth.
-func (p *Profile) Record(depth int64) {
-	p.Refs++
-	if depth == Infinite {
-		p.Cold++
-		for i := range p.Misses {
-			p.Misses[i]++
-		}
-		return
-	}
-	// Thresholds ascend; find the first threshold > depth. All
-	// thresholds <= depth are misses.
-	for i := len(p.Thresholds) - 1; i >= 0; i-- {
-		if depth >= p.Thresholds[i] {
-			for j := 0; j <= i; j++ {
-				p.Misses[j]++
-			}
-			break
-		}
-	}
-}
-
 // Frac returns p(x) for threshold index i: the fraction of references
 // with depth >= Thresholds[i].
 func (p *Profile) Frac(i int) float64 {
@@ -80,11 +58,7 @@ func (p *Profile) Frac(i int) float64 {
 	return float64(p.Misses[i]) / float64(p.Refs)
 }
 
-// Reset zeroes the accumulated counts, keeping the threshold grid. The
-// interval sampler uses it to carve one long reference stream into
-// per-interval profiles over a single persistent Stack: the stack keeps
-// the cross-interval reuse history while each interval's counts start
-// fresh.
+// Reset zeroes the accumulated counts, keeping the threshold grid.
 func (p *Profile) Reset() {
 	for i := range p.Misses {
 		p.Misses[i] = 0
@@ -112,27 +86,33 @@ func (p *Profile) Signature() []float64 {
 }
 
 // MultiStack routes each reference to one of k stacks (the §4.1 "split"
-// experiment: the 4-way splitter chooses the stack) and accumulates one
-// global profile across all of them.
+// experiment: the 4-way splitter chooses the stack) and profiles all of
+// them as one: its Profile sums the k stacks' counts.
 type MultiStack struct {
-	Stacks  []*Stack
-	Profile *Profile
+	Stacks []*Stack
 }
 
-// NewMultiStack builds k unbounded stacks sharing one profile.
-func NewMultiStack(k int, thresholds []int64) *MultiStack {
-	return NewMultiStackLimited(k, thresholds, 0)
-}
-
-// NewMultiStackLimited builds k stacks sharing one profile, each capped
-// at perStack live lines (<= 0 = unbounded). See NewLimited for the
-// accuracy guarantee: thresholds <= perStack are exact.
-func NewMultiStackLimited(k int, thresholds []int64, perStack int64) *MultiStack {
-	ms := &MultiStack{Profile: NewProfile(thresholds)}
+// NewMultiStack builds k stacks over one threshold grid, each capped
+// at perStack live lines (<= 0 = unbounded). See New for the accuracy
+// guarantee: thresholds <= perStack are exact.
+func NewMultiStack(k int, thresholds []int64, perStack int64) *MultiStack {
+	ms := &MultiStack{}
 	for i := 0; i < k; i++ {
-		ms.Stacks = append(ms.Stacks, NewLimited(perStack))
+		ms.Stacks = append(ms.Stacks, New(thresholds, perStack))
 	}
 	return ms
+}
+
+// Ref records a reference to line on stack k.
+func (m *MultiStack) Ref(k int, line mem.Line) { m.Stacks[k].Ref(line) }
+
+// Profile returns the summed counts of all k stacks.
+func (m *MultiStack) Profile() *Profile {
+	p := NewProfile(m.Stacks[0].th)
+	for _, s := range m.Stacks {
+		s.addTo(p)
+	}
+	return p
 }
 
 // Dropped returns the total lines evicted across all stacks.
@@ -141,13 +121,5 @@ func (m *MultiStack) Dropped() uint64 {
 	for _, s := range m.Stacks {
 		d += s.Dropped()
 	}
-	return d
-}
-
-// Ref records a reference to line on stack k and returns its depth
-// within that stack.
-func (m *MultiStack) Ref(k int, line mem.Line) int64 {
-	d := m.Stacks[k].Ref(line)
-	m.Profile.Record(d)
 	return d
 }

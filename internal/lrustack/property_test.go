@@ -53,7 +53,7 @@ func (n *naiveModel) setState(st StackState) {
 // checkAgainstModel asserts every externally observable property of the
 // stack matches the model: live count, drop accounting, and the full
 // recency order via State.
-func checkAgainstModel(t *testing.T, step int, op string, s *Stack, n *naiveModel) {
+func checkAgainstModel(t *testing.T, step int, op string, s *fenwickStack, n *naiveModel) {
 	t.Helper()
 	if s.Live() != int64(len(n.order)) {
 		t.Fatalf("step %d (%s): live = %d, model %d", step, op, s.Live(), len(n.order))
@@ -95,7 +95,7 @@ func TestStackPropertyOpSequences(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("limit=%d/alphabet=%d", tc.limit, tc.alphabet), func(t *testing.T) {
 			rng := trace.NewRNG(tc.seed)
-			s := NewLimited(tc.limit)
+			s := newFenwickLimited(tc.limit)
 			n := &naiveModel{cap: tc.limit}
 			var stash []StackState // snapshots taken mid-run, restored later
 
@@ -127,7 +127,7 @@ func TestStackPropertyOpSequences(t *testing.T) {
 					checkAgainstModel(t, i, "restore", s, n)
 				case len(stash) > 0: // restore into a fresh stack and continue on it
 					st := stash[rng.Uint64n(uint64(len(stash)))]
-					fresh := NewLimited(tc.limit)
+					fresh := newFenwickLimited(tc.limit)
 					if err := fresh.SetState(st); err != nil {
 						t.Fatalf("step %d: fresh SetState: %v", i, err)
 					}
@@ -166,18 +166,18 @@ func TestStackPropertyDepthProfile(t *testing.T) {
 			}
 			lines := mkLines()
 
-			ref := NewLimited(limit)
+			ref := newFenwickLimited(limit)
 			var refDepths []int64
 			for _, l := range lines {
 				refDepths = append(refDepths, ref.Ref(l))
 			}
 
-			s := NewLimited(limit)
+			s := newFenwickLimited(limit)
 			for _, l := range lines[:half] {
 				s.Ref(l)
 			}
 			st := s.State()
-			resumed := NewLimited(limit)
+			resumed := newFenwickLimited(limit)
 			if err := resumed.SetState(st); err != nil {
 				t.Fatal(err)
 			}

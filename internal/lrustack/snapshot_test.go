@@ -8,7 +8,7 @@ import (
 
 // drive feeds a deterministic mixed stream: a cyclic sweep with a
 // re-reference burst so depths span hits, deep hits and first touches.
-func drive(s *Stack, n int) []int64 {
+func drive(s *fenwickStack, n int) []int64 {
 	depths := make([]int64, 0, n)
 	for i := 0; i < n; i++ {
 		line := mem.Line(i % 97)
@@ -23,9 +23,9 @@ func drive(s *Stack, n int) []int64 {
 // TestStateRoundTrip: a restored stack reports the same depths as the
 // original for the remainder of the stream, for both regimes.
 func TestStateRoundTrip(t *testing.T) {
-	for name, mk := range map[string]func() *Stack{
-		"unbounded": New,
-		"limited":   func() *Stack { return NewLimited(32) },
+	for name, mk := range map[string]func() *fenwickStack{
+		"unbounded": newFenwick,
+		"limited":   func() *fenwickStack { return newFenwickLimited(32) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			orig := mk()
@@ -54,7 +54,7 @@ func TestStateRoundTrip(t *testing.T) {
 // TestStateDeterministic: two identically driven stacks serialise to
 // identical states.
 func TestStateDeterministic(t *testing.T) {
-	s1, s2 := New(), New()
+	s1, s2 := newFenwick(), newFenwick()
 	drive(s1, 400)
 	drive(s2, 400)
 	a, b := s1.State(), s2.State()
@@ -70,7 +70,7 @@ func TestStateDeterministic(t *testing.T) {
 
 // TestSetStateRejects: shape mismatches are errors, not corruption.
 func TestSetStateRejects(t *testing.T) {
-	s := NewLimited(4)
+	s := newFenwickLimited(4)
 	if err := s.SetState(StackState{Limit: 8}); err == nil {
 		t.Fatal("limit mismatch accepted")
 	}

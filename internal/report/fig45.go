@@ -33,7 +33,6 @@ type ProfileResult struct {
 type profiler struct {
 	il1, dl1 *cache.FullyAssoc
 	single   *lrustack.Stack
-	p1       *lrustack.Profile
 	split    *affinity.Splitter4
 	multi    *lrustack.MultiStack
 	instr    uint64
@@ -45,10 +44,9 @@ func newProfiler(thresholds []int64, shift uint, maxLines int64) *profiler {
 	return &profiler{
 		il1:    cache.NewFullyAssoc(linesPerL1),
 		dl1:    cache.NewFullyAssoc(linesPerL1),
-		single: lrustack.NewLimited(maxLines),
-		p1:     lrustack.NewProfile(thresholds),
+		single: lrustack.New(thresholds, maxLines),
 		split:  affinity.NewSplitter4(affinity.Fig45Config(), affinity.NewUnbounded()),
-		multi:  lrustack.NewMultiStackLimited(4, thresholds, maxLines),
+		multi:  lrustack.NewMultiStack(4, thresholds, maxLines),
 		shift:  shift,
 	}
 }
@@ -68,7 +66,7 @@ func (p *profiler) Access(addr mem.Addr, kind mem.Kind) {
 	l1.Insert(line, 0)
 
 	// p1: single unbounded stack.
-	p.p1.Record(p.single.Ref(line))
+	p.single.Ref(line)
 	// p4: the 4-way splitter routes the reference to one of 4 stacks;
 	// the transition filter updates on every reference (no L2 filtering
 	// in this experiment — §4.1: "We do not apply L2 filtering ... as
@@ -101,17 +99,18 @@ func LRUProfileCapped(w workloads.Workload, budget uint64, lineShift uint, maxLi
 	p := newProfiler(th, lineShift, maxLines)
 	w.Run(p, budget)
 
+	p1, p4 := p.single.Profile(), p.multi.Profile()
 	res := ProfileResult{
 		Workload:   w.Name(),
 		Instr:      p.instr,
-		Refs:       p.p1.Refs,
+		Refs:       p1.Refs,
 		Thresholds: th,
 		MaxLines:   maxLines,
 		Dropped:    p.single.Dropped() + p.multi.Dropped(),
 	}
 	for i := range th {
-		res.P1 = append(res.P1, p.p1.Frac(i))
-		res.P4 = append(res.P4, p.multi.Profile.Frac(i))
+		res.P1 = append(res.P1, p1.Frac(i))
+		res.P4 = append(res.P4, p4.Frac(i))
 	}
 	if p.split.Refs() > 0 {
 		res.TransFreq = float64(p.split.Transitions()) / float64(p.split.Refs())

@@ -66,7 +66,6 @@ type Profiler struct {
 	shift    uint
 
 	stack *lrustack.Stack
-	prof  *lrustack.Profile
 
 	events    uint64 // events seen (Access + Instr calls)
 	instr     uint64 // instructions retired
@@ -87,17 +86,16 @@ func NewProfiler(intervalInstr uint64, lineShift uint) (*Profiler, error) {
 	return &Profiler{
 		interval: intervalInstr,
 		shift:    lineShift,
-		stack:    lrustack.NewLimited(DefaultStackLimit),
-		prof:     lrustack.NewProfile(lrustack.PaperThresholds(lineShift)),
+		stack:    lrustack.New(lrustack.PaperThresholds(lineShift), DefaultStackLimit),
 		next:     intervalInstr,
 	}, nil
 }
 
-// Access implements mem.Sink: one reference through the stack into the
-// current interval's profile.
+// Access implements mem.Sink: one reference through the stack, counted
+// in the current interval.
 func (p *Profiler) Access(addr mem.Addr, kind mem.Kind) {
 	p.events++
-	p.prof.Record(p.stack.Ref(mem.LineOf(addr, p.shift)))
+	p.stack.Ref(mem.LineOf(addr, p.shift))
 }
 
 // Instr implements mem.Sink. Interval boundaries land exactly on the
@@ -127,15 +125,16 @@ func (p *Profiler) AccessBatch(b *mem.Batch) {
 
 // cut finalizes the current interval and opens the next one.
 func (p *Profiler) cut() {
+	prof := p.stack.Profile()
 	p.intervals = append(p.intervals, Interval{
 		Index:      len(p.intervals),
 		StartEvent: p.start,
 		EndEvent:   p.events,
 		Instr:      p.instr - p.lastInstr,
-		Refs:       p.prof.Refs,
-		Sig:        p.prof.Signature(),
+		Refs:       prof.Refs,
+		Sig:        prof.Signature(),
 	})
-	p.prof.Reset()
+	p.stack.ResetCounts()
 	p.start = p.events
 	p.lastInstr = p.instr
 	// A single Instr record can retire more than one interval's worth

@@ -17,7 +17,6 @@ type wsSink struct {
 	codeLines map[mem.Line]bool
 	dl1       *cache.FullyAssoc
 	stack     *lrustack.Stack
-	prof      *lrustack.Profile
 	instr     uint64
 	dataRefs  uint64
 	fetches   uint64
@@ -29,8 +28,7 @@ func newWSSink() *wsSink {
 		dataLines: map[mem.Line]bool{},
 		codeLines: map[mem.Line]bool{},
 		dl1:       cache.NewFullyAssoc((16 << 10) / 64),
-		stack:     lrustack.New(),
-		prof:      lrustack.NewProfile([]int64{8 << 10, 32 << 10, 128 << 10}),
+		stack:     lrustack.New([]int64{8 << 10, 32 << 10, 128 << 10}, 0),
 	}
 }
 
@@ -47,7 +45,7 @@ func (s *wsSink) Access(a mem.Addr, k mem.Kind) {
 		return
 	}
 	s.dl1.Insert(line, 0)
-	s.prof.Record(s.stack.Ref(line))
+	s.stack.Ref(line)
 }
 
 func (s *wsSink) Instr(n uint64) { s.instr += n }
@@ -93,7 +91,7 @@ func TestWorkingSetRegimes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			s := runWS(t, name, budget)
-			if p := s.prof.Frac(0); p > bound {
+			if p := s.stack.Profile().Frac(0); p > bound {
 				t.Errorf("%s: p(512KB) = %.3f, want below %.2f (working set should fit one L2)", name, p, bound)
 			}
 		})
@@ -105,7 +103,7 @@ func TestWorkingSetRegimes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			s := runWS(t, name, budget)
-			if p := s.prof.Frac(0); p < 0.2 {
+			if p := s.stack.Profile().Frac(0); p < 0.2 {
 				t.Errorf("%s: p(512KB) = %.3f, want substantial misses at one-L2 size", name, p)
 			}
 			if fp := s.dataBytes(); fp > 5<<20 {
@@ -123,7 +121,7 @@ func TestWorkingSetRegimes(t *testing.T) {
 			if fp := s.dataBytes(); fp < 4<<20 {
 				t.Errorf("%s: data footprint %d MB, want > 4 MB (beyond-aggregate regime)", name, fp>>20)
 			}
-			if p := s.prof.Frac(1); p < 0.2 {
+			if p := s.stack.Profile().Frac(1); p < 0.2 {
 				t.Errorf("%s: p(2MB) = %.3f, want heavy misses beyond the aggregate", name, p)
 			}
 		})
