@@ -16,14 +16,16 @@ check: build vet lint
 
 # Short fuzzing smoke: arbitrary bytes through the trace reader and the
 # checkpoint reader must produce a typed error or a clean result, never
-# a panic, and arbitrary line streams through the bucketed LRU stack
-# must match its exact-depth oracle. Extend FUZZTIME for a real fuzzing
-# session.
+# a panic, arbitrary line streams through the bucketed LRU stack must
+# match its exact-depth oracle, and arbitrary operation streams through
+# the set-associative cache must match its naive LRU oracle. Extend
+# FUZZTIME for a real fuzzing session.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRestore -fuzztime=$(FUZZTIME) ./internal/machine
 	$(GO) test -run=^$$ -fuzz=FuzzStack -fuzztime=$(FUZZTIME) ./internal/lrustack
+	$(GO) test -run=^$$ -fuzz=FuzzSetAssoc -fuzztime=$(FUZZTIME) ./internal/cache
 
 # Coverage gate: total statement coverage must stay above the ratchet
 # floor in ci/coverage.ratchet. After genuinely adding coverage, lift

@@ -4,7 +4,9 @@
 // bench`). Three measurements:
 //
 //   - ns/ref of Machine.AccessBatch on warm machines, per configuration
-//     (the same steady-state mix the allocation-regression test drives)
+//     (the same steady-state mix the allocation-regression test drives),
+//     of the run.Pair that drives the experiment's two machines through
+//     one L1 front end, and of the sampling profiler
 //   - allocs/op of the same loop (must be 0 — the CI gate)
 //   - wall-clock of the working-set sweep serially vs through the worker
 //     pool, and the resulting speedup
@@ -45,6 +47,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/migration"
 	"repro/internal/report"
+	"repro/internal/run"
 	"repro/internal/sampling"
 	"repro/internal/trace"
 )
@@ -150,6 +153,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchreport: hot path %-14s %d refs...\n", cfg.name, *refs)
 		rep.HotPath = append(rep.HotPath, measureHotPath(cfg, *refs))
 	}
+	fmt.Fprintf(os.Stderr, "benchreport: hot path %-14s %d refs...\n", pairConfig, *refs)
+	rep.HotPath = append(rep.HotPath, measurePair(*refs))
 	fmt.Fprintf(os.Stderr, "benchreport: hot path %-14s %d refs...\n", samplingProfileConfig, *refs)
 	rep.HotPath = append(rep.HotPath, measureSamplingProfile(*refs))
 
@@ -346,7 +351,7 @@ func hotPathConfigs() []hotPathConfig {
 	}
 }
 
-// hotPathReps is how many timed repetitions measureHotPath takes per
+// hotPathReps is how many timed repetitions measureSink takes per
 // config, reporting the fastest. Scheduling interference only ever
 // slows a run down, so the minimum is the stable estimate of the true
 // cost — single-shot timings on a shared host vary by more than the
@@ -355,42 +360,26 @@ func hotPathConfigs() []hotPathConfig {
 // in the same band.
 const hotPathReps = 5
 
-// measureHotPath times the steady-state reference mix on a warm machine
-// and measures its allocs/op the same way the regression test does. The
-// mix is delivered through the production columnar batch path
-// (mem.Batcher into Machine.AccessBatch, BatchLen records per batch).
+// measureHotPath times the steady-state reference mix on a warm
+// standalone machine.
 func measureHotPath(c hotPathConfig, refs uint64) HotPathResult {
-	m := machine.MustNew(c.cfg)
-	trace.DriveBatched(trace.NewCircular(24<<10), m, 100_000, 6, 3)
+	return measureSink(c.name, machine.MustNew(c.cfg), refs)
+}
 
-	g := trace.NewCircular(24 << 10)
-	ba := mem.NewBatcher(m, 0)
-	var i uint64
-	allocs := testing.AllocsPerRun(5000, func() {
-		steadyRef(ba, g, i)
-		i++
-	})
-	ba.Flush()
+// pairConfig names the hot-path entry of the experiment's two machines
+// as one run.Pair: the 1-core baseline and the Table 2 migration chip
+// behind one shared L1 front end, the sink every serial emsim run,
+// /run request and sampled chain drives.
+const pairConfig = "pair"
 
-	var best time.Duration
-	for rep := 0; rep < hotPathReps; rep++ {
-		g = trace.NewCircular(24 << 10)
-		start := time.Now()
-		for i := uint64(0); i < refs; i++ {
-			steadyRef(ba, g, i)
-		}
-		ba.Flush()
-		if elapsed := time.Since(start); rep == 0 || elapsed < best {
-			best = elapsed
-		}
+// measurePair times the steady-state mix through a warm run.Pair.
+func measurePair(refs uint64) HotPathResult {
+	p, err := run.NewPairConfig(machine.NormalConfig(), machine.MigrationConfig())
+	if err != nil {
+		//emlint:allowpanic compile-time-constant configuration; an error is an internal invariant violation
+		panic(err)
 	}
-
-	return HotPathResult{
-		Config:      c.name,
-		Refs:        refs,
-		NsPerRef:    float64(best.Nanoseconds()) / float64(refs),
-		AllocsPerOp: allocs,
-	}
+	return measureSink(pairConfig, p.Sinks()[0], refs)
 }
 
 // samplingProfileConfig names the sampling profiling-pass entry in the
@@ -403,18 +392,26 @@ func measureHotPath(c hotPathConfig, refs uint64) HotPathResult {
 const samplingProfileConfig = "sampling-profile"
 
 // measureSamplingProfile times the interval profiler on the same
-// steady-state mix as the machine hot paths, through the same columnar
-// batch path, on a warm (steady-state) stack.
+// steady-state mix as the machine hot paths, on a warm stack.
 func measureSamplingProfile(refs uint64) HotPathResult {
 	prof, err := sampling.NewProfiler(20_000, 6)
 	if err != nil {
 		//emlint:allowpanic compile-time-constant configuration; an error is an internal invariant violation
 		panic(err)
 	}
-	trace.DriveBatched(trace.NewCircular(24<<10), prof, 100_000, 6, 3)
+	return measureSink(samplingProfileConfig, prof, refs)
+}
+
+// measureSink warms sink up, then times the steady-state reference mix
+// through it and measures its allocs/op the same way the regression
+// test does. The mix is delivered through the production columnar
+// batch path (mem.Batcher into the sink's AccessBatch, BatchLen records
+// per batch).
+func measureSink(name string, sink mem.BatchSink, refs uint64) HotPathResult {
+	trace.DriveBatched(trace.NewCircular(24<<10), sink, 100_000, 6, 3)
 
 	g := trace.NewCircular(24 << 10)
-	ba := mem.NewBatcher(prof, 0)
+	ba := mem.NewBatcher(sink, 0)
 	var i uint64
 	allocs := testing.AllocsPerRun(5000, func() {
 		steadyRef(ba, g, i)
@@ -436,7 +433,7 @@ func measureSamplingProfile(refs uint64) HotPathResult {
 	}
 
 	return HotPathResult{
-		Config:      samplingProfileConfig,
+		Config:      name,
 		Refs:        refs,
 		NsPerRef:    float64(best.Nanoseconds()) / float64(refs),
 		AllocsPerOp: allocs,

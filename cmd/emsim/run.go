@@ -99,6 +99,22 @@ func run(p *runParams) (*runResult, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
+	// With no checkpoint state in play the two machines never need to
+	// agree on an event boundary, so they can consume independent copies
+	// of the (deterministic) input stream concurrently. Those passes
+	// run on two goroutines, so their machines cannot share the pair's
+	// L1 front end.
+	if p.Workers != 1 && p.Checkpoint == "" && resumeCk == nil {
+		normal, mig, err := p.NewMachines()
+		if err != nil {
+			return nil, err
+		}
+		tel, err := newRunTelemetry(p, normal, mig)
+		if err != nil {
+			return nil, err
+		}
+		return runIndependent(p, normal, mig, tel)
+	}
 	pair, err := p.NewPair()
 	if err != nil {
 		return nil, err
@@ -106,13 +122,6 @@ func run(p *runParams) (*runResult, error) {
 	tel, err := newRunTelemetry(p, pair.Normal, pair.Mig)
 	if err != nil {
 		return nil, err
-	}
-
-	// With no checkpoint state in play the two machines never need to
-	// agree on an event boundary, so they can consume independent copies
-	// of the (deterministic) input stream concurrently.
-	if p.Workers != 1 && p.Checkpoint == "" && resumeCk == nil {
-		return runIndependent(p, pair, tel)
 	}
 
 	s := &engine.Stream{To: pair.Sinks(), StopAt: p.stopAfter, Stop: p.stop}
@@ -179,10 +188,10 @@ func run(p *runParams) (*runResult, error) {
 // so also stops deterministically; only an asynchronous SIGINT may
 // catch the two passes at different events, in which case the partial
 // report covers whatever each machine had consumed.
-func runIndependent(p *runParams, pair *engine.Pair, tel *runTelemetry) (*runResult, error) {
+func runIndependent(p *runParams, normal, mig *machine.Machine, tel *runTelemetry) (*runResult, error) {
 	streams := [2]*engine.Stream{
-		{To: []mem.BatchSink{pair.Normal}, StopAt: p.stopAfter, Stop: p.stop},
-		{To: []mem.BatchSink{pair.Mig}, StopAt: p.stopAfter, Stop: p.stop},
+		{To: []mem.BatchSink{normal}, StopAt: p.stopAfter, Stop: p.stop},
+		{To: []mem.BatchSink{mig}, StopAt: p.stopAfter, Stop: p.stop},
 	}
 	if tel != nil {
 		streams[0].Every, streams[0].Hook = []uint64{tel.interval}, tel.tickNormal
@@ -199,8 +208,8 @@ func runIndependent(p *runParams, pair *engine.Pair, tel *runTelemetry) (*runRes
 		return nil, err
 	}
 	return &runResult{
-		Normal:      pair.Normal.FinalStats(),
-		Mig:         pair.Mig.FinalStats(),
+		Normal:      normal.FinalStats(),
+		Mig:         mig.FinalStats(),
 		Events:      max(streams[0].Events(), streams[1].Events()),
 		Interrupted: interrupted[0] || interrupted[1],
 		Timeline:    tel.finish(),

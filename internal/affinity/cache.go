@@ -24,6 +24,12 @@ type Cache struct {
 	valid    []bool
 	age      []uint8
 
+	// skew computes a line's candidate frames; cand holds them for the
+	// current call, so Lookup, Store and touch share one evaluation of
+	// the skewing functions per way.
+	skew cache.Skew //emlint:nosnapshot derived from the shape at construction
+	cand []int32    //emlint:nosnapshot per-call scratch, rebuilt by every Lookup and Store
+
 	// Stats. A telemetry registry exposes them as views (see
 	// telemetry.Registry.View), so these are their only counts.
 	Hits, Misses, Evictions uint64
@@ -52,6 +58,8 @@ func NewCache(entries, ways int) *Cache {
 		oe:       make([]int64, entries),
 		valid:    make([]bool, entries),
 		age:      make([]uint8, entries),
+		skew:     cache.NewSkew(ways, log2),
+		cand:     make([]int32, ways),
 	}
 }
 
@@ -59,15 +67,20 @@ func NewCache(entries, ways int) *Cache {
 // 4-way skewed-associative.
 func NewTable2Cache() *Cache { return NewCache(8192, 4) }
 
-// frameOf returns the candidate frame for way w.
-func (c *Cache) frameOf(w int, line mem.Line) int {
-	return w<<c.setsLog2 + int(cache.SkewIndex(w, line, c.setsLog2))
+// frames returns line's candidate frame in each way, in way order.
+//
+//emlint:hotpath
+func (c *Cache) frames(line mem.Line) []int32 {
+	c.skew.Frames(line, c.cand)
+	return c.cand
 }
 
-// touch applies the age policy around a hit/fill at frame hit for line.
-func (c *Cache) touch(line mem.Line, hit int) {
-	for w := 0; w < c.ways; w++ {
-		f := c.frameOf(w, line)
+// touch applies the age policy around a hit/fill at frame hit among a
+// line's candidate frames fr.
+//
+//emlint:hotpath
+func (c *Cache) touch(fr []int32, hit int32) {
+	for _, f := range fr {
 		if f == hit {
 			c.age[f] = 0
 		} else if c.age[f] < 3 {
@@ -80,11 +93,11 @@ func (c *Cache) touch(line mem.Line, hit int) {
 //
 //emlint:hotpath
 func (c *Cache) Lookup(line mem.Line) (int64, bool) {
-	for w := 0; w < c.ways; w++ {
-		f := c.frameOf(w, line)
+	fr := c.frames(line)
+	for _, f := range fr {
 		if c.valid[f] && c.lines[f] == line {
 			c.Hits++
-			c.touch(line, f)
+			c.touch(fr, f)
 			return c.oe[f], true
 		}
 	}
@@ -96,22 +109,20 @@ func (c *Cache) Lookup(line mem.Line) (int64, bool) {
 //
 //emlint:hotpath
 func (c *Cache) Store(line mem.Line, oe int64) {
+	fr := c.frames(line)
 	// Update in place on hit.
-	for w := 0; w < c.ways; w++ {
-		f := c.frameOf(w, line)
+	for _, f := range fr {
 		if c.valid[f] && c.lines[f] == line {
 			c.oe[f] = oe
-			c.touch(line, f)
+			c.touch(fr, f)
 			return
 		}
 	}
 	// Allocate: invalid frame first, else oldest age.
-	victim, bestAge := -1, -1
-	for w := 0; w < c.ways; w++ {
-		f := c.frameOf(w, line)
+	victim, bestAge := int32(-1), -1
+	for _, f := range fr {
 		if !c.valid[f] {
 			victim = f
-			bestAge = 1000
 			break
 		}
 		if int(c.age[f]) > bestAge {
@@ -124,7 +135,7 @@ func (c *Cache) Store(line mem.Line, oe int64) {
 	c.lines[victim] = line
 	c.oe[victim] = oe
 	c.valid[victim] = true
-	c.touch(line, victim)
+	c.touch(fr, victim)
 }
 
 // Entries returns the total entry count.

@@ -282,3 +282,22 @@ func TestFullyAssocStress(t *testing.T) {
 		}
 	}
 }
+
+// TestSkewFramesMatchSkewIndex: the hoisted per-way skew is SkewIndex,
+// way for way, at every set count including the single-set degenerate.
+func TestSkewFramesMatchSkewIndex(t *testing.T) {
+	rng := trace.NewRNG(5)
+	for _, sl := range []uint{0, 1, 3, 9, 13} {
+		s := NewSkew(8, sl)
+		fr := make([]int32, 8)
+		for i := 0; i < 2000; i++ {
+			line := mem.Line(rng.Uint64())
+			s.Frames(line, fr)
+			for w, f := range fr {
+				if want := int32(w)<<sl + int32(SkewIndex(w, line, sl)); f != want {
+					t.Fatalf("setsLog2 %d way %d line %#x: frame %d, want %d", sl, w, line, f, want)
+				}
+			}
+		}
+	}
+}

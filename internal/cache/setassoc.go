@@ -22,12 +22,9 @@ type SetAssoc struct {
 	setMask   uint64 //emlint:nosnapshot derived from geo at construction
 	wayStride int32  //emlint:nosnapshot derived from geo at construction
 
-	// rotAmt and wScramble precompute the per-way constants of SkewIndex
-	// (rotation amount and scrambled way constant), so the hot walks can
-	// share the per-line decomposition — one golden-ratio multiply per
-	// probed line instead of one per way.
-	rotAmt    []uint   //emlint:nosnapshot derived from geo at construction
-	wScramble []uint64 //emlint:nosnapshot derived from geo at construction
+	// skew precomputes the per-way constants of SkewIndex, so the hot
+	// walks share the per-line decomposition.
+	skew Skew //emlint:nosnapshot derived from geo at construction
 
 	// probeVictim is the insertion victim chosen during the walk of the
 	// most recent Probe miss; probeLine/probeOK guard its validity. They
@@ -58,31 +55,9 @@ func NewSetAssoc(geo Geometry) *SetAssoc {
 		wayStride: int32(1) << geo.SetsLog2,
 	}
 	if geo.Skewed && geo.SetsLog2 > 0 {
-		c.rotAmt = make([]uint, geo.Ways)
-		c.wScramble = make([]uint64, geo.Ways)
-		for w := 0; w < geo.Ways; w++ {
-			c.rotAmt[w] = uint(w) % geo.SetsLog2
-			c.wScramble[w] = uint64(w) * 0xbf58476d1ce4e5b9
-		}
+		c.skew = NewSkew(geo.Ways, geo.SetsLog2)
 	}
 	return c
-}
-
-// skewSet is SkewIndex with the per-line decomposition hoisted out:
-// a1/a2 are the two index-bit groups of the line, hiK the golden-ratio
-// multiply of its high bits, computed once by the caller and shared by
-// every way of the walk. Requires geo.Skewed and SetsLog2 > 0.
-//
-//emlint:hotpath
-func (c *SetAssoc) skewSet(w int, a1, a2, hiK uint64) uint32 {
-	if w == 0 {
-		return uint32(a1 ^ a2)
-	}
-	sl := c.geo.SetsLog2
-	r := c.rotAmt[w]
-	rot := ((a2 << r) | (a2 >> (sl - r))) & c.setMask
-	h := (hiK ^ c.wScramble[w]) >> (64 - sl)
-	return uint32((a1 ^ rot ^ h) & c.setMask)
 }
 
 // frameOf returns the frame index of way w for line.
@@ -125,12 +100,9 @@ func (c *SetAssoc) Lookup(line mem.Line) (Handle, bool) {
 		}
 		return -1, false
 	}
-	v := uint64(line)
-	a1 := v & c.setMask
-	a2 := (v >> sl) & c.setMask
-	hiK := (v >> (2 * sl)) * 0x9e3779b97f4a7c15
+	a1, a2, hiK := c.skew.split(line)
 	for w := 0; w < c.geo.Ways; w++ {
-		f := int32(w)<<sl + int32(c.skewSet(w, a1, a2, hiK))
+		f := int32(w)<<sl + int32(c.skew.set(w, a1, a2, hiK))
 		if c.valid[f] && c.lines[f] == line {
 			return Handle(f), true
 		}
@@ -173,12 +145,9 @@ func (c *SetAssoc) Probe(line mem.Line) (Handle, bool) {
 			f += c.wayStride
 		}
 	} else if sl := c.geo.SetsLog2; sl > 0 {
-		v := uint64(line)
-		a1 := v & c.setMask
-		a2 := (v >> sl) & c.setMask
-		hiK := (v >> (2 * sl)) * 0x9e3779b97f4a7c15
+		a1, a2, hiK := c.skew.split(line)
 		for w := 0; w < c.geo.Ways; w++ {
-			f := int32(w)<<sl + int32(c.skewSet(w, a1, a2, hiK))
+			f := int32(w)<<sl + int32(c.skew.set(w, a1, a2, hiK))
 			if c.valid[f] {
 				if c.lines[f] == line {
 					c.clock++

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/workloads/suite"
@@ -245,5 +246,96 @@ func TestRestoreShapeMismatch(t *testing.T) {
 	}
 	if err := MustNew(NormalConfig()).Restore(snap); err == nil {
 		t.Fatal("migration snapshot restored into normal machine")
+	}
+}
+
+// doubleModified returns a copy of snap in which a line modified in one
+// L2 is also planted modified in another — a state §2.1 never reaches —
+// or false when snap holds no modified line.
+func doubleModified(snap Snapshot) (Snapshot, bool) {
+	out := snap
+	out.L2 = make([]cache.SetAssocState, len(snap.L2))
+	for i, st := range snap.L2 {
+		st.Lines = append([]mem.Line(nil), st.Lines...)
+		st.Valid = append([]bool(nil), st.Valid...)
+		st.Flags = append([]uint8(nil), st.Flags...)
+		out.L2[i] = st
+	}
+	for c, st := range out.L2 {
+		for f, line := range st.Lines {
+			if !st.Valid[f] || st.Flags[f]&cache.FlagModified == 0 {
+				continue
+			}
+			other := out.L2[(c+1)%len(out.L2)]
+			g := 0
+			if !other.Valid[g] {
+				other.Valid[g] = true
+				other.Count++
+			}
+			other.Lines[g], other.Flags[g] = line, cache.FlagModified
+			out.L2[(c+1)%len(out.L2)] = other
+			return out, true
+		}
+	}
+	return out, false
+}
+
+// TestRestoreValidatesOwners: Restore rebuilds the modified-owner index
+// from the L2 states, and rejects states the machine can never reach —
+// one line modified in two L2s, or a line too wide for the index.
+func TestRestoreValidatesOwners(t *testing.T) {
+	src := MustNew(MigrationConfigN(4))
+	deliver(t, captureWorkload(t, "181.mcf", 200_000), src)
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	double, ok := doubleModified(snap)
+	if !ok {
+		t.Fatal("the stream left no modified line to duplicate")
+	}
+	wide := snap
+	wide.L2 = append([]cache.SetAssocState(nil), snap.L2...)
+	wide.L2[1].Lines = append([]mem.Line(nil), snap.L2[1].Lines...)
+	wide.L2[1].Valid = append([]bool(nil), snap.L2[1].Valid...)
+	wide.L2[1].Flags = append([]uint8(nil), snap.L2[1].Flags...)
+	if !wide.L2[1].Valid[0] {
+		wide.L2[1].Valid[0] = true
+		wide.L2[1].Count++
+	}
+	wide.L2[1].Lines[0], wide.L2[1].Flags[0] = ^mem.Line(0), cache.FlagModified
+
+	for _, tc := range []struct {
+		name string
+		snap Snapshot
+		ok   bool
+	}{
+		{"reachable", snap, true},
+		{"two modified copies", double, false},
+		{"line too wide", wide, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := MustNew(MigrationConfigN(4))
+			err := m.Restore(tc.snap)
+			if (err == nil) != tc.ok {
+				t.Fatalf("Restore error = %v, want ok=%v", err, tc.ok)
+			}
+			if tc.ok {
+				checkOwnerIndex(t, "restored", m)
+				if m.own.n == 0 {
+					t.Fatal("restored index is empty")
+				}
+			}
+		})
+	}
+	// A single-core machine has no remote copy and no index to keep.
+	n := MustNew(NormalConfig())
+	deliver(t, captureWorkload(t, "181.mcf", 50_000), n)
+	ns, err := n.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := MustNew(NormalConfig()).Restore(ns); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -21,6 +21,21 @@ func modifiedCopies(m *Machine, line mem.Line) (valid, modified int) {
 	return
 }
 
+// plantL2 inserts line into core's L2 with flags by hand — the state a
+// past active phase on that core would have left — and keeps the
+// modified-owner index in step, as the machine's own writes do. It
+// refuses to plant a second modified copy, a state §2.1 never reaches.
+func plantL2(t *testing.T, m *Machine, core int, line mem.Line, flags uint8) {
+	t.Helper()
+	m.l2[core].Insert(line, flags)
+	if flags&cache.FlagModified == 0 || m.own == nil {
+		return
+	}
+	if prev, had := m.own.put(line, core); had {
+		t.Fatalf("plantL2: line %#x is already modified on core %d", line, prev)
+	}
+}
+
 // TestSingleModifiedCopyInvariant enforces §2.1's central coherence
 // rule — "at most a single copy of the line can be marked modified at
 // any time" — under a randomized load/store stream with migrations.
@@ -60,20 +75,19 @@ func TestInactiveCopiesStayValid(t *testing.T) {
 	m := MustNew(MigrationConfig())
 	line := mem.Line(0x999)
 
-	// Load the line on core 0 (active), dirty it.
+	// Load the line on core 0 (active): one clean copy.
 	m.Access(mem.AddrOf(line, 6), mem.Load)
-	m.Access(mem.AddrOf(line, 6), mem.Store)
 	v, mod := modifiedCopies(m, line)
-	if v != 1 || mod != 1 {
-		t.Fatalf("after store: %d valid, %d modified copies", v, mod)
+	if v != 1 || mod != 0 {
+		t.Fatalf("after load: %d valid, %d modified copies", v, mod)
 	}
 
-	// Plant a stale copy on another core by hand (the state a past
-	// active phase would have left) and store again on the active core:
-	// the remote copy must stay valid with modified reset.
-	m.l2[2].Insert(line, cache.FlagModified)
-	// Evict the line from DL1 so the store is a write-through... it is
-	// DL1-resident, which also exercises storeThrough.
+	// Plant a modified copy on another core by hand — the state core 2
+	// writing the line and execution migrating back to core 0 leaves —
+	// and store on the active core: the remote copy must stay valid
+	// with modified reset. The line is DL1-resident, so the store is a
+	// write-through (storeThrough).
+	plantL2(t, m, 2, line, cache.FlagModified)
 	m.Access(mem.AddrOf(line, 6), mem.Store)
 	v, mod = modifiedCopies(m, line)
 	if v != 2 {
@@ -95,7 +109,7 @@ func TestL2ToL2ForwardOnlyModified(t *testing.T) {
 	line := mem.Line(0x777)
 
 	// Plant a MODIFIED copy on core 3; active core 0 misses.
-	m.l2[3].Insert(line, cache.FlagModified)
+	plantL2(t, m, 3, line, cache.FlagModified)
 	m.Access(mem.AddrOf(line, 6), mem.Load)
 	if m.Stats.L2ToL2 != 1 {
 		t.Fatalf("modified remote copy not forwarded: L2ToL2 = %d", m.Stats.L2ToL2)
@@ -109,7 +123,7 @@ func TestL2ToL2ForwardOnlyModified(t *testing.T) {
 
 	// Plant a CLEAN copy of another line on core 3; no forward happens.
 	line2 := mem.Line(0x888)
-	m.l2[3].Insert(line2, 0)
+	plantL2(t, m, 3, line2, 0)
 	m.Access(mem.AddrOf(line2, 6), mem.Load)
 	if m.Stats.L2ToL2 != 1 {
 		t.Fatalf("clean remote copy was forwarded: L2ToL2 = %d", m.Stats.L2ToL2)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/store"
 )
 
@@ -102,6 +103,27 @@ func goldenCheckpointBytes(f *testing.F) [][]byte {
 	}
 	seeds = append(seeds, extBuf.Bytes())
 
+	// States a machine never reaches: a migration snapshot holding one
+	// line modified in two L2s (Restore must reject it), and a pair
+	// whose two L1 sections differ (run.Pair.Restore must reject it; a
+	// standalone machine takes either).
+	ck, err := ReadCheckpoint(bytes.NewReader(seeds[1]))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if double, ok := doubleModified(ck.Machines[1].Snap); ok {
+		ck.Machines[1].Snap = double
+	}
+	split := ck.Machines[0].Snap
+	split.IL1.Lines = append([]mem.Line(nil), split.IL1.Lines...)
+	split.IL1.Lines[0] ^= 1
+	ck.Machines[0].Snap = split
+	var badBuf bytes.Buffer
+	if err := WriteCheckpoint(&badBuf, ck); err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, badBuf.Bytes())
+
 	// Degenerate inputs: truncations, a flipped payload byte, bad magic.
 	full := seeds[0]
 	flipped := append([]byte(nil), full...)
@@ -186,6 +208,8 @@ func checkpointRestoreOracle(t *testing.T, data []byte) {
 		if m.Stats != snap.Stats {
 			t.Fatalf("restore succeeded but stats differ: %+v vs %+v", m.Stats, snap.Stats)
 		}
+		// ... and an owner index that agrees with its L2 flags.
+		checkOwnerIndex(t, "restored", m)
 		// Policy state from the extension must apply cleanly or fail
 		// cleanly — mutated state blobs may not panic the decoder.
 		if ext := ck.Ext(); ext != nil {

@@ -9,10 +9,12 @@
 // The model is trace-driven and event-counting, like the paper's
 // simulator: it implements mem.BatchSink, consumes a workload's
 // reference stream, and reports the event counts behind Tables 1 and 2.
-// AccessBatch is its one event kernel; Access and Instr forward into it
-// one record at a time. Each count lives in one place: the telemetry
-// registry reads the Stats fields (and the policy's own counters) as
-// views instead of keeping copies.
+// Group.AccessBatch is its one event kernel, run over one or more
+// machines that share an L1 front end (a standalone Machine is a group
+// of one); Access and Instr forward into it one record at a time. Each
+// count lives in one place: the telemetry registry reads the Stats
+// fields (and the policy's own counters) as views instead of keeping
+// copies.
 package machine
 
 import (
@@ -265,9 +267,17 @@ const (
 // Machine is the simulated multi-core. It implements mem.BatchSink.
 type Machine struct {
 	cfg Config
-	il1 *cache.SetAssoc // mirrored across cores: one physical copy
+	// il1 and dl1 are mirrored across cores: one physical copy, owned
+	// by the machine's Group and shared by every member of it.
+	il1 *cache.SetAssoc
 	dl1 *cache.SetAssoc
+	//emlint:nosnapshot the L1 front end and member list; the L1 state restores through il1/dl1
+	grp *Group
 	l2  []*cache.SetAssoc
+	// own indexes the modified copies of the L2s; nil with one core,
+	// where no remote copy exists. Aliased with l2 by Cluster.
+	//emlint:nosnapshot derived from the L2 flags; Restore rebuilds it
+	own *owners
 	l3  *cache.SetAssoc // nil = infinite L3 (the paper's assumption)
 	pf  *prefetch.Prefetcher
 	// pol is the migration policy (nil in normal mode). The default is
@@ -285,8 +295,6 @@ type Machine struct {
 	// as Stats keeps no total.
 	//emlint:nosnapshot observational handle into tel; its value restores through Snapshot.Telemetry
 	refs telemetry.Counter
-	//emlint:nosnapshot per-call scratch of the Access/Instr forwards
-	rec mem.Record
 
 	active int
 	Stats  Stats
@@ -323,6 +331,11 @@ func (cfg Config) Validate() error {
 	} else if !migration.ValidPolicy(cfg.Policy) {
 		return fmt.Errorf("machine: unknown policy %q (have %v)", cfg.Policy, migration.PolicyNames())
 	}
+	// The modified-owner index packs a line and its owner core into one
+	// 64-bit slot, which the line-offset bits must make room for.
+	if cfg.Cores > 1 && ownerBits(cfg.Cores) > cfg.LineShift {
+		return fmt.Errorf("machine: %d cores need a line shift of at least %d, got %d", cfg.Cores, ownerBits(cfg.Cores), cfg.LineShift)
+	}
 	return nil
 }
 
@@ -331,16 +344,24 @@ func (cfg Config) Validate() error {
 // them in a panic for call sites with compile-time-constant
 // configurations.
 func New(cfg Config) (*Machine, error) {
+	g, err := NewGroup(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return g.ms[0], nil
+}
+
+// newMachine builds a machine as a member of group g, on g's L1s.
+func newMachine(cfg Config, g *Group) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{
-		cfg: cfg,
-		il1: cache.NewSetAssoc(cfg.IL1),
-		dl1: cache.NewSetAssoc(cfg.DL1),
-	}
+	m := &Machine{cfg: cfg, il1: g.il1, dl1: g.dl1, grp: g}
 	for i := 0; i < cfg.Cores; i++ {
 		m.l2 = append(m.l2, cache.NewSetAssoc(cfg.L2))
+	}
+	if cfg.Cores > 1 {
+		m.own = newOwners(cfg.Cores)
 	}
 	if cfg.L3 != nil {
 		m.l3 = cache.NewSetAssoc(*cfg.L3)
@@ -489,25 +510,11 @@ func (m *Machine) spillRegisters() {
 	}
 }
 
-// fillL1 inserts a line into an L1 after an L2/L3 fetch; the line is
-// broadcast to the inactive L1 copies (§2.3), which we account but do
-// not duplicate (contents are mirrored). The caller has just missed
-// this L1 on the same line (through Probe) and nothing on the request
-// path touches the L1s, so the line is guaranteed absent and the probed
-// candidate frames are still the insertion candidates — InsertProbed
-// reuses them instead of re-running the indexing.
-//
-//emlint:hotpath
-func (m *Machine) fillL1(l1 *cache.SetAssoc, line mem.Line) {
-	l1.InsertProbed(line, 0)
-	if m.cfg.Migration != nil {
-		m.Stats.L1BroadcastBytes += uint64(m.cfg.Cores-1) << m.cfg.LineShift
-	}
-}
-
 // request services an L1-miss request (§2.2's controller-visible path).
 // isStore marks write-allocate semantics: the fetched/hit line becomes
 // modified on the active core and loses its modified bit elsewhere.
+//
+//emlint:hotpath
 func (m *Machine) request(line mem.Line, isStore, isPtrLoad bool) {
 	if m.pol != nil {
 		if core, migrated := m.polOnRequest(line); migrated {
@@ -518,11 +525,12 @@ func (m *Machine) request(line mem.Line, isStore, isPtrLoad bool) {
 			m.spillRegisters()
 		}
 	}
-	if h, ok := m.l2[m.active].Probe(line); ok {
+	l2 := m.l2[m.active]
+	if h, ok := l2.Probe(line); ok {
 		m.Stats.L2Hits++
-		m.notePrefetchHit(h)
+		m.notePrefetchHit(l2, h)
 		if isStore {
-			m.markModified(h, line)
+			m.markModified(l2, h, line)
 		}
 		return
 	}
@@ -534,31 +542,33 @@ func (m *Machine) request(line mem.Line, isStore, isPtrLoad bool) {
 			m.Stats.Migrations++
 			m.active = core
 			m.spillRegisters()
-			if h, ok := m.l2[m.active].Probe(line); ok {
+			l2 = m.l2[m.active]
+			if h, ok := l2.Probe(line); ok {
 				// The new active L2 holds the line: serviced locally
 				// after the migration, no L3 access.
 				m.Stats.L2Hits++
 				m.Stats.L2HitsAfterMigration++
-				m.notePrefetchHit(h)
+				m.notePrefetchHit(l2, h)
 				if isStore {
-					m.markModified(h, line)
+					m.markModified(l2, h, line)
 				}
 				return
 			}
 		}
 	}
 	m.Stats.L2Misses++
-	m.fetch(line, isStore)
+	m.fetch(l2, line, isStore)
 	m.prefetchAfterMiss(line)
 }
 
-// notePrefetchHit converts a prefetched line into a useful one the
-// first time a demand request touches it.
-func (m *Machine) notePrefetchHit(h cache.Handle) {
+// notePrefetchHit converts a prefetched line of the active L2 into a
+// useful one the first time a demand request touches it.
+//
+//emlint:hotpath
+func (m *Machine) notePrefetchHit(l2 *cache.SetAssoc, h cache.Handle) {
 	if m.pf == nil {
 		return
 	}
-	l2 := m.l2[m.active]
 	if f := l2.Flags(h); f&flagPrefetched != 0 {
 		l2.SetFlags(h, f&^flagPrefetched)
 		m.Stats.PrefetchUseful++
@@ -571,14 +581,16 @@ func (m *Machine) prefetchAfterMiss(line mem.Line) {
 	if m.pf == nil {
 		return
 	}
+	l2 := m.l2[m.active]
 	for _, pl := range m.pf.OnMiss(line) {
-		if _, ok := m.l2[m.active].Lookup(pl); ok {
+		if _, ok := l2.Lookup(pl); ok {
 			continue
 		}
 		m.Stats.PrefetchIssued++
-		_, victim := m.l2[m.active].Insert(pl, flagPrefetched)
+		_, victim := l2.Insert(pl, flagPrefetched)
 		if victim.Valid && victim.Flags&cache.FlagModified != 0 {
 			m.Stats.L3Writebacks++
+			m.disown(victim.Line)
 		}
 	}
 }
@@ -586,9 +598,12 @@ func (m *Machine) prefetchAfterMiss(line mem.Line) {
 // storeThrough performs the write-through of a DL1-hit store: update the
 // active L2 (allocating on miss — §2.1), set its modified bit, reset
 // modified on inactive copies.
+//
+//emlint:hotpath
 func (m *Machine) storeThrough(line mem.Line) {
-	if h, ok := m.l2[m.active].Probe(line); ok {
-		m.markModified(h, line)
+	l2 := m.l2[m.active]
+	if h, ok := l2.Probe(line); ok {
+		m.markModified(l2, h, line)
 		return
 	}
 	if m.cfg.CountWriteThroughL2Misses {
@@ -596,39 +611,65 @@ func (m *Machine) storeThrough(line mem.Line) {
 	} else {
 		m.Stats.WriteThroughL2Misses++
 	}
-	m.fetch(line, true)
+	m.fetch(l2, line, true)
 }
 
-// markModified sets the modified bit on the active core's copy and
-// resets it on inactive copies (which remain valid — their content is
-// refreshed over the update bus, §2.1).
-func (m *Machine) markModified(h cache.Handle, line mem.Line) {
-	m.l2[m.active].SetFlags(h, m.l2[m.active].Flags(h)|cache.FlagModified)
-	for c, l2 := range m.l2 {
-		if c == m.active {
-			continue
-		}
-		if hh, ok := l2.Lookup(line); ok {
-			l2.SetFlags(hh, l2.Flags(hh)&^cache.FlagModified)
-		}
+// markModified sets the modified bit on the active core's copy h and
+// resets it on the previous owner's copy, which stays valid — its
+// content is refreshed over the update bus (§2.1). A copy that is
+// already modified is the line's one modified copy, so there is
+// nothing to reset.
+//
+//emlint:hotpath
+func (m *Machine) markModified(l2 *cache.SetAssoc, h cache.Handle, line mem.Line) {
+	f := l2.Flags(h)
+	if f&cache.FlagModified != 0 {
+		return
+	}
+	l2.SetFlags(h, f|cache.FlagModified)
+	if m.own == nil {
+		return
+	}
+	if prev, had := m.own.put(line, m.active); had {
+		m.resetModified(prev, line)
 	}
 }
 
-// fetch brings a line into the active L2 from a modified remote copy
+// resetModified clears the modified bit of core's copy of line.
+//
+//emlint:hotpath
+func (m *Machine) resetModified(core int, line mem.Line) {
+	l2 := m.l2[core]
+	if h, ok := l2.Lookup(line); ok {
+		l2.SetFlags(h, l2.Flags(h)&^cache.FlagModified)
+	}
+}
+
+// disown drops an evicted modified line from the owner index.
+//
+//emlint:hotpath
+func (m *Machine) disown(line mem.Line) {
+	if m.own != nil {
+		m.own.take(line)
+	}
+}
+
+// fetch brings a line into the active L2 l2 from a modified remote copy
 // (L2-to-L2, with simultaneous writeback) or from L3. Non-modified
 // remote copies cannot be forwarded (§2.1) — the line is re-fetched
-// from L3.
-func (m *Machine) fetch(line mem.Line, isStore bool) {
-	for c, l2 := range m.l2 {
-		if c == m.active {
-			continue
-		}
-		if h, ok := l2.Lookup(line); ok && l2.Flags(h)&cache.FlagModified != 0 {
-			// forward + simultaneous writeback, reset modified
-			l2.SetFlags(h, l2.Flags(h)&^cache.FlagModified)
+// from L3. The caller's last Probe of l2 missed on line.
+//
+//emlint:hotpath
+func (m *Machine) fetch(l2 *cache.SetAssoc, line mem.Line, isStore bool) {
+	if m.own != nil {
+		// The active L2 missed, so an owner is a remote core: forward
+		// with simultaneous writeback and reset its modified bit. That
+		// copy was the only modified one, so a store's write has no
+		// other copy to reset.
+		if c, ok := m.own.take(line); ok {
+			m.resetModified(c, line)
 			m.Stats.L2ToL2++
 			m.Stats.L3Writebacks++
-			break
 		}
 	}
 	if m.l3 != nil {
@@ -648,9 +689,10 @@ func (m *Machine) fetch(line mem.Line, isStore bool) {
 	}
 	// The active L2's most recent Probe missed on this exact line (in
 	// request or storeThrough), so the recorded candidates are reused.
-	_, victim := m.l2[m.active].InsertProbed(line, flags)
+	_, victim := l2.InsertProbed(line, flags)
 	if victim.Valid && victim.Flags&cache.FlagModified != 0 {
 		m.Stats.L3Writebacks++
+		m.disown(victim.Line)
 		if m.l3 != nil {
 			if h3, ok := m.l3.Lookup(victim.Line); ok {
 				m.l3.SetFlags(h3, m.l3.Flags(h3)|cache.FlagModified)
@@ -662,16 +704,8 @@ func (m *Machine) fetch(line mem.Line, isStore bool) {
 			}
 		}
 	}
-	if isStore {
-		// the write resets modified on any inactive copies
-		for c, l2 := range m.l2 {
-			if c == m.active {
-				continue
-			}
-			if hh, ok := l2.Lookup(line); ok {
-				l2.SetFlags(hh, l2.Flags(hh)&^cache.FlagModified)
-			}
-		}
+	if isStore && m.own != nil {
+		m.own.put(line, m.active)
 	}
 }
 

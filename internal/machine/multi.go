@@ -50,7 +50,8 @@ type Cluster struct {
 
 // NewCluster builds k programs over a shared L2 (and L3) complex. Every
 // program gets its own Machine built from cfg; programs beyond the
-// first alias their L2 and L3 arrays onto program 0's.
+// first alias their L2 arrays, the modified-owner index over them and
+// the L3 onto program 0's.
 func NewCluster(cfg Config, k int) (*Cluster, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("machine: cluster needs at least one program, got %d", k)
@@ -63,6 +64,7 @@ func NewCluster(cfg Config, k int) (*Cluster, error) {
 		}
 		if i > 0 {
 			m.l2 = c.programs[0].l2
+			m.own = c.programs[0].own
 			m.l3 = c.programs[0].l3
 		}
 		c.programs = append(c.programs, m)

@@ -9,7 +9,7 @@ import (
 // refSink drives a Machine through the reference kernel: a
 // record-at-a-time Access/Instr that folds every count into Stats as it
 // happens and dispatches each record on its own. It shares the slow
-// path (request, fetch, storeThrough, fillL1) with AccessBatch, so a
+// path (request, fetch, storeThrough) with AccessBatch, so a
 // disagreement between the two isolates the batch loop: its local
 // accumulators, its instruction-record handling and its dispatch.
 type refSink struct{ m *Machine }
@@ -27,6 +27,16 @@ func (r refSink) Instr(n uint64) {
 	m.Stats.UpdateBusBytes += 9 * n
 }
 
+// fill inserts line into an L1 after its miss and accounts the
+// broadcast to the inactive L1 copies (§2.3).
+func (r refSink) fill(l1 *cache.SetAssoc, line mem.Line) {
+	m := r.m
+	l1.InsertProbed(line, 0)
+	if m.cfg.Migration != nil {
+		m.Stats.L1BroadcastBytes += uint64(m.cfg.Cores-1) << m.cfg.LineShift
+	}
+}
+
 func (r refSink) Access(addr mem.Addr, kind mem.Kind) {
 	m := r.m
 	line := mem.LineOf(addr, m.cfg.LineShift)
@@ -39,7 +49,7 @@ func (r refSink) Access(addr mem.Addr, kind mem.Kind) {
 		}
 		m.Stats.IL1Misses++
 		m.request(line, false, false)
-		m.fillL1(m.il1, line)
+		r.fill(m.il1, line)
 	case mem.Load, mem.PtrLoad:
 		m.Stats.Loads++
 		if _, ok := m.dl1.Probe(line); ok {
@@ -47,7 +57,7 @@ func (r refSink) Access(addr mem.Addr, kind mem.Kind) {
 		}
 		m.Stats.DL1Misses++
 		m.request(line, false, kind == mem.PtrLoad)
-		m.fillL1(m.dl1, line)
+		r.fill(m.dl1, line)
 	case mem.Store:
 		m.Stats.Stores++
 		if m.cfg.Migration != nil {

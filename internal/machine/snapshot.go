@@ -97,7 +97,10 @@ func (m *Machine) SetPolicyState(ps migration.PolicyState) error {
 
 // Restore loads a snapshot into the machine. The machine must have been
 // built from the same Config as the one that produced the snapshot;
-// every component validates its shape before mutating itself. A failed
+// every component validates its shape before mutating itself. The
+// modified-owner index is rebuilt from the L2 states, which are
+// rejected if they hold one line modified in two L2s (§2.1 never gets
+// there). A failed
 // Restore can still leave earlier components updated, so the caller must
 // treat the machine as unusable after an error.
 func (m *Machine) Restore(s Snapshot) error {
@@ -128,6 +131,11 @@ func (m *Machine) Restore(s Snapshot) error {
 	for i, st := range s.L2 {
 		if err := m.l2[i].SetState(st); err != nil {
 			return fmt.Errorf("machine: L2[%d]: %w", i, err)
+		}
+	}
+	if m.own != nil {
+		if err := m.own.rebuild(s.L2); err != nil {
+			return err
 		}
 	}
 	if s.L3 != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/workloads/suite"
 )
@@ -146,6 +147,51 @@ func TestPairRestoreRejectsMismatch(t *testing.T) {
 	}
 	if _, err := (Spec{Cores: 3}).NewPair(); err == nil {
 		t.Fatal("built a pair for an unsupported core count")
+	}
+}
+
+// TestPairRestoreRejectsSplitL1: the pair's machines share one L1
+// front end, so a checkpoint whose normal and migration IL1 or DL1
+// sections differ cannot be restored into it; equal sections can.
+func TestPairRestoreRejectsSplitL1(t *testing.T) {
+	in := Spec{Workload: "mst", Instr: 30_000, Cores: 4}
+	src, err := in.NewPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Stream{To: src.Sinks()}).Run(in.Feed); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*machine.Snapshot)
+		ok   bool
+	}{
+		{"same L1s", func(*machine.Snapshot) {}, true},
+		{"IL1 differs", func(s *machine.Snapshot) {
+			s.IL1.Lines = append([]mem.Line(nil), s.IL1.Lines...)
+			s.IL1.Lines[3] ^= 1
+		}, false},
+		{"DL1 differs", func(s *machine.Snapshot) { s.DL1.Clock++ }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := src.Checkpoint(in, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms, err := ck.Machine("migration")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(ms)
+			dst, err := in.NewPair()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Restore(ck); (err == nil) != tc.ok {
+				t.Fatalf("Restore error = %v, want ok=%v", err, tc.ok)
+			}
+		})
 	}
 }
 

@@ -194,13 +194,30 @@ func (s Spec) MigConfig() (machine.Config, error) {
 }
 
 // NewPair builds the spec's two machines: the paper's 1-core baseline
-// and the migration chip.
+// and the migration chip, sharing one L1 front end.
 func (s Spec) NewPair() (*Pair, error) {
 	mig, err := s.MigConfig()
 	if err != nil {
 		return nil, err
 	}
 	return NewPairConfig(machine.NormalConfig(), mig)
+}
+
+// NewMachines builds the spec's two machines unshared, each with its
+// own L1 front end, for passes that drive them from separate
+// goroutines.
+func (s Spec) NewMachines() (normal, mig *machine.Machine, err error) {
+	migCfg, err := s.MigConfig()
+	if err != nil {
+		return nil, nil, err
+	}
+	if normal, err = machine.New(machine.NormalConfig()); err != nil {
+		return nil, nil, err
+	}
+	if mig, err = machine.New(migCfg); err != nil {
+		return nil, nil, err
+	}
+	return normal, mig, nil
 }
 
 // Workloads returns the registry that resolves the spec's workload
