@@ -387,8 +387,10 @@ func measurePair(refs uint64) HotPathResult {
 // the machine configurations — the profiling pass is the part of
 // `emsim -sample` that touches every reference, so its overhead bounds
 // how cheap a sampled run can get. On the warm stack every reference is
-// a hit, which moves list links and markers but writes no map entry and
-// grows no arena.
+// a hit: one line-index probe, then list links and markers move, and
+// neither the index nor the node arena grows. The warm stack holds 24K
+// lines, so its index stays cache-resident; BenchmarkStackRef in
+// internal/lrustack is the benchmark where the index outgrows the caches.
 const samplingProfileConfig = "sampling-profile"
 
 // measureSamplingProfile times the interval profiler on the same

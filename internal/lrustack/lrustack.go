@@ -46,8 +46,8 @@ type Stack struct {
 	th    []int64
 	limit int64 // max live lines (0 = unbounded)
 
-	index map[mem.Line]int32 // line → node
-	nodes []node             // arena; freed nodes chain through next
+	index lineIndex // line → node
+	nodes []node    // arena; freed nodes chain through next
 	free  int32
 	head  int32
 	tail  int32
@@ -82,7 +82,6 @@ func New(thresholds []int64, limit int64) *Stack {
 	s := &Stack{
 		th:     append([]int64(nil), thresholds...),
 		limit:  limit,
-		index:  make(map[mem.Line]int32),
 		free:   none,
 		head:   none,
 		tail:   none,
@@ -92,6 +91,7 @@ func New(thresholds []int64, limit int64) *Stack {
 	for j := range s.marker {
 		s.marker[j] = none
 	}
+	s.index.alloc(indexInitialLog2)
 	return s
 }
 
@@ -99,16 +99,20 @@ func New(thresholds []int64, limit int64) *Stack {
 //
 //emlint:hotpath
 func (s *Stack) Ref(line mem.Line) {
-	if x, ok := s.index[line]; ok {
+	i, x := s.index.find(s.nodes, line)
+	if x != none {
 		s.hit(x)
 		return
 	}
 	s.cold++
-	x := s.alloc(line)
-	s.index[line] = x
+	x = s.alloc(line)
+	s.index.insert(i, x)
 	s.push(x)
 	if s.limit > 0 && s.live > s.limit {
 		s.evict()
+	}
+	if s.index.full() {
+		s.index.grow(s.nodes)
 	}
 }
 
@@ -194,7 +198,7 @@ func (s *Stack) evict() {
 	}
 	s.tail = s.nodes[x].prev
 	s.nodes[s.tail].next = none
-	delete(s.index, s.nodes[x].line)
+	s.index.remove(s.nodes, x)
 	s.nodes[x].next = s.free
 	s.free = x
 	s.live--

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -100,8 +101,10 @@ func (t *BatchReader) flushCRC() {
 }
 
 // fill slides the unconsumed tail of the window to the front and reads
-// more of the stream. Refills happen once per ~64 KB of trace, so this
-// is the reader's cold path.
+// until the window is full or the stream ends, so a reader that returns
+// short reads still leaves every complete record whole in the window.
+// Refills happen once per ~64 KB of trace, so this is the reader's cold
+// path.
 //
 //emlint:coldpath window refill, amortised over thousands of records
 func (t *BatchReader) fill() error {
@@ -121,24 +124,33 @@ func (t *BatchReader) fill() error {
 		if err != nil {
 			return err
 		}
-		if m > 0 {
-			return nil
-		}
 	}
 	return nil
 }
 
 // uvarint decodes one varint at the current position, which the caller
 // has ensured holds a complete record or the final bytes of the stream.
-// The single-byte case (the overwhelming majority after delta encoding)
-// is inlined.
+// With at least 8 bytes left in the window it decodes a word at a time:
+// it loads 8 bytes little-endian, the lowest byte with a clear
+// continuation bit ends the varint, and three mask-and-shift steps pack
+// its 7-bit groups. binary.Uvarint decodes the rest: a varint within 8
+// bytes of the window end, and the 9- and 10-byte varints that values of
+// 56 bits and more take. Truncation and overflow are reported as
+// binary.Uvarint reports them, except that ten continuation bytes at the
+// end of the stream are an overflow, as the scalar reader reports them.
 //
 //emlint:hotpath
 func (t *BatchReader) uvarint() (uint64, bool, error) {
-	if t.pos < t.n {
-		if b := t.buf[t.pos]; b < 0x80 {
-			t.pos++
-			return uint64(b), true, nil
+	if t.n-t.pos >= 8 {
+		x := binary.LittleEndian.Uint64(t.buf[t.pos:])
+		if stop := ^x & 0x8080808080808080; stop != 0 {
+			end := uint(bits.TrailingZeros64(stop)) + 1 // 8 × the varint's length
+			t.pos += int(end / 8)
+			x &= 1<<end - 1 // the varint's bytes: 1<<64 is 0, so an 8-byte varint keeps all
+			x = x&0x007f007f007f007f | (x&0x7f007f007f007f00)>>1
+			x = x&0x00003fff00003fff | (x&0x3fff00003fff0000)>>2
+			x = x&0x000000000fffffff | (x&0x0fffffff00000000)>>4
+			return x, true, nil
 		}
 	}
 	v, n := binary.Uvarint(t.buf[t.pos:t.n])
@@ -146,7 +158,9 @@ func (t *BatchReader) uvarint() (uint64, bool, error) {
 		t.pos += n
 		return v, true, nil
 	}
-	if n == 0 { // ran off the window: truncated (caller pre-filled)
+	// Ran off the window, which the caller pre-filled: truncated, unless
+	// ten continuation bytes already overflow.
+	if n == 0 && t.n-t.pos < binary.MaxVarintLen64 {
 		return 0, false, t.errVarintTruncated()
 	}
 	return 0, false, t.errVarintOverflow()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -41,6 +42,26 @@ func fuzzSeedTraces() [][]byte {
 		[]byte("EMTRACE2"),
 		[]byte("EMTRACE1"),
 		[]byte{},
+	)
+
+	// Varints of every length 1-10, minimal, maximal and padded, as
+	// access deltas and instruction counts, in both versions; then one
+	// trace whose last record overflows 64 bits.
+	var body, overflow []byte
+	events := uint64(0)
+	for _, c := range varintCases() {
+		if strings.HasPrefix(c.name, "overflow") {
+			overflow = append([]byte{0xFE}, c.payload...)
+			continue
+		}
+		body = append(append(body, 2), c.payload...)
+		body = append(append(body, 0xFE), c.payload...)
+		events += 2
+	}
+	seeds = append(seeds,
+		v2Trace(body, events),
+		v1Trace(body),
+		v2Trace(append(append([]byte(nil), body...), overflow...), events+1),
 	)
 	return seeds
 }
