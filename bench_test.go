@@ -218,8 +218,7 @@ func BenchmarkAblationFilterBits(b *testing.B) {
 			var s machine.Stats
 			for i := 0; i < b.N; i++ {
 				mc := migration.Table2Config()
-				mc.Split.X.FilterBits = bits
-				mc.Split.Y.FilterBits = bits
+				mc.Split.Root.FilterBits = bits
 				s = runMigrationMachine(mc, 1_200_000)
 			}
 			b.ReportMetric(float64(s.Migrations), "migrations")
@@ -263,8 +262,12 @@ func BenchmarkAblationWindowKind(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var freq float64
 			for i := 0; i < b.N; i++ {
-				s := affinity.NewSplitter2(affinity.MechConfig{
-					WindowSize: 100, AffinityBits: 16, FilterBits: 20, ExactWindow: exact,
+				s := affinity.NewSplitter(affinity.SplitConfig{
+					Ways: 2,
+					Root: affinity.MechConfig{
+						WindowSize: 100, AffinityBits: 16, FilterBits: 20, ExactWindow: exact,
+					},
+					SampleLimit: 31,
 				}, affinity.NewUnbounded())
 				g := trace.NewCircular(4000)
 				for j := 0; j < 600_000; j++ {

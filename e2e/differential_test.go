@@ -2,6 +2,8 @@ package e2e
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -120,6 +122,33 @@ func TestDifferentialCheckpointBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		diffBytes(t, fmt.Sprintf("checkpoint bytes (extra flags %v)", extra), got, want)
+	}
+}
+
+// TestCheckpointBytesTwoAndEightCores pins the EMCKPT1 bytes of a 2-core
+// and an 8-core run by SHA-256, recorded once like the 4-core golden
+// above: the splitter's state has one shape per core count, and each
+// must keep its bytes. Both runs checkpoint mid-stream, so the
+// splitter's window, registers and filters are all live.
+func TestCheckpointBytesTwoAndEightCores(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		sha  string
+	}{
+		{[]string{"-workload", "179.art", "-instr", "300000", "-cores", "2", "-checkpoint-every", "50000"},
+			"0a52a9d4150c1c1eeb947b2897288b4863dc766ce91f02ba28ccbe7d2962a547"},
+		{[]string{"-workload", "em3d", "-instr", "200000", "-cores", "8", "-checkpoint-every", "100000"},
+			"fc8bd3d824b4edf357823acf84f7f82a9fabd50d193c1f5cf79db4f9e86692a1"},
+	} {
+		ck := filepath.Join(t.TempDir(), "run.ckpt")
+		runCLI(t, "emsim", append(tc.args, "-checkpoint", ck, "-json")...)
+		got, err := os.ReadFile(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(got); hex.EncodeToString(sum[:]) != tc.sha {
+			t.Errorf("%v: checkpoint SHA-256 %x, recorded %s", tc.args, sum, tc.sha)
+		}
 	}
 }
 

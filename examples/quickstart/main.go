@@ -23,11 +23,13 @@ func main() {
 	)
 
 	// A 2-way splitter: one mechanism (R-window + affinity table +
-	// transition filter), dimensioned like the paper (16-bit affinity).
-	split := affinity.NewSplitter2(
-		affinity.MechConfig{WindowSize: window, AffinityBits: 16, FilterBits: 20},
-		affinity.NewUnbounded(),
-	)
+	// transition filter), dimensioned like the paper (16-bit affinity),
+	// seeing every line (sampling limit 31 of 31).
+	split := affinity.NewSplitter(affinity.SplitConfig{
+		Ways:        2,
+		Root:        affinity.MechConfig{WindowSize: window, AffinityBits: 16, FilterBits: 20},
+		SampleLimit: 31,
+	}, affinity.NewUnbounded())
 
 	// Feed it the canonical splittable stream: 0,1,…,3999, 0,1,… .
 	g := trace.NewCircular(workingSet)
@@ -38,7 +40,7 @@ func main() {
 	// The working set is now split by affinity sign. Count each half.
 	var subset0 int
 	for e := mem.Line(0); e < workingSet; e++ {
-		if affinity.Sign(split.M.AffinityOf(e)) > 0 {
+		if affinity.Sign(split.Mech(0).AffinityOf(e)) > 0 {
 			subset0++
 		}
 	}

@@ -24,7 +24,7 @@ import (
 // one unbounded stack for p1, a 4-way splitter + 4 stacks for p4.
 func analyze(name string, g trace.Generator, n uint64, thresholds []int64) {
 	single := lrustack.New(thresholds, 0)
-	split := affinity.NewSplitter4(affinity.Fig45Config(), affinity.NewUnbounded())
+	split := affinity.NewSplitter(affinity.Fig45Config(), affinity.NewUnbounded())
 	multi := lrustack.NewMultiStack(4, thresholds, 0)
 
 	for i := uint64(0); i < n; i++ {

@@ -23,10 +23,11 @@ import (
 )
 
 func transFreq2(g trace.Generator, windowSize int, filterBits uint, refs int) float64 {
-	s := affinity.NewSplitter2(
-		affinity.MechConfig{WindowSize: windowSize, AffinityBits: 16, FilterBits: filterBits},
-		affinity.NewUnbounded(),
-	)
+	s := affinity.NewSplitter(affinity.SplitConfig{
+		Ways:        2,
+		Root:        affinity.MechConfig{WindowSize: windowSize, AffinityBits: 16, FilterBits: filterBits},
+		SampleLimit: 31, // no sampling
+	}, affinity.NewUnbounded())
 	for i := 0; i < refs/2; i++ { // settle
 		s.Ref(mem.Line(g.Next()), true)
 	}
@@ -61,7 +62,7 @@ func main() {
 	for _, limit := range []uint32{31, 8, 4} {
 		cfg := affinity.Fig45Config()
 		cfg.SampleLimit = limit
-		split := affinity.NewSplitter4(cfg, affinity.NewUnbounded())
+		split := affinity.NewSplitter(cfg, affinity.NewUnbounded())
 		multi := lrustack.NewMultiStack(4, []int64{8192}, 0)
 		g := trace.NewCircular(24 << 10)
 		const refs = 2_000_000
@@ -84,7 +85,7 @@ func main() {
 		perm := rng.Perm(24 << 10)
 		th := []int64{(512 << 10) >> shift}
 		single := lrustack.New(th, 0)
-		split := affinity.NewSplitter4(affinity.Fig45Config(), affinity.NewUnbounded())
+		split := affinity.NewSplitter(affinity.Fig45Config(), affinity.NewUnbounded())
 		multi := lrustack.NewMultiStack(4, th, 0)
 		const refs = 2_000_000
 		pos := 0

@@ -91,7 +91,7 @@ func TestTable2CacheShape(t *testing.T) {
 func TestBoundedTableDegradesGracefully(t *testing.T) {
 	const n = 16 << 10 // 16k lines, far over a 512-entry cache
 	runWith := func(table Table) uint64 {
-		s := NewSplitter2(MechConfig{WindowSize: 100, AffinityBits: 16, FilterBits: 18}, table)
+		s := twoWay(MechConfig{WindowSize: 100, AffinityBits: 16, FilterBits: 18}, table)
 		g := trace.NewCircular(n)
 		for i := 0; i < 2_000_000; i++ {
 			s.Ref(mem.Line(g.Next()), true)

@@ -9,8 +9,8 @@ import (
 	"repro/internal/trace"
 )
 
-// This file differentially tests the practical splitters (Splitter2,
-// Splitter4) against the paper's Definition 1 ideal algorithm on small
+// This file differentially tests the practical 2- and 4-way splitters
+// against the paper's Definition 1 ideal algorithm on small
 // synthetic traces. The two are NOT element-for-element identical — the
 // practical mechanism postpones updates, saturates at a finite bit
 // width and low-passes the subset through a transition filter — so each
@@ -67,7 +67,7 @@ func positiveCount(aff func(mem.Line) int64, n uint64) int {
 }
 
 // TestSplitter2DifferentialCircular replays one recorded Circular trace
-// into the ideal algorithm and Splitter2 and checks the documented
+// into the ideal algorithm and a 2-way splitter and checks the documented
 // bounds: both balanced 30–70, balances within 20% of each other, and
 // at most 8 sign boundaries along the circular element order for each
 // (optimal: 2).
@@ -77,14 +77,14 @@ func TestSplitter2DifferentialCircular(t *testing.T) {
 	desc := fmt.Sprintf("Circular(N=%d) window=%d", n, window)
 
 	id := NewIdeal(window, 16)
-	sp := NewSplitter2(MechConfig{WindowSize: window, AffinityBits: 16, FilterBits: 20}, NewUnbounded())
+	sp := twoWay(MechConfig{WindowSize: window, AffinityBits: 16, FilterBits: 20}, NewUnbounded())
 	for _, e := range lines {
 		id.Ref(e)
 		sp.Ref(e, true)
 	}
 
 	pi := positiveCount(id.AffinityOf, n)
-	pm := positiveCount(sp.M.AffinityOf, n)
+	pm := positiveCount(sp.Mech(0).AffinityOf, n)
 	if pi < n*30/100 || pi > n*70/100 {
 		t.Fatalf("ideal unbalanced: %d/%d positive\n%s", pi, n, dumpTrace(desc, lines))
 	}
@@ -95,7 +95,7 @@ func TestSplitter2DifferentialCircular(t *testing.T) {
 		t.Fatalf("balances diverged: ideal %d positive, splitter2 %d (bound: ±%d)\n%s",
 			pi, pm, n*20/100, dumpTrace(desc, lines))
 	}
-	for name, aff := range map[string]func(mem.Line) int64{"ideal": id.AffinityOf, "splitter2": sp.M.AffinityOf} {
+	for name, aff := range map[string]func(mem.Line) int64{"ideal": id.AffinityOf, "splitter2": sp.Mech(0).AffinityOf} {
 		signs := make([]int64, n)
 		for e := range signs {
 			signs[e] = Sign(aff(mem.Line(e)))
@@ -117,7 +117,7 @@ func TestSplitter2DifferentialHalfRandom(t *testing.T) {
 	desc := fmt.Sprintf("HalfRandom(N=%d, m=%d, seed=1) window=%d", n, m, window)
 
 	id := NewIdeal(window, 16)
-	sp := NewSplitter2(MechConfig{WindowSize: window, AffinityBits: 16, FilterBits: 20}, NewUnbounded())
+	sp := twoWay(MechConfig{WindowSize: window, AffinityBits: 16, FilterBits: 20}, NewUnbounded())
 	for _, e := range lines {
 		id.Ref(e)
 		sp.Ref(e, true)
@@ -132,13 +132,13 @@ func TestSplitter2DifferentialHalfRandom(t *testing.T) {
 		}
 	}
 	sep("ideal", id.AffinityOf, 0.80)
-	sep("splitter2", sp.M.AffinityOf, 0.90)
+	sep("splitter2", sp.Mech(0).AffinityOf, 0.90)
 
 	// Element-wise agreement, aligned for polarity (the sign labelling of
 	// the two subsets is arbitrary and may differ between the models).
 	match := 0
 	for e := uint64(0); e < n; e++ {
-		if Sign(id.AffinityOf(mem.Line(e))) == Sign(sp.M.AffinityOf(mem.Line(e))) {
+		if Sign(id.AffinityOf(mem.Line(e))) == Sign(sp.Mech(0).AffinityOf(mem.Line(e))) {
 			match++
 		}
 	}
@@ -166,7 +166,7 @@ func positiveCountRange(aff func(mem.Line) int64, lo, hi uint64) int {
 // mechanism X over the whole stream, one ideal Y per X-half, each
 // reference routed to the Y of its current X sign. The subset of a
 // reference is the (sign X, sign Y) pair — the ideal counterpart of
-// Splitter4's filter-sign pair.
+// the 4-way splitter's filter-sign pair.
 type idealSplit4 struct {
 	x, ypos, yneg *Ideal
 }
@@ -187,7 +187,7 @@ func (d *idealSplit4) ref(e mem.Line) int {
 }
 
 // TestSplitter4DifferentialIdealRecursive replays one Circular trace
-// into the recursive ideal splitter and Splitter4 and compares
+// into the recursive ideal splitter and a 4-way splitter and compares
 // reference-share histograms over a probe window after warm-up: every
 // subset must serve 10–45% of references in both (perfect: 25%), and
 // the top-level split (subsets {0,1} vs {2,3}) must be 30–70 balanced
@@ -200,7 +200,7 @@ func TestSplitter4DifferentialIdealRecursive(t *testing.T) {
 	// what makes the four-way split observable within the probe budget.
 	const n, warmup, probe = 200, 60_000, 40_000
 	xCfg := MechConfig{WindowSize: 20, AffinityBits: 16, FilterBits: 16}
-	yCfg := MechConfig{WindowSize: 10, AffinityBits: 16, FilterBits: 16}
+	yCfg := SplitConfig{Ways: 4, Root: xCfg}.level(1)
 	lines := recordTrace(trace.NewCircular(n), warmup+probe)
 	desc := fmt.Sprintf("Circular(N=%d) X.window=%d Y.window=%d", n, xCfg.WindowSize, yCfg.WindowSize)
 
@@ -209,7 +209,7 @@ func TestSplitter4DifferentialIdealRecursive(t *testing.T) {
 		ypos: NewIdeal(yCfg.WindowSize, 16),
 		yneg: NewIdeal(yCfg.WindowSize, 16),
 	}
-	sp := NewSplitter4(Split4Config{X: xCfg, Y: yCfg, SampleLimit: 31}, NewUnbounded())
+	sp := NewSplitter(SplitConfig{Ways: 4, Root: xCfg, SampleLimit: 31}, NewUnbounded())
 
 	var idShare, spShare [4]uint64
 	for i, e := range lines {

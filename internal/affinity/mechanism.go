@@ -232,8 +232,7 @@ func (m *Mechanism) FilterFraction() float64 {
 	return float64(f) / float64(m.satFilter.Max)
 }
 
-// Delta returns the current ∆ register (for instrumentation and for
-// affinity-cache miss refill by the 4-way splitter).
+// Delta returns the current ∆ register (for instrumentation).
 func (m *Mechanism) Delta() int64 { return m.delta }
 
 // trueAR returns Definition 1's AR(t) = Σ_{g∈R} Ag(t), reconstructed

@@ -1,6 +1,6 @@
 // Package affinity implements the paper's primary contribution: the
 // affinity algorithm (Michaud, HPCA 2004, §3), an online hardware
-// mechanism that splits a program working set into 2 or 4 subsets so a
+// mechanism that splits a program working set into subsets so a
 // migration controller can distribute it over per-core L2 caches.
 //
 // Two implementations are provided:
@@ -15,11 +15,12 @@
 //   - Ideal (ideal.go) is a direct O(N)-per-reference transcription of
 //     Definition 1, used by tests as a behavioural reference.
 //
-// Splitter2 performs 2-way splitting with one Mechanism; Splitter4
-// performs the recursive 4-way splitting of §3.6 (mechanisms X, Y[+1],
-// Y[−1] sharing one affinity table, routed by the parity of the sampling
-// hash H(e) = e mod 31); Splitter8 adds a third recursion level — the
-// §6 "larger number of cores" extension.
+// Splitter (split.go) applies Mechanism recursively: a binary tree of
+// one, two or three levels splits the working set 2, 4 or 8 ways. Two
+// levels are the 4-way splitting of §3.6 (mechanisms X, Y[+1], Y[−1]
+// sharing one affinity table, routed by the parity of the sampling hash
+// H(e) = e mod 31); one level is the 2-core case and three levels the
+// larger core counts that §6 anticipates.
 package affinity
 
 // Sat describes a saturating signed integer of a fixed bit width, as used

@@ -54,10 +54,12 @@ func (m *Mechanism) SetState(st MechanismState) error {
 	if len(st.Win) > m.cfg.WindowSize {
 		return fmt.Errorf("affinity: state window has %d entries, mechanism holds %d", len(st.Win), m.cfg.WindowSize)
 	}
-	if st.Full && len(st.Win) != m.cfg.WindowSize {
-		return fmt.Errorf("affinity: state full with %d of %d window entries", len(st.Win), m.cfg.WindowSize)
+	if st.Full != (len(st.Win) == m.cfg.WindowSize) {
+		return fmt.Errorf("affinity: state full=%v with %d of %d window entries", st.Full, len(st.Win), m.cfg.WindowSize)
 	}
-	if st.Head < 0 || (st.Head != 0 && st.Head >= m.cfg.WindowSize) {
+	// A window that has not wrapped fills from slot 0, so its oldest
+	// entry is there.
+	if st.Head < 0 || st.Head >= m.cfg.WindowSize || (!st.Full && st.Head != 0) {
 		return fmt.Errorf("affinity: state head %d out of range", st.Head)
 	}
 	m.win = m.win[:0]
@@ -212,10 +214,10 @@ func RestoreTableState(t Table, st TableState) error {
 	}
 }
 
-// SplitterState is the serialisable state of a 2-, 4- or 8-way splitter.
-// Mechs holds the per-mechanism states in a fixed order: [M] for 2-way,
-// [X, Y+, Y−] for 4-way, [X, Y0, Y1, Z0..Z3] for 8-way. PendingMech is
-// the Mechs index of the deferred transition-filter update left by a
+// SplitterState is the serialisable state of a Splitter. Mechs holds
+// the per-mechanism states breadth-first: [M] for 2-way, [X, Y+, Y−]
+// for 4-way, [X, Y0, Y1, Z0..Z3] for 8-way. PendingMech is the Mechs
+// index of the deferred transition-filter update left by a
 // Ref(e, false) call, or -1 when none is pending.
 type SplitterState struct {
 	Ways        int
@@ -229,152 +231,52 @@ type SplitterState struct {
 	PendingAe   int64
 }
 
-func (st SplitterState) check(ways, mechs int) error {
+// State returns the splitter's serialisable state for checkpoint/resume.
+func (s *Splitter) State() SplitterState {
+	st := SplitterState{
+		Ways:        s.Ways(),
+		Refs:        s.refs,
+		SampledOut:  s.sampledOut,
+		Transitions: s.transitions,
+		Prev:        s.prev,
+		Started:     s.started,
+		PendingMech: s.pending,
+		PendingAe:   s.pendingAe,
+	}
+	for _, m := range s.tree() {
+		st.Mechs = append(st.Mechs, m.State())
+	}
+	return st
+}
+
+// SetState restores a state captured from an identically configured
+// splitter.
+func (s *Splitter) SetState(st SplitterState) error {
+	ways, ms := s.Ways(), s.tree()
 	if st.Ways != ways {
 		return fmt.Errorf("affinity: state is %d-way, splitter is %d-way", st.Ways, ways)
 	}
-	if len(st.Mechs) != mechs {
-		return fmt.Errorf("affinity: state has %d mechanisms, splitter has %d", len(st.Mechs), mechs)
+	if len(st.Mechs) != len(ms) {
+		return fmt.Errorf("affinity: state has %d mechanisms, splitter has %d", len(st.Mechs), len(ms))
 	}
-	if st.PendingMech < -1 || st.PendingMech >= mechs {
+	if st.PendingMech < -1 || st.PendingMech >= len(ms) {
 		return fmt.Errorf("affinity: state pending mechanism %d out of range", st.PendingMech)
 	}
-	if st.Prev < 0 || st.Prev >= ways {
-		return fmt.Errorf("affinity: state subset %d out of range", st.Prev)
+	for i, m := range ms {
+		if err := m.SetState(st.Mechs[i]); err != nil {
+			return err
+		}
 	}
-	return nil
-}
-
-// State implements Splitter.
-func (s *Splitter2) State() SplitterState {
-	st := SplitterState{
-		Ways:        2,
-		Mechs:       []MechanismState{s.M.State()},
-		Refs:        s.refs,
-		SampledOut:  s.sampledOut,
-		Transitions: s.transitions,
-		Prev:        s.prev,
-		Started:     s.refs > 0,
-		PendingMech: -1,
-		PendingAe:   s.pendingAe,
-	}
-	if s.hasPending {
-		st.PendingMech = 0
-	}
-	return st
-}
-
-// SetState implements Splitter.
-func (s *Splitter2) SetState(st SplitterState) error {
-	if err := st.check(2, 1); err != nil {
-		return err
-	}
-	if err := s.M.SetState(st.Mechs[0]); err != nil {
-		return err
+	// Prev is the subset the filters designate (see noteSubset).
+	if sub := s.Subset(); st.Prev != sub {
+		return fmt.Errorf("affinity: state subset %d, but its filters designate %d", st.Prev, sub)
 	}
 	s.refs = st.Refs
 	s.sampledOut = st.SampledOut
 	s.transitions = st.Transitions
 	s.prev = st.Prev
-	s.hasPending = st.PendingMech == 0
+	s.started = st.Started
+	s.pending = st.PendingMech
 	s.pendingAe = st.PendingAe
-	return nil
-}
-
-// mechs returns the splitter's mechanisms in SplitterState order.
-func (s *Splitter4) mechs() []*Mechanism { return []*Mechanism{s.X, s.YPos, s.YNeg} }
-
-// State implements Splitter.
-func (s *Splitter4) State() SplitterState {
-	st := SplitterState{
-		Ways:        4,
-		Refs:        s.refs,
-		SampledOut:  s.sampledOut,
-		Transitions: s.transitions,
-		Prev:        s.prev,
-		Started:     s.started,
-		PendingMech: -1,
-		PendingAe:   s.lastAe,
-	}
-	for i, m := range s.mechs() {
-		st.Mechs = append(st.Mechs, m.State())
-		if s.lastMech == m {
-			st.PendingMech = i
-		}
-	}
-	return st
-}
-
-// SetState implements Splitter.
-func (s *Splitter4) SetState(st SplitterState) error {
-	if err := st.check(4, 3); err != nil {
-		return err
-	}
-	ms := s.mechs()
-	for i, m := range ms {
-		if err := m.SetState(st.Mechs[i]); err != nil {
-			return err
-		}
-	}
-	s.refs = st.Refs
-	s.sampledOut = st.SampledOut
-	s.transitions = st.Transitions
-	s.prev = st.Prev
-	s.started = st.Started
-	s.lastMech = nil
-	if st.PendingMech >= 0 {
-		s.lastMech = ms[st.PendingMech]
-	}
-	s.lastAe = st.PendingAe
-	return nil
-}
-
-// mechs returns the splitter's mechanisms in SplitterState order.
-func (s *Splitter8) mechs() []*Mechanism {
-	return []*Mechanism{s.X, s.Y[0], s.Y[1], s.Z[0], s.Z[1], s.Z[2], s.Z[3]}
-}
-
-// State implements Splitter.
-func (s *Splitter8) State() SplitterState {
-	st := SplitterState{
-		Ways:        8,
-		Refs:        s.refs,
-		SampledOut:  s.sampledOut,
-		Transitions: s.transitions,
-		Prev:        s.prev,
-		Started:     s.started,
-		PendingMech: -1,
-		PendingAe:   s.lastAe,
-	}
-	for i, m := range s.mechs() {
-		st.Mechs = append(st.Mechs, m.State())
-		if s.lastMech == m {
-			st.PendingMech = i
-		}
-	}
-	return st
-}
-
-// SetState implements Splitter.
-func (s *Splitter8) SetState(st SplitterState) error {
-	if err := st.check(8, 7); err != nil {
-		return err
-	}
-	ms := s.mechs()
-	for i, m := range ms {
-		if err := m.SetState(st.Mechs[i]); err != nil {
-			return err
-		}
-	}
-	s.refs = st.Refs
-	s.sampledOut = st.SampledOut
-	s.transitions = st.Transitions
-	s.prev = st.Prev
-	s.started = st.Started
-	s.lastMech = nil
-	if st.PendingMech >= 0 {
-		s.lastMech = ms[st.PendingMech]
-	}
-	s.lastAe = st.PendingAe
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 func TestSplitter8Circular(t *testing.T) {
 	const n = 16000
 	g := trace.NewCircular(n)
-	s := NewSplitter8(DefaultSplit8Config(), NewUnbounded())
+	s := NewSplitter(eightWay(Fig45Config()), NewUnbounded())
 	for i := 0; i < 3_000_000; i++ {
 		s.Ref(mem.Line(g.Next()), true)
 	}
@@ -37,7 +37,7 @@ func TestSplitter8Circular(t *testing.T) {
 // TestSplitter8SubsetRange: subsets stay within [0,8) under arbitrary
 // input, and the deferred-filter protocol works.
 func TestSplitter8SubsetRange(t *testing.T) {
-	s := NewSplitter8(Table2Split8Config(), NewCache(2048, 4))
+	s := NewSplitter(eightWay(Table2Config()), NewCache(2048, 4))
 	rng := trace.NewRNG(17)
 	for i := 0; i < 300_000; i++ {
 		sub := s.Ref(mem.Line(rng.Uint64n(1<<30)), false)
@@ -58,10 +58,10 @@ func TestSplitter8SubsetRange(t *testing.T) {
 	}
 }
 
-// TestSplitter8Sampling: with Table2Split8Config (limit 8), roughly
-// 23/31 of references bypass the machinery.
+// TestSplitter8Sampling: with the 8-way Table2 configuration (limit 8),
+// roughly 23/31 of references bypass the machinery.
 func TestSplitter8Sampling(t *testing.T) {
-	s := NewSplitter8(Table2Split8Config(), NewUnbounded())
+	s := NewSplitter(eightWay(Table2Config()), NewUnbounded())
 	g := trace.NewCircular(4000)
 	const total = 400_000
 	for i := 0; i < total; i++ {
@@ -77,10 +77,7 @@ func TestSplitter8Sampling(t *testing.T) {
 // TestSplitter2Sampling: the 2-way sampler classifies sampled-out lines
 // without touching the mechanism.
 func TestSplitter2Sampling(t *testing.T) {
-	s := NewSplitter2(MechConfig{WindowSize: 64, AffinityBits: 16, FilterBits: 18}, NewUnbounded())
-	if err := s.SetSampleLimit(8); err != nil {
-		t.Fatal(err)
-	}
+	s := NewSplitter(SplitConfig{Ways: 2, Root: MechConfig{WindowSize: 64, AffinityBits: 16, FilterBits: 18}, SampleLimit: 8}, NewUnbounded())
 	g := trace.NewCircular(4000)
 	const total = 400_000
 	for i := 0; i < total; i++ {
@@ -92,7 +89,7 @@ func TestSplitter2Sampling(t *testing.T) {
 	if frac < 0.65 || frac > 0.85 {
 		t.Fatalf("sampled-out fraction %.3f, want ≈0.74", frac)
 	}
-	if s.M.Refs >= total {
+	if s.Mech(0).Refs >= total {
 		t.Fatal("mechanism processed sampled-out references")
 	}
 }
@@ -100,8 +97,8 @@ func TestSplitter2Sampling(t *testing.T) {
 // TestSplitter2DeferredCommit: Ref(e,false)+CommitLastFilter equals
 // Ref(e,true) in filter effect.
 func TestSplitter2DeferredCommit(t *testing.T) {
-	mk := func() *Splitter2 {
-		return NewSplitter2(MechConfig{WindowSize: 32, AffinityBits: 16, FilterBits: 20}, NewUnbounded())
+	mk := func() *Splitter {
+		return twoWay(MechConfig{WindowSize: 32, AffinityBits: 16, FilterBits: 20}, NewUnbounded())
 	}
 	direct, deferred := mk(), mk()
 	g1, g2 := trace.NewCircular(1000), trace.NewCircular(1000)
@@ -110,8 +107,8 @@ func TestSplitter2DeferredCommit(t *testing.T) {
 		deferred.Ref(mem.Line(g2.Next()), false)
 		deferred.CommitLastFilter()
 	}
-	if direct.M.Filter() != deferred.M.Filter() {
-		t.Fatalf("filters diverge: direct %d, deferred %d", direct.M.Filter(), deferred.M.Filter())
+	if direct.Mech(0).Filter() != deferred.Mech(0).Filter() {
+		t.Fatalf("filters diverge: direct %d, deferred %d", direct.Mech(0).Filter(), deferred.Mech(0).Filter())
 	}
 	if direct.Subset() != deferred.Subset() {
 		t.Fatal("subsets diverge")

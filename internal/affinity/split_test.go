@@ -1,6 +1,7 @@
 package affinity
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +48,17 @@ func TestFilterSaturatedRandomInputs(t *testing.T) {
 	}
 }
 
+// twoWay builds a 2-way splitter over one mechanism, without sampling.
+func twoWay(mc MechConfig, table Table) *Splitter {
+	return NewSplitter(SplitConfig{Ways: 2, Root: mc, SampleLimit: 31}, table)
+}
+
+// eightWay returns cfg with a third level (|RZ| = |RX|/4).
+func eightWay(cfg SplitConfig) SplitConfig {
+	cfg.Ways = 8
+	return cfg
+}
+
 // TestFilterRandomStream checks the §3.4 goal end-to-end: on a uniformly
 // random (non-splittable) working set the filtered transition frequency
 // must be small — the migration penalty is never compensated on such
@@ -54,7 +66,7 @@ func TestFilterSaturatedRandomInputs(t *testing.T) {
 // unfiltered 50%).
 func TestFilterRandomStream(t *testing.T) {
 	g := trace.Must(trace.NewUniform(4000, 42))
-	s := NewSplitter2(MechConfig{WindowSize: 100, AffinityBits: 16, FilterBits: 20}, NewUnbounded())
+	s := twoWay(MechConfig{WindowSize: 100, AffinityBits: 16, FilterBits: 20}, NewUnbounded())
 	for i := 0; i < 1_000_000; i++ {
 		s.Ref(mem.Line(g.Next()), true)
 	}
@@ -74,7 +86,7 @@ func TestFilterRandomStream(t *testing.T) {
 func TestSplitter2TransitionsLowOnCircular(t *testing.T) {
 	const n = 4000
 	g := trace.NewCircular(n)
-	s := NewSplitter2(MechConfig{WindowSize: 100, AffinityBits: 16, FilterBits: 20}, NewUnbounded())
+	s := twoWay(MechConfig{WindowSize: 100, AffinityBits: 16, FilterBits: 20}, NewUnbounded())
 	for i := 0; i < 500_000; i++ {
 		s.Ref(mem.Line(g.Next()), true)
 	}
@@ -100,7 +112,7 @@ func TestSplitter2TransitionsLowOnCircular(t *testing.T) {
 func TestSplitter4Circular(t *testing.T) {
 	const n = 8000
 	g := trace.NewCircular(n)
-	s := NewSplitter4(Fig45Config(), NewUnbounded())
+	s := NewSplitter(Fig45Config(), NewUnbounded())
 	for i := 0; i < 1_000_000; i++ {
 		s.Ref(mem.Line(g.Next()), true)
 	}
@@ -129,7 +141,7 @@ func TestSplitter4Circular(t *testing.T) {
 func TestSplitter4SampledStillClassifies(t *testing.T) {
 	const n = 4000
 	g := trace.NewCircular(n)
-	s := NewSplitter4(Table2Config(), NewUnbounded())
+	s := NewSplitter(Table2Config(), NewUnbounded())
 	const total = 500_000
 	for i := 0; i < total; i++ {
 		sub := s.Ref(mem.Line(g.Next()), true)
@@ -148,12 +160,12 @@ func TestSplitter4SampledStillClassifies(t *testing.T) {
 // machine model: Ref(e, false) must not move the filters; CommitLastFilter
 // must apply exactly the pending Ae.
 func TestSplitter4DeferredFilter(t *testing.T) {
-	s := NewSplitter4(Fig45Config(), NewUnbounded())
+	s := NewSplitter(Fig45Config(), NewUnbounded())
 	// Drive a splittable stream without committing: subset must stay 0.
 	g := trace.NewCircular(1000)
 	for i := 0; i < 200_000; i++ {
 		s.Ref(mem.Line(g.Next()), false)
-		if got := s.X.Filter(); got != 0 {
+		if got := s.Mech(0).Filter(); got != 0 {
 			t.Fatalf("filter moved without commit: %d", got)
 		}
 	}
@@ -162,7 +174,7 @@ func TestSplitter4DeferredFilter(t *testing.T) {
 	for i := 0; i < 200_000; i++ {
 		s.Ref(mem.Line(g.Next()), false)
 		s.CommitLastFilter()
-		if s.X.Filter() != 0 || s.YPos.Filter() != 0 || s.YNeg.Filter() != 0 {
+		if s.Mech(0).Filter() != 0 || s.Mech(1).Filter() != 0 || s.Mech(2).Filter() != 0 {
 			moved = true
 		}
 	}
@@ -321,5 +333,27 @@ func TestMechanismMatchesIdealSignBalance(t *testing.T) {
 	}
 	if pm < n*30/100 || pm > n*70/100 {
 		t.Fatalf("mechanism unbalanced: %d/%d", pm, n)
+	}
+}
+
+// BenchmarkSplitterRef measures one splitter reference at 2, 4 and 8
+// ways in the machine's setting: the Table2 configuration, the bounded
+// affinity cache ConfigForCores sizes for that many cores, and deferred
+// filter updates committed on every fourth reference.
+func BenchmarkSplitterRef(b *testing.B) {
+	for _, ways := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("ways%d", ways), func(b *testing.B) {
+			cfg := Table2Config()
+			cfg.Ways = ways
+			s := NewSplitter(cfg, NewCache(2048*ways, 4))
+			g := trace.NewCircular(24 << 10)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Ref(mem.Line(g.Next()), false)
+				if i&3 == 0 {
+					s.CommitLastFilter()
+				}
+			}
+		})
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // splitSink adapts a Splitter to mem.Sink so the fault injector can sit
 // in front of the affinity machinery directly.
-type splitSink struct{ s affinity.Splitter }
+type splitSink struct{ s *affinity.Splitter }
 
 func (ss splitSink) Access(a mem.Addr, k mem.Kind) { ss.s.Ref(mem.LineOf(a, 6), true) }
 func (ss splitSink) Instr(uint64)                  {}
@@ -91,7 +91,7 @@ func TestSplitterDegradesSmoothly(t *testing.T) {
 	}
 	for _, g := range gens {
 		t.Run(g.name, func(t *testing.T) {
-			split := affinity.NewSplitter4(affinity.Fig45Config(), affinity.NewUnbounded())
+			split := affinity.NewSplitter(affinity.Fig45Config(), affinity.NewUnbounded())
 			s, err := New(splitSink{split}, Config{Seed: 11, BitFlipRate: 1e-4, DropRate: 1e-4, DupRate: 1e-4, AddrBits: 18})
 			if err != nil {
 				t.Fatal(err)
@@ -120,7 +120,7 @@ func TestSplitterDegradesSmoothly(t *testing.T) {
 			for _, m := range []struct {
 				n string
 				m *affinity.Mechanism
-			}{{"X", split.X}, {"Y+", split.YPos}, {"Y-", split.YNeg}} {
+			}{{"X", split.Mech(0)}, {"Y+", split.Mech(1)}, {"Y-", split.Mech(2)}} {
 				mechBounds(t, m.n, m.m)
 			}
 		})
@@ -137,7 +137,7 @@ func TestStuckTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	split := affinity.NewSplitter4(affinity.Fig45Config(), tab)
+	split := affinity.NewSplitter(affinity.Fig45Config(), tab)
 
 	const refs = 2_000_000
 	const warmup = 500_000
@@ -159,7 +159,7 @@ func TestStuckTable(t *testing.T) {
 	for _, m := range []struct {
 		n string
 		m *affinity.Mechanism
-	}{{"X", split.X}, {"Y+", split.YPos}, {"Y-", split.YNeg}} {
+	}{{"X", split.Mech(0)}, {"Y+", split.Mech(1)}, {"Y-", split.Mech(2)}} {
 		mechBounds(t, m.n, m.m)
 	}
 }

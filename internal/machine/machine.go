@@ -43,7 +43,7 @@ type Config struct {
 	// skewed-associative).
 	L2 cache.Geometry
 	// Migration, when non-nil, enables migration mode with this
-	// controller configuration. The controller's Ways must equal Cores.
+	// controller configuration. Its Split.Ways must equal Cores.
 	Migration *migration.Config
 	// Policy names the migration policy driving the machine ("" or
 	// "michaud" selects the paper's affinity controller; see

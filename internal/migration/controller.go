@@ -22,18 +22,10 @@ import (
 
 // Config parameterises the controller.
 type Config struct {
-	// Ways selects the splitting degree: 2, 4 (default) or 8. It must
-	// match the machine's core count.
-	Ways int
-	// Split dimensions the 4-way splitter (affinity.Table2Config() is
-	// the paper's §4.2 setting). Used when Ways == 4.
-	Split affinity.Split4Config
-	// Split2 dimensions the 2-way splitter (Ways == 2);
-	// Split2SampleLimit applies §3.5 sampling to it (0 = no sampling).
-	Split2            affinity.MechConfig
-	Split2SampleLimit uint32
-	// Split8 dimensions the 8-way splitter (Ways == 8).
-	Split8 affinity.Split8Config
+	// Split dimensions the splitter (affinity.Table2Config() is the
+	// paper's §4.2 setting). Its Ways is the splitting degree, 2, 4 or
+	// 8, and must match the machine's core count.
+	Split affinity.SplitConfig
 	// TableEntries bounds the affinity cache; 0 selects an unbounded
 	// table (the §4.1 idealisation). The paper's Table 2 uses 8192.
 	TableEntries int
@@ -62,31 +54,22 @@ type Config struct {
 // on misses).
 func Table2Config() Config {
 	return Config{
-		Ways:         4,
 		Split:        affinity.Table2Config(),
 		TableEntries: 8192,
 		TableWays:    4,
 	}
 }
 
-// ConfigForCores returns a Table2-style controller for 2, 4 or 8 cores.
-// The affinity cache scales with the aggregate L2 capacity, as §3.5
-// prescribes ("the affinity cache size should be proportional to the
-// total on-chip L2 capacity"): 2048 entries per core at 25% sampling.
+// ConfigForCores returns a Table2-style controller for 2, 4 or 8 cores:
+// Table2Config split that many ways. The affinity cache scales with
+// the aggregate L2 capacity, as §3.5 prescribes ("the affinity cache
+// size should be proportional to the total on-chip L2 capacity"): 2048
+// entries per core at 25% sampling.
 func ConfigForCores(cores int) (Config, error) {
 	cfg := Table2Config()
+	cfg.Split.Ways = cores
 	cfg.TableEntries = 2048 * cores
-	switch cores {
-	case 2:
-		cfg.Ways = 2
-		cfg.Split2 = affinity.MechConfig{WindowSize: 128, AffinityBits: 16, FilterBits: 18}
-		cfg.Split2SampleLimit = 8
-	case 4:
-		// Table2Config defaults.
-	case 8:
-		cfg.Ways = 8
-		cfg.Split8 = affinity.Table2Split8Config()
-	default:
+	if err := cfg.Split.Validate(); err != nil {
 		return Config{}, fmt.Errorf("migration: unsupported core count %d (want 2, 4 or 8)", cores)
 	}
 	return cfg, nil
@@ -110,7 +93,7 @@ const DefaultTableLimit = 1 << 21
 
 // Controller tracks the active core and decides migrations.
 type Controller struct {
-	split  affinity.Splitter
+	split  *affinity.Splitter
 	table  affinity.Table
 	active int
 	// noFiltering and ptrOnly mirror immutable Config switches.
@@ -188,7 +171,10 @@ func setTableProbes(t affinity.Table, p affinity.TableProbes) {
 // policy: the Michaud controller and the NUMA policy construct
 // identical machinery and differ only in the migration decision layered
 // on top.
-func newSplitter(cfg Config) (affinity.Splitter, affinity.Table, error) {
+func newSplitter(cfg Config) (*affinity.Splitter, affinity.Table, error) {
+	if err := cfg.Split.Validate(); err != nil {
+		return nil, nil, err
+	}
 	var table affinity.Table
 	if cfg.TableEntries == 0 {
 		limit := cfg.TableLimit
@@ -208,59 +194,7 @@ func newSplitter(cfg Config) (affinity.Splitter, affinity.Table, error) {
 		}
 		table = affinity.NewCache(cfg.TableEntries, ways)
 	}
-	var split affinity.Splitter
-	switch cfg.Ways {
-	case 2:
-		mc := cfg.Split2
-		if mc.WindowSize == 0 {
-			mc = affinity.MechConfig{WindowSize: 128, AffinityBits: 16, FilterBits: 18}
-		}
-		if err := mc.Validate(); err != nil {
-			return nil, nil, err
-		}
-		if err := checkSampleLimit(cfg.Split2SampleLimit, true); err != nil {
-			return nil, nil, err
-		}
-		s2 := affinity.NewSplitter2(mc, table)
-		if cfg.Split2SampleLimit != 0 {
-			if err := s2.SetSampleLimit(cfg.Split2SampleLimit); err != nil {
-				return nil, nil, err
-			}
-		}
-		split = s2
-	case 0, 4:
-		sc := cfg.Split
-		if sc.X.WindowSize == 0 {
-			sc = affinity.Table2Config()
-		}
-		if err := sc.X.Validate(); err != nil {
-			return nil, nil, err
-		}
-		if err := sc.Y.Validate(); err != nil {
-			return nil, nil, err
-		}
-		if err := checkSampleLimit(sc.SampleLimit, false); err != nil {
-			return nil, nil, err
-		}
-		split = affinity.NewSplitter4(sc, table)
-	case 8:
-		sc := cfg.Split8
-		if sc.X.WindowSize == 0 {
-			sc = affinity.Table2Split8Config()
-		}
-		for _, mc := range []affinity.MechConfig{sc.X, sc.Y, sc.Z} {
-			if err := mc.Validate(); err != nil {
-				return nil, nil, err
-			}
-		}
-		if err := checkSampleLimit(sc.SampleLimit, false); err != nil {
-			return nil, nil, err
-		}
-		split = affinity.NewSplitter8(sc, table)
-	default:
-		return nil, nil, fmt.Errorf("migration: unsupported Ways %d (want 2, 4 or 8)", cfg.Ways)
-	}
-	return split, table, nil
+	return affinity.NewSplitter(cfg.Split, table), table, nil
 }
 
 // NewController builds a controller. Configuration problems — an
@@ -291,18 +225,6 @@ func MustNewController(cfg Config) *Controller {
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// checkSampleLimit validates a §3.5 sampling limit; zeroOK admits 0 as
-// "sampling disabled" (the 2-way splitter's convention).
-func checkSampleLimit(limit uint32, zeroOK bool) error {
-	if limit == 0 && zeroOK {
-		return nil
-	}
-	if limit == 0 || limit > 31 {
-		return fmt.Errorf("migration: sample limit %d out of [1,31]", limit)
-	}
-	return nil
-}
 
 // Ways returns the number of cores the controller splits across.
 func (c *Controller) Ways() int { return c.split.Ways() }
@@ -368,7 +290,7 @@ func (c *Controller) NearMigration(frac float64) bool {
 }
 
 // Splitter exposes the underlying splitter (instrumentation).
-func (c *Controller) Splitter() affinity.Splitter { return c.split }
+func (c *Controller) Splitter() *affinity.Splitter { return c.split }
 
 // AffinityCache returns the bounded affinity cache, or nil when the
 // controller uses an unbounded table.

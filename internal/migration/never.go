@@ -26,12 +26,8 @@ type NeverPolicy struct {
 	L2MissUpdates uint64
 }
 
-// NewNeverPolicy builds the baseline for a core count (0 selects the
-// 4-core default, mirroring Config.Ways).
+// NewNeverPolicy builds the baseline for a core count.
 func NewNeverPolicy(ways int) (*NeverPolicy, error) {
-	if ways == 0 {
-		ways = 4
-	}
 	switch ways {
 	case 2, 4, 8:
 		return &NeverPolicy{ways: ways}, nil

@@ -26,7 +26,7 @@ const PolicyNuma = "numa"
 // NumaPolicy implements Policy with distance-weighted migration
 // hysteresis over the standard affinity machinery.
 type NumaPolicy struct {
-	split affinity.Splitter
+	split *affinity.Splitter
 	table affinity.Table
 	topo  *Topology
 

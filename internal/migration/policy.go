@@ -112,7 +112,7 @@ const PolicyMichaud = "michaud"
 var policyFactories = map[string]func(cfg Config, topo *Topology) (Policy, error){
 	PolicyMichaud: func(cfg Config, _ *Topology) (Policy, error) { return NewController(cfg) },
 	"numa":        func(cfg Config, topo *Topology) (Policy, error) { return NewNumaPolicy(cfg, topo) },
-	"never":       func(cfg Config, _ *Topology) (Policy, error) { return NewNeverPolicy(cfg.Ways) },
+	"never":       func(cfg Config, _ *Topology) (Policy, error) { return NewNeverPolicy(cfg.Split.Ways) },
 }
 
 // PolicyNames returns the registered policy names, sorted.
@@ -138,7 +138,7 @@ func ValidPolicy(name string) bool {
 
 // NewPolicy builds the named policy over the shared controller
 // configuration. name == "" selects the Michaud default. topo, when
-// non-nil, must cover cfg.Ways cores; policies that ignore topology
+// non-nil, must cover cfg.Split.Ways cores; policies that ignore topology
 // accept any.
 func NewPolicy(name string, cfg Config, topo *Topology) (Policy, error) {
 	if name == "" {
@@ -149,11 +149,7 @@ func NewPolicy(name string, cfg Config, topo *Topology) (Policy, error) {
 		return nil, fmt.Errorf("migration: unknown policy %q (have %v)", name, PolicyNames())
 	}
 	if topo != nil {
-		ways := cfg.Ways
-		if ways == 0 {
-			ways = 4 // Config's Ways default, mirrored from NewController
-		}
-		if err := topo.Validate(ways); err != nil {
+		if err := topo.Validate(cfg.Split.Ways); err != nil {
 			return nil, err
 		}
 	}

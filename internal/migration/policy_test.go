@@ -281,12 +281,12 @@ func TestMichaudPolicyStateRoundTrip(t *testing.T) {
 
 // TestNeverPolicy: pinned to core 0, counting but never moving.
 func TestNeverPolicy(t *testing.T) {
-	p, err := NewNeverPolicy(0)
+	p, err := NewNeverPolicy(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Ways() != 4 {
-		t.Fatalf("default ways = %d", p.Ways())
+		t.Fatalf("ways = %d", p.Ways())
 	}
 	g := trace.NewCircular(24 << 10)
 	for i := 0; i < 100_000; i++ {
@@ -314,8 +314,10 @@ func TestNeverPolicy(t *testing.T) {
 	if q.Requests != p.Requests || q.L2MissUpdates != p.L2MissUpdates {
 		t.Fatal("never state round-trip lost counters")
 	}
-	if _, err := NewNeverPolicy(3); err == nil {
-		t.Fatal("NewNeverPolicy accepted 3 ways")
+	for _, ways := range []int{0, 3} {
+		if _, err := NewNeverPolicy(ways); err == nil {
+			t.Fatalf("NewNeverPolicy accepted %d ways", ways)
+		}
 	}
 }
 

@@ -72,8 +72,11 @@ func TestConfigForCores(t *testing.T) {
 		if cfg.TableEntries != 2048*cores {
 			t.Errorf("ConfigForCores(%d): TableEntries = %d, want %d", cores, cfg.TableEntries, 2048*cores)
 		}
+		if cfg.Split.Ways != cores {
+			t.Errorf("ConfigForCores(%d): Split.Ways = %d", cores, cfg.Split.Ways)
+		}
 		must := MustConfigForCores(cores)
-		if must.TableEntries != cfg.TableEntries || must.Ways != cfg.Ways {
+		if must != cfg {
 			t.Errorf("MustConfigForCores(%d) diverges from ConfigForCores", cores)
 		}
 	}

@@ -33,7 +33,7 @@ type ProfileResult struct {
 type profiler struct {
 	il1, dl1 *cache.FullyAssoc
 	single   *lrustack.Stack
-	split    *affinity.Splitter4
+	split    *affinity.Splitter
 	multi    *lrustack.MultiStack
 	instr    uint64
 	shift    uint
@@ -45,7 +45,7 @@ func newProfiler(thresholds []int64, shift uint, maxLines int64) *profiler {
 		il1:    cache.NewFullyAssoc(linesPerL1),
 		dl1:    cache.NewFullyAssoc(linesPerL1),
 		single: lrustack.New(thresholds, maxLines),
-		split:  affinity.NewSplitter4(affinity.Fig45Config(), affinity.NewUnbounded()),
+		split:  affinity.NewSplitter(affinity.Fig45Config(), affinity.NewUnbounded()),
 		multi:  lrustack.NewMultiStack(4, thresholds, maxLines),
 		shift:  shift,
 	}
