@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-baseline bench benchgate gobench short check fuzz cover results clean
+.PHONY: all build test vet lint lint-baseline bench benchgate gobench short check fuzz cover results results-check clean
 
 all: build vet test
 
@@ -93,12 +93,26 @@ benchgate:
 gobench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Full-scale regeneration of every table and figure (≈15 min on one core).
+# Full-scale regeneration of every table and figure (≈2.5 min wall and
+# ≈4 CPU-min on a 2-vCPU host).
+# RESULTS_DIR redirects the output (results-check writes to a temp dir).
+RESULTS_DIR ?= results
 results:
-	mkdir -p results
-	$(GO) run ./cmd/affinityviz            > results/fig3.txt
-	$(GO) run ./cmd/lruprofile -instr 40000000  > results/fig45_40M.txt
-	$(GO) run ./cmd/tables     -instr 100000000 > results/tables_100M.txt
+	mkdir -p $(RESULTS_DIR)
+	$(GO) run ./cmd/affinityviz            > $(RESULTS_DIR)/fig3.txt
+	$(GO) run ./cmd/lruprofile -instr 40000000  > $(RESULTS_DIR)/fig45_40M.txt
+	$(GO) run ./cmd/tables     -instr 100000000 > $(RESULTS_DIR)/tables_100M.txt
+
+# Regenerate every committed table and figure into a temp dir with the
+# exact `results` invocations and cmp each against results/: a change
+# that moves a committed number fails here until results/ is
+# regenerated on purpose.
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(MAKE) --no-print-directory results RESULTS_DIR="$$tmp" && \
+	for f in fig3.txt fig45_40M.txt tables_100M.txt; do \
+		cmp results/$$f "$$tmp/$$f" || exit 1; \
+	done && echo "results-check: results/ matches a fresh regeneration"
 
 clean:
 	rm -rf results test_output.txt bench_output.txt BENCH_simulator.json

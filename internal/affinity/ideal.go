@@ -77,6 +77,3 @@ func (d *Ideal) Ref(e mem.Line) int64 {
 
 // AffinityOf returns the current affinity of line e (0 if never seen).
 func (d *Ideal) AffinityOf(e mem.Line) int64 { return d.aff[e] }
-
-// Elements returns the number of distinct elements seen.
-func (d *Ideal) Elements() int { return len(d.aff) }

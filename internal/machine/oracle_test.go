@@ -692,7 +692,8 @@ type oracleStream struct {
 // through every configuration, with the configured machine sharing its
 // L1 front end with the 1-core baseline in one Group (as run.Pair does)
 // and each member compared with its own oracle after every batch (the
-// statistics) and at the end (everything). A 2-program Cluster with
+// statistics) and at the end (everything). A five-member group, the
+// shape of a tournament pass, is checked the same way. A 2-program Cluster with
 // the paper's migration chip is checked the same way, its oracle
 // programs sharing one oracle chip.
 func TestOracle(t *testing.T) {
@@ -706,7 +707,17 @@ func TestOracle(t *testing.T) {
 				if testing.Short() && st.name != "mix-1" && name != "michaud-4" && name != "normal" {
 					continue
 				}
-				t.Run(name, func(t *testing.T) { totals[name] = AddStats(totals[name], oracleGroup(t, cfg, batches)) })
+				t.Run(name, func(t *testing.T) {
+					totals[name] = AddStats(totals[name], oracleGroup(t, batches, NormalConfig(), cfg)[1])
+				})
+			}
+			if !testing.Short() || st.name == "mix-1" {
+				// A tournament-shaped group: the baseline and several
+				// policies, one of them gated, behind one L1 front end.
+				t.Run("group", func(t *testing.T) {
+					oracleGroup(t, batches, NormalConfig(), configs["michaud-4"], configs["numa-ring"],
+						configs["never"], configs["broadcast"])
+				})
 			}
 			t.Run("cluster-2", func(t *testing.T) { oracleCluster(t, MigrationConfig(), batches) })
 		})
@@ -731,17 +742,17 @@ func TestOracle(t *testing.T) {
 	}
 }
 
-// oracleGroup checks Group{NormalConfig(), cfg} against two oracles and
-// returns the configured member's statistics.
-func oracleGroup(t *testing.T, cfg Config, batches []*mem.Batch) Stats {
-	g, err := NewGroup(NormalConfig(), cfg)
+// oracleGroup checks one Group over cfgs, each member against its own
+// oracle, and returns the members' statistics in config order.
+func oracleGroup(t *testing.T, batches []*mem.Batch, cfgs ...Config) []Stats {
+	g, err := NewGroup(cfgs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ms := g.Machines()
-	oms := []*oMachine{
-		newOMachine(t, NormalConfig(), newOChip(NormalConfig())),
-		newOMachine(t, cfg, newOChip(cfg)),
+	var oms []*oMachine
+	for _, cfg := range cfgs {
+		oms = append(oms, newOMachine(t, cfg, newOChip(cfg)))
 	}
 	for i, b := range batches {
 		g.AccessBatch(b)
@@ -752,10 +763,12 @@ func oracleGroup(t *testing.T, cfg Config, batches []*mem.Batch) Stats {
 			}
 		}
 	}
+	out := make([]Stats, len(ms))
 	for j, o := range oms {
 		compareOracle(t, fmt.Sprintf("member %d", j), ms[j], o)
+		out[j] = ms[j].Stats
 	}
-	return ms[1].Stats
+	return out
 }
 
 // oracleCluster checks a 2-program Cluster, delivered in its round

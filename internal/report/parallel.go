@@ -5,7 +5,10 @@ import (
 	"fmt"
 
 	"repro/internal/machine"
+	"repro/internal/mem"
+	"repro/internal/run"
 	"repro/internal/runner"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -60,57 +63,19 @@ func Table1Batch(reg *workloads.Registry, names []string, budget uint64, opt Run
 		})
 }
 
-// table2Job is one half of a Table 2 row: one workload driven through
-// one machine configuration.
-type table2Job struct {
-	name, suite string
-	stats       machine.Stats
-}
-
 // Table2Batch runs the Table 2 experiment for each named workload on
-// the worker pool. Each workload fans out into two jobs — the 1-core
-// baseline and the 4-core migration machine — so a single large
-// workload still fills two cores; rows come back in input order and
-// are bit-identical for every worker count (each job constructs its
-// own fresh workload and machine).
+// the worker pool: one grouped pass per workload through the 1-core
+// baseline and the 4-core migration machine. Rows come back in input
+// order and are bit-identical for every worker count.
 func Table2Batch(reg *workloads.Registry, names []string, budget uint64, opt RunOptions) ([]Table2Row, error) {
-	// Validate both machine configurations once, up front; the jobs
-	// reuse the validated configs instead of reconstructing them.
-	normalCfg := machine.NormalConfig()
-	migCfg := machine.MigrationConfig()
-	if err := validateConfigs(normalCfg, migCfg); err != nil {
-		return nil, err
-	}
-	label := func(j int) string {
-		if j%2 == 0 {
-			return names[j/2] + " (1-core)"
-		}
-		return names[j/2] + " (migration)"
-	}
-	halves, err := runner.Map(opt.ctx(), 2*len(names), opt.config(label),
-		func(_ context.Context, j int) (table2Job, error) {
-			w, err := reg.New(names[j/2])
-			if err != nil {
-				return table2Job{}, err
-			}
-			cfg := normalCfg
-			if j%2 == 1 {
-				cfg = migCfg
-			}
-			m, err := machine.New(cfg)
-			if err != nil {
-				return table2Job{}, err
-			}
-			runBatched(w, m, budget)
-			return table2Job{name: w.Name(), suite: w.Suite(), stats: m.Stats}, nil
-		})
+	cfgs := []machine.Config{machine.NormalConfig(), machine.MigrationConfig()}
+	passes, err := runGroups(names, cfgs, 0, workloadSources(reg, names, budget), opt)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Table2Row, len(names))
-	for i := range names {
-		normal, mig := halves[2*i], halves[2*i+1]
-		rows[i] = table2Row(normal.name, normal.suite, normal.stats, mig.stats)
+	rows := make([]Table2Row, len(passes))
+	for i, p := range passes {
+		rows[i] = table2Row(p.name, p.suite, p.ms[0].Stats, p.ms[1].Stats)
 	}
 	return rows, nil
 }
@@ -139,14 +104,88 @@ func Fig3Batch(behaviors []string, cfg Fig3Config, opt RunOptions) ([][]Fig3Resu
 		})
 }
 
-// validateConfigs rejects malformed machine configurations before any
-// job is scheduled, so a bad configuration fails once at the batch
-// boundary instead of n times inside the pool.
-func validateConfigs(cfgs ...machine.Config) error {
+// source is one stream of a grouped pass: the events it feeds and, for
+// a workload, the name and suite the pass reports.
+type source struct {
+	name, suite string
+	feed        func(mem.BatchSink) error
+}
+
+// pass is one stream after its grouped pass: its source, the group's
+// members in config order and, when the pass sampled, each member's
+// timeline.
+type pass struct {
+	source
+	ms  []*machine.Machine
+	tls []*telemetry.Timeline
+}
+
+// workloadSources opens stream i as a fresh instance of names[i], run
+// for budget instructions through a mem.Batcher: the stream
+// run.Spec.Feed delivers.
+func workloadSources(reg *workloads.Registry, names []string, budget uint64) func(i int) (source, error) {
+	return func(i int) (source, error) {
+		w, err := reg.New(names[i])
+		if err != nil {
+			return source{}, err
+		}
+		return source{name: w.Name(), suite: w.Suite(), feed: func(sink mem.BatchSink) error {
+			ba := mem.NewBatcher(sink, 0)
+			w.Run(ba, budget)
+			ba.Flush()
+			return nil
+		}}, nil
+	}
+}
+
+// runGroups is the batch drivers' one machine pass. Stream i, opened by
+// open(i) and labelled labels[i] for progress, is driven exactly once
+// with a run.Stream through one machine.Group over cfgs; interval > 0
+// also samples every member's timeline at each multiple of interval
+// events. The configurations are validated once, before any stream
+// runs. Streams run on the worker pool and come back in input order,
+// byte-identical for every worker count: each job opens its own source
+// and builds its own group, and a group leaves every member in the
+// state a machine of its own would reach on the same stream.
+func runGroups(labels []string, cfgs []machine.Config, interval uint64, open func(i int) (source, error), opt RunOptions) ([]pass, error) {
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("report: machine config %d: %w", i, err)
+			return nil, fmt.Errorf("report: machine config %d: %w", i, err)
 		}
 	}
-	return nil
+	label := func(i int) string { return labels[i] }
+	return runner.Map(opt.ctx(), len(labels), opt.config(label), func(_ context.Context, i int) (pass, error) {
+		src, err := open(i)
+		if err != nil {
+			return pass{}, err
+		}
+		g, err := machine.NewGroup(cfgs...)
+		if err != nil {
+			return pass{}, err
+		}
+		p := pass{source: src, ms: g.Machines()}
+		s := &run.Stream{To: []mem.BatchSink{g}}
+		if interval > 0 {
+			for _, m := range p.ms {
+				tl, err := telemetry.NewTimeline(m.Telemetry(), interval, 64)
+				if err != nil {
+					return pass{}, err
+				}
+				p.tls = append(p.tls, tl)
+			}
+			// Every member is sampled at the same event, after every
+			// event up to it has reached the group.
+			s.Every = []uint64{interval}
+			s.Hook = func(events uint64) error {
+				for _, tl := range p.tls {
+					tl.MaybeSample(events)
+				}
+				return nil
+			}
+		}
+		if _, err := s.Run(src.feed); err != nil {
+			return pass{}, err
+		}
+		return p, nil
+	})
 }

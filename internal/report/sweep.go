@@ -1,12 +1,11 @@
 package report
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/machine"
-	"repro/internal/runner"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -30,55 +29,53 @@ type SweepPoint struct {
 // lines) through the 1-core and migration machines and reports the
 // trade at each point — the crossover structure behind Table 2: no
 // effect while the set fits one L2, a win while it fits the aggregate,
-// suppression beyond. Points fan out across the worker pool. Both
-// machine configurations are built and validated exactly once and
-// threaded through every point's job (each job constructs its own
-// Machines from the shared configs — machines are mutable, configs are
-// not); results are in sizes order and byte-identical for any worker
-// count.
+// suppression beyond. Each point is one grouped pass of its circular
+// stream through both machines, and the points fan out across the
+// worker pool; results are in sizes order and byte-identical for any
+// worker count.
 func SweepWorkingSetOpt(sizes []uint64, laps uint64, cores int, opt RunOptions) ([]SweepPoint, error) {
-	normalCfg := machine.NormalConfig()
 	migCfg, err := machine.MigrationConfigFor(cores)
 	if err != nil {
 		return nil, err
 	}
-	if err := validateConfigs(normalCfg, migCfg); err != nil {
+	labels := make([]string, len(sizes))
+	for i, ws := range sizes {
+		labels[i] = fmt.Sprintf("%dK", ws<<6>>10)
+	}
+	circular := func(i int) (source, error) {
+		ws := sizes[i]
+		return source{feed: func(sink mem.BatchSink) error {
+			trace.DriveBatched(trace.NewCircular(ws), sink, laps*ws, 6, 3)
+			return nil
+		}}, nil
+	}
+	passes, err := runGroups(labels, []machine.Config{machine.NormalConfig(), migCfg}, 0, circular, opt)
+	if err != nil {
 		return nil, err
 	}
-	label := func(i int) string { return fmt.Sprintf("%dK", sizes[i]<<6>>10) }
-	return runner.Map(opt.ctx(), len(sizes), opt.config(label),
-		func(_ context.Context, i int) (SweepPoint, error) {
-			return sweepPoint(sizes[i], laps, normalCfg, migCfg)
-		})
+	points := make([]SweepPoint, len(passes))
+	for i, p := range passes {
+		points[i] = sweepPoint(sizes[i], p.ms[0].Stats, p.ms[1].Stats)
+	}
+	return points, nil
 }
 
-// sweepPoint measures one working-set size on freshly built machines.
-func sweepPoint(ws, laps uint64, normalCfg, migCfg machine.Config) (SweepPoint, error) {
-	refs := laps * ws
-	normal, err := machine.New(normalCfg)
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	trace.DriveBatched(trace.NewCircular(ws), normal, refs, 6, 3)
-	mig, err := machine.New(migCfg)
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	trace.DriveBatched(trace.NewCircular(ws), mig, refs, 6, 3)
-
+// sweepPoint derives one working-set size's trade from the two
+// machines' stats.
+func sweepPoint(ws uint64, normal, mig machine.Stats) SweepPoint {
 	p := SweepPoint{Lines: ws, Bytes: ws << 6}
-	nRate := float64(normal.Stats.L2Misses) / float64(normal.Stats.Instructions)
-	mRate := float64(mig.Stats.L2Misses) / float64(mig.Stats.Instructions)
+	nRate := float64(normal.L2Misses) / float64(normal.Instructions)
+	mRate := float64(mig.L2Misses) / float64(mig.Instructions)
 	if nRate > 0 {
 		p.Ratio = mRate / nRate
 	}
-	if mig.Stats.Migrations > 0 {
-		p.InstrPerMigration = float64(mig.Stats.Instructions) / float64(mig.Stats.Migrations)
+	if mig.Migrations > 0 {
+		p.InstrPerMigration = float64(mig.Instructions) / float64(mig.Migrations)
 		removed := nRate - mRate
-		migRate := float64(mig.Stats.Migrations) / float64(mig.Stats.Instructions)
+		migRate := float64(mig.Migrations) / float64(mig.Instructions)
 		p.BreakEvenPmig = removed / migRate
 	}
-	return p, nil
+	return p
 }
 
 // DefaultSweepLaps is the laps per sweep point when none are given.

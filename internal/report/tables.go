@@ -84,15 +84,6 @@ type Table2Row struct {
 	HasMigrations bool
 }
 
-// runBatched drives a workload into a machine through the columnar
-// batch path, so every machine-bound workload pass goes through the
-// same delivery kernel.
-func runBatched(wl workloads.Workload, m mem.BatchSink, budget uint64) {
-	ba := mem.NewBatcher(m, 0)
-	wl.Run(ba, budget)
-	ba.Flush()
-}
-
 // table2Row derives one Table 2 line from the two machines' raw stats.
 func table2Row(name, suite string, normal, mig machine.Stats) Table2Row {
 	row := Table2Row{

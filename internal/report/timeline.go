@@ -1,13 +1,9 @@
 package report
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/machine"
-	"repro/internal/mem"
-	"repro/internal/run"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
@@ -29,47 +25,6 @@ type TimelineResult struct {
 	NormalFinal, MigFinal telemetry.Snapshot
 }
 
-// timelineHalf is one machine pass of one workload.
-type timelineHalf struct {
-	rows    []telemetry.Row
-	dropped uint64
-	final   telemetry.Snapshot
-}
-
-// runTimelineHalf drives a fresh workload instance through one machine
-// configuration, sampling every interval events.
-func runTimelineHalf(reg *workloads.Registry, name string, budget uint64,
-	cfg machine.Config, label string, interval uint64) (timelineHalf, error) {
-	m, err := machine.New(cfg)
-	if err != nil {
-		return timelineHalf{}, err
-	}
-	tl, err := telemetry.NewTimeline(m.Telemetry(), interval, 64)
-	if err != nil {
-		return timelineHalf{}, err
-	}
-	// The run engine numbers events exactly as every other surface
-	// does, so interval boundaries land on identical events everywhere.
-	s := &run.Stream{To: []mem.BatchSink{m}, Every: []uint64{interval}, Hook: func(events uint64) error {
-		tl.MaybeSample(events)
-		return nil
-	}}
-	if _, err := s.Run(run.Spec{Workload: name, Instr: budget, Registry: reg}.Feed); err != nil {
-		return timelineHalf{}, err
-	}
-	return timelineHalf{rows: tl.Rows(label), dropped: tl.Dropped(), final: m.Telemetry().Snapshot()}, nil
-}
-
-// TimelineFor runs one workload through both machine configurations
-// serially and returns its timeline.
-func TimelineFor(reg *workloads.Registry, name string, budget, interval uint64) (TimelineResult, error) {
-	res, err := TimelineBatch(reg, []string{name}, budget, interval, RunOptions{Workers: 1})
-	if err != nil {
-		return TimelineResult{}, err
-	}
-	return res.Workloads[0], nil
-}
-
 // TimelineBatchResult is a batch of workload timelines plus the
 // batch-wide metric aggregate: every machine's final snapshot merged in
 // job order, so the totals are identical for every worker count.
@@ -79,49 +34,34 @@ type TimelineBatchResult struct {
 }
 
 // TimelineBatch runs the timeline measurement for each named workload
-// on the worker pool. Like Table2Batch, each workload fans out into two
-// jobs (baseline and migration machine); rows and the merged aggregate
-// come back in input order and are byte-identical to serial runs.
+// on the worker pool: one grouped pass per workload through the
+// baseline and the migration machine, both sampled at the same events.
+// Rows and the aggregate, folded in input order (normal, then
+// migration, per workload), are byte-identical to serial runs.
 func TimelineBatch(reg *workloads.Registry, names []string, budget, interval uint64, opt RunOptions) (TimelineBatchResult, error) {
 	if interval == 0 {
 		return TimelineBatchResult{}, fmt.Errorf("report: timeline interval must be positive")
 	}
-	normalCfg := machine.NormalConfig()
-	migCfg := machine.MigrationConfig()
-	if err := validateConfigs(normalCfg, migCfg); err != nil {
+	cfgs := []machine.Config{machine.NormalConfig(), machine.MigrationConfig()}
+	passes, err := runGroups(names, cfgs, interval, workloadSources(reg, names, budget), opt)
+	if err != nil {
 		return TimelineBatchResult{}, err
 	}
-	label := func(j int) string {
-		if j%2 == 0 {
-			return names[j/2] + " (1-core)"
-		}
-		return names[j/2] + " (migration)"
-	}
-	return runner.Reduce(opt.ctx(), 2*len(names), opt.config(label), TimelineBatchResult{},
-		func(_ context.Context, j int) (timelineHalf, error) {
-			if j%2 == 0 {
-				return runTimelineHalf(reg, names[j/2], budget, normalCfg, "normal", interval)
-			}
-			return runTimelineHalf(reg, names[j/2], budget, migCfg, "migration", interval)
-		},
-		func(acc TimelineBatchResult, half timelineHalf, j int) TimelineBatchResult {
-			if j%2 == 0 {
-				acc.Workloads = append(acc.Workloads, TimelineResult{
-					Name:        names[j/2],
-					Interval:    interval,
-					Dropped:     half.dropped,
-					NormalFinal: half.final,
-					Rows:        half.rows,
-				})
-			} else {
-				r := &acc.Workloads[j/2]
-				r.MigFinal = half.final
-				r.Dropped += half.dropped
-				r.Rows = telemetry.MergeRows(r.Rows, half.rows)
-			}
-			telemetry.Merge(&acc.Aggregate, half.final)
-			return acc
+	var res TimelineBatchResult
+	for i, p := range passes {
+		normal, mig := p.ms[0].Telemetry().Snapshot(), p.ms[1].Telemetry().Snapshot()
+		res.Workloads = append(res.Workloads, TimelineResult{
+			Name:        names[i],
+			Interval:    interval,
+			Rows:        telemetry.MergeRows(p.tls[0].Rows("normal"), p.tls[1].Rows("migration")),
+			Dropped:     p.tls[0].Dropped() + p.tls[1].Dropped(),
+			NormalFinal: normal,
+			MigFinal:    mig,
 		})
+		telemetry.Merge(&res.Aggregate, normal)
+		telemetry.Merge(&res.Aggregate, mig)
+	}
+	return res, nil
 }
 
 // counterDelta returns how much the named counter advanced between two

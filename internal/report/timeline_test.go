@@ -72,23 +72,6 @@ func TestTimelineBatchShape(t *testing.T) {
 	}
 }
 
-// TestTimelineForMatchesBatch: the single-workload helper is the batch
-// restricted to one name.
-func TestTimelineForMatchesBatch(t *testing.T) {
-	reg := suite.Registry()
-	one, err := TimelineFor(reg, "181.mcf", 300_000, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := TimelineBatch(reg, []string{"181.mcf"}, 300_000, 50_000, RunOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(one, batch.Workloads[0]) {
-		t.Fatalf("TimelineFor diverged from batch:\n%+v\nvs\n%+v", one, batch.Workloads[0])
-	}
-}
-
 // TestTimelineBatchRejectsZeroInterval: interval validation happens at
 // the batch boundary.
 func TestTimelineBatchRejectsZeroInterval(t *testing.T) {

@@ -10,7 +10,6 @@ package report
 // and output is byte-identical for every worker count.
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -18,7 +17,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/migration"
 	"repro/internal/run"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -67,63 +65,23 @@ type TournamentRow struct {
 	HasMigrations bool
 }
 
-// tournamentJob is one machine pass: a workload under one configuration.
-type tournamentJob struct {
-	stats    machine.Stats
-	weighted float64
-	deferred uint64
-}
-
 // TournamentBatch runs every workload × policy pairing on the worker
-// pool: per workload, one shared 1-core baseline plus one migration
-// machine per policy. Rows come back grouped by workload, policies in
-// input order.
+// pool: per workload, one grouped pass through the 1-core baseline and
+// one migration machine per policy. Rows come back grouped by workload,
+// policies in input order.
 func TournamentBatch(reg *workloads.Registry, names []string, tc TournamentConfig, opt RunOptions) ([]TournamentRow, error) {
 	if len(tc.Policies) == 0 {
 		return nil, fmt.Errorf("report: tournament needs at least one policy")
 	}
-	normalCfg := machine.NormalConfig()
-	migCfgs := make([]machine.Config, len(tc.Policies))
-	for i, pol := range tc.Policies {
+	cfgs := []machine.Config{machine.NormalConfig()}
+	for _, pol := range tc.Policies {
 		cfg, err := machine.MigrationConfigScenario(tc.Cores, pol, tc.Topology)
 		if err != nil {
 			return nil, fmt.Errorf("report: policy %q: %w", pol, err)
 		}
-		migCfgs[i] = cfg
+		cfgs = append(cfgs, cfg)
 	}
-	if err := validateConfigs(append([]machine.Config{normalCfg}, migCfgs...)...); err != nil {
-		return nil, err
-	}
-	// Job layout: workload i occupies the slots [i*(P+1), (i+1)*(P+1)) —
-	// the baseline first, then one job per policy.
-	per := len(tc.Policies) + 1
-	label := func(j int) string {
-		if j%per == 0 {
-			return names[j/per] + " (1-core)"
-		}
-		return names[j/per] + " (" + tc.Policies[j%per-1] + ")"
-	}
-	jobs, err := runner.Map(opt.ctx(), per*len(names), opt.config(label),
-		func(_ context.Context, j int) (tournamentJob, error) {
-			w, err := reg.New(names[j/per])
-			if err != nil {
-				return tournamentJob{}, err
-			}
-			cfg := normalCfg
-			if j%per != 0 {
-				cfg = migCfgs[j%per-1]
-			}
-			m, err := machine.New(cfg)
-			if err != nil {
-				return tournamentJob{}, err
-			}
-			runBatched(w, m, tc.Budget)
-			job := tournamentJob{stats: m.FinalStats(), weighted: m.WeightedMigrationCost()}
-			if np, ok := m.Policy().(*migration.NumaPolicy); ok {
-				job.deferred = np.Deferred
-			}
-			return job, nil
-		})
+	passes, err := runGroups(names, cfgs, 0, workloadSources(reg, names, tc.Budget), opt)
 	if err != nil {
 		return nil, err
 	}
@@ -133,30 +91,28 @@ func TournamentBatch(reg *workloads.Registry, names []string, tc TournamentConfi
 	}
 	tm := migration.DefaultTimeModel()
 	var rows []TournamentRow
-	for i, name := range names {
-		w, err := reg.New(name)
-		if err != nil {
-			return nil, err
-		}
-		baseline := jobs[i*per]
-		for p, pol := range tc.Policies {
-			job := jobs[i*per+1+p]
+	for _, p := range passes {
+		baseline := p.ms[0].FinalStats()
+		for k, pol := range tc.Policies {
+			m := p.ms[1+k]
 			row := TournamentRow{
-				Name:         w.Name(),
-				Suite:        w.Suite(),
+				Name:         p.name,
+				Suite:        p.suite,
 				Policy:       pol,
-				Normal:       baseline.stats,
-				Migrated:     job.stats,
-				WeightedCost: job.weighted,
-				Deferred:     job.deferred,
+				Normal:       baseline,
+				Migrated:     m.FinalStats(),
+				WeightedCost: m.WeightedMigrationCost(),
 			}
-			nRate := float64(baseline.stats.L2Misses) / float64(baseline.stats.Instructions)
-			mRate := float64(job.stats.L2Misses) / float64(job.stats.Instructions)
+			if np, ok := m.Policy().(*migration.NumaPolicy); ok {
+				row.Deferred = np.Deferred
+			}
+			nRate := float64(baseline.L2Misses) / float64(baseline.Instructions)
+			mRate := float64(row.Migrated.L2Misses) / float64(row.Migrated.Instructions)
 			if nRate > 0 {
 				row.Ratio = mRate / nRate
 			}
-			row.Speedup = tm.SpeedupWeighted(baseline.stats.Outcome(), job.stats.Outcome(), pmig, job.weighted)
-			if be, ok := migration.MissesRemovedPerMigration(baseline.stats.Outcome(), job.stats.Outcome()); ok {
+			row.Speedup = tm.SpeedupWeighted(baseline.Outcome(), row.Migrated.Outcome(), pmig, row.WeightedCost)
+			if be, ok := migration.MissesRemovedPerMigration(baseline.Outcome(), row.Migrated.Outcome()); ok {
 				row.BreakEvenPmig = be
 				row.HasMigrations = true
 			}
@@ -255,20 +211,8 @@ func MultiRun(spec run.Spec, opt RunOptions) (MultiRunResultJSON, error) {
 	if err := cluster.Run(feeds); err != nil {
 		return MultiRunResultJSON{}, err
 	}
-	solo, err := runner.Map(opt.ctx(), len(spec.Programs),
-		opt.config(func(i int) string { return spec.Programs[i] + " (solo)" }),
-		func(_ context.Context, i int) (machine.Stats, error) {
-			w, err := reg.New(spec.Programs[i])
-			if err != nil {
-				return machine.Stats{}, err
-			}
-			m, err := machine.New(machine.NormalConfig())
-			if err != nil {
-				return machine.Stats{}, err
-			}
-			runBatched(w, m, spec.Instr)
-			return m.FinalStats(), nil
-		})
+	solo, err := runGroups(spec.Programs, []machine.Config{machine.NormalConfig()}, 0,
+		workloadSources(reg, spec.Programs, spec.Instr), opt)
 	if err != nil {
 		return MultiRunResultJSON{}, err
 	}
@@ -286,7 +230,7 @@ func MultiRun(spec run.Spec, opt RunOptions) (MultiRunResultJSON, error) {
 		res.PerProgram = append(res.PerProgram, ProgramResultJSON{
 			Workload: name,
 			Stats:    cluster.Program(i).FinalStats(),
-			Solo:     solo[i],
+			Solo:     solo[i].ms[0].FinalStats(),
 		})
 	}
 	return res, nil

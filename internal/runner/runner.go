@@ -4,7 +4,7 @@
 //
 // Every experiment in this reproduction (the Table 1/2 rows, the
 // Figure 3/4/5 panels, the working-set sweep) is a set of *independent*
-// trace-driven simulations: each job owns its own Machine, generators
+// trace-driven simulations: each job owns its own machines, generators
 // and RNG state, and no job reads another's output. That independence
 // is the whole determinism model — parallel execution changes only the
 // wall-clock interleaving, never the numbers — so the engine's contract
@@ -170,25 +170,6 @@ func (f *failures) serialize(cb func()) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cb()
-}
-
-// Reduce is Map followed by an input-order fold: fn runs on the worker
-// pool, then fold consumes the results in job order — job 0 first,
-// regardless of completion order — so any accumulator (sums, merged
-// metric snapshots, concatenated rows) is identical for every worker
-// count. The fold runs on the calling goroutine after all jobs finish.
-func Reduce[T, A any](ctx context.Context, n int, cfg Config, init A,
-	fn func(ctx context.Context, i int) (T, error), fold func(acc A, r T, i int) A) (A, error) {
-	results, err := Map(ctx, n, cfg, fn)
-	if err != nil {
-		var zero A
-		return zero, err
-	}
-	acc := init
-	for i, r := range results {
-		acc = fold(acc, r, i)
-	}
-	return acc, nil
 }
 
 // Run executes a fixed set of heterogeneous jobs on the pool and waits

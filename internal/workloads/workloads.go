@@ -17,7 +17,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 )
@@ -60,13 +59,6 @@ func (r *Registry) Register(name string, f func() Workload) {
 // Names returns the registered names in registration order.
 func (r *Registry) Names() []string { return append([]string(nil), r.order...) }
 
-// SortedNames returns the registered names sorted alphabetically.
-func (r *Registry) SortedNames() []string {
-	n := r.Names()
-	sort.Strings(n)
-	return n
-}
-
 // New instantiates a fresh workload by name.
 func (r *Registry) New(name string) (Workload, error) {
 	f, ok := r.factories[name]
@@ -74,29 +66,6 @@ func (r *Registry) New(name string) (Workload, error) {
 		return nil, fmt.Errorf("workloads: unknown workload %q", name)
 	}
 	return f(), nil
-}
-
-// budgetSink wraps a sink and observes the instruction count, so
-// workloads can cheaply test their budget.
-type budgetSink struct {
-	inner  mem.Sink
-	instrs uint64
-}
-
-func (b *budgetSink) Access(addr mem.Addr, kind mem.Kind) { b.inner.Access(addr, kind) }
-func (b *budgetSink) Instr(n uint64)                      { b.instrs += n; b.inner.Instr(n) }
-
-// RunUntil is a helper for workloads structured as repeated outer
-// iterations: it invokes iter until budget instructions have been
-// consumed (at least one iteration always runs).
-func RunUntil(sink mem.Sink, budget uint64, iter func(s mem.Sink)) {
-	b := &budgetSink{inner: sink}
-	for {
-		iter(b)
-		if b.instrs >= budget {
-			return
-		}
-	}
 }
 
 // Base provides the identity boilerplate for workload implementations.
