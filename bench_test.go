@@ -285,7 +285,7 @@ func BenchmarkAblationWindowKind(b *testing.B) {
 func BenchmarkAffinityRef(b *testing.B) {
 	m := affinity.NewMechanism(
 		affinity.MechConfig{WindowSize: 128, AffinityBits: 16, FilterBits: 18},
-		affinity.NewTable2Cache(),
+		affinity.NewCache(8192, 4), // the paper's §4.2 affinity cache
 	)
 	g := trace.NewCircular(24 << 10)
 	b.ResetTimer()

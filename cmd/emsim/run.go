@@ -194,8 +194,10 @@ func runIndependent(p *runParams, normal, mig *machine.Machine, tel *runTelemetr
 		{To: []mem.BatchSink{mig}, StopAt: p.stopAfter, Stop: p.stop},
 	}
 	if tel != nil {
-		streams[0].Every, streams[0].Hook = []uint64{tel.interval}, tel.tickNormal
-		streams[1].Every, streams[1].Hook = []uint64{tel.interval}, tel.tickMig
+		for i, s := range streams {
+			s.Every = []uint64{tel.interval}
+			s.Hook = func(events uint64) error { tel.tick(i, events); return nil }
+		}
 	}
 	var interrupted [2]bool
 	pass := func(i int) func(context.Context) error {

@@ -15,11 +15,19 @@ import (
 // parallel passes sample identical points) and the optional live
 // endpoint. It is created only when -timeline or -metrics is in play.
 type runTelemetry struct {
-	interval    uint64
-	normal, mig *telemetry.Timeline
-	normalReg   *telemetry.Registry
-	migReg      *telemetry.Registry
-	live        *telhttp.Live
+	interval uint64
+	// ms holds the normal machine, then the migration machine: the
+	// order their rows merge in within an interval.
+	ms   [2]timedMachine
+	live *telhttp.Live
+}
+
+// timedMachine is one machine's share of the run's telemetry: its
+// report name, its registry and the timeline sampling it.
+type timedMachine struct {
+	name string
+	reg  *telemetry.Registry
+	tl   *telemetry.Timeline
 }
 
 // timelineCapacity sizes the preallocated sample ring: enough for a
@@ -32,56 +40,35 @@ func newRunTelemetry(p *runParams, normal, mig *machine.Machine) (*runTelemetry,
 	if p.TimelineInterval == 0 {
 		return nil, nil
 	}
-	nt, err := telemetry.NewTimeline(normal.Telemetry(), p.TimelineInterval, timelineCapacity)
-	if err != nil {
-		return nil, err
+	rt := &runTelemetry{interval: p.TimelineInterval, live: p.live}
+	for i, m := range [2]*machine.Machine{normal, mig} {
+		tl, err := telemetry.NewTimeline(m.Telemetry(), p.TimelineInterval, timelineCapacity)
+		if err != nil {
+			return nil, err
+		}
+		rt.ms[i] = timedMachine{name: [2]string{"normal", "migration"}[i], reg: m.Telemetry(), tl: tl}
 	}
-	mt, err := telemetry.NewTimeline(mig.Telemetry(), p.TimelineInterval, timelineCapacity)
-	if err != nil {
-		return nil, err
-	}
-	return &runTelemetry{
-		interval:  p.TimelineInterval,
-		normal:    nt,
-		mig:       mt,
-		normalReg: normal.Telemetry(),
-		migReg:    mig.Telemetry(),
-		live:      p.live,
-	}, nil
+	return rt, nil
 }
 
-// boundary reports whether events is a sampling point.
-func (rt *runTelemetry) boundary(events uint64) bool {
-	return events != 0 && events%rt.interval == 0
+// tick is machine i's boundary step: sample its timeline at events
+// and, at a sampling point, publish its registry to the live endpoint.
+// The independent passes each call it for their own machine, as each
+// numbers its own identical copy of the event stream.
+func (rt *runTelemetry) tick(i int, events uint64) {
+	m := &rt.ms[i]
+	m.tl.MaybeSample(events)
+	if rt.live != nil && events != 0 && events%rt.interval == 0 {
+		rt.live.Publish(m.name, m.reg.Snapshot())
+	}
 }
 
 // tickBoth is the serial tee pass's boundary hook: both machines sit at
 // the same event, so both timelines sample together.
 func (rt *runTelemetry) tickBoth(events uint64) {
-	rt.normal.MaybeSample(events)
-	rt.mig.MaybeSample(events)
-	if rt.live != nil && rt.boundary(events) {
-		rt.live.Publish("normal", rt.normalReg.Snapshot())
-		rt.live.Publish("migration", rt.migReg.Snapshot())
+	for i := range rt.ms {
+		rt.tick(i, events)
 	}
-}
-
-// tickNormal and tickMig are the independent-pass hooks; each pass
-// numbers its own identical copy of the event stream.
-func (rt *runTelemetry) tickNormal(events uint64) error {
-	rt.normal.MaybeSample(events)
-	if rt.live != nil && rt.boundary(events) {
-		rt.live.Publish("normal", rt.normalReg.Snapshot())
-	}
-	return nil
-}
-
-func (rt *runTelemetry) tickMig(events uint64) error {
-	rt.mig.MaybeSample(events)
-	if rt.live != nil && rt.boundary(events) {
-		rt.live.Publish("migration", rt.migReg.Snapshot())
-	}
-	return nil
 }
 
 // finish publishes the end-of-run values and returns the merged row
@@ -92,11 +79,14 @@ func (rt *runTelemetry) finish() []telemetry.Row {
 	if rt == nil {
 		return nil
 	}
-	if rt.live != nil {
-		rt.live.Publish("normal", rt.normalReg.Snapshot())
-		rt.live.Publish("migration", rt.migReg.Snapshot())
+	var rows [2][]telemetry.Row
+	for i, m := range rt.ms {
+		if rt.live != nil {
+			rt.live.Publish(m.name, m.reg.Snapshot())
+		}
+		rows[i] = m.tl.Rows(m.name)
 	}
-	return telemetry.MergeRows(rt.normal.Rows("normal"), rt.mig.Rows("migration"))
+	return telemetry.MergeRows(rows[0], rows[1])
 }
 
 // droppedRows sums both timelines' cap evictions, so the run report can
@@ -105,7 +95,7 @@ func (rt *runTelemetry) droppedRows() uint64 {
 	if rt == nil {
 		return 0
 	}
-	return rt.normal.Dropped() + rt.mig.Dropped()
+	return rt.ms[0].tl.Dropped() + rt.ms[1].tl.Dropped()
 }
 
 // writeTimeline writes rows as JSONL to path ("-" = stdout), with the

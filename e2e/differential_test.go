@@ -125,6 +125,21 @@ func TestDifferentialCheckpointBytes(t *testing.T) {
 	}
 }
 
+// checkCheckpointSHA runs emsim with args, checkpointing, and compares
+// the checkpoint file's SHA-256 against the recorded one.
+func checkCheckpointSHA(t *testing.T, args []string, sha string) {
+	t.Helper()
+	ck := filepath.Join(t.TempDir(), "run.ckpt")
+	runCLI(t, "emsim", append(args, "-checkpoint", ck, "-json")...)
+	got, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(got); hex.EncodeToString(sum[:]) != sha {
+		t.Errorf("%v: checkpoint SHA-256 %x, recorded %s", args, sum, sha)
+	}
+}
+
 // TestCheckpointBytesTwoAndEightCores pins the EMCKPT1 bytes of a 2-core
 // and an 8-core run by SHA-256, recorded once like the 4-core golden
 // above: the splitter's state has one shape per core count, and each
@@ -140,15 +155,30 @@ func TestCheckpointBytesTwoAndEightCores(t *testing.T) {
 		{[]string{"-workload", "em3d", "-instr", "200000", "-cores", "8", "-checkpoint-every", "100000"},
 			"fc8bd3d824b4edf357823acf84f7f82a9fabd50d193c1f5cf79db4f9e86692a1"},
 	} {
-		ck := filepath.Join(t.TempDir(), "run.ckpt")
-		runCLI(t, "emsim", append(tc.args, "-checkpoint", ck, "-json")...)
-		got, err := os.ReadFile(ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sum := sha256.Sum256(got); hex.EncodeToString(sum[:]) != tc.sha {
-			t.Errorf("%v: checkpoint SHA-256 %x, recorded %s", tc.args, sum, tc.sha)
-		}
+		checkCheckpointSHA(t, tc.args, tc.sha)
+	}
+}
+
+// TestCheckpointBytesPolicies pins by SHA-256 the EMCKPT1 bytes of the
+// three scenarios whose policy state rides the checkpoint extension:
+// numa on a ring (a gob NumaState, captured here with a move in flight:
+// target 1, pending 2), the never baseline (a NeverState), and the
+// default policy on a ring (a ControllerState envelope beside
+// Snapshot.Controller). TestPolicyCheckpointRoundTrip only proves these
+// resume; this proves their encoding holds.
+func TestCheckpointBytesPolicies(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		sha  string
+	}{
+		{[]string{"-workload", "181.mcf", "-instr", "200000", "-cores", "4", "-policy", "numa", "-topology", "ring", "-checkpoint-every", "59000"},
+			"9a07b1af6b944078c9de9970c89d9f7ef3a5b3115d820fe1f98b887312237aac"},
+		{[]string{"-workload", "181.mcf", "-instr", "200000", "-cores", "4", "-policy", "never", "-checkpoint-every", "100000"},
+			"522d7748675b1bedef592d9161a7ebce4f8ed8d9392a742cb1c08ab1587fff79"},
+		{[]string{"-workload", "em3d", "-instr", "200000", "-cores", "4", "-topology", "ring", "-checkpoint-every", "100000"},
+			"9ca7572f8b0af53e2cd151f0fae8bebe6b40c10692d3d563d1419bac0109ce50"},
+	} {
+		checkCheckpointSHA(t, tc.args, tc.sha)
 	}
 }
 

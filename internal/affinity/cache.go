@@ -39,7 +39,7 @@ type Cache struct {
 // (must be ways * power-of-two) and associativity.
 func NewCache(entries, ways int) *Cache {
 	if ways < 1 || entries < ways || entries%ways != 0 {
-		//emlint:allowpanic shape is validated by migration.NewController before construction
+		//emlint:allowpanic shape is validated by migration.NewPolicy before construction
 		panic("affinity: bad cache shape")
 	}
 	sets := entries / ways
@@ -48,7 +48,7 @@ func NewCache(entries, ways int) *Cache {
 		log2++
 	}
 	if 1<<log2 != sets {
-		//emlint:allowpanic shape is validated by migration.NewController before construction
+		//emlint:allowpanic shape is validated by migration.NewPolicy before construction
 		panic("affinity: sets per way must be a power of two")
 	}
 	return &Cache{
@@ -62,10 +62,6 @@ func NewCache(entries, ways int) *Cache {
 		cand:     make([]int32, ways),
 	}
 }
-
-// NewTable2Cache returns the paper's §4.2 configuration: 8k entries,
-// 4-way skewed-associative.
-func NewTable2Cache() *Cache { return NewCache(8192, 4) }
 
 // frames returns line's candidate frame in each way, in way order.
 //

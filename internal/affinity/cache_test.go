@@ -76,11 +76,18 @@ func TestAffinityCacheMissCounting(t *testing.T) {
 	}
 }
 
-// TestTable2CacheShape: the paper's 8k-entry 4-way configuration.
+// TestTable2CacheShape: the paper's §4.2 8k-entry 4-way skewed
+// configuration holds every entry it was sized for.
 func TestTable2CacheShape(t *testing.T) {
-	c := NewTable2Cache()
+	c := NewCache(8192, 4)
 	if c.Entries() != 8192 {
 		t.Fatalf("entries = %d", c.Entries())
+	}
+	for i := 0; i < 8192; i++ {
+		c.Store(mem.Line(i), 1)
+	}
+	if r := c.Resident(); r < 8192*9/10 {
+		t.Fatalf("resident = %d of 8192 after 8192 distinct stores", r)
 	}
 }
 

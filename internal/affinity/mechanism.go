@@ -100,7 +100,7 @@ type Mechanism struct {
 // NewMechanism builds a mechanism over the given shared table.
 func NewMechanism(cfg MechConfig, table Table) *Mechanism {
 	if err := cfg.Validate(); err != nil {
-		//emlint:allowpanic configurations are Validated by migration.NewController and the front ends first
+		//emlint:allowpanic configurations are Validated by migration.NewPolicy and the front ends first
 		panic(err)
 	}
 	if table == nil {
@@ -250,11 +250,6 @@ func (m *Mechanism) trueAR() int64 {
 // AR returns the R-window total affinity AR(t) per Definition 1 (the
 // quantity whose sign drives the feedback).
 func (m *Mechanism) AR() int64 { return m.trueAR() }
-
-// ARRegister returns the raw incrementally-maintained register (Σ Ig),
-// i.e. the value the paper's Figure 2 datapath would hold, for
-// instrumentation and ablation studies.
-func (m *Mechanism) ARRegister() int64 { return m.ar }
 
 // AffinityOf reconstructs the current affinity Ae of a line from the
 // table (Ae = Oe − ∆). Lines currently inside the R-window report the

@@ -120,7 +120,7 @@ type Splitter struct {
 // NewSplitter builds a splitter over the shared table.
 func NewSplitter(cfg SplitConfig, table Table) *Splitter {
 	if err := cfg.Validate(); err != nil {
-		//emlint:allowpanic configurations are Validated by migration.NewController and the front ends first
+		//emlint:allowpanic configurations are Validated by migration.NewPolicy and the front ends first
 		panic(err)
 	}
 	s := &Splitter{levels: cfg.levels(), sampleLimit: cfg.SampleLimit, pending: -1}

@@ -50,9 +50,10 @@ type Config struct {
 	// migration.PolicyNames for the registry). Only meaningful with
 	// Migration set.
 	Policy string
-	// Topology, when non-nil, is the core-distance matrix handed to
-	// distance-aware policies (nil = the paper's uniform chip). Only
-	// meaningful with Migration set.
+	// Topology, when non-nil, is the core-distance matrix the numa
+	// policy's distance hysteresis weighs moves by (nil = the paper's
+	// uniform chip); michaud and never ignore it. Only meaningful with
+	// Migration set.
 	Topology *migration.Topology
 	// L3, when non-nil, models a finite shared L3 behind the L2s
 	// (write-back); L3 misses count as memory accesses. When nil the L3
@@ -252,8 +253,8 @@ const (
 
 	MetricCtrlRequests      = "ctrl_requests"
 	MetricCtrlFilterUpdates = "ctrl_filter_updates"
-	// MetricMigrationsDeferred counts migrations a distance-aware policy
-	// wanted but withheld; registered only for such policies.
+	// MetricMigrationsDeferred counts migrations the numa policy's
+	// distance hysteresis withheld; registered only under that policy.
 	MetricMigrationsDeferred = "migrations_deferred"
 	MetricAffinityHits       = "affinity_hits"
 	MetricAffinityMisses     = "affinity_misses"
@@ -284,10 +285,11 @@ type Machine struct {
 	// the paper's Michaud controller; see Config.Policy.
 	//emlint:nosnapshot non-default policy state rides the EMCKPT1 extension via PolicyState/SetPolicyState; the Michaud default serialises through ctrl into Snapshot.Controller
 	pol migration.Policy
-	// ctrl devirtualizes pol when it is the Michaud controller: the
-	// policy methods run once per L1 miss, and the concrete call keeps
-	// the default configuration's hot path free of interface dispatch.
-	// Nil under non-default policies, which pay the itab lookup.
+	// ctrl devirtualizes pol when it is the affinity controller (the
+	// michaud and numa policies): the policy methods run once per L1
+	// miss, and the concrete call keeps the hot path free of interface
+	// dispatch. Nil under the never baseline, which pays the itab
+	// lookup.
 	ctrl *migration.Controller
 
 	tel *telemetry.Registry
@@ -418,9 +420,9 @@ func (m *Machine) instrument() {
 			Evictions: t.MustCounter(MetricAffinityEvictions),
 		}
 	}
-	// The deferral counter exists only for policies that can defer
-	// (keeps the default Michaud metric set — and hence checkpoint
-	// telemetry snapshots — exactly as before the policy layer).
+	// The deferral counter exists only under the numa policy (keeps the
+	// default Michaud metric set — and hence checkpoint telemetry
+	// snapshots — exactly as before the policy layer).
 	if pc.Deferred != nil {
 		t.MustView(MetricMigrationsDeferred, pc.Deferred)
 	}
@@ -452,14 +454,15 @@ func (m *Machine) FinalStats() Stats {
 // Policy returns the migration policy (nil in normal mode).
 func (m *Machine) Policy() migration.Policy { return m.pol }
 
-// Controller returns the Michaud migration controller, or nil when the
-// machine runs in normal mode or under a different policy.
+// Controller returns the affinity migration controller (the michaud or
+// numa policy), or nil when the machine runs in normal mode or under
+// the never baseline.
 func (m *Machine) Controller() *migration.Controller { return m.ctrl }
 
 // polOnRequest, polOnL2Miss and polNearMigration dispatch through the
-// devirtualized Michaud pointer when the default policy runs; only
-// non-default policies pay the interface call. Call only with a policy
-// present. Small on purpose so they inline into the hot path.
+// devirtualized controller pointer when the michaud or numa policy
+// runs; only the never baseline pays the interface call. Call only with
+// a policy present. Small on purpose so they inline into the hot path.
 func (m *Machine) polOnRequest(line mem.Line) (int, bool) {
 	if m.ctrl != nil {
 		return m.ctrl.OnRequest(line)
@@ -482,13 +485,13 @@ func (m *Machine) polNearMigration(frac float64) bool {
 }
 
 // WeightedMigrationCost returns the topology-weighted migration count:
-// the sum of core distances over executed migrations for distance-aware
-// policies, the raw migration count otherwise (every move costs 1 on
-// the uniform chip). This is the `weighted` argument of
+// the controller's sum of core distances over executed migrations, the
+// raw migration count otherwise (every move costs 1 on the uniform
+// chip). This is the `weighted` argument of
 // migration.TimeModel.CyclesWeighted.
 func (m *Machine) WeightedMigrationCost() float64 {
-	if dw, ok := m.pol.(migration.DistanceWeighted); ok {
-		return dw.WeightedMigrationCost()
+	if m.ctrl != nil {
+		return m.ctrl.WeightedCost
 	}
 	return float64(m.Stats.Migrations)
 }

@@ -507,10 +507,11 @@ func compareOracle(t *testing.T, what string, m *Machine, o *oMachine) {
 // affinity package's own oracle checks the age policy.
 func checkAffinityPlacement(t *testing.T, what string, m *Machine) {
 	t.Helper()
-	if m.ctrl == nil {
+	c := m.michaud()
+	if c == nil {
 		return
 	}
-	st, err := m.ctrl.State()
+	st, err := c.State()
 	if err != nil {
 		t.Fatal(err)
 	}

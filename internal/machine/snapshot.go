@@ -64,9 +64,10 @@ func (m *Machine) Snapshot() (Snapshot, error) {
 	}
 	// Only the default Michaud controller's state rides the Controller
 	// field — that keeps the Snapshot gob shape (and hence checkpoint
-	// bytes) exactly as before the policy layer. Other policies
-	// serialise through PolicyState into the checkpoint extension.
-	if c := m.Controller(); c != nil {
+	// bytes) exactly as before the policy layer. Other policies, numa
+	// included, serialise through PolicyState into the checkpoint
+	// extension.
+	if c := m.michaud(); c != nil {
 		st, err := c.State()
 		if err != nil {
 			return Snapshot{}, err
@@ -74,6 +75,15 @@ func (m *Machine) Snapshot() (Snapshot, error) {
 		s.Controller = &st
 	}
 	return s, nil
+}
+
+// michaud returns the controller whose state rides Snapshot.Controller:
+// the default policy's, nil under any other policy or in normal mode.
+func (m *Machine) michaud() *migration.Controller {
+	if m.ctrl != nil && m.ctrl.PolicyName() == migration.PolicyMichaud {
+		return m.ctrl
+	}
+	return nil
 }
 
 // PolicyState captures the migration policy's serialisable state, for
@@ -119,7 +129,7 @@ func (m *Machine) Restore(s Snapshot) error {
 	if (s.Prefetch != nil) != (m.pf != nil) {
 		return fmt.Errorf("machine: snapshot and machine disagree on prefetcher presence")
 	}
-	if (s.Controller != nil) != (m.Controller() != nil) {
+	if (s.Controller != nil) != (m.michaud() != nil) {
 		return fmt.Errorf("machine: snapshot and machine disagree on migration controller presence")
 	}
 	if err := m.il1.SetState(s.IL1); err != nil {
@@ -149,7 +159,7 @@ func (m *Machine) Restore(s Snapshot) error {
 		}
 	}
 	if s.Controller != nil {
-		if err := m.Controller().SetState(*s.Controller); err != nil {
+		if err := m.ctrl.SetState(*s.Controller); err != nil {
 			return fmt.Errorf("machine: %w", err)
 		}
 	}

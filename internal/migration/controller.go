@@ -91,24 +91,47 @@ func MustConfigForCores(cores int) Config {
 // perturbing the reproduced experiments.
 const DefaultTableLimit = 1 << 21
 
-// Controller tracks the active core and decides migrations.
+// Controller tracks the active core and decides migrations. It is the
+// one affinity-based policy: registered as "michaud" it is the paper's
+// controller, and registered as "numa" it adds the distance hysteresis
+// of decide over a topology.
 type Controller struct {
-	split  *affinity.Splitter
-	table  affinity.Table
+	split *affinity.Splitter
+	table affinity.Table
+	// name is the registry name the controller was built under
+	// (PolicyMichaud or PolicyNuma); it selects the checkpoint shape and
+	// whether the deferral counter is exposed.
+	//emlint:nosnapshot configuration; states restore into identically configured controllers
+	name string
+	// topo weighs moves in decide; the uniform chip when none was given.
+	//emlint:nosnapshot configuration; states restore into identically configured controllers
+	topo   *Topology
 	active int
+	// target/pending track the hysteresis: the core the splitter has
+	// been designating and for how many consecutive commits. target is
+	// -1 when the designation matches the active core.
+	target  int
+	pending int
 	// noFiltering and ptrOnly mirror immutable Config switches.
 	//emlint:nosnapshot configuration; states restore into identically configured controllers
 	noFiltering bool
 	//emlint:nosnapshot configuration; states restore into identically configured controllers
 	ptrOnly bool
 
-	// Migrations counts executed migrations.
+	// Migrations counts executed migrations; Deferred counts commits
+	// where the splitter wanted to move but the distance threshold held
+	// execution in place (always 0 on the uniform chip).
 	Migrations uint64
+	Deferred   uint64
 	// Requests counts L1-miss requests observed.
 	Requests uint64
 	// L2MissUpdates counts transition-filter updates (= L2 misses seen,
 	// minus those skipped by pointer-load filtering).
 	L2MissUpdates uint64
+	// WeightedCost sums Dist[from][to] over executed migrations — the
+	// topology-weighted migration count the TimeModel charges instead of
+	// the raw Migrations under non-uniform penalties.
+	WeightedCost float64
 
 	// lastMigRequests is the Requests value at the most recent migration,
 	// the reference point of the migration-gap histogram.
@@ -126,8 +149,8 @@ type Controller struct {
 // policy's own checkpointed state restores it.
 type Counters struct {
 	Requests, L2MissUpdates *uint64
-	// Deferred counts migrations a policy wanted but withheld (the NUMA
-	// policy's distance hysteresis); nil for policies that never defer.
+	// Deferred counts migrations the numa controller's distance
+	// hysteresis withheld; nil under every other policy.
 	Deferred *uint64
 	// Cache is the bounded affinity cache, whose Hits, Misses and
 	// Evictions are views too; nil with an unbounded table (which counts
@@ -146,34 +169,35 @@ type Probes struct {
 	Table affinity.TableProbes
 }
 
-// Counters implements Policy.
+// Counters implements Policy. Only the numa controller exposes
+// Deferred: the default metric set, and with it the telemetry section
+// of default checkpoints, has no deferral counter.
 func (c *Controller) Counters() Counters {
-	return Counters{Requests: &c.Requests, L2MissUpdates: &c.L2MissUpdates, Cache: c.AffinityCache()}
+	cs := Counters{Requests: &c.Requests, L2MissUpdates: &c.L2MissUpdates, Cache: c.AffinityCache()}
+	if c.name == PolicyNuma {
+		cs.Deferred = &c.Deferred
+	}
+	return cs
 }
 
 // SetProbes wires telemetry hooks into the controller and its affinity
-// table. Call once, before driving references.
+// table (an unbounded one; a bounded cache counts in its own fields).
+// Call once, before driving references.
 func (c *Controller) SetProbes(p Probes) {
 	c.probes = p
-	setTableProbes(c.table, p.Table)
-}
-
-// setTableProbes forwards table probes to an unbounded table; a bounded
-// cache counts in its own fields.
-func setTableProbes(t affinity.Table, p affinity.TableProbes) {
-	if u, ok := t.(*affinity.Unbounded); ok {
-		u.Probes = p
+	if u, ok := c.table.(*affinity.Unbounded); ok {
+		u.Probes = p.Table
 	}
 }
 
-// newSplitter builds the affinity machinery — table plus splitter — a
-// Config describes. It is the shared substrate of every affinity-based
-// policy: the Michaud controller and the NUMA policy construct
-// identical machinery and differ only in the migration decision layered
-// on top.
-func newSplitter(cfg Config) (*affinity.Splitter, affinity.Table, error) {
+// newController builds the controller registered as name over the
+// affinity machinery — table plus splitter — cfg describes. topo ==
+// nil selects the uniform topology, under which every move is
+// immediate. Configuration problems — an unsupported way count, a
+// malformed mechanism or table shape — come back as errors.
+func newController(name string, cfg Config, topo *Topology) (*Controller, error) {
 	if err := cfg.Split.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var table affinity.Table
 	if cfg.TableEntries == 0 {
@@ -189,39 +213,26 @@ func newSplitter(cfg Config) (*affinity.Splitter, affinity.Table, error) {
 		}
 		if ways < 1 || cfg.TableEntries < ways || cfg.TableEntries%ways != 0 ||
 			!isPow2(cfg.TableEntries/ways) {
-			return nil, nil, fmt.Errorf("migration: affinity cache of %d entries / %d ways is not ways × power-of-two sets",
+			return nil, fmt.Errorf("migration: affinity cache of %d entries / %d ways is not ways × power-of-two sets",
 				cfg.TableEntries, ways)
 		}
 		table = affinity.NewCache(cfg.TableEntries, ways)
 	}
-	return affinity.NewSplitter(cfg.Split, table), table, nil
-}
-
-// NewController builds a controller. Configuration problems — an
-// unsupported way count, a malformed mechanism or table shape — come
-// back as errors; MustNewController wraps them in a panic for call
-// sites with compile-time-constant configurations.
-func NewController(cfg Config) (*Controller, error) {
-	split, table, err := newSplitter(cfg)
-	if err != nil {
+	if topo == nil {
+		topo = NewUniformTopology(cfg.Split.Ways)
+	}
+	if err := topo.Validate(cfg.Split.Ways); err != nil {
 		return nil, err
 	}
 	return &Controller{
-		split:       split,
+		split:       affinity.NewSplitter(cfg.Split, table),
 		table:       table,
+		name:        name,
+		topo:        topo,
+		target:      -1,
 		noFiltering: cfg.NoL2Filtering,
 		ptrOnly:     cfg.PointerLoadsOnly,
 	}, nil
-}
-
-// MustNewController is NewController panicking on error, for constant
-// configurations.
-func MustNewController(cfg Config) *Controller {
-	c, err := NewController(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -241,44 +252,22 @@ func (c *Controller) Active() int { return c.active }
 func (c *Controller) OnRequest(line mem.Line) (core int, migrated bool) {
 	c.Requests++
 	if c.noFiltering {
-		sub := c.split.Ref(line, true)
-		if sub != c.active {
-			c.active = sub
-			c.noteMigration()
-			return sub, true
-		}
-		return sub, false
+		return c.decide(c.split.Ref(line, true))
 	}
 	c.split.Ref(line, false)
 	return c.active, false
 }
 
 // OnL2Miss commits the pending transition-filter update for the most
-// recent request (L2 filtering, §3.4) and returns the designated core.
-// isPointerLoad marks requests issued by pointer loads; with
+// recent request (L2 filtering, §3.4) and decides on the designated
+// core. isPointerLoad marks requests issued by pointer loads; with
 // PointerLoadsOnly set, other requests skip the filter update (§6).
-// If the designated core differs from the active one, the controller
-// migrates.
 func (c *Controller) OnL2Miss(isPointerLoad bool) (core int, migrated bool) {
 	if c.ptrOnly && !isPointerLoad {
 		return c.active, false
 	}
 	c.L2MissUpdates++
-	sub := c.split.CommitLastFilter()
-	if sub != c.active {
-		c.active = sub
-		c.noteMigration()
-		return sub, true
-	}
-	return sub, false
-}
-
-// noteMigration accounts one executed migration: the counter, and the
-// gap (in L1-miss requests) since the previous migration.
-func (c *Controller) noteMigration() {
-	c.Migrations++
-	c.probes.MigrationGap.Observe(c.Requests - c.lastMigRequests)
-	c.lastMigRequests = c.Requests
+	return c.decide(c.split.CommitLastFilter())
 }
 
 // NearMigration reports whether any deciding transition filter is
@@ -311,8 +300,9 @@ func (c *Controller) TableDropped() uint64 {
 	return 0
 }
 
-// ControllerState is the serialisable state of a Controller, used by
-// the machine checkpoint/resume path.
+// ControllerState is the serialisable state of the Michaud controller,
+// used by the machine checkpoint/resume path. It is NumaState without
+// the hysteresis, which the uniform chip never leaves in flight.
 type ControllerState struct {
 	Split  affinity.SplitterState
 	Table  affinity.TableState
@@ -325,28 +315,77 @@ type ControllerState struct {
 	LastMigRequests uint64
 }
 
-// State returns a deep copy of the controller's state.
+// State returns a deep copy of the michaud controller's state. A numa
+// controller errors: its hysteresis does not fit the Michaud shape, so
+// it checkpoints through PolicyState instead.
 func (c *Controller) State() (ControllerState, error) {
-	ts, err := affinity.CaptureTableState(c.table)
+	if c.name != PolicyMichaud {
+		return ControllerState{}, fmt.Errorf("migration: %s controller state needs PolicyState", c.name)
+	}
+	st, err := c.capture()
 	if err != nil {
 		return ControllerState{}, err
 	}
 	return ControllerState{
+		Split:           st.Split,
+		Table:           st.Table,
+		Active:          st.Active,
+		Migrations:      st.Migrations,
+		Requests:        st.Requests,
+		L2MissUpdates:   st.L2MissUpdates,
+		LastMigRequests: st.LastMigRequests,
+	}, nil
+}
+
+// SetState restores a state captured by State into a michaud
+// controller built from the same Config. A numa controller errors, as
+// State does: restore it through SetPolicyState.
+func (c *Controller) SetState(st ControllerState) error {
+	if c.name != PolicyMichaud {
+		return fmt.Errorf("migration: %s controller state needs SetPolicyState", c.name)
+	}
+	return c.restore(NumaState{
+		Split:           st.Split,
+		Table:           st.Table,
+		Active:          st.Active,
+		Target:          -1,
+		Migrations:      st.Migrations,
+		Requests:        st.Requests,
+		L2MissUpdates:   st.L2MissUpdates,
+		WeightedCost:    float64(st.Migrations),
+		LastMigRequests: st.LastMigRequests,
+	})
+}
+
+// capture returns the controller's full state, the one capture both
+// checkpoint shapes are cut from.
+func (c *Controller) capture() (NumaState, error) {
+	ts, err := affinity.CaptureTableState(c.table)
+	if err != nil {
+		return NumaState{}, err
+	}
+	return NumaState{
 		Split:           c.split.State(),
 		Table:           ts,
 		Active:          c.active,
+		Target:          c.target,
+		Pending:         c.pending,
 		Migrations:      c.Migrations,
+		Deferred:        c.Deferred,
 		Requests:        c.Requests,
 		L2MissUpdates:   c.L2MissUpdates,
+		WeightedCost:    c.WeightedCost,
 		LastMigRequests: c.lastMigRequests,
 	}, nil
 }
 
-// SetState restores a previously captured state. The receiving
-// controller must have been built from the same Config.
-func (c *Controller) SetState(st ControllerState) error {
+// restore loads a full state into the controller.
+func (c *Controller) restore(st NumaState) error {
 	if st.Active < 0 || st.Active >= c.split.Ways() {
 		return fmt.Errorf("migration: state active core %d out of %d ways", st.Active, c.split.Ways())
+	}
+	if st.Target < -1 || st.Target >= c.split.Ways() {
+		return fmt.Errorf("migration: state target core %d out of %d ways", st.Target, c.split.Ways())
 	}
 	if err := c.split.SetState(st.Split); err != nil {
 		return err
@@ -355,9 +394,13 @@ func (c *Controller) SetState(st ControllerState) error {
 		return err
 	}
 	c.active = st.Active
+	c.target = st.Target
+	c.pending = st.Pending
 	c.Migrations = st.Migrations
+	c.Deferred = st.Deferred
 	c.Requests = st.Requests
 	c.L2MissUpdates = st.L2MissUpdates
+	c.WeightedCost = st.WeightedCost
 	c.lastMigRequests = st.LastMigRequests
 	return nil
 }

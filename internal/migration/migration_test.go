@@ -9,10 +9,21 @@ import (
 	"repro/internal/trace"
 )
 
+// mustController builds the named registered policy as the controller
+// it is (michaud or numa).
+func mustController(t *testing.T, name string, cfg Config, topo *Topology) *Controller {
+	t.Helper()
+	p, err := NewPolicy(name, cfg, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.(*Controller)
+}
+
 // TestControllerL2Filtering: with L2 filtering (default), OnRequest must
 // never migrate; migrations happen only through OnL2Miss.
 func TestControllerL2Filtering(t *testing.T) {
-	c := MustNewController(Table2Config())
+	c := mustController(t, PolicyMichaud, Table2Config(), nil)
 	g := trace.NewCircular(24 << 10)
 	for i := 0; i < 200_000; i++ {
 		if _, migrated := c.OnRequest(mem.Line(g.Next())); migrated {
@@ -44,7 +55,7 @@ func TestControllerL2Filtering(t *testing.T) {
 func TestControllerNoFiltering(t *testing.T) {
 	cfg := Table2Config()
 	cfg.NoL2Filtering = true
-	c := MustNewController(cfg)
+	c := mustController(t, PolicyMichaud, cfg, nil)
 	g := trace.NewCircular(24 << 10)
 	migrated := false
 	for i := 0; i < 600_000; i++ {
@@ -60,14 +71,14 @@ func TestControllerNoFiltering(t *testing.T) {
 // TestControllerBoundedVsUnboundedTable: the bounded affinity cache must
 // be reachable through the accessor and actually bounded.
 func TestControllerBoundedVsUnboundedTable(t *testing.T) {
-	bounded := MustNewController(Table2Config())
+	bounded := mustController(t, PolicyMichaud, Table2Config(), nil)
 	if bounded.AffinityCache() == nil {
 		t.Fatal("Table2 controller should expose its affinity cache")
 	}
 	if bounded.AffinityCache().Entries() != 8192 {
 		t.Fatalf("entries = %d", bounded.AffinityCache().Entries())
 	}
-	unbounded := MustNewController(Config{Split: affinity.Fig45Config()})
+	unbounded := mustController(t, PolicyMichaud, Config{Split: affinity.Fig45Config()}, nil)
 	if unbounded.AffinityCache() != nil {
 		t.Fatal("unbounded controller should report nil affinity cache")
 	}

@@ -65,15 +65,6 @@ type Policy interface {
 	SetPolicyState(PolicyState) error
 }
 
-// DistanceWeighted is the optional interface of policies that weigh
-// migrations by core distance: WeightedMigrationCost returns the sum of
-// Dist[from][to] over executed migrations, the quantity the TimeModel
-// charges under a non-uniform topology (CyclesWeighted). Policies
-// without the interface implicitly charge 1 per migration.
-type DistanceWeighted interface {
-	WeightedMigrationCost() float64
-}
-
 // PolicyState is the serialisable state of any Policy: the policy name
 // plus the policy's own state gob-encoded into Data. The indirection
 // keeps the EMCKPT1 checkpoint format closed over one concrete type
@@ -110,9 +101,9 @@ const PolicyMichaud = "michaud"
 // shared controller configuration (splitter dimensions, affinity-table
 // shape); topo the core-distance matrix (nil = uniform).
 var policyFactories = map[string]func(cfg Config, topo *Topology) (Policy, error){
-	PolicyMichaud: func(cfg Config, _ *Topology) (Policy, error) { return NewController(cfg) },
-	"numa":        func(cfg Config, topo *Topology) (Policy, error) { return NewNumaPolicy(cfg, topo) },
-	"never":       func(cfg Config, _ *Topology) (Policy, error) { return NewNeverPolicy(cfg.Split.Ways) },
+	PolicyMichaud: func(cfg Config, _ *Topology) (Policy, error) { return newController(PolicyMichaud, cfg, nil) },
+	PolicyNuma:    func(cfg Config, topo *Topology) (Policy, error) { return newController(PolicyNuma, cfg, topo) },
+	PolicyNever:   func(cfg Config, _ *Topology) (Policy, error) { return NewNeverPolicy(cfg.Split.Ways) },
 }
 
 // PolicyNames returns the registered policy names, sorted.
@@ -156,14 +147,23 @@ func NewPolicy(name string, cfg Config, topo *Topology) (Policy, error) {
 	return f(cfg, topo)
 }
 
-// Michaud Policy conformance: the Controller is the default plugin.
+// Controller Policy conformance: the controller is the default plugin
+// and, over a topology, the numa one.
 
 // PolicyName implements Policy.
-func (c *Controller) PolicyName() string { return PolicyMichaud }
+func (c *Controller) PolicyName() string { return c.name }
 
-// PolicyState implements Policy: the ControllerState gob-wrapped into
-// the generic envelope.
+// PolicyState implements Policy: the michaud controller wraps its
+// ControllerState into the generic envelope, the numa one its full
+// NumaState.
 func (c *Controller) PolicyState() (PolicyState, error) {
+	if c.name == PolicyNuma {
+		st, err := c.capture()
+		if err != nil {
+			return PolicyState{}, err
+		}
+		return encodePolicyState(PolicyNuma, st)
+	}
 	st, err := c.State()
 	if err != nil {
 		return PolicyState{}, err
@@ -171,8 +171,16 @@ func (c *Controller) PolicyState() (PolicyState, error) {
 	return encodePolicyState(PolicyMichaud, st)
 }
 
-// SetPolicyState implements Policy.
+// SetPolicyState implements Policy. The receiving controller must have
+// been built under the same name, Config and topology.
 func (c *Controller) SetPolicyState(ps PolicyState) error {
+	if c.name == PolicyNuma {
+		var st NumaState
+		if err := decodePolicyState(ps, PolicyNuma, &st); err != nil {
+			return err
+		}
+		return c.restore(st)
+	}
 	var st ControllerState
 	if err := decodePolicyState(ps, PolicyMichaud, &st); err != nil {
 		return err

@@ -123,16 +123,14 @@ func drivePair(t *testing.T, a, b Policy, refs int) uint64 {
 	return migs
 }
 
-// TestNumaUniformMatchesMichaud pins the tentpole equivalence: under
-// the uniform topology every hysteresis threshold is 1, so the NUMA
-// policy's decision sequence is bit-for-bit the Michaud controller's.
+// TestNumaUniformMatchesMichaud pins the equivalence the one decide
+// rests on: under the uniform topology every hysteresis threshold is
+// 1, so the numa policy's decision sequence is bit-for-bit the Michaud
+// controller's.
 func TestNumaUniformMatchesMichaud(t *testing.T) {
 	cfg := Table2Config()
-	mich := MustNewController(cfg)
-	numa, err := NewNumaPolicy(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mich := mustController(t, PolicyMichaud, cfg, nil)
+	numa := mustController(t, PolicyNuma, cfg, nil)
 	migs := drivePair(t, mich, numa, 300_000)
 	if migs == 0 {
 		t.Fatal("no migrations on a splittable stream; the equivalence test is vacuous")
@@ -158,12 +156,9 @@ func TestNumaUniformMatchesMichaud(t *testing.T) {
 // policy migrates less than Michaud and accounts every withheld move.
 func TestNumaHysteresisDefers(t *testing.T) {
 	cfg := Table2Config()
-	mich := MustNewController(cfg)
+	mich := mustController(t, PolicyMichaud, cfg, nil)
 	topo, _ := NewTopology("cluster", 4)
-	numa, err := NewNumaPolicy(cfg, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	numa := mustController(t, PolicyNuma, cfg, topo)
 	g := trace.NewCircular(24 << 10)
 	for i := 0; i < 400_000; i++ {
 		line := mem.Line(g.Next())
@@ -194,10 +189,7 @@ func TestNumaHysteresisDefers(t *testing.T) {
 func TestNumaStateRoundTrip(t *testing.T) {
 	cfg := Table2Config()
 	topo, _ := NewTopology("ring", 4)
-	a, err := NewNumaPolicy(cfg, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustController(t, PolicyNuma, cfg, topo)
 	g := trace.NewCircular(24 << 10)
 	lines := make([]mem.Line, 400_000)
 	for i := range lines {
@@ -214,10 +206,7 @@ func TestNumaStateRoundTrip(t *testing.T) {
 	if st.Name != PolicyNuma {
 		t.Fatalf("state name %q", st.Name)
 	}
-	b, err := NewNumaPolicy(cfg, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustController(t, PolicyNuma, cfg, topo)
 	if err := b.SetPolicyState(st); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +227,7 @@ func TestNumaStateRoundTrip(t *testing.T) {
 			a.Migrations, a.Deferred, a.WeightedCost, b.Migrations, b.Deferred, b.WeightedCost)
 	}
 	// Cross-policy state must be rejected, as must junk payloads.
-	mich := MustNewController(cfg)
+	mich := mustController(t, PolicyMichaud, cfg, nil)
 	ms, err := mich.PolicyState()
 	if err != nil {
 		t.Fatal(err)
@@ -249,13 +238,25 @@ func TestNumaStateRoundTrip(t *testing.T) {
 	if err := b.SetPolicyState(PolicyState{Name: PolicyNuma, Data: []byte("junk")}); err == nil {
 		t.Fatal("numa policy accepted junk payload")
 	}
+	// The Michaud-shaped State/SetState would drop the hysteresis, so
+	// a numa controller refuses both.
+	if _, err := b.State(); err == nil {
+		t.Fatal("numa controller returned a Michaud-shaped State")
+	}
+	cs, err := mich.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetState(cs); err == nil {
+		t.Fatal("numa controller accepted a Michaud-shaped SetState")
+	}
 }
 
 // TestMichaudPolicyStateRoundTrip: the Controller's Policy conformance
 // wraps ControllerState losslessly.
 func TestMichaudPolicyStateRoundTrip(t *testing.T) {
 	cfg := Table2Config()
-	a := MustNewController(cfg)
+	a := mustController(t, PolicyMichaud, cfg, nil)
 	g := trace.NewCircular(24 << 10)
 	for i := 0; i < 200_000; i++ {
 		a.OnRequest(mem.Line(g.Next()))
@@ -268,7 +269,7 @@ func TestMichaudPolicyStateRoundTrip(t *testing.T) {
 	if st.Name != PolicyMichaud {
 		t.Fatalf("state name %q", st.Name)
 	}
-	b := MustNewController(cfg)
+	b := mustController(t, PolicyMichaud, cfg, nil)
 	if err := b.SetPolicyState(st); err != nil {
 		t.Fatal(err)
 	}

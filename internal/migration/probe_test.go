@@ -11,7 +11,7 @@ import (
 
 // TestPolicyProbesAndAccessors: every registered policy wires probes,
 // exposes its request count as a telemetry view, and answers the small accessor surface
-// (Active, Ways, TableDropped, Splitter/Topology) consistently.
+// (Active, Ways, TableDropped, Splitter, WeightedCost) consistently.
 func TestPolicyProbesAndAccessors(t *testing.T) {
 	topo, err := NewTopology("cluster", 4)
 	if err != nil {
@@ -44,18 +44,15 @@ func TestPolicyProbesAndAccessors(t *testing.T) {
 		if d := p.TableDropped(); d != 0 {
 			t.Errorf("%s: TableDropped() = %d on an uncapped table", name, d)
 		}
-		switch pp := p.(type) {
-		case *Controller:
-			if pp.Splitter() == nil {
-				t.Error("michaud: Splitter() is nil")
+		if c, ok := p.(*Controller); ok {
+			if c.Splitter() == nil {
+				t.Errorf("%s: Splitter() is nil", name)
 			}
-		case *NumaPolicy:
-			if pp.Topology() != topo {
-				t.Error("numa: Topology() does not return the construction matrix")
+			if c.WeightedCost < float64(c.Migrations) {
+				t.Errorf("%s: WeightedCost %g below %d migrations", name, c.WeightedCost, c.Migrations)
 			}
-			if pp.WeightedMigrationCost() != pp.WeightedCost {
-				t.Errorf("numa: WeightedMigrationCost() = %g, field = %g",
-					pp.WeightedMigrationCost(), pp.WeightedCost)
+			if (c.Counters().Deferred != nil) != (name == PolicyNuma) {
+				t.Errorf("%s: Deferred counter exposed = %v", name, c.Counters().Deferred != nil)
 			}
 		}
 	}

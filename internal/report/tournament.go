@@ -103,8 +103,8 @@ func TournamentBatch(reg *workloads.Registry, names []string, tc TournamentConfi
 				Migrated:     m.FinalStats(),
 				WeightedCost: m.WeightedMigrationCost(),
 			}
-			if np, ok := m.Policy().(*migration.NumaPolicy); ok {
-				row.Deferred = np.Deferred
+			if c := m.Controller(); c != nil {
+				row.Deferred = c.Deferred
 			}
 			nRate := float64(baseline.L2Misses) / float64(baseline.Instructions)
 			mRate := float64(row.Migrated.L2Misses) / float64(row.Migrated.Instructions)
