@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/machine"
@@ -22,9 +23,9 @@ type runParams struct {
 	engine.Spec
 
 	// Workers sets the worker pool for the two machine passes: 0 = all
-	// cores, 1 = the legacy serial tee pass. Checkpointing and resuming
-	// force the serial path regardless (a checkpoint must capture both
-	// machines at the same event).
+	// cores, 1 = the legacy serial tee pass. Checkpointing, resuming and
+	// a single usable CPU force the serial path regardless (a checkpoint
+	// must capture both machines at the same event).
 	Workers int
 
 	Checkpoint      string // checkpoint file path ("" = no checkpointing)
@@ -99,12 +100,7 @@ func run(p *runParams) (*runResult, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	// With no checkpoint state in play the two machines never need to
-	// agree on an event boundary, so they can consume independent copies
-	// of the (deterministic) input stream concurrently. Those passes
-	// run on two goroutines, so their machines cannot share the pair's
-	// L1 front end.
-	if p.Workers != 1 && p.Checkpoint == "" && resumeCk == nil {
+	if p.independent(resumeCk != nil, runtime.GOMAXPROCS(0)) {
 		normal, mig, err := p.NewMachines()
 		if err != nil {
 			return nil, err
@@ -178,6 +174,18 @@ func run(p *runParams) (*runResult, error) {
 
 		TimelineDropped: tel.droppedRows(),
 	}, nil
+}
+
+// independent reports whether run drives the two machines as separate
+// passes (runIndependent) rather than one teed pass. With no checkpoint
+// state in play the machines never need to agree on an event boundary,
+// so they can consume independent copies of the (deterministic) input
+// stream concurrently, on two goroutines whose machines cannot share
+// the pair's L1 front end. That buys wall time only when procs, the
+// CPUs the process may run on at once, number at least two; on one CPU
+// it generates the stream twice for nothing.
+func (p *runParams) independent(resuming bool, procs int) bool {
+	return p.Workers != 1 && p.Checkpoint == "" && !resuming && procs >= 2
 }
 
 // runIndependent drives the two machines as separate passes over the

@@ -299,6 +299,33 @@ func TestParallelMatchesSerialTee(t *testing.T) {
 	}
 }
 
+// TestIndependentNeedsTwoCPUs pins run's choice of pass: independent
+// passes only off the serial -j 1, with no checkpoint state in play,
+// and only when at least two CPUs can run them at once.
+func TestIndependentNeedsTwoCPUs(t *testing.T) {
+	for _, tc := range []struct {
+		workers  int
+		ckpt     string
+		resuming bool
+		procs    int
+		want     bool
+	}{
+		{workers: 0, procs: 2, want: true},
+		{workers: 2, procs: 8, want: true},
+		{workers: 0, procs: 1},
+		{workers: 2, procs: 1},
+		{workers: 1, procs: 2},
+		{workers: 0, ckpt: "run.ckpt", procs: 2},
+		{workers: 0, resuming: true, procs: 2},
+	} {
+		p := runParams{Workers: tc.workers, Checkpoint: tc.ckpt}
+		if got := p.independent(tc.resuming, tc.procs); got != tc.want {
+			t.Errorf("-j %d, checkpoint %q, resuming %v, %d CPUs: independent = %v, want %v",
+				tc.workers, tc.ckpt, tc.resuming, tc.procs, got, tc.want)
+		}
+	}
+}
+
 // TestParallelStopAfterDeterministic: the per-pass event counter makes
 // the stop-after hook deterministic even on the concurrent path — both
 // machines halt at exactly the same event.

@@ -10,18 +10,19 @@ import (
 	"io"
 
 	"repro/internal/report"
+	engine "repro/internal/run"
 )
 
 // runSample executes the sampled run and renders it, with the
-// estimate-vs-actual table when verify is set. p must be validated
-// (policy/topology normalized) before the call.
+// estimate-vs-actual table when verify is set. The actual column is
+// the full run `emsim -json` makes for the same spec at the same -j.
+// p must be validated (policy/topology normalized) before the call.
 func runSample(w io.Writer, p runParams, verify, jsonOut bool) error {
 	spec := p.Spec
 	if spec.Replay != "" {
 		spec.Workload = "" // trace-driven: the workload flag played no part
 	}
-	opt := report.RunOptions{Workers: p.Workers}
-	res, err := report.SampleRun(spec, opt)
+	res, err := report.SampleRun(spec, report.RunOptions{Workers: p.Workers})
 	if err != nil {
 		return err
 	}
@@ -30,12 +31,14 @@ func runSample(w io.Writer, p runParams, verify, jsonOut bool) error {
 	}
 	fmt.Fprint(w, report.FormatSample(res))
 	if verify {
-		normal, mig, err := report.SampleFullStats(spec, opt)
+		full := runParams{Spec: engine.Spec{Workload: spec.Workload, Replay: spec.Replay, Instr: spec.Instr,
+			Cores: spec.Cores, Policy: spec.Policy, Topology: spec.Topology}, Workers: p.Workers}
+		actual, err := run(&full)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w)
-		fmt.Fprint(w, report.FormatSampleVerify(res, normal, mig))
+		fmt.Fprint(w, report.FormatSampleVerify(res, actual.Normal, actual.Mig))
 	}
 	return nil
 }

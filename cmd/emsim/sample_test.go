@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/report"
 	engine "repro/internal/run"
 )
 
@@ -71,5 +73,49 @@ func TestRunSampleRendering(t *testing.T) {
 	bad.Workload = "no-such-workload"
 	if err := runSample(&bytes.Buffer{}, bad, false, false); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// TestRunSampleVerifyIsTheFullRun: -sample-verify's actual column is
+// the full run `emsim -json` makes for the same spec at the same -j,
+// that run retires exactly the instructions the profile pass counted,
+// and on this small config every estimate lands inside its own bar.
+func TestRunSampleVerifyIsTheFullRun(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("j%d", workers), func(t *testing.T) {
+			p := runParams{Spec: engine.Spec{Workload: "mst", Instr: 200_000, Cores: 4, Sample: true,
+				SampleInterval: 20_000, SampleClusters: 3, SampleSeed: 42, SampleWarmup: 1}, Workers: workers}
+			var out bytes.Buffer
+			if err := runSample(&out, p, true, false); err != nil {
+				t.Fatal(err)
+			}
+
+			res, err := report.SampleRun(p.Spec, report.RunOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := runParams{Spec: engine.Spec{Workload: "mst", Instr: 200_000, Cores: 4}, Workers: workers}
+			actual, err := run(&full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Workloads overshoot the budget at their own chunk
+			// granularity; the full run must retire exactly what the
+			// profile pass saw.
+			if actual.Normal.Instructions != res.TotalInstr || actual.Mig.Instructions != res.TotalInstr {
+				t.Fatalf("full run retired %d/%d instructions, profile saw %d",
+					actual.Normal.Instructions, actual.Mig.Instructions, res.TotalInstr)
+			}
+			verify := report.FormatSampleVerify(res, actual.Normal, actual.Mig)
+			if want := report.FormatSample(res) + "\n" + verify; out.String() != want {
+				t.Fatalf("verify output is not the full run's:\n got %s\nwant %s", out.String(), want)
+			}
+			if !strings.Contains(verify, "sample verification") || !strings.Contains(verify, "within bars") {
+				t.Fatalf("verify table missing headers:\n%s", verify)
+			}
+			if strings.Contains(verify, " NO") {
+				t.Fatalf("estimate outside its bars on the test config:\n%s", verify)
+			}
+		})
 	}
 }

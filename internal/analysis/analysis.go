@@ -8,9 +8,9 @@
 // need is implemented: no facts, no analyzer-to-analyzer results, no
 // suggested fixes.
 //
-// The drivers are cmd/emlint (both `go vet -vettool` unit-checker mode
-// and a standalone package-pattern mode) and the analysistest package
-// (golden-file tests over testdata fixtures).
+// The drivers are cmd/emlint (one load of the matched packages, every
+// analyzer fanned over them) and the analysistest package (golden-file
+// tests over testdata fixtures).
 package analysis
 
 import (

@@ -169,9 +169,8 @@ func TypeCheck(fset *token.FileSet, imp types.Importer, path string, filenames [
 
 // Load lists patterns in dir, typechecks every matched (non-dependency)
 // package, and returns them in `go list` order. Test files are not
-// loaded: `go list`'s GoFiles excludes them, matching the standalone
-// linting contract (go vet's unit-checker mode does feed test variants
-// through cmd/emlint separately).
+// loaded: `go list`'s GoFiles excludes them, matching emlint's linting
+// contract.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {

@@ -120,21 +120,16 @@ type pass struct {
 	tls []*telemetry.Timeline
 }
 
-// workloadSources opens stream i as a fresh instance of names[i], run
-// for budget instructions through a mem.Batcher: the stream
-// run.Spec.Feed delivers.
+// workloadSources opens stream i as names[i] run for budget
+// instructions, fed by run.Spec.Feed.
 func workloadSources(reg *workloads.Registry, names []string, budget uint64) func(i int) (source, error) {
 	return func(i int) (source, error) {
 		w, err := reg.New(names[i])
 		if err != nil {
 			return source{}, err
 		}
-		return source{name: w.Name(), suite: w.Suite(), feed: func(sink mem.BatchSink) error {
-			ba := mem.NewBatcher(sink, 0)
-			w.Run(ba, budget)
-			ba.Flush()
-			return nil
-		}}, nil
+		spec := run.Spec{Workload: names[i], Instr: budget, Registry: reg}
+		return source{name: w.Name(), suite: w.Suite(), feed: spec.Feed}, nil
 	}
 }
 

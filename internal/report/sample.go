@@ -139,34 +139,6 @@ func SampleRun(spec run.Spec, opt RunOptions) (SampleResultJSON, error) {
 	return r, nil
 }
 
-// SampleFullStats runs the same spec at full fidelity (the
-// -sample-verify reference): two independent passes over the input,
-// one per machine, on the worker pool. The input is deterministic, so
-// the stats are identical to a single teed pass.
-func SampleFullStats(spec run.Spec, opt RunOptions) (normal, mig machine.Stats, err error) {
-	migCfg, err := spec.MigConfig()
-	if err != nil {
-		return machine.Stats{}, machine.Stats{}, err
-	}
-	cfgs := []machine.Config{machine.NormalConfig(), migCfg}
-	halves, err := runner.Map(opt.ctx(), len(cfgs), opt.config(func(i int) string {
-		return []string{"full (1-core)", "full (migration)"}[i]
-	}), func(_ context.Context, i int) (machine.Stats, error) {
-		m, err := machine.New(cfgs[i])
-		if err != nil {
-			return machine.Stats{}, err
-		}
-		if err := spec.Feed(m); err != nil {
-			return machine.Stats{}, err
-		}
-		return m.FinalStats(), nil
-	})
-	if err != nil {
-		return machine.Stats{}, machine.Stats{}, err
-	}
-	return halves[0], halves[1], nil
-}
-
 // SampleBatch runs the sampled spec base for each named workload on
 // the worker pool, returning results in input order (byte-identical for
 // every Workers value: each job is a serial SampleRun of its own).

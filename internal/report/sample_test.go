@@ -167,38 +167,6 @@ func TestSampleReplayMatchesWorkload(t *testing.T) {
 	}
 }
 
-// TestSampleFullStatsAndVerify: the full-fidelity reference pass feeds
-// the verification table, and on this small config every estimate must
-// land inside its own bar.
-func TestSampleFullStatsAndVerify(t *testing.T) {
-	cfg := sampleTestConfig()
-	r, err := SampleRun(cfg, RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	normal, mig, err := SampleFullStats(cfg, RunOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Workloads overshoot the budget at their own chunk granularity;
-	// both full passes must retire exactly what the profile pass saw.
-	if normal.Instructions != r.TotalInstr || mig.Instructions != r.TotalInstr {
-		t.Fatalf("full passes retired %d/%d instructions, profile saw %d",
-			normal.Instructions, mig.Instructions, r.TotalInstr)
-	}
-	out := FormatSampleVerify(r, normal, mig)
-	if !strings.Contains(out, "sample verification") || !strings.Contains(out, "within bars") {
-		t.Fatalf("verify table missing headers:\n%s", out)
-	}
-	if strings.Contains(out, " NO") {
-		t.Fatalf("estimate outside its bars on the test config:\n%s", out)
-	}
-
-	if _, _, err := SampleFullStats(run.Spec{Workload: "mst", Cores: 3}, RunOptions{}); err == nil {
-		t.Fatal("bad cores accepted")
-	}
-}
-
 // TestFormatSample: the human rendering is labelled ESTIMATED and
 // carries every estimate row.
 func TestFormatSample(t *testing.T) {

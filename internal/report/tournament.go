@@ -14,7 +14,6 @@ import (
 	"io"
 
 	"repro/internal/machine"
-	"repro/internal/mem"
 	"repro/internal/migration"
 	"repro/internal/run"
 	"repro/internal/stats"
@@ -199,14 +198,7 @@ func MultiRun(spec run.Spec, opt RunOptions) (MultiRunResultJSON, error) {
 	}
 	feeds := make([]machine.Feed, len(spec.Programs))
 	for i, name := range spec.Programs {
-		feeds[i] = func(sink mem.BatchSink) error {
-			w, err := reg.New(name)
-			if err != nil {
-				return err
-			}
-			w.Run(sink, spec.Instr)
-			return nil
-		}
+		feeds[i] = run.Spec{Workload: name, Instr: spec.Instr, Registry: reg}.Feed
 	}
 	if err := cluster.Run(feeds); err != nil {
 		return MultiRunResultJSON{}, err

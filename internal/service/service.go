@@ -302,24 +302,7 @@ func (s *Service) Run(ctx context.Context, spec RunSpec) (body []byte, cached bo
 	if err := spec.Validate(); err != nil {
 		return nil, false, &BadRequestError{err}
 	}
-	key := spec.Key()
-	if b, ok := s.lookup(key); ok {
-		return b, true, nil
-	}
-	s.metrics.CacheMisses.Inc()
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	defer release()
-	b, err := s.runJob(ctx, spec, nil)
-	if err != nil {
-		s.metrics.Cancelled.Inc()
-		return nil, false, err
-	}
-	s.metrics.Completed.Inc()
-	s.remember(key, b)
-	return b, false, nil
+	return s.serve(ctx, spec.Key(), func() ([]byte, error) { return s.runJob(ctx, spec, nil) })
 }
 
 // Sweep serves one working-set sweep request, analogously to Run.
@@ -331,7 +314,14 @@ func (s *Service) Sweep(ctx context.Context, spec SweepSpec) (body []byte, cache
 	if err := spec.validate(); err != nil {
 		return nil, false, &BadRequestError{err}
 	}
-	key := spec.Key()
+	return s.serve(ctx, spec.Key(), func() ([]byte, error) { return s.sweepJob(ctx, spec) })
+}
+
+// serve is the one path from a validated request's key to its bytes:
+// the result layers when they know key, otherwise job run under a
+// worker slot and its result remembered. cached reports which path
+// produced the bytes.
+func (s *Service) serve(ctx context.Context, key string, job func() ([]byte, error)) (body []byte, cached bool, err error) {
 	if b, ok := s.lookup(key); ok {
 		return b, true, nil
 	}
@@ -341,7 +331,7 @@ func (s *Service) Sweep(ctx context.Context, spec SweepSpec) (body []byte, cache
 		return nil, false, err
 	}
 	defer release()
-	b, err := s.sweepJob(ctx, spec)
+	b, err := job()
 	if err != nil {
 		s.metrics.Cancelled.Inc()
 		return nil, false, err

@@ -1,9 +1,9 @@
 // Package telemetry is the simulator's observability layer: a registry
 // of named event counters and power-of-two-bucket histograms whose
 // hot-path update is a plain memory store, an interval timeline that
-// samples every metric into a preallocated ring (timeline.go), and
-// deterministic JSONL/merge plumbing for the parallel experiment
-// engine.
+// samples every metric into a preallocated ring at the run engine's
+// boundary events (timeline.go), and deterministic JSONL/merge
+// plumbing for the parallel experiment engine.
 //
 // Design constraints (DESIGN.md "Observability"):
 //

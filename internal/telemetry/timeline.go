@@ -8,12 +8,13 @@ import (
 )
 
 // Timeline samples every metric of a registry at a fixed event interval
-// into a preallocated ring of samples. The sampler is driven from the
-// simulation's event sink (one MaybeSample call per event); the off-
-// boundary cost is a single modulo-and-compare, and an on-boundary
-// sample copies values into a preallocated slot without allocating —
-// until the ring is full, at which point it doubles (an amortised cold
-// path, like every growth path in the simulator).
+// into a preallocated ring of samples. The run engine (run.Stream)
+// calls MaybeSample at its boundary events, not per event; a boundary
+// that is not a multiple of the interval (a checkpoint's, say) costs a
+// single modulo-and-compare, and a sample copies values into a
+// preallocated slot without allocating — until the ring is full, at
+// which point it doubles (an amortised cold path, like every growth
+// path in the simulator).
 //
 // Growth is bounded: at the row limit the ring stops doubling and drops
 // its oldest row per new sample instead (the same hard-cap convention
@@ -105,8 +106,8 @@ func (t *Timeline) preallocate(s *Sample) {
 func (t *Timeline) Interval() uint64 { return t.interval }
 
 // MaybeSample records a sample when events is a multiple of the
-// interval. It is called once per sink event; the common case returns
-// after one compare.
+// interval. The run engine calls it at each boundary event; any other
+// events value returns after one compare.
 func (t *Timeline) MaybeSample(events uint64) {
 	if events == 0 || events%t.interval != 0 {
 		return
