@@ -72,7 +72,7 @@ func BenchmarkFig45(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res := report.LRUProfile(w, fig45Budget, mem.DefaultLineShift)
+				res := report.LRUProfileCapped(w, fig45Budget, mem.DefaultLineShift, 0)
 				gap, _ = res.Splittable()
 				freq = res.TransFreq
 			}

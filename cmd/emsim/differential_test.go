@@ -28,7 +28,7 @@ import (
 func rowsBytes(t *testing.T, rows []telemetry.Row) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, rows); err != nil {
+	if err := telemetry.WriteJSONLWithFooter(&buf, rows, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -452,7 +452,7 @@ func printReport(p runParams, res *runResult) {
 		tm := migration.DefaultTimeModel()
 		fmt.Println("\nspeedup vs Pmig (time model: CPI0=1, L3 penalty=20 cycles):")
 		for _, pmig := range []float64{1, 2, 5, 10, 20, 50, 100} {
-			fmt.Printf("  Pmig=%-4.0f speedup %.3f\n", pmig, tm.Speedup(normal.Outcome(), mig.Outcome(), pmig))
+			fmt.Printf("  Pmig=%-4.0f speedup %.3f\n", pmig, tm.Speedup(normal.Outcome(), mig.Outcome(), pmig, float64(mig.Migrations)))
 		}
 	} else {
 		fmt.Println("no migrations occurred")

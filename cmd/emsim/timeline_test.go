@@ -16,7 +16,7 @@ import (
 func timelineBytes(t *testing.T, res *runResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, res.Timeline); err != nil {
+	if err := telemetry.WriteJSONLWithFooter(&buf, res.Timeline, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

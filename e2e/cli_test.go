@@ -18,8 +18,8 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files with current output")
 
-// binDir holds the freshly built emsim, tables, emsimd and emsimc
-// binaries for the whole test run.
+// binDir holds the freshly built emsim, tables, emsimd, emsimc,
+// affinityviz and lruprofile binaries for the whole test run.
 var binDir string
 
 func TestMain(m *testing.M) {
@@ -37,7 +37,7 @@ func TestMain(m *testing.M) {
 	if os.Getenv("EMSIM_E2E_RACE") == "1" {
 		args = append(args, "-race")
 	}
-	args = append(args, "repro/cmd/emsim", "repro/cmd/tables", "repro/cmd/emsimd", "repro/cmd/emsimc", "repro/cmd/affinityviz")
+	args = append(args, "repro/cmd/emsim", "repro/cmd/tables", "repro/cmd/emsimd", "repro/cmd/emsimc", "repro/cmd/affinityviz", "repro/cmd/lruprofile")
 	build := exec.Command("go", args...)
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {

@@ -232,6 +232,25 @@ func TestTournamentGolden(t *testing.T) {
 	}
 }
 
+// TestTable1Fig45Golden locks the two §4.1 experiments that filter the
+// stream through 16 KB fully-associative LRU L1s: Table 1's miss counts
+// and Figures 4/5's stack profiles, both as ASCII panels (whose ref
+// counts are the exact L1 miss totals) and as CSV. The profile CSV must
+// also be byte-identical between -j 1 and -j 2.
+func TestTable1Fig45Golden(t *testing.T) {
+	args := []string{"-instr", "2000000", "-only", "179.art,181.mcf,em3d,164.gzip"}
+	table1, _ := runCLI(t, "tables", append([]string{"-table1", "-j", "1"}, args...)...)
+	checkGolden(t, "tables_table1.golden", []byte(table1))
+	panels, _ := runCLI(t, "lruprofile", append([]string{"-j", "1"}, args...)...)
+	checkGolden(t, "lruprofile.golden", []byte(panels))
+	csv, _ := runCLI(t, "lruprofile", append([]string{"-csv", "-j", "1"}, args...)...)
+	checkGolden(t, "lruprofile_csv.golden", []byte(csv))
+	parallel, _ := runCLI(t, "lruprofile", append([]string{"-csv", "-j", "2"}, args...)...)
+	if parallel != csv {
+		t.Fatalf("lruprofile -csv diverged between -j 1 and -j 2:\n--- serial ---\n%s\n--- parallel ---\n%s", csv, parallel)
+	}
+}
+
 // TestMultiprogramGolden locks the emsim -programs output (table and
 // JSON) and its worker-count byte identity, and checks the flag's two
 // spellings (count vs explicit list) agree.

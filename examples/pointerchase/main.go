@@ -85,7 +85,7 @@ func main() {
 	fmt.Println("speedup vs migration penalty (CPI0=1, L3 penalty=20 cycles):")
 	fmt.Printf("  %6s  %s\n", "Pmig", "speedup")
 	for _, pmig := range []float64{1, 2, 5, 10, 20, 40, 60, 100} {
-		s := tm.Speedup(n.Outcome(), m.Outcome(), pmig)
+		s := tm.Speedup(n.Outcome(), m.Outcome(), pmig, float64(m.Migrations))
 		bar := ""
 		for i := 0.0; i < (s-0.5)*40 && len(bar) < 70; i += 1 {
 			bar += "#"

@@ -1,13 +1,19 @@
-// Package cache provides the cache models used throughout the
-// reproduction: plain set-associative with true LRU, 4-way
-// skewed-associative (the paper's L2 and affinity-cache organisation,
-// after Bodin & Seznec), and fully-associative LRU (the 16-Kbyte L1
-// filters of the paper's §4.1 experiments).
+// Package cache provides the two cache models the reproduction needs.
 //
-// The models track presence and per-line flag bits only — no data. Write
-// policies (write-through, write-back, write-allocate) belong to the
-// owner (the machine model); a cache here is pure storage with a
-// replacement policy, which is what trace-driven miss counting needs.
+// SetAssoc is set-associative with true LRU, or 4-way
+// skewed-associative (the paper's L2 and affinity-cache organisation,
+// after Bodin & Seznec). The machine model probes, fills and flags it
+// for its L1s, L2s and finite L3, and checkpoints it through
+// State/SetState.
+//
+// FullyAssoc is fully-associative LRU: the 16-Kbyte L1 filters of the
+// paper's §4.1 experiments, where a reference either hits or fills.
+//
+// The models track presence and, in SetAssoc, per-line flag bits — no
+// data. Write policies (write-through, write-back, write-allocate)
+// belong to the owner (the machine model); a cache here is pure storage
+// with a replacement policy, which is what trace-driven miss counting
+// needs.
 package cache
 
 import (
@@ -24,37 +30,11 @@ const (
 	FlagModified uint8 = 1 << iota
 )
 
-// Handle identifies a resident line inside one cache. Handles are
-// invalidated by Insert and Invalidate calls affecting that frame.
+// Handle identifies a resident line inside one SetAssoc cache. A
+// handle is invalidated by any Insert that fills its frame.
 type Handle int32
 
-// Cache is the storage interface shared by all organisations.
-type Cache interface {
-	// Lookup finds line without touching replacement state.
-	Lookup(line mem.Line) (Handle, bool)
-	// Touch marks the handle most-recently used.
-	Touch(Handle)
-	// Access is Lookup followed by Touch on hit.
-	Access(line mem.Line) (Handle, bool)
-	// Insert places line (which must not be present) and returns the
-	// victim, if a valid line was evicted. The new line is MRU. The
-	// returned handle addresses the inserted line.
-	Insert(line mem.Line, flags uint8) (Handle, Victim)
-	// LineAt returns the line a handle addresses.
-	LineAt(Handle) mem.Line
-	// Flags returns the flag bits of a resident line.
-	Flags(Handle) uint8
-	// SetFlags overwrites the flag bits of a resident line.
-	SetFlags(Handle, uint8)
-	// Invalidate removes line if present, returning its flags.
-	Invalidate(line mem.Line) (uint8, bool)
-	// Capacity returns the number of line frames.
-	Capacity() int
-	// Resident returns the number of valid lines.
-	Resident() int
-}
-
-// Victim describes a line evicted by Insert.
+// Victim describes a line evicted by a SetAssoc fill.
 type Victim struct {
 	Line  mem.Line
 	Flags uint8

@@ -8,58 +8,28 @@ import (
 	"repro/internal/trace"
 )
 
-// TestFullyAssocLRUOrder checks exact LRU behaviour on a tiny cache.
+// TestFullyAssocLRUOrder checks exact LRU behaviour on a tiny cache:
+// each reference's hit or miss follows from the recency order alone.
 func TestFullyAssocLRUOrder(t *testing.T) {
 	c := NewFullyAssoc(3)
-	for _, l := range []mem.Line{1, 2, 3} {
-		if _, v := c.Insert(l, 0); v.Valid {
-			t.Fatalf("unexpected victim %v while filling", v)
+	for i, step := range []struct {
+		line mem.Line
+		hit  bool
+	}{
+		{1, false}, {2, false}, {3, false}, // fill; LRU order 1, 2, 3
+		{1, true},  // LRU order 2, 3, 1
+		{4, false}, // evicts 2
+		{3, true},  // LRU order 1, 4, 3
+		{2, false}, // evicts 1
+		{4, true},  // LRU order 3, 2, 4
+		{1, false}, // evicts 3
+		{2, true}, {4, true}, {1, true},
+		{3, false}, // evicts 2
+		{2, false}, // evicts 4
+	} {
+		if hit := c.Ref(step.line); hit != step.hit {
+			t.Fatalf("step %d: Ref(%d) hit %v, want %v", i, step.line, hit, step.hit)
 		}
-	}
-	// Touch 1 → LRU order (oldest first): 2, 3, 1.
-	h, ok := c.Access(1)
-	if !ok {
-		t.Fatal("line 1 missing")
-	}
-	_ = h
-	_, v := c.Insert(4, 0)
-	if !v.Valid || v.Line != 2 {
-		t.Fatalf("victim = %+v, want line 2", v)
-	}
-	_, v = c.Insert(5, 0)
-	if !v.Valid || v.Line != 3 {
-		t.Fatalf("victim = %+v, want line 3", v)
-	}
-	_, v = c.Insert(6, 0)
-	if !v.Valid || v.Line != 1 {
-		t.Fatalf("victim = %+v, want line 1", v)
-	}
-}
-
-// TestFullyAssocInvalidate: freed frames are reused before evictions.
-func TestFullyAssocInvalidate(t *testing.T) {
-	c := NewFullyAssoc(2)
-	c.Insert(10, FlagModified)
-	c.Insert(20, 0)
-	fl, ok := c.Invalidate(10)
-	if !ok || fl != FlagModified {
-		t.Fatalf("Invalidate(10) = (%d,%v)", fl, ok)
-	}
-	if _, ok := c.Lookup(10); ok {
-		t.Fatal("line 10 still present after invalidate")
-	}
-	if c.Resident() != 1 {
-		t.Fatalf("resident = %d, want 1", c.Resident())
-	}
-	// Insert must reuse the freed frame: no victim.
-	_, v := c.Insert(30, 0)
-	if v.Valid {
-		t.Fatalf("unexpected victim %+v after invalidate", v)
-	}
-	// Now full again: next insert evicts LRU (20).
-	_, v = c.Insert(40, 0)
-	if !v.Valid || v.Line != 20 {
-		t.Fatalf("victim = %+v, want line 20", v)
 	}
 }
 
@@ -173,23 +143,33 @@ func TestSkewedBeatsPlainOnPowerOfTwoStride(t *testing.T) {
 // TestCacheMissRatioMatchesCapacity: a cache must hold a working set that
 // fits and thrash on one that does not (sanity of the replacement glue).
 func TestCacheMissRatioMatchesCapacity(t *testing.T) {
+	setAssoc := func(geo Geometry) func() func(mem.Line) bool {
+		return func() func(mem.Line) bool {
+			c := NewSetAssoc(geo)
+			return func(l mem.Line) bool {
+				if _, ok := c.Access(l); ok {
+					return true
+				}
+				c.Insert(l, 0)
+				return false
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name string
-		mk   func() Cache
+		mk   func() func(mem.Line) bool // a fresh cache's hit-or-fill reference
 	}{
-		{"fullyassoc", func() Cache { return NewFullyAssoc(256) }},
-		{"setassoc", func() Cache { return NewSetAssoc(Geometry{Ways: 4, SetsLog2: 6}) }},
-		{"skewed", func() Cache { return NewSetAssoc(Geometry{Ways: 4, SetsLog2: 6, Skewed: true}) }},
+		{"fullyassoc", func() func(mem.Line) bool { return NewFullyAssoc(256).Ref }},
+		{"setassoc", setAssoc(Geometry{Ways: 4, SetsLog2: 6})},
+		{"skewed", setAssoc(Geometry{Ways: 4, SetsLog2: 6, Skewed: true})},
 	} {
-		c := tc.mk()
+		ref := tc.mk()
 		miss := func(n uint64, laps int) int {
 			misses := 0
 			g := trace.NewCircular(n)
 			for i := 0; i < laps*int(n); i++ {
-				l := mem.Line(g.Next())
-				if _, ok := c.Access(l); !ok {
+				if !ref(mem.Line(g.Next())) {
 					misses++
-					c.Insert(l, 0)
 				}
 			}
 			return misses
@@ -203,7 +183,7 @@ func TestCacheMissRatioMatchesCapacity(t *testing.T) {
 		}
 		// Working set of 1024 lines with LRU and circular access: near-100%
 		// miss rate for fully-assoc (LRU's pathological case).
-		c = tc.mk()
+		ref = tc.mk()
 		m = miss(1024, 5)
 		if m < 4*1024 {
 			t.Errorf("%s: oversized circular working set: %d misses, want ≈5120", tc.name, m)
@@ -226,60 +206,59 @@ func TestGeometryFor(t *testing.T) {
 	}
 }
 
-// TestFlagsRoundTrip for both implementations.
+// TestFlagsRoundTrip: flag bits written through a handle read back.
 func TestFlagsRoundTrip(t *testing.T) {
-	for _, c := range []Cache{NewFullyAssoc(8), NewSetAssoc(Geometry{Ways: 2, SetsLog2: 2})} {
-		h, _ := c.Insert(5, 0)
-		c.SetFlags(h, FlagModified)
-		if c.Flags(h) != FlagModified {
-			t.Fatal("flags lost")
-		}
-		if c.LineAt(h) != 5 {
-			t.Fatal("LineAt mismatch")
-		}
-		fl, ok := c.Invalidate(5)
-		if !ok || fl != FlagModified {
-			t.Fatal("invalidate flags mismatch")
-		}
+	c := NewSetAssoc(Geometry{Ways: 2, SetsLog2: 2})
+	h, _ := c.Insert(5, 0)
+	c.SetFlags(h, FlagModified)
+	if c.Flags(h) != FlagModified {
+		t.Fatal("flags lost")
+	}
+	if h2, ok := c.Lookup(5); !ok || c.Flags(h2) != FlagModified {
+		t.Fatalf("Lookup(5) = (%d, %v), flags not found through it", h2, ok)
 	}
 }
 
-// TestFullyAssocStress property-checks the map/list consistency under a
-// random operation mix against a reference model.
+// TestFullyAssocStress checks the map/list consistency under a random
+// reference stream against a reference model: a slice of the resident
+// lines, most recently used first.
 func TestFullyAssocStress(t *testing.T) {
 	const capLines = 32
 	c := NewFullyAssoc(capLines)
 	rng := trace.NewRNG(5)
-	resident := map[mem.Line]bool{}
+	var model []mem.Line
 	for i := 0; i < 200_000; i++ {
 		l := mem.Line(rng.Uint64n(64))
-		switch rng.Uint64n(3) {
-		case 0, 1:
-			if _, ok := c.Access(l); !ok {
-				_, v := c.Insert(l, 0)
-				resident[l] = true
-				if v.Valid {
-					if !resident[v.Line] {
-						t.Fatalf("evicted non-resident line %d", v.Line)
-					}
-					delete(resident, v.Line)
-				}
-			} else if !resident[l] {
-				t.Fatalf("hit on non-resident line %d", l)
+		at := -1
+		for j, m := range model {
+			if m == l {
+				at = j
+				break
 			}
-		case 2:
-			_, ok := c.Invalidate(l)
-			if ok != resident[l] {
-				t.Fatalf("invalidate(%d) = %v, model says %v", l, ok, resident[l])
-			}
-			delete(resident, l)
 		}
-		if c.Resident() != len(resident) {
-			t.Fatalf("resident count %d, model %d", c.Resident(), len(resident))
+		if hit := c.Ref(l); hit != (at >= 0) {
+			t.Fatalf("ref %d: Ref(%d) hit %v, model says %v", i, l, hit, at >= 0)
 		}
-		if c.Resident() > capLines {
-			t.Fatal("over capacity")
+		if at >= 0 {
+			model = append(model[:at], model[at+1:]...)
+		} else if len(model) == capLines {
+			model = model[:capLines-1]
 		}
+		model = append([]mem.Line{l}, model...)
+		if len(c.index) != len(model) {
+			t.Fatalf("ref %d: resident count %d, model %d", i, len(c.index), len(model))
+		}
+	}
+	// The list, walked from the MRU end, is the model's order.
+	f := c.head
+	for j, m := range model {
+		if f < 0 || c.lines[f] != m {
+			t.Fatalf("LRU list position %d: frame %d, model line %d", j, f, m)
+		}
+		f = c.next[f]
+	}
+	if f >= 0 {
+		t.Fatalf("LRU list longer than the model's %d lines", len(model))
 	}
 }
 

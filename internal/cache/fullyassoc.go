@@ -4,40 +4,60 @@ import "repro/internal/mem"
 
 // FullyAssoc is a fully-associative cache with exact LRU replacement,
 // implemented as a hash map plus an intrusive doubly-linked LRU list over
-// frames, so Lookup, Touch and Insert are all O(1). The paper's §4.1
-// experiments use 16-Kbyte fully-associative LRU L1 caches as the stream
-// filter in front of the LRU-stack profiler.
+// frames, so Ref is O(1). The paper's §4.1 experiments use 16-Kbyte
+// fully-associative LRU L1 caches as the stream filter in front of
+// Table 1's miss counts and the LRU-stack profiler; there a reference
+// either hits or fills, so Ref is the whole interface.
 type FullyAssoc struct {
-	cap   int
 	index map[mem.Line]int32
-
-	lines []mem.Line
-	flags []uint8
-	next  []int32 // toward LRU
-	prev  []int32 // toward MRU
-	head  int32   // MRU frame, -1 when empty
-	tail  int32   // LRU frame, -1 when empty
-	used  int
-	free  []int32 // frames released by Invalidate
+	lines []mem.Line // frames in fill order; full when len == cap
+	next  []int32    // toward LRU
+	prev  []int32    // toward MRU
+	head  int32      // MRU frame, -1 when empty
+	tail  int32      // LRU frame, -1 when empty
 }
 
 // NewFullyAssoc builds a fully-associative LRU cache with the given
 // number of line frames.
 func NewFullyAssoc(capacityLines int) *FullyAssoc {
 	if capacityLines < 1 {
-		//emlint:allowpanic capacities come from Validated geometries and paper constants
+		//emlint:allowpanic capacities come from paper constants
 		panic("cache: fully-associative capacity < 1")
 	}
 	return &FullyAssoc{
-		cap:   capacityLines,
 		index: make(map[mem.Line]int32, capacityLines*2),
-		lines: make([]mem.Line, capacityLines),
-		flags: make([]uint8, capacityLines),
+		lines: make([]mem.Line, 0, capacityLines),
 		next:  make([]int32, capacityLines),
 		prev:  make([]int32, capacityLines),
 		head:  -1,
 		tail:  -1,
 	}
+}
+
+// Ref references line. On a hit the line becomes the MRU line. On a
+// miss it is inserted as the MRU line, evicting the LRU line when every
+// frame is full.
+func (c *FullyAssoc) Ref(line mem.Line) (hit bool) {
+	if f, ok := c.index[line]; ok {
+		if f != c.head {
+			c.unlink(f)
+			c.pushFront(f)
+		}
+		return true
+	}
+	var f int32
+	if len(c.lines) < cap(c.lines) {
+		f = int32(len(c.lines))
+		c.lines = append(c.lines, line)
+	} else {
+		f = c.tail
+		delete(c.index, c.lines[f])
+		c.unlink(f)
+		c.lines[f] = line
+	}
+	c.index[line] = f
+	c.pushFront(f)
+	return false
 }
 
 // unlink removes frame f from the LRU list.
@@ -66,90 +86,3 @@ func (c *FullyAssoc) pushFront(f int32) {
 		c.tail = f
 	}
 }
-
-// Lookup implements Cache.
-func (c *FullyAssoc) Lookup(line mem.Line) (Handle, bool) {
-	f, ok := c.index[line]
-	if !ok {
-		return -1, false
-	}
-	return Handle(f), true
-}
-
-// Touch implements Cache.
-func (c *FullyAssoc) Touch(h Handle) {
-	f := int32(h)
-	if c.head == f {
-		return
-	}
-	c.unlink(f)
-	c.pushFront(f)
-}
-
-// Access implements Cache.
-func (c *FullyAssoc) Access(line mem.Line) (Handle, bool) {
-	h, ok := c.Lookup(line)
-	if ok {
-		c.Touch(h)
-	}
-	return h, ok
-}
-
-// Insert implements Cache. line must not already be present.
-func (c *FullyAssoc) Insert(line mem.Line, flags uint8) (Handle, Victim) {
-	if _, ok := c.index[line]; ok {
-		//emlint:allowpanic documented precondition: callers Insert only after a miss on the same line
-		panic("cache: Insert of resident line")
-	}
-	var f int32
-	var v Victim
-	switch {
-	case len(c.free) > 0:
-		f = c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
-	case c.used < c.cap:
-		f = int32(c.used)
-		c.used++
-	default:
-		f = c.tail
-		v = Victim{Line: c.lines[f], Flags: c.flags[f], Valid: true}
-		delete(c.index, c.lines[f])
-		c.unlink(f)
-	}
-	c.lines[f] = line
-	c.flags[f] = flags
-	c.index[line] = f
-	c.pushFront(f)
-	return Handle(f), v
-}
-
-// LineAt implements Cache.
-func (c *FullyAssoc) LineAt(h Handle) mem.Line { return c.lines[h] }
-
-// Flags implements Cache.
-func (c *FullyAssoc) Flags(h Handle) uint8 { return c.flags[h] }
-
-// SetFlags implements Cache.
-func (c *FullyAssoc) SetFlags(h Handle, f uint8) { c.flags[h] = f }
-
-// Invalidate implements Cache. The freed frame is recycled by a future
-// Insert before any valid line is evicted.
-func (c *FullyAssoc) Invalidate(line mem.Line) (uint8, bool) {
-	f, ok := c.index[line]
-	if !ok {
-		return 0, false
-	}
-	fl := c.flags[f]
-	delete(c.index, line)
-	c.unlink(f)
-	c.free = append(c.free, f)
-	return fl, true
-}
-
-// Capacity implements Cache.
-func (c *FullyAssoc) Capacity() int { return c.cap }
-
-// Resident implements Cache.
-func (c *FullyAssoc) Resident() int { return len(c.index) }
-
-var _ Cache = (*FullyAssoc)(nil)

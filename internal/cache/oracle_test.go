@@ -115,24 +115,6 @@ func (n *naiveLRU) fill(line mem.Line, flags uint8) Victim {
 	return Victim{Line: out.line, Flags: out.flags, Valid: true}
 }
 
-// drop removes line.
-func (n *naiveLRU) drop(line mem.Line) {
-	if n.geo.Skewed {
-		if e := n.find(line); e != nil {
-			e.valid = false
-		}
-		return
-	}
-	si := uint64(line) & (1<<n.geo.SetsLog2 - 1)
-	s := n.sets[si]
-	for i := range s {
-		if s[i].line == line {
-			n.sets[si] = append(s[:i], s[i+1:]...)
-			return
-		}
-	}
-}
-
 // resident returns every resident line with its flags.
 func (n *naiveLRU) resident() map[mem.Line]uint8 {
 	out := map[mem.Line]uint8{}
@@ -152,16 +134,16 @@ func (n *naiveLRU) resident() map[mem.Line]uint8 {
 }
 
 // oracleOp applies one operation to the cache and the oracle and
-// reports the first disagreement. op selects Probe (+InsertProbed on a
-// miss, the machine's L1/L2 pattern), Access (+Insert), Lookup with a
-// flag update, or Invalidate.
+// reports the first disagreement. op%3 selects Probe (+InsertProbed on
+// a miss, the machine's L1/L2 pattern), Access (+Insert), or Lookup
+// with a flag update.
 func oracleOp(t *testing.T, c *SetAssoc, n *naiveLRU, op uint8, line mem.Line, flags uint8) {
 	t.Helper()
-	switch op % 4 {
+	switch op % 3 {
 	case 0, 1:
 		var h Handle
 		var ok bool
-		if op%4 == 0 {
+		if op%3 == 0 {
 			h, ok = c.Probe(line)
 		} else {
 			h, ok = c.Access(line)
@@ -177,7 +159,7 @@ func oracleOp(t *testing.T, c *SetAssoc, n *naiveLRU, op uint8, line mem.Line, f
 			return
 		}
 		var v Victim
-		if op%4 == 0 {
+		if op%3 == 0 {
 			_, v = c.InsertProbed(line, flags)
 		} else {
 			_, v = c.Insert(line, flags)
@@ -195,13 +177,6 @@ func oracleOp(t *testing.T, c *SetAssoc, n *naiveLRU, op uint8, line mem.Line, f
 			c.SetFlags(h, flags)
 			e.flags = flags
 		}
-	case 3:
-		f, ok := c.Invalidate(line)
-		e := n.find(line)
-		if ok != (e != nil) || (ok && f != e.flags) {
-			t.Fatalf("invalidate %#x: cache (%#x, %v), oracle %+v", line, f, ok, e)
-		}
-		n.drop(line)
 	}
 }
 
@@ -226,7 +201,7 @@ func checkResident(t *testing.T, c *SetAssoc, n *naiveLRU) {
 // TestSetAssocMatchesOracle drives seeded streams through SetAssoc and
 // the naive LRU model, skewed and not, at several shapes: streams over
 // a few times the capacity, so hits, conflict misses and evictions all
-// occur, with flag updates and invalidations mixed in.
+// occur, with flag updates mixed in.
 func TestSetAssocMatchesOracle(t *testing.T) {
 	geos := []Geometry{
 		{Ways: 1, SetsLog2: 4},
@@ -255,8 +230,6 @@ func TestSetAssocMatchesOracle(t *testing.T) {
 					op = 1
 				case r < 8:
 					op = 2
-				case r == 8:
-					op = 3
 				}
 				oracleOp(t, c, n, op, line, uint8(rng.Uint64n(4)))
 				if i%5000 == 0 {

@@ -71,7 +71,7 @@ func (c *SetAssoc) frameOf(w int, line mem.Line) int32 {
 	return int32(w)<<c.geo.SetsLog2 + int32(set)
 }
 
-// Lookup implements Cache.
+// Lookup finds line without touching replacement state.
 //
 // The two indexing schemes are split into separate loops: the
 // non-skewed walk strides a precomputed frame index instead of calling
@@ -206,22 +206,19 @@ func (c *SetAssoc) InsertProbed(line mem.Line, flags uint8) (Handle, Victim) {
 	return c.fill(c.probeVictim, line, flags)
 }
 
-// Touch implements Cache.
-func (c *SetAssoc) Touch(h Handle) {
-	c.clock++
-	c.stamp[h] = c.clock
-}
-
-// Access implements Cache.
+// Access is Lookup that makes a hit the most recently used line.
 func (c *SetAssoc) Access(line mem.Line) (Handle, bool) {
 	h, ok := c.Lookup(line)
 	if ok {
-		c.Touch(h)
+		c.clock++
+		c.stamp[h] = c.clock
 	}
 	return h, ok
 }
 
-// Insert implements Cache. line must not already be present.
+// Insert places line, which must not be present, as the most recently
+// used line and returns the victim, if a valid line was evicted. The
+// returned handle addresses the inserted line.
 func (c *SetAssoc) Insert(line mem.Line, flags uint8) (Handle, Victim) {
 	// Choose the victim frame: an invalid candidate if any, else the
 	// LRU among the Ways candidates.
@@ -264,33 +261,11 @@ func (c *SetAssoc) fill(best int32, line mem.Line, flags uint8) (Handle, Victim)
 	return Handle(best), v
 }
 
-// LineAt implements Cache.
-func (c *SetAssoc) LineAt(h Handle) mem.Line { return c.lines[h] }
-
-// Flags implements Cache.
+// Flags returns the flag bits of a resident line.
 func (c *SetAssoc) Flags(h Handle) uint8 { return c.flags[h] }
 
-// SetFlags implements Cache.
+// SetFlags overwrites the flag bits of a resident line.
 func (c *SetAssoc) SetFlags(h Handle, f uint8) { c.flags[h] = f }
 
-// Invalidate implements Cache.
-func (c *SetAssoc) Invalidate(line mem.Line) (uint8, bool) {
-	h, ok := c.Lookup(line)
-	if !ok {
-		return 0, false
-	}
-	c.valid[h] = false
-	c.count--
-	return c.flags[h], true
-}
-
-// Capacity implements Cache.
-func (c *SetAssoc) Capacity() int { return c.geo.Frames() }
-
-// Resident implements Cache.
+// Resident returns the number of valid lines.
 func (c *SetAssoc) Resident() int { return c.count }
-
-// Geometry returns the cache organisation.
-func (c *SetAssoc) Geometry() Geometry { return c.geo }
-
-var _ Cache = (*SetAssoc)(nil)

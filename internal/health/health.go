@@ -14,7 +14,6 @@ package health
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
 )
@@ -111,7 +110,3 @@ func (c *Checker) Handler() http.Handler {
 		}
 	})
 }
-
-// Failf is a convenience for probe implementations: a formatted
-// unhealthy result.
-func Failf(format string, args ...any) error { return fmt.Errorf(format, args...) }

@@ -84,7 +84,7 @@ func TestCheckerDynamicProbe(t *testing.T) {
 	c := NewChecker()
 	c.Register("gate", func() error {
 		if !ready {
-			return Failf("not ready")
+			return errors.New("not ready")
 		}
 		return nil
 	})

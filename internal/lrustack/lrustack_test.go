@@ -110,9 +110,8 @@ func TestProfileMatchesCacheSimulation(t *testing.T) {
 		}
 		s.Ref(line)
 		for j, c := range caches {
-			if _, ok := c.Access(line); !ok {
+			if !c.Ref(line) {
 				misses[j]++
-				c.Insert(line, 0)
 			}
 		}
 	}

@@ -488,7 +488,7 @@ func (m *Machine) polNearMigration(frac float64) bool {
 // the controller's sum of core distances over executed migrations, the
 // raw migration count otherwise (every move costs 1 on the uniform
 // chip). This is the `weighted` argument of
-// migration.TimeModel.CyclesWeighted.
+// migration.TimeModel.Cycles.
 func (m *Machine) WeightedMigrationCost() float64 {
 	if m.ctrl != nil {
 		return m.ctrl.WeightedCost

@@ -34,8 +34,6 @@ type Config struct {
 	// TableDropped) instead of exhausting host memory. 0 applies
 	// DefaultTableLimit; negative means truly unlimited.
 	TableLimit int
-	// TableWays is the affinity-cache associativity (paper: 4, skewed).
-	TableWays int
 	// NoL2Filtering disables the paper's L2 filtering (§3.4): the
 	// transition filter then updates on every L1-miss request and a
 	// migration may trigger even when the request would hit the active
@@ -56,7 +54,6 @@ func Table2Config() Config {
 	return Config{
 		Split:        affinity.Table2Config(),
 		TableEntries: 8192,
-		TableWays:    4,
 	}
 }
 
@@ -90,6 +87,10 @@ func MustConfigForCores(cores int) Config {
 // above any of the paper's working sets) keeps memory bounded without
 // perturbing the reproduced experiments.
 const DefaultTableLimit = 1 << 21
+
+// tableWays is the bounded affinity cache's associativity (paper: 4,
+// skewed).
+const tableWays = 4
 
 // Controller tracks the active core and decides migrations. It is the
 // one affinity-based policy: registered as "michaud" it is the paper's
@@ -207,16 +208,12 @@ func newController(name string, cfg Config, topo *Topology) (*Controller, error)
 		}
 		table = affinity.NewUnboundedLimit(limit) // negative limit → unlimited
 	} else {
-		ways := cfg.TableWays
-		if ways == 0 {
-			ways = 4
-		}
-		if ways < 1 || cfg.TableEntries < ways || cfg.TableEntries%ways != 0 ||
-			!isPow2(cfg.TableEntries/ways) {
+		if cfg.TableEntries < tableWays || cfg.TableEntries%tableWays != 0 ||
+			!isPow2(cfg.TableEntries/tableWays) {
 			return nil, fmt.Errorf("migration: affinity cache of %d entries / %d ways is not ways × power-of-two sets",
-				cfg.TableEntries, ways)
+				cfg.TableEntries, tableWays)
 		}
-		table = affinity.NewCache(cfg.TableEntries, ways)
+		table = affinity.NewCache(cfg.TableEntries, tableWays)
 	}
 	if topo == nil {
 		topo = NewUniformTopology(cfg.Split.Ways)

@@ -105,31 +105,28 @@ func TestMissesRemovedPerMigration(t *testing.T) {
 	}
 }
 
-// TestTimeModelSpeedup: with Pmig at the break-even, speedup must be ≈1;
-// below it > 1; above it < 1.
+// TestTimeModelSpeedup: at equal instruction counts and uniform cost,
+// the time model breaks even exactly at the rate-based analysis's
+// MissesRemovedPerMigration: with Pmig there, speedup must be 1; below
+// it > 1; above it < 1.
 func TestTimeModelSpeedup(t *testing.T) {
 	const instr = 1_000_000
 	normal := Outcome{Instructions: instr, L2Misses: 50_000}
 	migrated := Outcome{Instructions: instr, L2Misses: 10_000, Migrations: 800}
+	moves := float64(migrated.Migrations)
 	tm := DefaultTimeModel()
-	be, ok := tm.BreakEvenPmig(normal, migrated)
+	be, ok := MissesRemovedPerMigration(normal, migrated)
 	if !ok {
 		t.Fatal("break-even undefined")
 	}
-	if s := tm.Speedup(normal, migrated, be); math.Abs(s-1) > 1e-9 {
+	if s := tm.Speedup(normal, migrated, be, moves); math.Abs(s-1) > 1e-9 {
 		t.Fatalf("speedup at break-even = %f, want 1", s)
 	}
-	if s := tm.Speedup(normal, migrated, be/2); s <= 1 {
+	if s := tm.Speedup(normal, migrated, be/2, moves); s <= 1 {
 		t.Fatalf("speedup below break-even = %f, want > 1", s)
 	}
-	if s := tm.Speedup(normal, migrated, be*2); s >= 1 {
+	if s := tm.Speedup(normal, migrated, be*2, moves); s >= 1 {
 		t.Fatalf("speedup above break-even = %f, want < 1", s)
-	}
-	// Consistency with the rate-based analysis at equal instruction
-	// counts: both break-evens coincide.
-	be2, _ := MissesRemovedPerMigration(normal, migrated)
-	if math.Abs(be-be2) > 1e-9 {
-		t.Fatalf("time-model break-even %.4f != rate break-even %.4f", be, be2)
 	}
 }
 
@@ -137,10 +134,13 @@ func TestTimeModelSpeedup(t *testing.T) {
 func TestTimeModelCycles(t *testing.T) {
 	tm := TimeModel{CPI0: 1, L3Penalty: 20}
 	o := Outcome{Instructions: 1000, L2Misses: 10, Migrations: 2}
-	if c := tm.Cycles(o, 0); c != 1000+200 {
+	if c := tm.Cycles(o, 0, 0); c != 1000+200 {
 		t.Fatalf("cycles = %f", c)
 	}
-	if c := tm.Cycles(o, 5); c != 1000+200+2*5*20 {
+	if c := tm.Cycles(o, 5, float64(o.Migrations)); c != 1000+200+2*5*20 {
 		t.Fatalf("cycles with pmig = %f", c)
+	}
+	if c := tm.Cycles(o, 5, 7); c != 1000+200+7*5*20 {
+		t.Fatalf("cycles with pmig and a weighted cost of 7 = %f", c)
 	}
 }

@@ -45,52 +45,24 @@ type TimeModel struct {
 // DefaultTimeModel returns CPI0 = 1, L3Penalty = 20.
 func DefaultTimeModel() TimeModel { return TimeModel{CPI0: 1, L3Penalty: 20} }
 
-// Cycles estimates the execution time of an outcome; pmig is the
-// migration penalty in L3Penalty units (use 0 for the normal
-// configuration).
-func (t TimeModel) Cycles(o Outcome, pmig float64) float64 {
-	return float64(o.Instructions)*t.CPI0 +
-		float64(o.L2Misses)*t.L3Penalty +
-		float64(o.Migrations)*pmig*t.L3Penalty
-}
-
-// CyclesWeighted is Cycles under a non-uniform topology: weighted is
-// the sum of Dist[from][to] over executed migrations (a policy's
-// WeightedCost), replacing the raw migration count so a cross-chip move
-// costs proportionally more than a neighbour hop. With the uniform
-// topology weighted equals o.Migrations and the two models coincide.
-func (t TimeModel) CyclesWeighted(o Outcome, pmig, weighted float64) float64 {
+// Cycles estimates the execution time of an outcome. pmig is the
+// migration penalty in L3Penalty units (0 for the normal
+// configuration), and weighted is the migration cost it multiplies: the
+// raw count float64(o.Migrations) on the uniform chip, or a policy's
+// WeightedCost (the sum of Dist[from][to] over executed migrations)
+// under a non-uniform topology, so a cross-chip move costs
+// proportionally more than a neighbour hop.
+func (t TimeModel) Cycles(o Outcome, pmig, weighted float64) float64 {
 	return float64(o.Instructions)*t.CPI0 +
 		float64(o.L2Misses)*t.L3Penalty +
 		weighted*pmig*t.L3Penalty
 }
 
-// SpeedupWeighted returns T(normal)/T(migrated) charging the
-// topology-weighted migration cost.
-func (t TimeModel) SpeedupWeighted(normal, migrated Outcome, pmig, weighted float64) float64 {
-	return t.Cycles(normal, 0) / t.CyclesWeighted(migrated, pmig, weighted)
-}
-
-// Speedup returns T(normal)/T(migrated) under penalty pmig. Values
-// above 1 mean execution migration wins.
-func (t TimeModel) Speedup(normal, migrated Outcome, pmig float64) float64 {
-	return t.Cycles(normal, 0) / t.Cycles(migrated, pmig)
-}
-
-// BreakEvenPmig solves Speedup(pmig) = 1 for pmig under the time model;
-// it coincides with MissesRemovedPerMigration scaled by instruction-count
-// differences, and with it exactly when both runs executed the same
-// instruction count. The second return is false when undefined.
-func (t TimeModel) BreakEvenPmig(normal, migrated Outcome) (float64, bool) {
-	if migrated.Migrations == 0 {
-		return 0, false
-	}
-	// cycles_normal = cycles_migrated(pmig*) ⇒ solve for pmig*.
-	base := t.Cycles(migrated, 0)
-	nor := t.Cycles(normal, 0)
-	// normalise to the migrated run's instruction count
-	if normal.Instructions != migrated.Instructions && normal.Instructions > 0 {
-		nor *= float64(migrated.Instructions) / float64(normal.Instructions)
-	}
-	return (nor - base) / (float64(migrated.Migrations) * t.L3Penalty), true
+// Speedup returns T(normal)/T(migrated) under penalty pmig, charging
+// the migrated run the migration cost weighted (see Cycles). Values
+// above 1 mean execution migration wins. At equal instruction counts and
+// uniform cost, Speedup is 1 exactly when pmig is
+// MissesRemovedPerMigration's break-even.
+func (t TimeModel) Speedup(normal, migrated Outcome, pmig, weighted float64) float64 {
+	return t.Cycles(normal, 0, 0) / t.Cycles(migrated, pmig, weighted)
 }

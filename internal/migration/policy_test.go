@@ -1,7 +1,6 @@
 package migration
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -319,23 +318,5 @@ func TestNeverPolicy(t *testing.T) {
 		if _, err := NewNeverPolicy(ways); err == nil {
 			t.Fatalf("NewNeverPolicy accepted %d ways", ways)
 		}
-	}
-}
-
-// TestCyclesWeighted: with uniform weights the weighted model coincides
-// with the plain one; heavier weights cost more.
-func TestCyclesWeighted(t *testing.T) {
-	tm := DefaultTimeModel()
-	o := Outcome{Instructions: 1_000_000, L2Misses: 10_000, Migrations: 500}
-	plain := tm.Cycles(o, 8)
-	if w := tm.CyclesWeighted(o, 8, float64(o.Migrations)); math.Abs(w-plain) > 1e-9 {
-		t.Fatalf("uniform weighted cycles %f != plain %f", w, plain)
-	}
-	if w := tm.CyclesWeighted(o, 8, 2*float64(o.Migrations)); w <= plain {
-		t.Fatalf("doubled weight did not raise cycles: %f <= %f", w, plain)
-	}
-	normal := Outcome{Instructions: 1_000_000, L2Misses: 50_000}
-	if s := tm.SpeedupWeighted(normal, o, 8, float64(o.Migrations)); math.Abs(s-tm.Speedup(normal, o, 8)) > 1e-9 {
-		t.Fatal("uniform SpeedupWeighted diverged from Speedup")
 	}
 }

@@ -60,10 +60,9 @@ func (p *profiler) Access(addr mem.Addr, kind mem.Kind) {
 	}
 	// §4.1 does not distinguish loads from stores: the filter caches
 	// allocate on every miss.
-	if _, ok := l1.Access(line); ok {
+	if l1.Ref(line) {
 		return
 	}
-	l1.Insert(line, 0)
 
 	// p1: single unbounded stack.
 	p.single.Ref(line)
@@ -78,14 +77,9 @@ func (p *profiler) Access(addr mem.Addr, kind mem.Kind) {
 // Instr implements mem.Sink.
 func (p *profiler) Instr(n uint64) { p.instr += n }
 
-// LRUProfile runs a workload through the §4.1 experiment with unbounded
-// stacks and returns its p1/p4 profiles.
-func LRUProfile(w workloads.Workload, budget uint64, lineShift uint) ProfileResult {
-	return LRUProfileCapped(w, budget, lineShift, 0)
-}
-
-// LRUProfileCapped is LRUProfile with the profiler's memory bounded:
-// each LRU stack (the single p1 stack and the four p4 stacks) tracks at
+// LRUProfileCapped runs a workload through the §4.1 experiment and
+// returns its p1/p4 profiles, with the profiler's memory bounded: each
+// LRU stack (the single p1 stack and the four p4 stacks) tracks at
 // most maxLines live lines, evicting its least recently used entry past
 // the cap (0 = unbounded). The curves stay exact for thresholds up to
 // maxLines — so maxLines >= the largest threshold (256k lines for the

@@ -75,7 +75,7 @@ func TestLRUProfileShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra := LRUProfile(art, 6_000_000, 6)
+	ra := LRUProfileCapped(art, 6_000_000, 6, 0)
 	if gap, ok := ra.Splittable(); !ok {
 		t.Fatalf("art must be splittable (gap %.3f)", gap)
 	}
@@ -90,7 +90,7 @@ func TestLRUProfileShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg := LRUProfile(gzip, 6_000_000, 6)
+	rg := LRUProfileCapped(gzip, 6_000_000, 6, 0)
 	if gap, ok := rg.Splittable(); ok {
 		t.Fatalf("gzip must not be splittable (gap %.3f)", gap)
 	}
@@ -114,7 +114,7 @@ func TestLRUProfileCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := LRUProfile(art, 2_000_000, 6)
+	full := LRUProfileCapped(art, 2_000_000, 6, 0)
 	art2, _ := reg.New("179.art")
 	const cap = 4096 // lines: covers the 16KB..256KB thresholds
 	capped := LRUProfileCapped(art2, 2_000_000, 6, cap)
@@ -208,7 +208,7 @@ func TestSplittabilityClasses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := LRUProfile(w, 8_000_000, 6)
+		res := LRUProfileCapped(w, 8_000_000, 6, 0)
 		gap, got := res.Splittable()
 		if got != want {
 			t.Errorf("%s: splittable=%v (gap %.3f), paper says %v", name, got, gap, want)

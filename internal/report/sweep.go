@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/migration"
 	"repro/internal/trace"
 )
 
@@ -71,9 +72,9 @@ func sweepPoint(ws uint64, normal, mig machine.Stats) SweepPoint {
 	}
 	if mig.Migrations > 0 {
 		p.InstrPerMigration = float64(mig.Instructions) / float64(mig.Migrations)
-		removed := nRate - mRate
-		migRate := float64(mig.Migrations) / float64(mig.Instructions)
-		p.BreakEvenPmig = removed / migRate
+	}
+	if be, ok := migration.MissesRemovedPerMigration(normal.Outcome(), mig.Outcome()); ok {
+		p.BreakEvenPmig = be
 	}
 	return p
 }

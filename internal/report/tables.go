@@ -33,16 +33,14 @@ func (t *table1Sink) Access(addr mem.Addr, kind mem.Kind) {
 	line := mem.LineOf(addr, t.shift)
 	if kind == mem.IFetch {
 		t.row.IFetches++
-		if _, ok := t.il1.Access(line); !ok {
+		if !t.il1.Ref(line) {
 			t.row.IL1Miss++
-			t.il1.Insert(line, 0)
 		}
 		return
 	}
 	t.row.DataRefs++
-	if _, ok := t.dl1.Access(line); !ok {
+	if !t.dl1.Ref(line) {
 		t.row.DL1Miss++
-		t.dl1.Insert(line, 0)
 	}
 }
 

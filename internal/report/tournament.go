@@ -110,7 +110,7 @@ func TournamentBatch(reg *workloads.Registry, names []string, tc TournamentConfi
 			if nRate > 0 {
 				row.Ratio = mRate / nRate
 			}
-			row.Speedup = tm.SpeedupWeighted(baseline.Outcome(), row.Migrated.Outcome(), pmig, row.WeightedCost)
+			row.Speedup = tm.Speedup(baseline.Outcome(), row.Migrated.Outcome(), pmig, row.WeightedCost)
 			if be, ok := migration.MissesRemovedPerMigration(baseline.Outcome(), row.Migrated.Outcome()); ok {
 				row.BreakEvenPmig = be
 				row.HasMigrations = true

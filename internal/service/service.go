@@ -189,19 +189,19 @@ func New(cfg Config) *Service {
 	s.readyz = health.NewChecker()
 	s.readyz.Register("admitting", func() error {
 		if s.Draining() {
-			return health.Failf("draining")
+			return fmt.Errorf("draining")
 		}
 		return nil
 	})
 	s.readyz.Register("worker_pool", func() error {
 		if s.metrics.QueueDepth.Value() >= s.queueCap && s.queueCap > 0 {
-			return health.Failf("admission queue full (%d waiting)", s.queueCap)
+			return fmt.Errorf("admission queue full (%d waiting)", s.queueCap)
 		}
 		return nil
 	})
 	s.readyz.Register("recovery", func() error {
 		if !s.recoveryDone.Load() {
-			return health.Failf("spool recovery in progress")
+			return fmt.Errorf("spool recovery in progress")
 		}
 		return nil
 	})

@@ -227,11 +227,6 @@ func MergeRows(rowsets ...[]Row) []Row {
 	return out
 }
 
-// WriteJSONL writes one JSON object per line for each row.
-func WriteJSONL(w io.Writer, rows []Row) error {
-	return WriteJSONLWithFooter(w, rows, 0)
-}
-
 // Footer is the trailing accounting line of a capped timeline's JSONL:
 // it has no "machine" key, so row consumers can distinguish it, and it
 // only appears when rows were actually dropped (an uncapped run's

@@ -41,10 +41,9 @@ func (s *wsSink) Access(a mem.Addr, k mem.Kind) {
 	}
 	s.dataRefs++
 	s.dataLines[line] = true
-	if _, ok := s.dl1.Access(line); ok {
+	if s.dl1.Ref(line) {
 		return
 	}
-	s.dl1.Insert(line, 0)
 	s.stack.Ref(line)
 }
 
