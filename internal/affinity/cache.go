@@ -19,10 +19,7 @@ import (
 type Cache struct {
 	ways     int
 	setsLog2 uint
-	lines    []mem.Line
-	oe       []int64
-	valid    []bool
-	age      []uint8
+	entries  []entry
 
 	// skew computes a line's candidate frames; cand holds them for the
 	// current call, so Lookup, Store and touch share one evaluation of
@@ -33,6 +30,17 @@ type Cache struct {
 	// Stats. A telemetry registry exposes them as views (see
 	// telemetry.Registry.View), so these are their only counts.
 	Hits, Misses, Evictions uint64
+}
+
+// entry is one frame of the cache. Its fields sit side by side so a
+// lookup loads one host cache line per candidate frame. Oe stays 64
+// bits wide, as the mechanism's registers may widen. An invalid frame
+// still ages (touch ages every candidate), so it keeps a valid bit.
+type entry struct {
+	line  mem.Line
+	oe    int64
+	age   uint8
+	valid bool
 }
 
 // NewCache builds an affinity cache with the given total entry count
@@ -54,10 +62,7 @@ func NewCache(entries, ways int) *Cache {
 	return &Cache{
 		ways:     ways,
 		setsLog2: log2,
-		lines:    make([]mem.Line, entries),
-		oe:       make([]int64, entries),
-		valid:    make([]bool, entries),
-		age:      make([]uint8, entries),
+		entries:  make([]entry, entries),
 		skew:     cache.NewSkew(ways, log2),
 		cand:     make([]int32, ways),
 	}
@@ -77,10 +82,10 @@ func (c *Cache) frames(line mem.Line) []int32 {
 //emlint:hotpath
 func (c *Cache) touch(fr []int32, hit int32) {
 	for _, f := range fr {
-		if f == hit {
-			c.age[f] = 0
-		} else if c.age[f] < 3 {
-			c.age[f]++
+		if e := &c.entries[f]; f == hit {
+			e.age = 0
+		} else if e.age < 3 {
+			e.age++
 		}
 	}
 }
@@ -91,10 +96,10 @@ func (c *Cache) touch(fr []int32, hit int32) {
 func (c *Cache) Lookup(line mem.Line) (int64, bool) {
 	fr := c.frames(line)
 	for _, f := range fr {
-		if c.valid[f] && c.lines[f] == line {
+		if e := &c.entries[f]; e.valid && e.line == line {
 			c.Hits++
 			c.touch(fr, f)
-			return c.oe[f], true
+			return e.oe, true
 		}
 	}
 	c.Misses++
@@ -108,8 +113,8 @@ func (c *Cache) Store(line mem.Line, oe int64) {
 	fr := c.frames(line)
 	// Update in place on hit.
 	for _, f := range fr {
-		if c.valid[f] && c.lines[f] == line {
-			c.oe[f] = oe
+		if e := &c.entries[f]; e.valid && e.line == line {
+			e.oe = oe
 			c.touch(fr, f)
 			return
 		}
@@ -117,31 +122,31 @@ func (c *Cache) Store(line mem.Line, oe int64) {
 	// Allocate: invalid frame first, else oldest age.
 	victim, bestAge := int32(-1), -1
 	for _, f := range fr {
-		if !c.valid[f] {
+		e := &c.entries[f]
+		if !e.valid {
 			victim = f
 			break
 		}
-		if int(c.age[f]) > bestAge {
-			victim, bestAge = f, int(c.age[f])
+		if int(e.age) > bestAge {
+			victim, bestAge = f, int(e.age)
 		}
 	}
-	if c.valid[victim] {
+	e := &c.entries[victim]
+	if e.valid {
 		c.Evictions++
 	}
-	c.lines[victim] = line
-	c.oe[victim] = oe
-	c.valid[victim] = true
+	e.line, e.oe, e.valid = line, oe, true
 	c.touch(fr, victim)
 }
 
 // Entries returns the total entry count.
-func (c *Cache) Entries() int { return len(c.lines) }
+func (c *Cache) Entries() int { return len(c.entries) }
 
 // Resident returns the number of valid entries.
 func (c *Cache) Resident() int {
 	n := 0
-	for _, v := range c.valid {
-		if v {
+	for _, e := range c.entries {
+		if e.valid {
 			n++
 		}
 	}

@@ -148,35 +148,45 @@ func (u *Unbounded) SetState(st UnboundedState) error {
 
 // State returns a deep copy of the cache's state.
 func (c *Cache) State() CacheState {
-	return CacheState{
+	n := len(c.entries)
+	st := CacheState{
 		Ways:      c.ways,
 		SetsLog2:  c.setsLog2,
-		Lines:     append([]mem.Line(nil), c.lines...),
-		Oe:        append([]int64(nil), c.oe...),
-		Valid:     append([]bool(nil), c.valid...),
-		Age:       append([]uint8(nil), c.age...),
+		Lines:     make([]mem.Line, n),
+		Oe:        make([]int64, n),
+		Valid:     make([]bool, n),
+		Age:       make([]uint8, n),
 		Hits:      c.Hits,
 		Misses:    c.Misses,
 		Evictions: c.Evictions,
 	}
+	for f, e := range c.entries {
+		st.Lines[f], st.Oe[f], st.Valid[f], st.Age[f] = e.line, e.oe, e.valid, e.age
+	}
+	return st
 }
 
 // SetState restores a previously captured state. The receiving cache
-// must have the same shape.
+// must have the same shape, and every age must fit the 2-bit policy. A
+// rejected state leaves the cache unchanged.
 func (c *Cache) SetState(st CacheState) error {
 	if st.Ways != c.ways || st.SetsLog2 != c.setsLog2 {
 		return fmt.Errorf("affinity: state shape %d-way/2^%d sets, cache is %d-way/2^%d",
 			st.Ways, st.SetsLog2, c.ways, c.setsLog2)
 	}
-	n := len(c.lines)
+	n := len(c.entries)
 	if len(st.Lines) != n || len(st.Oe) != n || len(st.Valid) != n || len(st.Age) != n {
 		return fmt.Errorf("affinity: state arrays sized %d/%d/%d/%d, want %d entries",
 			len(st.Lines), len(st.Oe), len(st.Valid), len(st.Age), n)
 	}
-	copy(c.lines, st.Lines)
-	copy(c.oe, st.Oe)
-	copy(c.valid, st.Valid)
-	copy(c.age, st.Age)
+	for f, a := range st.Age {
+		if a > 3 {
+			return fmt.Errorf("affinity: state entry %d age %d exceeds 3", f, a)
+		}
+	}
+	for f := range c.entries {
+		c.entries[f] = entry{line: st.Lines[f], oe: st.Oe[f], age: st.Age[f], valid: st.Valid[f]}
+	}
 	c.Hits, c.Misses, c.Evictions = st.Hits, st.Misses, st.Evictions
 	return nil
 }

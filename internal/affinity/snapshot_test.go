@@ -120,3 +120,37 @@ func TestSplitterStateRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheSetStateRejectsBadAge: ages are 2-bit counters saturating at
+// 3, so a checkpoint age above 3 is refused and leaves the cache as it
+// was.
+func TestCacheSetStateRejectsBadAge(t *testing.T) {
+	src := NewCache(64, 4)
+	for i := 0; i < 40; i++ {
+		src.Store(mem.Line(i*5), int64(i))
+	}
+	for _, tc := range []struct {
+		name string
+		age  uint8
+		ok   bool
+	}{
+		{"age 0", 0, true},
+		{"age 3", 3, true},
+		{"age 4", 4, false},
+		{"age 255", 255, false},
+	} {
+		st := src.State()
+		st.Age[7] = tc.age
+		c := NewCache(64, 4)
+		want := c.State()
+		if tc.ok {
+			want = st
+		}
+		if err := c.SetState(st); (err == nil) != tc.ok {
+			t.Errorf("%s: SetState error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if got := c.State(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: state after SetState %+v, want %+v", tc.name, got, want)
+		}
+	}
+}

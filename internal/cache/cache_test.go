@@ -1,12 +1,25 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
+
+// Access is Lookup that makes a hit the most recently used line, with
+// no victim recorded: the tests' second path into Insert, besides
+// Probe and InsertProbed.
+func (c *SetAssoc) Access(line mem.Line) (Handle, bool) {
+	h, ok := c.Lookup(line)
+	if ok {
+		c.clock++
+		c.frames[h].stamp = c.clock
+	}
+	return h, ok
+}
 
 // TestFullyAssocLRUOrder checks exact LRU behaviour on a tiny cache:
 // each reference's hit or miss follows from the recency order alone.
@@ -277,6 +290,54 @@ func TestSkewFramesMatchSkewIndex(t *testing.T) {
 					t.Fatalf("setsLog2 %d way %d line %#x: frame %d, want %d", sl, w, line, f, want)
 				}
 			}
+		}
+	}
+}
+
+// TestSetAssocSetStateRejectsUnreachable: a checkpoint is input from
+// outside the program, so SetState must refuse a state no cache can
+// reach — a valid bit that disagrees with the stamp (stamp 0 is what
+// marks a frame invalid), a stamp past the clock, a resident count that
+// is not the number of valid frames — and leave the cache unchanged.
+func TestSetAssocSetStateRejectsUnreachable(t *testing.T) {
+	geo := Geometry{Ways: 2, SetsLog2: 2}
+	src := NewSetAssoc(geo)
+	for _, l := range []mem.Line{0, 1, 4, 5, 1} {
+		if _, ok := src.Probe(l); !ok {
+			src.InsertProbed(l, FlagModified)
+		}
+	}
+	base := src.State() // frames 0, 1, 4, 5 valid; 2, 3, 6, 7 empty
+	for _, tc := range []struct {
+		name string
+		edit func(*SetAssocState)
+		ok   bool
+	}{
+		{"reachable", func(*SetAssocState) {}, true},
+		{"valid without stamp", func(s *SetAssocState) { s.Valid[2] = true; s.Count++ }, false},
+		{"stamp without valid", func(s *SetAssocState) { s.Stamp[2] = 1 }, false},
+		{"valid cleared", func(s *SetAssocState) { s.Valid[0] = false; s.Count-- }, false},
+		{"stamp past clock", func(s *SetAssocState) { s.Stamp[0] = s.Clock + 1 }, false},
+		{"count high", func(s *SetAssocState) { s.Count++ }, false},
+		{"count low", func(s *SetAssocState) { s.Count-- }, false},
+		{"short column", func(s *SetAssocState) { s.Stamp = s.Stamp[1:] }, false},
+		{"other geometry", func(s *SetAssocState) { s.Geo.Skewed = true }, false},
+	} {
+		st := src.State()
+		tc.edit(&st)
+		c := NewSetAssoc(geo)
+		before := c.State()
+		err := c.SetState(st)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: SetState error %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		want := before
+		if tc.ok {
+			want = base
+		}
+		if got := c.State(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: state after SetState %+v, want %+v", tc.name, got, want)
 		}
 	}
 }

@@ -8,13 +8,11 @@ import "repro/internal/mem"
 // victim on insertion is the least-recently-used frame among the Ways
 // candidate frames — the natural LRU generalisation for skewed caches.
 type SetAssoc struct {
-	geo   Geometry
-	lines []mem.Line
-	valid []bool
-	flags []uint8
-	stamp []uint64
-	clock uint64
-	count int
+	geo    Geometry
+	frames []frame
+	flags  []uint8
+	clock  uint64
+	count  int
 
 	// setMask and wayStride are derived from geo once at construction:
 	// Lookup runs per simulated reference, and rederiving the mask and
@@ -38,6 +36,18 @@ type SetAssoc struct {
 	probeOK     bool     //emlint:nosnapshot probe scratch, rebuilt by the next Probe
 }
 
+// frame is one line frame: its tag and its LRU stamp side by side, so a
+// candidate walk loads one host cache line per frame (the walk is
+// memory-bound: the L2's frames span 128 KB per cache). A frame is
+// invalid exactly when its stamp is 0, since fill stamps with clock+1
+// and nothing invalidates a frame; so the LRU victim rule "first
+// invalid candidate, else the oldest" is "minimum stamp, lowest way on
+// ties", and no valid bit is stored.
+type frame struct {
+	line  mem.Line
+	stamp uint64
+}
+
 // NewSetAssoc builds a set-associative cache with the given geometry.
 func NewSetAssoc(geo Geometry) *SetAssoc {
 	if err := geo.Validate(); err != nil {
@@ -47,10 +57,8 @@ func NewSetAssoc(geo Geometry) *SetAssoc {
 	n := geo.Frames()
 	c := &SetAssoc{
 		geo:       geo,
-		lines:     make([]mem.Line, n),
-		valid:     make([]bool, n),
+		frames:    make([]frame, n),
 		flags:     make([]uint8, n),
-		stamp:     make([]uint64, n),
 		setMask:   uint64(1)<<geo.SetsLog2 - 1,
 		wayStride: int32(1) << geo.SetsLog2,
 	}
@@ -60,31 +68,26 @@ func NewSetAssoc(geo Geometry) *SetAssoc {
 	return c
 }
 
-// frameOf returns the frame index of way w for line.
-func (c *SetAssoc) frameOf(w int, line mem.Line) int32 {
-	var set uint32
-	if c.geo.Skewed {
-		set = SkewIndex(w, line, c.geo.SetsLog2)
-	} else {
-		set = uint32(uint64(line) & c.setMask)
-	}
-	return int32(w)<<c.geo.SetsLog2 + int32(set)
-}
+// indexed reports whether line's candidate frames are set + w*wayStride:
+// true unless the cache is skewed over more than one set (a single-set
+// skewed cache indexes set 0 in every way).
+//
+//emlint:hotpath
+func (c *SetAssoc) indexed() bool { return !c.geo.Skewed || c.geo.SetsLog2 == 0 }
 
 // Lookup finds line without touching replacement state.
 //
 // The two indexing schemes are split into separate loops: the
-// non-skewed walk strides a precomputed frame index instead of calling
-// frameOf, and the skewed walk keeps the SkewIndex call but avoids the
-// per-way branch. This is the single hottest function of the simulator
-// (every Access probes up to three cache levels through it).
+// set-indexed walk strides a precomputed frame index, and the skewed
+// walk shares one decomposition of the line across its ways. This is
+// one of the hottest functions of the simulator.
 //
 //emlint:hotpath
 func (c *SetAssoc) Lookup(line mem.Line) (Handle, bool) {
-	if !c.geo.Skewed {
+	if c.indexed() {
 		f := int32(uint64(line) & c.setMask)
 		for w := 0; w < c.geo.Ways; w++ {
-			if c.valid[f] && c.lines[f] == line {
+			if fr := &c.frames[f]; fr.line == line && fr.stamp != 0 {
 				return Handle(f), true
 			}
 			f += c.wayStride
@@ -92,94 +95,57 @@ func (c *SetAssoc) Lookup(line mem.Line) (Handle, bool) {
 		return -1, false
 	}
 	sl := c.geo.SetsLog2
-	if sl == 0 {
-		for w := 0; w < c.geo.Ways; w++ {
-			if c.valid[w] && c.lines[w] == line {
-				return Handle(w), true
-			}
-		}
-		return -1, false
-	}
 	a1, a2, hiK := c.skew.split(line)
 	for w := 0; w < c.geo.Ways; w++ {
 		f := int32(w)<<sl + int32(c.skew.set(w, a1, a2, hiK))
-		if c.valid[f] && c.lines[f] == line {
+		if fr := &c.frames[f]; fr.line == line && fr.stamp != 0 {
 			return Handle(f), true
 		}
 	}
 	return -1, false
 }
 
-// Probe is Access (lookup + LRU touch on hit) that additionally selects
-// the would-be insertion victim during the walk on a miss — the first
-// invalid candidate frame, else the least-recently-used candidate,
-// exactly the choice Insert would make. A following InsertProbed of the
-// same line then fills that frame directly, with no second scan and no
-// re-run of the indexing functions. The recorded victim stays valid
-// until the next Probe on this cache; the caller must not mutate this
-// cache between the Probe miss and its InsertProbed (interleaved
-// operations on *other* caches are fine — see Machine.request).
+// Probe is Lookup that makes a hit the most recently used line and, on
+// a miss, selects the would-be insertion victim during the walk: the
+// candidate with the minimum stamp, lowest way on ties (an invalid
+// frame's stamp is 0). A following InsertProbed of the same line then
+// fills that frame directly, with no second scan and no re-run of the
+// indexing functions. The recorded victim stays valid until the next
+// Probe on this cache; the caller must not mutate this cache between
+// the Probe miss and its InsertProbed (interleaved operations on
+// *other* caches are fine — see Machine.request).
 //
 //emlint:hotpath
 func (c *SetAssoc) Probe(line mem.Line) (Handle, bool) {
 	best := int32(-1)
 	bestStamp := ^uint64(0)
-	haveInvalid := false
-	if !c.geo.Skewed {
+	if c.indexed() {
 		f := int32(uint64(line) & c.setMask)
 		for w := 0; w < c.geo.Ways; w++ {
-			if c.valid[f] {
-				if c.lines[f] == line {
-					c.clock++
-					c.stamp[f] = c.clock
-					return Handle(f), true
-				}
-				if !haveInvalid && c.stamp[f] < bestStamp {
-					best = f
-					bestStamp = c.stamp[f]
-				}
-			} else if !haveInvalid {
-				best = f
-				haveInvalid = true
+			fr := &c.frames[f]
+			if fr.line == line && fr.stamp != 0 {
+				c.clock++
+				fr.stamp = c.clock
+				return Handle(f), true
+			}
+			if fr.stamp < bestStamp {
+				best, bestStamp = f, fr.stamp
 			}
 			f += c.wayStride
 		}
-	} else if sl := c.geo.SetsLog2; sl > 0 {
+	} else {
+		sl := c.geo.SetsLog2
 		a1, a2, hiK := c.skew.split(line)
 		for w := 0; w < c.geo.Ways; w++ {
 			f := int32(w)<<sl + int32(c.skew.set(w, a1, a2, hiK))
-			if c.valid[f] {
-				if c.lines[f] == line {
-					c.clock++
-					c.stamp[f] = c.clock
-					return Handle(f), true
-				}
-				if !haveInvalid && c.stamp[f] < bestStamp {
-					best = f
-					bestStamp = c.stamp[f]
-				}
-			} else if !haveInvalid {
-				best = f
-				haveInvalid = true
+			fr := &c.frames[f]
+			if fr.line == line && fr.stamp != 0 {
+				c.clock++
+				fr.stamp = c.clock
+				return Handle(f), true
 			}
-		}
-	} else {
-		// Degenerate single-set skewed cache: every way indexes set 0.
-		for w := 0; w < c.geo.Ways; w++ {
-			f := int32(w)
-			if c.valid[f] {
-				if c.lines[f] == line {
-					c.clock++
-					c.stamp[f] = c.clock
-					return Handle(f), true
-				}
-				if !haveInvalid && c.stamp[f] < bestStamp {
-					best = f
-					bestStamp = c.stamp[f]
-				}
-			} else if !haveInvalid {
-				best = f
-				haveInvalid = true
+			if fr.stamp < bestStamp {
+				best, bestStamp = f, fr.stamp
 			}
 		}
 	}
@@ -206,58 +172,33 @@ func (c *SetAssoc) InsertProbed(line mem.Line, flags uint8) (Handle, Victim) {
 	return c.fill(c.probeVictim, line, flags)
 }
 
-// Access is Lookup that makes a hit the most recently used line.
-func (c *SetAssoc) Access(line mem.Line) (Handle, bool) {
-	h, ok := c.Lookup(line)
-	if ok {
-		c.clock++
-		c.stamp[h] = c.clock
-	}
-	return h, ok
-}
-
 // Insert places line, which must not be present, as the most recently
 // used line and returns the victim, if a valid line was evicted. The
 // returned handle addresses the inserted line.
 func (c *SetAssoc) Insert(line mem.Line, flags uint8) (Handle, Victim) {
-	// Choose the victim frame: an invalid candidate if any, else the
-	// LRU among the Ways candidates.
-	best := int32(-1)
-	for w := 0; w < c.geo.Ways; w++ {
-		f := c.frameOf(w, line)
-		if c.valid[f] && c.lines[f] == line {
-			//emlint:allowpanic documented precondition: callers Insert only after a miss on the same line
-			panic("cache: Insert of resident line")
-		}
-		if !c.valid[f] {
-			if best == -1 || c.valid[best] {
-				best = f
-			}
-			continue
-		}
-		if best == -1 || (c.valid[best] && c.stamp[f] < c.stamp[best]) {
-			best = f
-		}
+	if _, ok := c.Probe(line); ok {
+		//emlint:allowpanic documented precondition: callers Insert only after a miss on the same line
+		panic("cache: Insert of resident line")
 	}
-	return c.fill(best, line, flags)
+	c.probeOK = false
+	return c.fill(c.probeVictim, line, flags)
 }
 
-// fill writes line into frame best (the victim chosen by Insert or
-// InsertProbed) and returns the displaced occupant, if any.
+// fill writes line into frame best (the victim chosen by a Probe miss)
+// and returns the displaced occupant, if any.
 //
 //emlint:hotpath
 func (c *SetAssoc) fill(best int32, line mem.Line, flags uint8) (Handle, Victim) {
 	var v Victim
-	if c.valid[best] {
-		v = Victim{Line: c.lines[best], Flags: c.flags[best], Valid: true}
+	fr := &c.frames[best]
+	if fr.stamp != 0 {
+		v = Victim{Line: fr.line, Flags: c.flags[best], Valid: true}
 	} else {
 		c.count++
 	}
-	c.lines[best] = line
-	c.valid[best] = true
-	c.flags[best] = flags
 	c.clock++
-	c.stamp[best] = c.clock
+	*fr = frame{line: line, stamp: c.clock}
+	c.flags[best] = flags
 	return Handle(best), v
 }
 

@@ -676,11 +676,11 @@ func (m *Machine) fetch(l2 *cache.SetAssoc, line mem.Line, isStore bool) {
 		}
 	}
 	if m.l3 != nil {
-		if _, ok := m.l3.Access(line); ok {
+		if _, ok := m.l3.Probe(line); ok {
 			m.Stats.L3Hits++
 		} else {
 			m.Stats.L3Misses++
-			_, v3 := m.l3.Insert(line, 0)
+			_, v3 := m.l3.InsertProbed(line, 0)
 			if v3.Valid && v3.Flags&cache.FlagModified != 0 {
 				m.Stats.MemWritebacks++
 			}
