@@ -351,7 +351,7 @@ func TestParallelStopAfterDeterministic(t *testing.T) {
 
 // TestSIGTERMGracefulStop mirrors TestSIGINTGracefulStop for SIGTERM:
 // the shared handler treats both signals as the same graceful-stop
-// request, so a terminated run leaves a resumable EMCKPT1 checkpoint
+// request, so a terminated run leaves a resumable EMCKPT2 checkpoint
 // that reproduces the uninterrupted run's stats exactly.
 func TestSIGTERMGracefulStop(t *testing.T) {
 	dir := t.TempDir()
@@ -392,8 +392,8 @@ func TestSIGTERMGracefulStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if string(magic) != "EMCKPT1\n" {
-		t.Fatalf("checkpoint magic %q, want EMCKPT1", magic)
+	if string(magic) != "EMCKPT2\n" {
+		t.Fatalf("checkpoint magic %q, want EMCKPT2", magic)
 	}
 
 	q := runParams{Resume: ckpt}

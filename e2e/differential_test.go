@@ -7,17 +7,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"repro/internal/machine"
 )
 
 // The differential suite proves the policy refactor changed nothing the
 // paper's experiments can observe: every output of the pre-refactor
 // binaries — report text, -json bytes, timeline JSONL, tables, the
-// Fig. 3 affinity plot, EMCKPT1 checkpoint bytes — was recorded into
+// Fig. 3 affinity plot, an EMCKPT1 checkpoint — was recorded into
 // testdata/prerefactor/ at the commit before the migration controller
 // became a plugin, and the current binaries must reproduce each of them
-// byte for byte, serially and under every worker count. These goldens
-// are a historical record: they are never regenerated with -update.
+// byte for byte, serially and under every worker count; the checkpoint,
+// written in the format emsim no longer writes, must resume to the
+// recorded output. These goldens are a historical record: they are
+// never regenerated with -update.
 
 // readPrerefactor loads one recorded pre-refactor output.
 func readPrerefactor(t *testing.T, name string) []byte {
@@ -103,31 +108,40 @@ func TestDifferentialFig3(t *testing.T) {
 	diffBytes(t, "fig3", []byte(stdout), want)
 }
 
-// TestDifferentialCheckpointBytes: a default-configuration run writes
-// EMCKPT1 files byte-identical to the pre-refactor binary's — the
-// optional policy extension must be absent for Michaud-on-uniform, even
+// TestDifferentialCheckpointBytes: the frozen EMCKPT1 checkpoint of the
+// pre-refactor binary resumes to that binary's recorded -json output,
+// and the same run writes pinned EMCKPT2 bytes today — the same bytes
 // when the defaults are spelled out.
 func TestDifferentialCheckpointBytes(t *testing.T) {
-	want := readPrerefactor(t, "emsim_mst.ckpt.golden")
-	base := []string{"-workload", "mst", "-instr", "200000", "-cores", "4",
-		"-checkpoint-every", "100000", "-json"}
+	frozen := filepath.Join("testdata", "prerefactor", "emsim_mst.ckpt.golden")
+	resumed, _ := runCLI(t, "emsim", "-resume", frozen, "-json")
+	diffBytes(t, "resume of the frozen EMCKPT1 checkpoint", []byte(resumed), readPrerefactor(t, "emsim_json_mst.golden"))
+
+	base := []string{"-workload", "mst", "-instr", "200000", "-cores", "4", "-checkpoint-every", "100000"}
 	for _, extra := range [][]string{
 		nil,
 		{"-policy", "michaud", "-topology", "uniform"},
 	} {
-		ck := filepath.Join(t.TempDir(), "run.ckpt")
-		runCLI(t, "emsim", append(append(append([]string{}, base...), "-checkpoint", ck), extra...)...)
-		got, err := os.ReadFile(ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffBytes(t, fmt.Sprintf("checkpoint bytes (extra flags %v)", extra), got, want)
+		checkCheckpointSHA(t, append(append([]string{}, base...), extra...),
+			"34351d97464f4a23b437ce5842b548f857c1918ebac89870f595c2c0a61d3151")
 	}
 }
 
 // checkCheckpointSHA runs emsim with args, checkpointing, and compares
-// the checkpoint file's SHA-256 against the recorded one.
+// the checkpoint file's SHA-256 against the recorded one. The bytes are
+// pinned only through the emsim process: gob numbers its types per
+// process in first-use order, so an in-process WriteCheckpoint's bytes
+// depend on what the process encoded before.
 func checkCheckpointSHA(t *testing.T, args []string, sha string) {
+	t.Helper()
+	if sum := sha256.Sum256(checkpointOf(t, args)); hex.EncodeToString(sum[:]) != sha {
+		t.Errorf("%v: checkpoint SHA-256 %x, recorded %s", args, sum, sha)
+	}
+}
+
+// checkpointOf runs emsim with args, checkpointing, and returns the
+// checkpoint file's bytes.
+func checkpointOf(t *testing.T, args []string) []byte {
 	t.Helper()
 	ck := filepath.Join(t.TempDir(), "run.ckpt")
 	runCLI(t, "emsim", append(args, "-checkpoint", ck, "-json")...)
@@ -135,62 +149,84 @@ func checkCheckpointSHA(t *testing.T, args []string, sha string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum := sha256.Sum256(got); hex.EncodeToString(sum[:]) != sha {
-		t.Errorf("%v: checkpoint SHA-256 %x, recorded %s", args, sum, sha)
-	}
+	return got
 }
 
-// TestCheckpointBytesTwoAndEightCores pins the EMCKPT1 bytes of a 2-core
-// and an 8-core run by SHA-256, recorded once like the 4-core golden
-// above: the splitter's state has one shape per core count, and each
-// must keep its bytes. Both runs checkpoint mid-stream, so the
-// splitter's window, registers and filters are all live.
+// TestCheckpointBytesTwoAndEightCores pins the EMCKPT2 bytes of a 2-core
+// and an 8-core run by SHA-256, like the 4-core run above: the
+// splitter's state has one shape per core count, and each must keep its
+// bytes. Both runs checkpoint mid-stream, so the splitter's window,
+// registers and filters are all live.
 func TestCheckpointBytesTwoAndEightCores(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		sha  string
 	}{
 		{[]string{"-workload", "179.art", "-instr", "300000", "-cores", "2", "-checkpoint-every", "50000"},
-			"0a52a9d4150c1c1eeb947b2897288b4863dc766ce91f02ba28ccbe7d2962a547"},
+			"863f720f2951d6d30c17d7596f8fef662d8b8141c5dc55a8d3926439e4c28129"},
 		{[]string{"-workload", "em3d", "-instr", "200000", "-cores", "8", "-checkpoint-every", "100000"},
-			"fc8bd3d824b4edf357823acf84f7f82a9fabd50d193c1f5cf79db4f9e86692a1"},
+			"996de757c1b5064322f6ffdc2d7ea4fd58cb1ee992ee5ae935b5cbef188d8e1d"},
 	} {
 		checkCheckpointSHA(t, tc.args, tc.sha)
 	}
 }
 
-// TestCheckpointBytesPolicies pins by SHA-256 the EMCKPT1 bytes of the
-// three scenarios whose policy state rides the checkpoint extension:
-// numa on a ring (a gob NumaState, captured here with a move in flight:
-// target 1, pending 2), the never baseline (a NeverState), and the
-// default policy on a ring (a ControllerState envelope beside
-// Snapshot.Controller). TestPolicyCheckpointRoundTrip only proves these
-// resume; this proves their encoding holds.
+// TestCheckpointBytesPolicies pins by SHA-256 the EMCKPT2 bytes of the
+// scenarios beyond the default: numa on a ring (captured here with a
+// move in flight: target 1, pending 2), the never baseline, and the
+// default policy on a ring. TestPolicyCheckpointRoundTrip only proves
+// these resume; this proves their encoding holds.
 func TestCheckpointBytesPolicies(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		sha  string
 	}{
 		{[]string{"-workload", "181.mcf", "-instr", "200000", "-cores", "4", "-policy", "numa", "-topology", "ring", "-checkpoint-every", "59000"},
-			"9a07b1af6b944078c9de9970c89d9f7ef3a5b3115d820fe1f98b887312237aac"},
+			"6b93c4e3d8ffb14fcbfa928f3529f9a10654b724485a1651971d9b678f40fac5"},
 		{[]string{"-workload", "181.mcf", "-instr", "200000", "-cores", "4", "-policy", "never", "-checkpoint-every", "100000"},
-			"522d7748675b1bedef592d9161a7ebce4f8ed8d9392a742cb1c08ab1587fff79"},
+			"f4d3a6f34f207327db7ee2111d90e33f19f502a8a53d531745a0718d5865a1f7"},
 		{[]string{"-workload", "em3d", "-instr", "200000", "-cores", "4", "-topology", "ring", "-checkpoint-every", "100000"},
-			"9ca7572f8b0af53e2cd151f0fae8bebe6b40c10692d3d563d1419bac0109ce50"},
+			"d2c06f5606ea4c15b52cca9a1a7541e4619323941922fd08bcc006e03dd1ea3c"},
 	} {
 		checkCheckpointSHA(t, tc.args, tc.sha)
 	}
 }
 
+// TestCheckpointRingNamesOnlyTopology: the default policy ignores the
+// topology, so its checkpoint on a ring decodes to the uniform chip's
+// checkpoint but for the Topology name — its state is written once.
+func TestCheckpointRingNamesOnlyTopology(t *testing.T) {
+	base := []string{"-workload", "em3d", "-instr", "200000", "-cores", "4", "-checkpoint-every", "100000"}
+	var cks []*machine.Checkpoint
+	for _, topo := range []string{"uniform", "ring"} {
+		path := filepath.Join(t.TempDir(), topo+".ckpt")
+		if err := os.WriteFile(path, checkpointOf(t, append(append([]string{}, base...), "-topology", topo)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := machine.LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cks = append(cks, ck)
+	}
+	uniform, ring := cks[0], cks[1]
+	if uniform.Topology != "" || ring.Topology != "ring" {
+		t.Fatalf("topologies %q and %q, want \"\" and \"ring\"", uniform.Topology, ring.Topology)
+	}
+	ring.Topology = ""
+	if !reflect.DeepEqual(uniform, ring) {
+		t.Fatal("the default policy's ring checkpoint differs from the uniform one beyond its Topology")
+	}
+}
+
 // TestPolicyCheckpointRoundTrip: a non-default scenario checkpoints its
-// policy state through the EMCKPT1 extension and resumes to the exact
-// same result. The periodic checkpoint left behind by a completed run
-// captures the machines mid-stream, so resuming it replays only the
-// tail — any lost or mis-restored hysteresis state would change the
-// final counters.
+// policy state and resumes to the exact same result. The periodic
+// checkpoint left behind by a completed run captures the machines
+// mid-stream, so resuming it replays only the tail — any lost or
+// mis-restored hysteresis state would change the final counters.
 func TestPolicyCheckpointRoundTrip(t *testing.T) {
-	args := []string{"-workload", "mst", "-instr", "200000", "-cores", "4",
-		"-policy", "numa", "-topology", "cluster", "-json"}
+	base := []string{"-workload", "mst", "-instr", "200000", "-cores", "4", "-json"}
+	args := append(append([]string{}, base...), "-policy", "numa", "-topology", "cluster")
 	full, _ := runCLI(t, "emsim", args...)
 	if !bytes.Contains([]byte(full), []byte(`"policy": "numa"`)) ||
 		!bytes.Contains([]byte(full), []byte(`"topology": "cluster"`)) {
@@ -208,14 +244,14 @@ func TestPolicyCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// The default-config checkpoint and the numa checkpoint differ (the
-	// extension is present only in the latter).
-	defCk := readPrerefactor(t, "emsim_mst.ckpt.golden")
+	// scenario names and the policy state).
+	defCk := checkpointOf(t, append(append([]string{}, base...), "-checkpoint-every", "100000"))
 	got, err := os.ReadFile(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(got, defCk) {
-		t.Fatal("numa checkpoint is byte-identical to the default checkpoint: policy extension missing")
+		t.Fatal("numa checkpoint is byte-identical to the default checkpoint: scenario missing")
 	}
 }
 

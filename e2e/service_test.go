@@ -166,7 +166,7 @@ func TestServiceMatchesSerialCLI(t *testing.T) {
 
 // TestServiceDrainCheckpointsInFlight: SIGTERM with a job in flight and
 // a short -drain-timeout still exits 0, and the cancelled job leaves a
-// resumable EMCKPT1 checkpoint in the spool directory.
+// resumable EMCKPT2 checkpoint in the spool directory.
 func TestServiceDrainCheckpointsInFlight(t *testing.T) {
 	spool := t.TempDir()
 	d := startDaemon(t, "-spool", spool, "-drain-timeout", "200ms", "-workers", "1")
@@ -210,8 +210,8 @@ func TestServiceDrainCheckpointsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if string(magic) != "EMCKPT1\n" {
-		t.Fatalf("spooled checkpoint magic %q, want EMCKPT1", magic)
+	if string(magic) != "EMCKPT2\n" {
+		t.Fatalf("spooled checkpoint magic %q, want EMCKPT2", magic)
 	}
 }
 

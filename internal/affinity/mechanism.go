@@ -274,17 +274,6 @@ func (m *Mechanism) AffinityOf(e mem.Line) int64 {
 	return 0
 }
 
-// InWindow reports whether line e currently has at least one R-window
-// entry (instrumentation).
-func (m *Mechanism) InWindow(e mem.Line) bool {
-	for i := range m.win {
-		if m.win[i].line == e {
-			return true
-		}
-	}
-	return false
-}
-
 // Reset clears all state (window, registers, filter) but keeps the table.
 func (m *Mechanism) Reset() {
 	m.win = m.win[:0]

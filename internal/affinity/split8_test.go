@@ -1,6 +1,7 @@
 package affinity
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -151,7 +152,7 @@ func TestExactWindowDeduplicates(t *testing.T) {
 		m.Ref(mem.Line(3), false)
 	}
 	for i := 0; i < 8; i++ {
-		if !m.InWindow(mem.Line(i)) {
+		if !slices.ContainsFunc(m.win, func(e winEntry) bool { return e.line == mem.Line(i) }) {
 			t.Fatalf("line %d evicted by duplicates despite ExactWindow", i)
 		}
 	}

@@ -1,10 +1,10 @@
 // Package snapshotcomplete implements the emlint analyzer guarding the
 // checkpoint/resume invariant (DESIGN.md par.6): every struct that
-// offers a snapshot pair — Snapshot/Restore or State/SetState — must
-// reference each of its fields in BOTH methods, directly or through
-// same-package helpers they call. A field added to the machine, a
+// offers a snapshot pair — Snapshot/Restore, State/SetState or
+// PolicyState/SetPolicyState — must reference each of its fields in
+// BOTH methods, directly or through same-package helpers they call. A field added to the machine, a
 // cache, the affinity table, the LRU stack or the RNG without extending
-// the pair would otherwise resume from an EMCKPT1 checkpoint with
+// the pair would otherwise resume from an EMCKPT2 checkpoint with
 // silently reset state; this analyzer turns that into a build-time
 // diagnostic. Configuration and derived fields that are legitimately
 // rebuilt rather than serialised are exempted with //emlint:nosnapshot.
@@ -20,7 +20,7 @@ import (
 // Analyzer verifies snapshot pairs cover every field.
 var Analyzer = &analysis.Analyzer{
 	Name: "snapshotcomplete",
-	Doc: `verify Snapshot/Restore (State/SetState) pairs touch every field
+	Doc: `verify Snapshot/Restore (State/SetState, PolicyState/SetPolicyState) pairs touch every field
 
 For each struct type with both halves of a snapshot pair, every field
 must be referenced in the snapshot method AND the restore method,
@@ -31,8 +31,9 @@ derived or scratch fields with //emlint:nosnapshot <reason>.`,
 
 // pairNames maps a snapshot-side method name to its restore-side name.
 var pairNames = map[string]string{
-	"Snapshot": "Restore",
-	"State":    "SetState",
+	"Snapshot":    "Restore",
+	"State":       "SetState",
+	"PolicyState": "SetPolicyState",
 }
 
 func run(pass *analysis.Pass) error {

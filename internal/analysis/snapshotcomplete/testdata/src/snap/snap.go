@@ -1,7 +1,8 @@
 // Package snap is the golden fixture for the emlint snapshotcomplete
-// analyzer: structs with Snapshot/Restore or State/SetState pairs whose
-// coverage is deliberately incomplete, plus a pair that reaches its
-// fields through helpers and must stay clean.
+// analyzer: structs with Snapshot/Restore, State/SetState or
+// PolicyState/SetPolicyState pairs whose coverage is deliberately
+// incomplete, plus a pair that reaches its fields through helpers and
+// must stay clean.
 package snap
 
 // Machine carries one field each method misses, one field both miss,
@@ -78,3 +79,16 @@ type Half struct {
 
 // Snapshot alone does not constitute a pair.
 func (h *Half) Snapshot() int { return 0 }
+
+// Policy is a migration policy: its pair is PolicyState/SetPolicyState,
+// and the counter it forgets to save is reported.
+type Policy struct {
+	moves   int
+	pending int // want `field Policy.pending is not referenced by PolicyState or SetPolicyState`
+}
+
+// PolicyState captures moves only.
+func (p *Policy) PolicyState() int { return p.moves }
+
+// SetPolicyState restores moves only.
+func (p *Policy) SetPolicyState(moves int) { p.moves = moves }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/migration"
 	"repro/internal/telemetry"
@@ -83,7 +84,7 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 					if !reflect.DeepEqual(got.tel, want.tel) {
 						t.Errorf("telemetry diverges:\nreference: %+v\nbatched:   %+v", want.tel, got.tel)
 					}
-					if !reflect.DeepEqual(got.snap, want.snap) || !reflect.DeepEqual(got.policy, want.policy) {
+					if !reflect.DeepEqual(got, want) {
 						t.Error("machine state diverges between the reference and the batch kernel")
 					}
 				})
@@ -94,23 +95,18 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 
 // observed is everything a machine exposes about its run.
 type observed struct {
-	stats  Stats
-	tel    telemetry.Snapshot
-	snap   Snapshot
-	policy migration.PolicyState
+	stats    Stats
+	tel      telemetry.Snapshot
+	snap     Snapshot
+	il1, dl1 cache.SetAssocState
 }
 
 func machineState(t *testing.T, m *Machine) observed {
 	t.Helper()
-	o := observed{stats: m.FinalStats(), tel: m.Telemetry().Snapshot()}
+	o := observed{stats: m.FinalStats(), tel: m.Telemetry().Snapshot(), il1: m.il1.State(), dl1: m.dl1.State()}
 	var err error
 	if o.snap, err = m.Snapshot(); err != nil {
 		t.Fatal(err)
-	}
-	if m.Policy() != nil {
-		if o.policy, err = m.PolicyState(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return o
 }

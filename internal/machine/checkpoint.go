@@ -11,18 +11,20 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/cache"
 	"repro/internal/ioutilx"
-	"repro/internal/migration"
 )
 
-// Checkpoint file format ("EMCKPT1"): an 8-byte magic, a uvarint payload
-// length, a gob-encoded Checkpoint, and a little-endian CRC32 (IEEE) of
-// the payload. The CRC makes a half-written or bit-rotted checkpoint a
+// Checkpoint file format ("EMCKPT2"): an 8-byte magic, a uvarint payload
+// length, one gob-encoded Checkpoint, and a little-endian CRC32 (IEEE)
+// of the payload. The magic is the format and semantics version the
+// reader checks; EMCKPT1 files, the previous version, are read through
+// translateV1. The CRC makes a half-written or bit-rotted checkpoint a
 // detected error instead of a silently wrong resume; SaveCheckpoint
 // additionally writes through a temp file + rename so an interrupted
 // save never clobbers the previous good checkpoint.
 
-const checkpointMagic = "EMCKPT1\n"
+const checkpointMagic = "EMCKPT2\n"
 
 // NamedSnapshot pairs a machine snapshot with the role it plays in the
 // run (emsim checkpoints both the "normal" baseline and the "migration"
@@ -34,10 +36,11 @@ type NamedSnapshot struct {
 
 // Checkpoint is everything needed to resume an interrupted simulation:
 // the input identity (workload or trace file, instruction budget, core
-// count), how many input events the machines have consumed, and the
-// machine snapshots themselves. Resume rebuilds the machines from the
-// same configuration, restores the snapshots, and re-drives the
-// deterministic input with the first Events events discarded.
+// count, scenario), how many input events the machines have consumed,
+// the group's shared L1 front end, and the machine snapshots. Resume
+// rebuilds the machines from the same configuration, restores the
+// state, and re-drives the deterministic input with the first Events
+// events discarded.
 type Checkpoint struct {
 	// Workload is the workload name ("" when driven from a trace).
 	Workload string
@@ -47,70 +50,17 @@ type Checkpoint struct {
 	Instr uint64
 	// Cores is the migration machine's core count.
 	Cores int
+	// Policy and Topology name the run's scenario ("" means the michaud
+	// default / the uniform chip).
+	Policy, Topology string
 	// Events is the number of sink events (Access + Instr calls) the
 	// machines had consumed when the snapshot was taken.
 	Events uint64
 
+	// IL1 and DL1 are the L1 front end every machine of the group
+	// shares (§2.3 mirrors the L1s, so one copy is simulated).
+	IL1, DL1 cache.SetAssocState
 	Machines []NamedSnapshot
-
-	// ext carries scenario state beyond the original format: the policy
-	// and topology names plus non-Michaud policy states. It is
-	// unexported so gob skips it in the main Checkpoint value — the
-	// extension is serialised as an optional second gob value after the
-	// Checkpoint (still inside the CRC-covered payload), which keeps
-	// default-configuration checkpoint files byte-identical to the
-	// pre-policy format and lets old readers that stop after the first
-	// value ignore it.
-	ext *CheckpointExt
-}
-
-// CheckpointExt is the EMCKPT1 extension section: everything a
-// non-default scenario needs to resume that the original Checkpoint
-// shape cannot carry without changing its gob descriptor.
-type CheckpointExt struct {
-	// Policy and Topology name the run's configuration ("" means the
-	// Michaud default / uniform chip).
-	Policy   string
-	Topology string
-	// PolicyStates holds the per-machine policy state for machines whose
-	// policy is not the Michaud controller (whose state rides
-	// Snapshot.Controller). Keyed by NamedSnapshot name.
-	PolicyStates []NamedPolicyState
-}
-
-// NamedPolicyState pairs a policy state with the machine it belongs to.
-type NamedPolicyState struct {
-	Name  string
-	State migration.PolicyState
-}
-
-// State returns the policy state recorded for machine name, or an
-// error.
-func (e *CheckpointExt) State(name string) (migration.PolicyState, error) {
-	for _, ps := range e.PolicyStates {
-		if ps.Name == name {
-			return ps.State, nil
-		}
-	}
-	return migration.PolicyState{}, fmt.Errorf("checkpoint: no policy state for machine %q", name)
-}
-
-// Ext returns the extension section, nil for checkpoints written by the
-// original format or default-configuration runs.
-func (c *Checkpoint) Ext() *CheckpointExt { return c.ext }
-
-// SetExt attaches an extension section (nil detaches it, restoring the
-// original on-disk format).
-func (c *Checkpoint) SetExt(e *CheckpointExt) { c.ext = e }
-
-// Scenario returns the policy and topology names of the run the
-// checkpoint belongs to ("" for the defaults, which attach no
-// extension).
-func (c *Checkpoint) Scenario() (policy, topology string) {
-	if c.ext == nil {
-		return "", ""
-	}
-	return c.ext.Policy, c.ext.Topology
 }
 
 // Machine returns the named snapshot, or an error.
@@ -123,17 +73,55 @@ func (c *Checkpoint) Machine(name string) (*Snapshot, error) {
 	return nil, fmt.Errorf("checkpoint: no machine named %q", name)
 }
 
+// Capture returns a checkpoint of the group's state: its L1 section
+// once, and one snapshot per member, named by names in member order.
+// The caller fills in the run's identity.
+func (g *Group) Capture(names ...string) (*Checkpoint, error) {
+	if len(names) != len(g.ms) {
+		return nil, fmt.Errorf("machine: %d names for a group of %d", len(names), len(g.ms))
+	}
+	ck := &Checkpoint{IL1: g.il1.State(), DL1: g.dl1.State()}
+	for i, m := range g.ms {
+		s, err := m.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		ck.Machines = append(ck.Machines, NamedSnapshot{Name: names[i], Snap: s})
+	}
+	return ck, nil
+}
+
+// Restore loads ck into the group: the L1 section, then the snapshot
+// named names[i] into member i. The group must have been built from
+// the configurations that produced ck; after an error it is unusable
+// (see Machine.Restore).
+func (g *Group) Restore(ck *Checkpoint, names ...string) error {
+	if len(names) != len(g.ms) {
+		return fmt.Errorf("machine: %d names for a group of %d", len(names), len(g.ms))
+	}
+	if err := g.il1.SetState(ck.IL1); err != nil {
+		return fmt.Errorf("machine: IL1: %w", err)
+	}
+	if err := g.dl1.SetState(ck.DL1); err != nil {
+		return fmt.Errorf("machine: DL1: %w", err)
+	}
+	for i, m := range g.ms {
+		s, err := ck.Machine(names[i])
+		if err != nil {
+			return err
+		}
+		if err := m.Restore(*s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // WriteCheckpoint serialises ck to w.
 func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 	var payload bytes.Buffer
-	enc := gob.NewEncoder(&payload)
-	if err := enc.Encode(ck); err != nil {
+	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
 		return fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	if ck.ext != nil {
-		if err := enc.Encode(ck.ext); err != nil {
-			return fmt.Errorf("checkpoint: encode extension: %w", err)
-		}
 	}
 	bw := bufio.NewWriter(w)
 	bw.WriteString(checkpointMagic)
@@ -148,14 +136,15 @@ func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 }
 
 // ReadCheckpoint deserialises a checkpoint, verifying the magic, length
-// and CRC before decoding.
+// and CRC before decoding. An EMCKPT1 payload is translated to the
+// current shape (see translateV1).
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(checkpointMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("checkpoint: reading magic: %w", err)
 	}
-	if string(magic) != checkpointMagic {
+	if string(magic) != checkpointMagic && string(magic) != checkpointMagicV1 {
 		return nil, fmt.Errorf("checkpoint: bad magic %q", magic)
 	}
 	size, err := binary.ReadUvarint(br)
@@ -178,20 +167,12 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, fmt.Errorf("checkpoint: CRC mismatch: computed %08x, stored %08x", got, want)
 	}
-	var ck Checkpoint
-	dec := gob.NewDecoder(bytes.NewReader(payload))
-	if err := dec.Decode(&ck); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode: %w", err)
+	if string(magic) == checkpointMagicV1 {
+		return translateV1(payload)
 	}
-	// The extension section is optional: original-format checkpoints end
-	// after the Checkpoint value and decode cleanly with a nil ext.
-	var ext CheckpointExt
-	switch err := dec.Decode(&ext); err {
-	case nil:
-		ck.ext = &ext
-	case io.EOF:
-	default:
-		return nil, fmt.Errorf("checkpoint: decode extension: %w", err)
+	var ck Checkpoint
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
+		return nil, fmt.Errorf("checkpoint: decode: %w", err)
 	}
 	return &ck, nil
 }

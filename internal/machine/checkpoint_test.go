@@ -63,11 +63,21 @@ func captureSynthetic(lines, refs uint64) []recordedEvent {
 	return rec.evs
 }
 
-// TestCheckpointRoundTrip: snapshotting both machines mid-run, pushing
-// the snapshot through the serialised checkpoint format, restoring into
-// FRESH machines and finishing the run must give final stats
-// bit-identical to the uninterrupted run — for a SPEC analogue, an
-// Olden analogue and a synthetic workload.
+// pairGroup builds the experiment's two machines over one L1 front end.
+func pairGroup(t *testing.T) (g *Group, normal, mig *Machine) {
+	t.Helper()
+	g, err := NewGroup(NormalConfig(), MigrationConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, g.ms[0], g.ms[1]
+}
+
+// TestCheckpointRoundTrip: checkpointing both machines mid-run, pushing
+// the checkpoint through the serialised format, restoring into FRESH
+// machines and finishing the run must give final stats bit-identical
+// to the uninterrupted run — for a SPEC analogue, an Olden analogue and
+// a synthetic workload.
 func TestCheckpointRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
@@ -85,30 +95,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			}
 
 			// Uninterrupted reference run.
-			refNormal := MustNew(NormalConfig())
-			refMig := MustNew(MigrationConfig())
-			deliver(t, evs, refNormal, refMig)
+			ref, refNormal, refMig := pairGroup(t)
+			deliver(t, evs, ref)
 
 			// Interrupted run: stop at ~40%, checkpoint, restore, finish.
 			cut := len(evs) * 2 / 5
-			aNormal := MustNew(NormalConfig())
-			aMig := MustNew(MigrationConfig())
-			deliver(t, evs[:cut], aNormal, aMig)
+			a, _, _ := pairGroup(t)
+			deliver(t, evs[:cut], a)
 
-			ns, err := aNormal.Snapshot()
+			ck, err := a.Capture("normal", "migration")
 			if err != nil {
 				t.Fatal(err)
 			}
-			ms, err := aMig.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ck := &Checkpoint{
-				Workload: tc.name,
-				Cores:    4,
-				Events:   uint64(cut),
-				Machines: []NamedSnapshot{{Name: "normal", Snap: ns}, {Name: "migration", Snap: ms}},
-			}
+			ck.Workload, ck.Cores, ck.Events = tc.name, 4, uint64(cut)
 			var buf bytes.Buffer
 			if err := WriteCheckpoint(&buf, ck); err != nil {
 				t.Fatal(err)
@@ -121,23 +120,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				t.Fatalf("checkpoint metadata mangled: %+v", loaded)
 			}
 
-			bNormal := MustNew(NormalConfig())
-			bMig := MustNew(MigrationConfig())
-			lns, err := loaded.Machine("normal")
-			if err != nil {
+			b, bNormal, bMig := pairGroup(t)
+			if err := b.Restore(loaded, "normal", "migration"); err != nil {
 				t.Fatal(err)
 			}
-			if err := bNormal.Restore(*lns); err != nil {
-				t.Fatal(err)
-			}
-			lms, err := loaded.Machine("migration")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := bMig.Restore(*lms); err != nil {
-				t.Fatal(err)
-			}
-			deliver(t, evs[cut:], bNormal, bMig)
+			deliver(t, evs[cut:], b)
 
 			if got, want := bNormal.FinalStats(), refNormal.FinalStats(); got != want {
 				t.Errorf("normal stats diverged after resume:\n got %+v\nwant %+v", got, want)
@@ -145,8 +132,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			if got, want := bMig.FinalStats(), refMig.FinalStats(); got != want {
 				t.Errorf("migration stats diverged after resume:\n got %+v\nwant %+v", got, want)
 			}
-			if bMig.ActiveCore() != refMig.ActiveCore() {
-				t.Errorf("active core %d after resume, want %d", bMig.ActiveCore(), refMig.ActiveCore())
+			if bMig.active != refMig.active {
+				t.Errorf("active core %d after resume, want %d", bMig.active, refMig.active)
 			}
 		})
 	}
@@ -163,12 +150,12 @@ func TestCheckpointRoundTripCores(t *testing.T) {
 		cut := len(evs) / 3
 		a := MustNew(MigrationConfigN(cores))
 		deliver(t, evs[:cut], a)
-		snap, err := a.Snapshot()
+		ck, err := a.grp.Capture("migration")
 		if err != nil {
 			t.Fatal(err)
 		}
 		b := MustNew(MigrationConfigN(cores))
-		if err := b.Restore(snap); err != nil {
+		if err := b.grp.Restore(ck, "migration"); err != nil {
 			t.Fatal(err)
 		}
 		deliver(t, evs[cut:], b)

@@ -150,8 +150,8 @@ func TestActiveCoreTracksController(t *testing.T) {
 	g := trace.NewCircular(24 << 10)
 	for i := 0; i < 400_000; i++ {
 		m.Access(mem.AddrOf(mem.Line(g.Next()), 6), mem.Load)
-		if m.ActiveCore() != m.Controller().Active() {
-			t.Fatalf("machine active %d != controller active %d", m.ActiveCore(), m.Controller().Active())
+		if m.active != m.Controller().Active() {
+			t.Fatalf("machine active %d != controller active %d", m.active, m.Controller().Active())
 		}
 	}
 }

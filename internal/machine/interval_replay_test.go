@@ -6,7 +6,7 @@ import (
 )
 
 // The interval-sampling warm-start property: at any interval boundary,
-// replacing a machine with a fresh one restored from an EMCKPT1
+// replacing a machine with a fresh one restored from an EMCKPT2
 // round-trip of its own snapshot and replaying the next interval must
 // be indistinguishable from never having stopped — not just in final
 // stats but in the checkpoint bytes of the end state, which cover every
@@ -18,7 +18,7 @@ import (
 type intervalScenario struct {
 	name             string
 	cores            int
-	policy, topology string // "" = the scenario needs no extension section
+	policy, topology string // "" = the default
 	build            func() (*Machine, error)
 }
 
@@ -39,33 +39,12 @@ func intervalScenarios() []intervalScenario {
 	}
 }
 
-// warmRestart round-trips m's state through the EMCKPT1 encode/decode
-// path — extension section included when the scenario needs one — and
-// returns a fresh machine restored from the decoded bytes, exactly as
-// the sampling simulator's warm start does.
+// warmRestart round-trips m's state through the EMCKPT2 encode/decode
+// path and returns a fresh machine restored from the decoded bytes,
+// exactly as the sampling simulator's warm start does.
 func warmRestart(t *testing.T, sc intervalScenario, m *Machine, events uint64) *Machine {
 	t.Helper()
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := &Checkpoint{
-		Cores:    sc.cores,
-		Events:   events,
-		Machines: []NamedSnapshot{{Name: sc.name, Snap: snap}},
-	}
-	if sc.policy != "" || sc.topology != "" {
-		ps, err := m.PolicyState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck.SetExt(&CheckpointExt{
-			Policy:       sc.policy,
-			Topology:     sc.topology,
-			PolicyStates: []NamedPolicyState{{Name: sc.name, State: ps}},
-		})
-	}
-	ck, err = RoundTripCheckpoint(ck)
+	ck, err := RoundTripCheckpoint(scenarioCheckpoint(t, sc, m, events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,23 +52,21 @@ func warmRestart(t *testing.T, sc intervalScenario, m *Machine, events uint64) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := ck.Machine(sc.name)
+	if err := fresh.grp.Restore(ck, sc.name); err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
+// scenarioCheckpoint captures m, a group of one, as sc's checkpoint.
+func scenarioCheckpoint(t *testing.T, sc intervalScenario, m *Machine, events uint64) *Checkpoint {
+	t.Helper()
+	ck, err := m.grp.Capture(sc.name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Restore(*rs); err != nil {
-		t.Fatal(err)
-	}
-	if ext := ck.Ext(); ext != nil {
-		ps, err := ext.State(sc.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.SetPolicyState(ps); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return fresh
+	ck.Cores, ck.Events, ck.Policy, ck.Topology = sc.cores, events, sc.policy, sc.topology
+	return ck
 }
 
 // endStateBytes serialises a machine's complete observable end state to
@@ -97,27 +74,8 @@ func warmRestart(t *testing.T, sc intervalScenario, m *Machine, events uint64) *
 // than field-by-field.
 func endStateBytes(t *testing.T, sc intervalScenario, m *Machine) []byte {
 	t.Helper()
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := &Checkpoint{
-		Cores:    sc.cores,
-		Machines: []NamedSnapshot{{Name: sc.name, Snap: snap}},
-	}
-	if sc.policy != "" || sc.topology != "" {
-		ps, err := m.PolicyState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck.SetExt(&CheckpointExt{
-			Policy:       sc.policy,
-			Topology:     sc.topology,
-			PolicyStates: []NamedPolicyState{{Name: sc.name, State: ps}},
-		})
-	}
 	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, ck); err != nil {
+	if err := WriteCheckpoint(&buf, scenarioCheckpoint(t, sc, m, 0)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

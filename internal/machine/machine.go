@@ -270,9 +270,11 @@ type Machine struct {
 	cfg Config
 	// il1 and dl1 are mirrored across cores: one physical copy, owned
 	// by the machine's Group and shared by every member of it.
+	//emlint:nosnapshot the group's L1 front end; Group.Capture and Group.Restore carry its one section
 	il1 *cache.SetAssoc
+	//emlint:nosnapshot the group's L1 front end; Group.Capture and Group.Restore carry its one section
 	dl1 *cache.SetAssoc
-	//emlint:nosnapshot the L1 front end and member list; the L1 state restores through il1/dl1
+	//emlint:nosnapshot the L1 front end and member list; Group.Capture and Group.Restore carry the L1 section
 	grp *Group
 	l2  []*cache.SetAssoc
 	// own indexes the modified copies of the L2s; nil with one core,
@@ -283,13 +285,13 @@ type Machine struct {
 	pf  *prefetch.Prefetcher
 	// pol is the migration policy (nil in normal mode). The default is
 	// the paper's Michaud controller; see Config.Policy.
-	//emlint:nosnapshot non-default policy state rides the EMCKPT1 extension via PolicyState/SetPolicyState; the Michaud default serialises through ctrl into Snapshot.Controller
 	pol migration.Policy
 	// ctrl devirtualizes pol when it is the affinity controller (the
 	// michaud and numa policies): the policy methods run once per L1
 	// miss, and the concrete call keeps the hot path free of interface
 	// dispatch. Nil under the never baseline, which pays the itab
 	// lookup.
+	//emlint:nosnapshot an alias of pol, whose state Snapshot.Policy carries
 	ctrl *migration.Controller
 
 	tel *telemetry.Registry
@@ -437,9 +439,6 @@ func MustNew(cfg Config) *Machine {
 	}
 	return m
 }
-
-// ActiveCore returns the core currently executing.
-func (m *Machine) ActiveCore() int { return m.active }
 
 // FinalStats returns the accumulated Stats with the end-of-run
 // controller counters (affinity-table drops) folded in.

@@ -2,12 +2,12 @@ package machine
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/affinity"
 	"repro/internal/mem"
+	"repro/internal/migration"
 )
 
 // recordedFeed adapts a captured event stream to a cluster Feed,
@@ -172,17 +172,13 @@ func TestClusterAffinityIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < c.Programs(); p++ {
-		ctrl := c.Program(p).Controller()
-		if ctrl == nil {
+		if c.Program(p).Controller() == nil {
 			t.Fatalf("program %d has no Michaud controller", p)
 		}
-		st, err := ctrl.State()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ps := mustPolicyState(t, c.Program(p))
 		lo := mem.LineOf(ProgramOffset(p), mem.DefaultLineShift)
 		hi := mem.LineOf(ProgramOffset(p+1), mem.DefaultLineShift)
-		lines := tableLines(t, st.Table)
+		lines := tableLines(t, ps.Controller.Table)
 		if len(lines) == 0 {
 			t.Fatalf("program %d's affinity table is empty — the workload did not exercise it", p)
 		}
@@ -288,11 +284,7 @@ func TestClusterPolicyScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < 2; p++ {
-		ps, err := c.Program(p).PolicyState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ps.Name != "numa" {
+		if ps := mustPolicyState(t, c.Program(p)); ps.Name != "numa" {
 			t.Fatalf("program %d policy state named %q, want numa", p, ps.Name)
 		}
 	}
@@ -301,11 +293,11 @@ func TestClusterPolicyScenario(t *testing.T) {
 	}
 }
 
-func mustPolicyState(t *testing.T, m *Machine) any {
+func mustPolicyState(t *testing.T, m *Machine) migration.PolicyState {
 	t.Helper()
-	ps, err := m.PolicyState()
+	ps, err := m.Policy().PolicyState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%+v", ps)
+	return ps
 }

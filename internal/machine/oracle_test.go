@@ -507,15 +507,14 @@ func compareOracle(t *testing.T, what string, m *Machine, o *oMachine) {
 // affinity package's own oracle checks the age policy.
 func checkAffinityPlacement(t *testing.T, what string, m *Machine) {
 	t.Helper()
-	c := m.michaud()
-	if c == nil {
+	if m.ctrl == nil {
 		return
 	}
-	st, err := c.State()
+	ps, err := m.pol.PolicyState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := st.Table.Cache
+	tc := ps.Controller.Table.Cache
 	if tc == nil {
 		return
 	}

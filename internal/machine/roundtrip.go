@@ -2,7 +2,7 @@ package machine
 
 import "bytes"
 
-// RoundTripCheckpoint pushes a checkpoint through the full EMCKPT1
+// RoundTripCheckpoint pushes a checkpoint through the full EMCKPT2
 // encode/decode path in memory and returns the decoded copy. The
 // interval sampler warm-starts every measured interval from a
 // round-tripped snapshot instead of the live machine state: anything

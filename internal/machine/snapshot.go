@@ -9,22 +9,25 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Snapshot is the complete serialisable state of a Machine: every cache,
-// the prefetcher, the migration controller (splitters, affinity table),
-// the active core, and the accumulated Stats. Restoring a snapshot into
-// a machine built from the same Config and re-driving the same reference
-// stream from the capture point reproduces an uninterrupted run
-// bit-for-bit — the property the checkpoint round-trip tests assert.
+// Snapshot is the serialisable state of a Machine behind its L1 front
+// end: every L2 (and the L3), the prefetcher, the migration policy
+// (splitters, affinity table), the active core, and the accumulated
+// Stats. The L1s belong to the machine's Group, which checkpoints them
+// once for all its members (Group.Capture). Restoring a group's
+// checkpoint into a group built from the same Configs and re-driving
+// the same reference stream from the capture point reproduces an
+// uninterrupted run bit-for-bit — the property the checkpoint
+// round-trip tests assert.
 type Snapshot struct {
 	Cores  int
 	Active int
 
-	IL1, DL1 cache.SetAssocState
 	L2       []cache.SetAssocState
 	L3       *cache.SetAssocState
 	Prefetch *prefetch.State
 
-	Controller *migration.ControllerState
+	// Policy is the migration policy's state, nil in normal mode.
+	Policy *migration.PolicyState
 
 	Stats Stats
 
@@ -39,15 +42,13 @@ type Snapshot struct {
 }
 
 // Snapshot captures the machine's current state. Telemetry is captured
-// first: the controller's state capture walks the affinity table
-// through non-counting paths, but ordering the metric copy ahead of
-// everything else makes "capture never perturbs metrics" structural.
+// first: the policy's state capture walks the affinity table through
+// non-counting paths, but ordering the metric copy ahead of everything
+// else makes "capture never perturbs metrics" structural.
 func (m *Machine) Snapshot() (Snapshot, error) {
 	s := Snapshot{
 		Cores:     m.cfg.Cores,
 		Active:    m.active,
-		IL1:       m.il1.State(),
-		DL1:       m.dl1.State(),
 		Stats:     m.Stats,
 		Telemetry: m.tel.Snapshot(),
 	}
@@ -62,57 +63,24 @@ func (m *Machine) Snapshot() (Snapshot, error) {
 		st := m.pf.State()
 		s.Prefetch = &st
 	}
-	// Only the default Michaud controller's state rides the Controller
-	// field — that keeps the Snapshot gob shape (and hence checkpoint
-	// bytes) exactly as before the policy layer. Other policies, numa
-	// included, serialise through PolicyState into the checkpoint
-	// extension.
-	if c := m.michaud(); c != nil {
-		st, err := c.State()
+	if m.pol != nil {
+		st, err := m.pol.PolicyState()
 		if err != nil {
 			return Snapshot{}, err
 		}
-		s.Controller = &st
+		s.Policy = &st
 	}
 	return s, nil
 }
 
-// michaud returns the controller whose state rides Snapshot.Controller:
-// the default policy's, nil under any other policy or in normal mode.
-func (m *Machine) michaud() *migration.Controller {
-	if m.ctrl != nil && m.ctrl.PolicyName() == migration.PolicyMichaud {
-		return m.ctrl
-	}
-	return nil
-}
-
-// PolicyState captures the migration policy's serialisable state, for
-// checkpoint payloads that carry non-default policies. Errors when the
-// machine runs in normal mode.
-func (m *Machine) PolicyState() (migration.PolicyState, error) {
-	if m.pol == nil {
-		return migration.PolicyState{}, fmt.Errorf("machine: no migration policy to capture")
-	}
-	return m.pol.PolicyState()
-}
-
-// SetPolicyState restores a policy state captured by PolicyState. The
-// machine must have been built with the same policy and configuration.
-func (m *Machine) SetPolicyState(ps migration.PolicyState) error {
-	if m.pol == nil {
-		return fmt.Errorf("machine: no migration policy to restore into")
-	}
-	return m.pol.SetPolicyState(ps)
-}
-
-// Restore loads a snapshot into the machine. The machine must have been
-// built from the same Config as the one that produced the snapshot;
-// every component validates its shape before mutating itself. The
-// modified-owner index is rebuilt from the L2 states, which are
-// rejected if they hold one line modified in two L2s (§2.1 never gets
-// there). A failed
-// Restore can still leave earlier components updated, so the caller must
-// treat the machine as unusable after an error.
+// Restore loads a snapshot into the machine; its Group restores the L1
+// section. The machine must have been built from the same Config as the
+// one that produced the snapshot; every component validates its shape
+// before mutating itself. The modified-owner index is rebuilt from the
+// L2 states, which are rejected if they hold one line modified in two
+// L2s (§2.1 never gets there). A failed Restore can still leave earlier
+// components updated, so the caller must treat the machine as unusable
+// after an error.
 func (m *Machine) Restore(s Snapshot) error {
 	if s.Cores != m.cfg.Cores {
 		return fmt.Errorf("machine: snapshot has %d cores, machine has %d", s.Cores, m.cfg.Cores)
@@ -129,14 +97,8 @@ func (m *Machine) Restore(s Snapshot) error {
 	if (s.Prefetch != nil) != (m.pf != nil) {
 		return fmt.Errorf("machine: snapshot and machine disagree on prefetcher presence")
 	}
-	if (s.Controller != nil) != (m.michaud() != nil) {
-		return fmt.Errorf("machine: snapshot and machine disagree on migration controller presence")
-	}
-	if err := m.il1.SetState(s.IL1); err != nil {
-		return fmt.Errorf("machine: IL1: %w", err)
-	}
-	if err := m.dl1.SetState(s.DL1); err != nil {
-		return fmt.Errorf("machine: DL1: %w", err)
+	if (s.Policy != nil) != (m.pol != nil) {
+		return fmt.Errorf("machine: snapshot and machine disagree on migration policy presence")
 	}
 	for i, st := range s.L2 {
 		if err := m.l2[i].SetState(st); err != nil {
@@ -158,8 +120,8 @@ func (m *Machine) Restore(s Snapshot) error {
 			return fmt.Errorf("machine: %w", err)
 		}
 	}
-	if s.Controller != nil {
-		if err := m.ctrl.SetState(*s.Controller); err != nil {
+	if s.Policy != nil {
+		if err := m.pol.SetPolicyState(*s.Policy); err != nil {
 			return fmt.Errorf("machine: %w", err)
 		}
 	}

@@ -125,8 +125,15 @@ func TestTelemetrySnapshotRestore(t *testing.T) {
 		t.Fatalf("snapshot capture perturbed telemetry:\n%+v\nvs\n%+v", snap1.Telemetry, snap2.Telemetry)
 	}
 
+	ck, err := a.grp.Capture("migration")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ck.Machines[0].Snap.Telemetry, snap1.Telemetry) {
+		t.Fatal("group capture perturbed telemetry")
+	}
 	b := MustNew(MigrationConfig())
-	if err := b.Restore(snap1); err != nil {
+	if err := b.grp.Restore(ck, "migration"); err != nil {
 		t.Fatal(err)
 	}
 	deliver(t, evs[cut:], b)

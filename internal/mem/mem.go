@@ -68,12 +68,6 @@ func (k Kind) String() string {
 	}
 }
 
-// IsData reports whether the access kind goes to the data cache.
-func (k Kind) IsData() bool { return k == Load || k == Store || k == PtrLoad }
-
-// IsLoad reports whether the access reads data (Load or PtrLoad).
-func (k Kind) IsLoad() bool { return k == Load || k == PtrLoad }
-
 // Access is one memory reference.
 type Access struct {
 	Addr Addr

@@ -24,21 +24,20 @@ func TestLineAddrRoundTrip(t *testing.T) {
 	}
 }
 
-// TestKindPredicates covers the classification helpers.
+// TestKindPredicates covers the kind names.
 func TestKindPredicates(t *testing.T) {
 	cases := []struct {
-		k            Kind
-		isData, isLd bool
-		str          string
+		k   Kind
+		str string
 	}{
-		{IFetch, false, false, "ifetch"},
-		{Load, true, true, "load"},
-		{Store, true, false, "store"},
-		{PtrLoad, true, true, "ptrload"},
+		{IFetch, "ifetch"},
+		{Load, "load"},
+		{Store, "store"},
+		{PtrLoad, "ptrload"},
 	}
 	for _, c := range cases {
-		if c.k.IsData() != c.isData || c.k.IsLoad() != c.isLd || c.k.String() != c.str {
-			t.Errorf("%v: IsData=%v IsLoad=%v String=%q", c.k, c.k.IsData(), c.k.IsLoad(), c.k.String())
+		if c.k.String() != c.str {
+			t.Errorf("%v: String=%q", c.k, c.k.String())
 		}
 	}
 	if Kind(200).String() == "" {

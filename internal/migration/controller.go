@@ -100,8 +100,8 @@ type Controller struct {
 	split *affinity.Splitter
 	table affinity.Table
 	// name is the registry name the controller was built under
-	// (PolicyMichaud or PolicyNuma); it selects the checkpoint shape and
-	// whether the deferral counter is exposed.
+	// (PolicyMichaud or PolicyNuma); it names the checkpointed policy
+	// state and selects whether the deferral counter is exposed.
 	//emlint:nosnapshot configuration; states restore into identically configured controllers
 	name string
 	// topo weighs moves in decide; the uniform chip when none was given.
@@ -297,71 +297,32 @@ func (c *Controller) TableDropped() uint64 {
 	return 0
 }
 
-// ControllerState is the serialisable state of the Michaud controller,
-// used by the machine checkpoint/resume path. It is NumaState without
-// the hysteresis, which the uniform chip never leaves in flight.
+// ControllerState is the serialisable state of the affinity
+// controller under either name. Under michaud, which never defers,
+// Target is always -1, Pending and Deferred are 0, and WeightedCost
+// equals Migrations.
 type ControllerState struct {
 	Split  affinity.SplitterState
 	Table  affinity.TableState
 	Active int
+	// Target/Pending carry the in-flight hysteresis across a
+	// checkpoint so resumed runs replay identically.
+	Target  int
+	Pending int
 
-	Migrations, Requests, L2MissUpdates uint64
+	Migrations, Deferred, Requests, L2MissUpdates uint64
+	WeightedCost                                  float64
 	// LastMigRequests preserves the migration-gap reference point.
-	// Checkpoints written before it existed decode it as zero, which
-	// only widens the first post-resume gap observation.
 	LastMigRequests uint64
 }
 
-// State returns a deep copy of the michaud controller's state. A numa
-// controller errors: its hysteresis does not fit the Michaud shape, so
-// it checkpoints through PolicyState instead.
-func (c *Controller) State() (ControllerState, error) {
-	if c.name != PolicyMichaud {
-		return ControllerState{}, fmt.Errorf("migration: %s controller state needs PolicyState", c.name)
-	}
-	st, err := c.capture()
-	if err != nil {
-		return ControllerState{}, err
-	}
-	return ControllerState{
-		Split:           st.Split,
-		Table:           st.Table,
-		Active:          st.Active,
-		Migrations:      st.Migrations,
-		Requests:        st.Requests,
-		L2MissUpdates:   st.L2MissUpdates,
-		LastMigRequests: st.LastMigRequests,
-	}, nil
-}
-
-// SetState restores a state captured by State into a michaud
-// controller built from the same Config. A numa controller errors, as
-// State does: restore it through SetPolicyState.
-func (c *Controller) SetState(st ControllerState) error {
-	if c.name != PolicyMichaud {
-		return fmt.Errorf("migration: %s controller state needs SetPolicyState", c.name)
-	}
-	return c.restore(NumaState{
-		Split:           st.Split,
-		Table:           st.Table,
-		Active:          st.Active,
-		Target:          -1,
-		Migrations:      st.Migrations,
-		Requests:        st.Requests,
-		L2MissUpdates:   st.L2MissUpdates,
-		WeightedCost:    float64(st.Migrations),
-		LastMigRequests: st.LastMigRequests,
-	})
-}
-
-// capture returns the controller's full state, the one capture both
-// checkpoint shapes are cut from.
-func (c *Controller) capture() (NumaState, error) {
+// PolicyState implements Policy: the controller's full state.
+func (c *Controller) PolicyState() (PolicyState, error) {
 	ts, err := affinity.CaptureTableState(c.table)
 	if err != nil {
-		return NumaState{}, err
+		return PolicyState{}, err
 	}
-	return NumaState{
+	return PolicyState{Name: c.name, Controller: &ControllerState{
 		Split:           c.split.State(),
 		Table:           ts,
 		Active:          c.active,
@@ -373,11 +334,16 @@ func (c *Controller) capture() (NumaState, error) {
 		L2MissUpdates:   c.L2MissUpdates,
 		WeightedCost:    c.WeightedCost,
 		LastMigRequests: c.lastMigRequests,
-	}, nil
+	}}, nil
 }
 
-// restore loads a full state into the controller.
-func (c *Controller) restore(st NumaState) error {
+// SetPolicyState implements Policy. The receiving controller must have
+// been built under the same name, Config and topology.
+func (c *Controller) SetPolicyState(ps PolicyState) error {
+	if ps.Name != c.name || ps.Controller == nil {
+		return fmt.Errorf("migration: state is for policy %q, not %q", ps.Name, c.name)
+	}
+	st := *ps.Controller
 	if st.Active < 0 || st.Active >= c.split.Ways() {
 		return fmt.Errorf("migration: state active core %d out of %d ways", st.Active, c.split.Ways())
 	}

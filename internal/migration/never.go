@@ -17,6 +17,7 @@ const PolicyNever = "never"
 
 // NeverPolicy implements Policy by never migrating.
 type NeverPolicy struct {
+	//emlint:nosnapshot configuration; states restore into a baseline built for the same core count
 	ways int
 
 	// Requests counts L1-miss requests; L2MissUpdates counts L2 misses
@@ -79,20 +80,19 @@ type NeverState struct {
 
 // PolicyState implements Policy.
 func (p *NeverPolicy) PolicyState() (PolicyState, error) {
-	return encodePolicyState(PolicyNever, NeverState{
+	return PolicyState{Name: PolicyNever, Never: &NeverState{
 		Requests:      p.Requests,
 		L2MissUpdates: p.L2MissUpdates,
-	})
+	}}, nil
 }
 
 // SetPolicyState implements Policy.
 func (p *NeverPolicy) SetPolicyState(ps PolicyState) error {
-	var st NeverState
-	if err := decodePolicyState(ps, PolicyNever, &st); err != nil {
-		return err
+	if ps.Name != PolicyNever || ps.Never == nil {
+		return fmt.Errorf("migration: state is for policy %q, not %q", ps.Name, PolicyNever)
 	}
-	p.Requests = st.Requests
-	p.L2MissUpdates = st.L2MissUpdates
+	p.Requests = ps.Never.Requests
+	p.L2MissUpdates = ps.Never.L2MissUpdates
 	return nil
 }
 

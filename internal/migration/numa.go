@@ -11,11 +11,7 @@ package migration
 // controller, which the "michaud" name registers. The "numa" name
 // registers the same controller over the run's topology.
 
-import (
-	"math"
-
-	"repro/internal/affinity"
-)
+import "math"
 
 // PolicyNuma is the registry name of the distance-weighted policy.
 const PolicyNuma = "numa"
@@ -45,20 +41,4 @@ func (c *Controller) decide(sub int) (core int, migrated bool) {
 	c.probes.MigrationGap.Observe(c.Requests - c.lastMigRequests)
 	c.lastMigRequests = c.Requests
 	return sub, true
-}
-
-// NumaState is the serialisable state of the numa controller: the
-// Michaud ControllerState plus the hysteresis and its counters.
-type NumaState struct {
-	Split  affinity.SplitterState
-	Table  affinity.TableState
-	Active int
-	// Target/Pending carry the in-flight hysteresis across a
-	// checkpoint so resumed runs replay identically.
-	Target  int
-	Pending int
-
-	Migrations, Deferred, Requests, L2MissUpdates uint64
-	WeightedCost                                  float64
-	LastMigRequests                               uint64
 }

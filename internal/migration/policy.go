@@ -12,8 +12,6 @@ package migration
 // model stays policy-agnostic.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -66,32 +64,12 @@ type Policy interface {
 }
 
 // PolicyState is the serialisable state of any Policy: the policy name
-// plus the policy's own state gob-encoded into Data. The indirection
-// keeps the EMCKPT1 checkpoint format closed over one concrete type
-// while each policy owns its state shape.
+// plus exactly one state shape. The michaud and numa controllers share
+// ControllerState; the never baseline carries a NeverState.
 type PolicyState struct {
-	Name string
-	Data []byte
-}
-
-// encodePolicyState goes state → PolicyState for a named policy.
-func encodePolicyState(name string, state any) (PolicyState, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(state); err != nil {
-		return PolicyState{}, fmt.Errorf("migration: encoding %s state: %w", name, err)
-	}
-	return PolicyState{Name: name, Data: buf.Bytes()}, nil
-}
-
-// decodePolicyState checks the name tag and decodes Data into out.
-func decodePolicyState(ps PolicyState, name string, out any) error {
-	if ps.Name != name {
-		return fmt.Errorf("migration: state is for policy %q, not %q", ps.Name, name)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(ps.Data)).Decode(out); err != nil {
-		return fmt.Errorf("migration: decoding %s state: %w", name, err)
-	}
-	return nil
+	Name       string
+	Controller *ControllerState
+	Never      *NeverState
 }
 
 // PolicyMichaud is the default policy: the paper's affinity controller.
@@ -152,40 +130,5 @@ func NewPolicy(name string, cfg Config, topo *Topology) (Policy, error) {
 
 // PolicyName implements Policy.
 func (c *Controller) PolicyName() string { return c.name }
-
-// PolicyState implements Policy: the michaud controller wraps its
-// ControllerState into the generic envelope, the numa one its full
-// NumaState.
-func (c *Controller) PolicyState() (PolicyState, error) {
-	if c.name == PolicyNuma {
-		st, err := c.capture()
-		if err != nil {
-			return PolicyState{}, err
-		}
-		return encodePolicyState(PolicyNuma, st)
-	}
-	st, err := c.State()
-	if err != nil {
-		return PolicyState{}, err
-	}
-	return encodePolicyState(PolicyMichaud, st)
-}
-
-// SetPolicyState implements Policy. The receiving controller must have
-// been built under the same name, Config and topology.
-func (c *Controller) SetPolicyState(ps PolicyState) error {
-	if c.name == PolicyNuma {
-		var st NumaState
-		if err := decodePolicyState(ps, PolicyNuma, &st); err != nil {
-			return err
-		}
-		return c.restore(st)
-	}
-	var st ControllerState
-	if err := decodePolicyState(ps, PolicyMichaud, &st); err != nil {
-		return err
-	}
-	return c.SetState(st)
-}
 
 var _ Policy = (*Controller)(nil)

@@ -80,9 +80,6 @@ func TestTopologyRegistry(t *testing.T) {
 	if ring.Dist[0][1] != 1 || ring.Dist[1][0] != 3 {
 		t.Fatalf("ring distances 0→1=%g 1→0=%g, want 1 and 3", ring.Dist[0][1], ring.Dist[1][0])
 	}
-	if ring.MaxDistance() != 3 {
-		t.Fatalf("ring MaxDistance() = %g, want 3", ring.MaxDistance())
-	}
 	// Mesh: 2×2 grid for 4 cores, corner-to-corner is 2.
 	mesh, _ := NewTopology("mesh", 4)
 	if mesh.Dist[0][3] != 2 {
@@ -177,7 +174,8 @@ func TestNumaHysteresisDefers(t *testing.T) {
 	if numa.WeightedCost < float64(numa.Migrations) {
 		t.Fatalf("WeightedCost %g below migration count %d", numa.WeightedCost, numa.Migrations)
 	}
-	if max := topo.MaxDistance() * float64(numa.Migrations); numa.WeightedCost > max {
+	// The cluster topology's cross-cluster distance is its largest.
+	if max := topo.Dist[0][3] * float64(numa.Migrations); numa.WeightedCost > max {
 		t.Fatalf("WeightedCost %g above max possible %g", numa.WeightedCost, max)
 	}
 }
@@ -225,7 +223,8 @@ func TestNumaStateRoundTrip(t *testing.T) {
 		t.Fatalf("post-restore counters diverged: {%d %d %g} vs {%d %d %g}",
 			a.Migrations, a.Deferred, a.WeightedCost, b.Migrations, b.Deferred, b.WeightedCost)
 	}
-	// Cross-policy state must be rejected, as must junk payloads.
+	// Cross-policy state must be rejected, as must a state without
+	// the controller shape.
 	mich := mustController(t, PolicyMichaud, cfg, nil)
 	ms, err := mich.PolicyState()
 	if err != nil {
@@ -234,25 +233,13 @@ func TestNumaStateRoundTrip(t *testing.T) {
 	if err := b.SetPolicyState(ms); err == nil {
 		t.Fatal("numa policy accepted michaud state")
 	}
-	if err := b.SetPolicyState(PolicyState{Name: PolicyNuma, Data: []byte("junk")}); err == nil {
-		t.Fatal("numa policy accepted junk payload")
-	}
-	// The Michaud-shaped State/SetState would drop the hysteresis, so
-	// a numa controller refuses both.
-	if _, err := b.State(); err == nil {
-		t.Fatal("numa controller returned a Michaud-shaped State")
-	}
-	cs, err := mich.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetState(cs); err == nil {
-		t.Fatal("numa controller accepted a Michaud-shaped SetState")
+	if err := b.SetPolicyState(PolicyState{Name: PolicyNuma, Never: &NeverState{}}); err == nil {
+		t.Fatal("numa policy accepted a never-shaped state")
 	}
 }
 
-// TestMichaudPolicyStateRoundTrip: the Controller's Policy conformance
-// wraps ControllerState losslessly.
+// TestMichaudPolicyStateRoundTrip: the michaud controller's state
+// restores losslessly, with nothing of the hysteresis in flight.
 func TestMichaudPolicyStateRoundTrip(t *testing.T) {
 	cfg := Table2Config()
 	a := mustController(t, PolicyMichaud, cfg, nil)
@@ -272,9 +259,14 @@ func TestMichaudPolicyStateRoundTrip(t *testing.T) {
 	if err := b.SetPolicyState(st); err != nil {
 		t.Fatal(err)
 	}
-	sa, _ := a.State()
-	sb, _ := b.State()
-	if !reflect.DeepEqual(sa, sb) {
+	if c := st.Controller; c.Target != -1 || c.Pending != 0 || c.Deferred != 0 || c.WeightedCost != float64(c.Migrations) {
+		t.Fatalf("michaud state has hysteresis in flight: %+v", *c)
+	}
+	sb, err := b.PolicyState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st, sb) {
 		t.Fatal("restored controller state differs from source")
 	}
 }

@@ -71,19 +71,6 @@ func (t *Topology) Uniform() bool {
 	return true
 }
 
-// MaxDistance returns the largest entry of the matrix.
-func (t *Topology) MaxDistance() float64 {
-	var m float64
-	for _, row := range t.Dist {
-		for _, d := range row {
-			if d > m {
-				m = d
-			}
-		}
-	}
-	return m
-}
-
 // NewUniformTopology returns the symmetric chip: all off-diagonal
 // distances 1.
 func NewUniformTopology(cores int) *Topology {

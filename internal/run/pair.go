@@ -1,9 +1,6 @@
 package run
 
 import (
-	"fmt"
-	"reflect"
-
 	"repro/internal/machine"
 	"repro/internal/mem"
 )
@@ -35,84 +32,24 @@ func NewPairConfig(normal, mig machine.Config) (*Pair, error) {
 // kernel that feeds both machines.
 func (p *Pair) Sinks() []mem.BatchSink { return []mem.BatchSink{p.grp} }
 
-// Checkpoint captures both machines after events events of the run
-// spec describes. Non-default scenarios attach the policy and topology
-// names plus the migration machine's policy state as the EMCKPT1
-// extension; default runs attach nothing, which keeps their files
-// byte-identical to the pre-policy format.
+// Checkpoint captures the pair after events events of the run spec
+// describes: the scenario names, the shared L1 section once, and both
+// machines' snapshots.
 func (p *Pair) Checkpoint(spec Spec, events uint64) (*machine.Checkpoint, error) {
-	ns, err := p.Normal.Snapshot()
+	ck, err := p.grp.Capture("normal", "migration")
 	if err != nil {
 		return nil, err
 	}
-	ms, err := p.Mig.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	ck := &machine.Checkpoint{
-		Workload: spec.Workload,
-		Replay:   spec.Replay,
-		Instr:    spec.Instr,
-		Cores:    p.migCfg.Cores,
-		Events:   events,
-		Machines: []machine.NamedSnapshot{
-			{Name: "normal", Snap: ns},
-			{Name: "migration", Snap: ms},
-		},
-	}
-	policy := p.migCfg.Policy
-	topology := ""
+	ck.Workload, ck.Replay, ck.Instr = spec.Workload, spec.Replay, spec.Instr
+	ck.Cores, ck.Events, ck.Policy = p.migCfg.Cores, events, p.migCfg.Policy
 	if p.migCfg.Topology != nil {
-		topology = p.migCfg.Topology.Name
-	}
-	if policy != "" || topology != "" {
-		ps, err := p.Mig.PolicyState()
-		if err != nil {
-			return nil, err
-		}
-		ck.SetExt(&machine.CheckpointExt{
-			Policy:   policy,
-			Topology: topology,
-			PolicyStates: []machine.NamedPolicyState{
-				{Name: "migration", State: ps},
-			},
-		})
+		ck.Topology = p.migCfg.Topology.Name
 	}
 	return ck, nil
 }
 
-// Restore loads a checkpoint's machine states into the pair. Policies
-// other than the Michaud controller serialise through the checkpoint
-// extension (the snapshot's Controller field stays nil for them), so
-// their state is restored after the cache and stat state. The two
-// machines share one L1 front end, so a checkpoint whose IL1 or DL1
-// sections differ between them is rejected.
+// Restore loads a checkpoint's L1 section and machine states into the
+// pair.
 func (p *Pair) Restore(ck *machine.Checkpoint) error {
-	ns, err := ck.Machine("normal")
-	if err != nil {
-		return err
-	}
-	ms, err := ck.Machine("migration")
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(ns.IL1, ms.IL1) || !reflect.DeepEqual(ns.DL1, ms.DL1) {
-		return fmt.Errorf("run: checkpoint's normal and migration L1 states differ; the pair shares one L1 front end")
-	}
-	if err := p.Normal.Restore(*ns); err != nil {
-		return err
-	}
-	if err := p.Mig.Restore(*ms); err != nil {
-		return err
-	}
-	if ext := ck.Ext(); ext != nil {
-		ps, err := ext.State("migration")
-		if err != nil {
-			return err
-		}
-		if err := p.Mig.SetPolicyState(ps); err != nil {
-			return fmt.Errorf("run: restoring policy state: %w", err)
-		}
-	}
-	return nil
+	return p.grp.Restore(ck, "normal", "migration")
 }

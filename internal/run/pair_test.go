@@ -8,12 +8,11 @@ import (
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/workloads/suite"
 )
 
-// ckptBytes encodes a checkpoint as EMCKPT1.
+// ckptBytes encodes a checkpoint as EMCKPT2.
 func ckptBytes(t *testing.T, ck *machine.Checkpoint) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -23,19 +22,21 @@ func ckptBytes(t *testing.T, ck *machine.Checkpoint) []byte {
 	return buf.Bytes()
 }
 
-// TestPairCheckpointExtension: the policy extension rides the
-// checkpoint only for non-default scenarios — spelling the defaults out
-// attaches nothing, so default files keep the pre-policy format.
-func TestPairCheckpointExtension(t *testing.T) {
+// TestPairCheckpointScenario: a pair's checkpoint names its scenario
+// in the normalized spelling, so spelled-out defaults name nothing, and
+// carries a policy state for the migration machine alone, whatever the
+// policy.
+func TestPairCheckpointScenario(t *testing.T) {
 	in := Spec{Workload: "mst", Instr: 1000, Cores: 4}
 	for _, tc := range []struct {
 		policy, topology string
-		wantExt          bool
+		wantPolicy       string
 	}{
-		{"", "", false},
-		{"michaud", "uniform", false},
-		{"numa", "cluster", true},
-		{"never", "", true},
+		{"", "", "michaud"},
+		{"michaud", "uniform", "michaud"},
+		{"", "ring", "michaud"},
+		{"numa", "cluster", "numa"},
+		{"never", "", "never"},
 	} {
 		in.Policy, in.Topology = tc.policy, tc.topology
 		p, err := in.NewPair()
@@ -51,30 +52,25 @@ func TestPairCheckpointExtension(t *testing.T) {
 		}
 		// The checkpoint gives back the spec it was taken under, in
 		// its normalized spelling.
-		if got, want := SpecOf(ck), in.Normalize(); !reflect.DeepEqual(got, want) {
+		want := in.Normalize()
+		if got := SpecOf(ck); !reflect.DeepEqual(got, want) {
 			t.Fatalf("SpecOf = %+v, want %+v", got, want)
 		}
-		ext := ck.Ext()
-		if (ext != nil) != tc.wantExt {
-			t.Fatalf("%s/%s: extension present=%v, want %v", tc.policy, tc.topology, ext != nil, tc.wantExt)
+		if ck.Policy != want.Policy || ck.Topology != want.Topology {
+			t.Fatalf("%s/%s: checkpoint names %q/%q, want %q/%q", tc.policy, tc.topology, ck.Policy, ck.Topology, want.Policy, want.Topology)
 		}
-		if ext == nil {
-			continue
-		}
-		if policy, topology := ck.Scenario(); policy != tc.policy || topology != tc.topology {
-			t.Fatalf("extension names %q/%q, want %q/%q", policy, topology, tc.policy, tc.topology)
-		}
-		if _, err := ext.State("migration"); err != nil {
-			t.Fatal(err)
+		ns, _ := ck.Machine("normal")
+		ms, _ := ck.Machine("migration")
+		if ns == nil || ms == nil || ns.Policy != nil || ms.Policy == nil || ms.Policy.Name != tc.wantPolicy {
+			t.Fatalf("%s/%s: policy states normal=%v migration=%v, want none and %q", tc.policy, tc.topology, ns, ms, tc.wantPolicy)
 		}
 	}
 }
 
 // TestPairResumeMatchesUninterrupted: a pair stopped mid-stream,
-// checkpointed through EMCKPT1, restored into a fresh pair and resumed
+// checkpointed through EMCKPT2, restored into a fresh pair and resumed
 // with the prefix skipped ends in the same state as a pair that never
-// stopped — for the default scenario and one whose policy state rides
-// the extension.
+// stopped — for the default scenario and one with a hysteresis.
 func TestPairResumeMatchesUninterrupted(t *testing.T) {
 	for _, sc := range [][2]string{{"", ""}, {"numa", "ring"}} {
 		in := Spec{Workload: "mst", Instr: 60_000, Cores: 4, Policy: sc[0], Topology: sc[1]}
@@ -147,51 +143,6 @@ func TestPairRestoreRejectsMismatch(t *testing.T) {
 	}
 	if _, err := (Spec{Cores: 3}).NewPair(); err == nil {
 		t.Fatal("built a pair for an unsupported core count")
-	}
-}
-
-// TestPairRestoreRejectsSplitL1: the pair's machines share one L1
-// front end, so a checkpoint whose normal and migration IL1 or DL1
-// sections differ cannot be restored into it; equal sections can.
-func TestPairRestoreRejectsSplitL1(t *testing.T) {
-	in := Spec{Workload: "mst", Instr: 30_000, Cores: 4}
-	src, err := in.NewPair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&Stream{To: src.Sinks()}).Run(in.Feed); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		edit func(*machine.Snapshot)
-		ok   bool
-	}{
-		{"same L1s", func(*machine.Snapshot) {}, true},
-		{"IL1 differs", func(s *machine.Snapshot) {
-			s.IL1.Lines = append([]mem.Line(nil), s.IL1.Lines...)
-			s.IL1.Lines[3] ^= 1
-		}, false},
-		{"DL1 differs", func(s *machine.Snapshot) { s.DL1.Clock++ }, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ck, err := src.Checkpoint(in, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ms, err := ck.Machine("migration")
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.edit(ms)
-			dst, err := in.NewPair()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dst.Restore(ck); (err == nil) != tc.ok {
-				t.Fatalf("Restore error = %v, want ok=%v", err, tc.ok)
-			}
-		})
 	}
 }
 

@@ -180,12 +180,10 @@ func HashKey(canonical string) string {
 
 // SpecOf rebuilds the spec of the run a checkpoint belongs to. The
 // checkpoint is authoritative about everything that shaped the stream,
-// the scenario included (it rides the extension, absent for default
-// runs).
+// the scenario included.
 func SpecOf(ck *machine.Checkpoint) Spec {
-	s := Spec{Workload: ck.Workload, Replay: ck.Replay, Instr: ck.Instr, Cores: ck.Cores}
-	s.Policy, s.Topology = ck.Scenario()
-	return s
+	return Spec{Workload: ck.Workload, Replay: ck.Replay, Instr: ck.Instr, Cores: ck.Cores,
+		Policy: ck.Policy, Topology: ck.Topology}
 }
 
 // MigConfig returns the migration chip's machine configuration.

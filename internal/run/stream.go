@@ -13,7 +13,7 @@
 //     resume prefix, splits batches at boundaries and fires one hook at
 //     each, and stops the source through the one stop sentinel;
 //   - Pair builds the two machines of a scenario, checkpoints them as
-//     EMCKPT1 and restores them.
+//     EMCKPT2 and restores them.
 package run
 
 import (

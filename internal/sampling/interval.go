@@ -6,7 +6,7 @@
 // instruction intervals and fingerprints each with its lrustack
 // working-set signature; a deterministic seeded k-medoids groups the
 // fingerprints; only the representative intervals are simulated at full
-// fidelity (each warm-started through an EMCKPT1 snapshot round-trip at
+// fidelity (each warm-started through an EMCKPT2 snapshot round-trip at
 // its start boundary); and the full-run metric totals are reconstructed
 // as stratified estimates with per-metric error bars from the recorded
 // within-cluster variance.

@@ -267,7 +267,7 @@ func testSimConfig(t *testing.T) SimConfig {
 // with k == M every interval is its own cluster, the plan measures all
 // of them, and the stratified estimate must reproduce the full-run
 // totals exactly with zero-width error bars — warm-starting through an
-// EMCKPT1 round-trip at every boundary included.
+// EMCKPT2 round-trip at every boundary included.
 func TestExactWhenEveryIntervalMeasured(t *testing.T) {
 	src := phasedBatchedSource(3)
 	p, ivs := profile(t, src, 1000)
@@ -371,8 +371,9 @@ func TestSimulateScalarBatchParity(t *testing.T) {
 	}
 }
 
-// TestSimulatePolicyScenario exercises the warm-start path that rides
-// the checkpoint extension (non-default policy + topology state).
+// TestSimulatePolicyScenario exercises the warm-start path of a
+// non-default scenario (the numa policy's hysteresis state on a
+// topology).
 func TestSimulatePolicyScenario(t *testing.T) {
 	src := phasedBatchedSource(4)
 	p, ivs := profile(t, src, 1000)

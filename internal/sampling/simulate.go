@@ -55,8 +55,7 @@ type Source func(sink mem.BatchSink) error
 type SimConfig struct {
 	// Normal and Mig are the two machine configurations of the
 	// experiment tee. A non-default Mig scenario's policy state rides
-	// the warm-start checkpoint's extension section exactly as emsim
-	// -checkpoint writes it.
+	// the warm-start checkpoint exactly as emsim -checkpoint writes it.
 	Normal, Mig machine.Config
 	// Workers sizes the chain worker pool (0 = all cores). Results
 	// merge in chain order, so every worker count produces identical
@@ -115,7 +114,7 @@ func cutsFor(intervals []Interval, measured []Measured) []uint64 {
 }
 
 // hook runs at each cut event: close the open measured interval and/or
-// warm-start the next one through an EMCKPT1 snapshot round-trip.
+// warm-start the next one through an EMCKPT2 snapshot round-trip.
 func (r *chainRun) hook(event uint64) error {
 	if r.open && event == r.intervals[r.measured[r.mi].Interval].EndEvent {
 		m := r.measured[r.mi]
@@ -146,7 +145,7 @@ func (r *chainRun) hook(event uint64) error {
 }
 
 // warmStart replaces both machines with fresh ones restored from an
-// EMCKPT1 round-trip of their own snapshots — the measured interval
+// EMCKPT2 round-trip of their own snapshots — the measured interval
 // starts from checkpoint bytes, so the estimate inherits the resume
 // path's bit-exactness guarantee (and its tests).
 func (r *chainRun) warmStart(event uint64) error {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/run"
 )
 
-// Crash recovery: Drain spools interrupted /run jobs as EMCKPT1
+// Crash recovery: Drain spools interrupted /run jobs as EMCKPT2
 // checkpoints; Recover, called once at startup, re-adopts them and runs
 // each to completion on the normal worker pool, publishing the finished
 // result through the same cache + store path a fresh request would use.

@@ -32,7 +32,7 @@ type Config struct {
 	// DefaultTimeout is the per-request deadline applied when a request
 	// does not carry its own (0 = no deadline).
 	DefaultTimeout time.Duration
-	// SpoolDir, when set, receives EMCKPT1 checkpoint files for /run
+	// SpoolDir, when set, receives EMCKPT2 checkpoint files for /run
 	// jobs cancelled by drain, so interrupted work is resumable with
 	// `emsim -resume` instead of discarded. At startup, Recover re-adopts
 	// spooled checkpoints and runs them to completion. When SpoolDir is

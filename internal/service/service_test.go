@@ -221,7 +221,7 @@ func TestDrainFinishesInFlightAndRefusesNew(t *testing.T) {
 }
 
 // TestDrainCheckpointsCancelledJob: when drain's deadline expires, the
-// in-flight job is cancelled, writes a resumable EMCKPT1 file into the
+// in-flight job is cancelled, writes a resumable EMCKPT2 file into the
 // spool directory, and reports it in the error.
 func TestDrainCheckpointsCancelledJob(t *testing.T) {
 	spool := t.TempDir()

@@ -116,7 +116,7 @@ func (s *Service) reportJob(ctx context.Context, spec RunSpec) ([]byte, error) {
 }
 
 // spool checkpoints a drained run's machines into the spool directory,
-// in the exact EMCKPT1 format `emsim -resume` consumes. The file is
+// in the exact EMCKPT2 format `emsim -resume` consumes. The file is
 // named by the request's content address, so repeated drains of the
 // same request overwrite one spool entry instead of accumulating.
 func (s *Service) spool(spec RunSpec, pair *run.Pair, events uint64) (string, error) {

@@ -116,21 +116,12 @@ func (c *CPU) Store(addr mem.Addr) {
 
 // LoadRange touches every line of [addr, addr+size) with loads.
 func (c *CPU) LoadRange(addr mem.Addr, size uint64) {
-	c.rangeOp(addr, size, mem.Load)
-}
-
-// StoreRange touches every line of [addr, addr+size) with stores.
-func (c *CPU) StoreRange(addr mem.Addr, size uint64) {
-	c.rangeOp(addr, size, mem.Store)
-}
-
-func (c *CPU) rangeOp(addr mem.Addr, size uint64, kind mem.Kind) {
 	if size == 0 {
 		return
 	}
 	first := mem.LineOf(addr, c.lineShift)
 	last := mem.LineOf(addr+mem.Addr(size-1), c.lineShift)
 	for l := first; l <= last; l++ {
-		c.Sink.Access(mem.AddrOf(l, c.lineShift), kind)
+		c.Sink.Access(mem.AddrOf(l, c.lineShift), mem.Load)
 	}
 }

@@ -75,9 +75,6 @@ func (r *Region) Alloc(size, align uint64) mem.Addr {
 	return mem.Addr(a)
 }
 
-// Used returns the number of bytes allocated so far.
-func (r *Region) Used() uint64 { return uint64(r.next - r.Base) }
-
 // Func describes a simulated code object: a function (or basic-block
 // cluster) occupying Size bytes starting at Entry. The CPU walks its
 // lines as instructions execute; pos persists across calls so repeated

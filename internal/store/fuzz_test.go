@@ -7,7 +7,7 @@ import (
 
 // FuzzDecodeEntry: arbitrary bytes through the entry decoder must
 // either fail cleanly or round-trip bit-identically through a
-// re-encode — the same oracle shape the EMCKPT1 fuzzer uses, because
+// re-encode — the same oracle shape the checkpoint fuzzer uses, because
 // the store's never-serve-a-wrong-byte contract rests on this parser.
 func FuzzDecodeEntry(f *testing.F) {
 	f.Add(EncodeEntry(nil))
