@@ -150,11 +150,11 @@ type v1TestEnvelope struct {
 	State migration.PolicyState
 }
 
-// scenarioPair runs the 4-core pair of a scenario over a synthetic
-// stream and captures it.
-func scenarioPair(t testing.TB, policy, topology string, refs uint64) *Checkpoint {
+// scenarioPair runs the pair of a scenario over a synthetic stream and
+// captures it.
+func scenarioPair(t testing.TB, cores int, policy, topology string, refs uint64) *Checkpoint {
 	t.Helper()
-	mig, err := MigrationConfigScenario(4, policy, topology)
+	mig, err := MigrationConfigScenario(cores, policy, topology)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func scenarioPair(t testing.TB, policy, topology string, refs uint64) *Checkpoin
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Workload, ck.Instr, ck.Cores, ck.Events, ck.Policy = "synthetic", refs, 4, refs, mig.Policy
+	ck.Workload, ck.Instr, ck.Cores, ck.Events, ck.Policy = "synthetic", refs, cores, refs, mig.Policy
 	if mig.Topology != nil {
 		ck.Topology = mig.Topology.Name
 	}
@@ -193,7 +193,7 @@ func ckptBytes(t testing.TB, ck *Checkpoint) []byte {
 // EMCKPT2 checkpoint of the same state, byte for byte once re-written.
 func TestCheckpointV1Translation(t *testing.T) {
 	for _, sc := range [][2]string{{"", ""}, {"", "ring"}, {"numa", "ring"}, {"never", ""}} {
-		ck := scenarioPair(t, sc[0], sc[1], 20_000)
+		ck := scenarioPair(t, 4, sc[0], sc[1], 20_000)
 		got, err := ReadCheckpoint(bytes.NewReader(encodeV1(t, ck, nil)))
 		if err != nil {
 			t.Fatalf("%v: %v", sc, err)
@@ -209,7 +209,7 @@ func TestCheckpointV1Translation(t *testing.T) {
 // whose normal and migration IL1 or DL1 sections differ is refused;
 // equal sections translate.
 func TestCheckpointV1RejectsSplitL1(t *testing.T) {
-	ck := scenarioPair(t, "", "", 20_000)
+	ck := scenarioPair(t, 4, "", "", 20_000)
 	for _, tc := range []struct {
 		name string
 		edit func(*v1TestSnapshot)
@@ -235,7 +235,7 @@ func TestCheckpointV1RejectsSplitL1(t *testing.T) {
 // policy's state twice on a non-uniform topology; a file whose two
 // copies differ is refused rather than resumed from either.
 func TestCheckpointV1RejectsDisagreeingEnvelope(t *testing.T) {
-	ck := scenarioPair(t, "", "ring", 20_000)
+	ck := scenarioPair(t, 4, "", "ring", 20_000)
 	raw := encodeV1(t, ck, func(_ []*v1TestSnapshot, envs []*v1TestEnvelope) {
 		c := *envs[0].State.Controller
 		c.Migrations++

@@ -17,29 +17,12 @@ func goldenCheckpointBytes(f *testing.F) [][]byte {
 	f.Helper()
 	var seeds [][]byte
 	for _, cores := range []int{2, 4} {
-		g, err := NewGroup(NormalConfig(), MigrationConfigN(cores))
-		if err != nil {
-			f.Fatal(err)
-		}
-		evs := captureSynthetic(4<<10, 30_000)
-		for _, e := range evs {
-			if e.isInstr {
-				g.Instr(e.instr)
-			} else {
-				g.Access(e.addr, e.kind)
-			}
-		}
-		ck, err := g.Capture("normal", "migration")
-		if err != nil {
-			f.Fatal(err)
-		}
-		ck.Workload, ck.Instr, ck.Cores, ck.Events = "synthetic", 100_000, cores, uint64(len(evs))
-		seeds = append(seeds, ckptBytes(f, ck))
+		seeds = append(seeds, ckptBytes(f, scenarioPair(f, cores, "", "", 30_000)))
 	}
 
 	// Policy-bearing seed: a numa-on-cluster pair, whose controller
 	// state carries the hysteresis.
-	numa := scenarioPair(f, "numa", "cluster", 30_000)
+	numa := scenarioPair(f, 4, "numa", "cluster", 30_000)
 	seeds = append(seeds, ckptBytes(f, numa))
 
 	// A state a machine never reaches: a migration snapshot holding one
@@ -86,7 +69,7 @@ func goldenCheckpointBytes(f *testing.F) [][]byte {
 	seeds = append(seeds,
 		encodeV1(f, v1, nil),
 		encodeV1(f, numa, nil),
-		encodeV1(f, scenarioPair(f, "", "ring", 30_000), nil),
+		encodeV1(f, scenarioPair(f, 4, "", "ring", 30_000), nil),
 		encodeV1(f, v1, func(ms []*v1TestSnapshot, _ []*v1TestEnvelope) { ms[1].DL1.Clock++ }),
 		[]byte(checkpointMagicV1),
 	)
