@@ -19,11 +19,13 @@ check: build vet lint
 # a panic, arbitrary line streams through the bucketed LRU stack must
 # match its exact-depth oracle, and arbitrary operation streams through
 # the set-associative cache must match its naive LRU oracle. Extend
-# FUZZTIME for a real fuzzing session.
+# FUZZTIME for a real fuzzing session. The checkpoint target caps input
+# minimization at 200 runs: its seeds are whole checkpoints, and the
+# default 60 s per new input stalls a short smoke at 0 execs/s.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=$(FUZZTIME) ./internal/trace
-	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRestore -fuzztime=$(FUZZTIME) ./internal/machine
+	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRestore -fuzztime=$(FUZZTIME) -fuzzminimizetime=200x ./internal/machine
 	$(GO) test -run=^$$ -fuzz=FuzzStack -fuzztime=$(FUZZTIME) ./internal/lrustack
 	$(GO) test -run=^$$ -fuzz=FuzzSetAssoc -fuzztime=$(FUZZTIME) ./internal/cache
 

@@ -123,8 +123,18 @@ func TestDifferentialCheckpointBytes(t *testing.T) {
 		{"-policy", "michaud", "-topology", "uniform"},
 	} {
 		checkCheckpointSHA(t, append(append([]string{}, base...), extra...),
-			"34351d97464f4a23b437ce5842b548f857c1918ebac89870f595c2c0a61d3151")
+			"3998db64a2485b15de306bf540c6f14ee521a3af7d23234c3168403f7806c9a0")
 	}
+}
+
+// TestEMCKPT2FrozenResume: an EMCKPT2 checkpoint written before the
+// snapshot lost its finite-L3 section resumes to the recorded -json
+// output. Gob matches fields by name, so the section's descriptor in
+// the old file is skipped; the file pins that it stays readable.
+func TestEMCKPT2FrozenResume(t *testing.T) {
+	frozen := filepath.Join("testdata", "emsim_mst_emckpt2.ckpt.golden")
+	resumed, _ := runCLI(t, "emsim", "-resume", frozen, "-json")
+	diffBytes(t, "resume of the frozen EMCKPT2 checkpoint", []byte(resumed), readPrerefactor(t, "emsim_json_mst.golden"))
 }
 
 // checkCheckpointSHA runs emsim with args, checkpointing, and compares
@@ -163,9 +173,9 @@ func TestCheckpointBytesTwoAndEightCores(t *testing.T) {
 		sha  string
 	}{
 		{[]string{"-workload", "179.art", "-instr", "300000", "-cores", "2", "-checkpoint-every", "50000"},
-			"863f720f2951d6d30c17d7596f8fef662d8b8141c5dc55a8d3926439e4c28129"},
+			"772f208b0c6a19701dedcbb61c9d0d458b9adf42443ec2de8c3dacbf1290123a"},
 		{[]string{"-workload", "em3d", "-instr", "200000", "-cores", "8", "-checkpoint-every", "100000"},
-			"996de757c1b5064322f6ffdc2d7ea4fd58cb1ee992ee5ae935b5cbef188d8e1d"},
+			"a7e984c9b56e7debe59b0345f52c3927b25c96284ffadabf924cd72a4d626905"},
 	} {
 		checkCheckpointSHA(t, tc.args, tc.sha)
 	}
@@ -182,11 +192,11 @@ func TestCheckpointBytesPolicies(t *testing.T) {
 		sha  string
 	}{
 		{[]string{"-workload", "181.mcf", "-instr", "200000", "-cores", "4", "-policy", "numa", "-topology", "ring", "-checkpoint-every", "59000"},
-			"6b93c4e3d8ffb14fcbfa928f3529f9a10654b724485a1651971d9b678f40fac5"},
+			"6652066fb086cc212ab646a1c0e61ba111a2eca382639a1a69c835d9605f4492"},
 		{[]string{"-workload", "181.mcf", "-instr", "200000", "-cores", "4", "-policy", "never", "-checkpoint-every", "100000"},
-			"f4d3a6f34f207327db7ee2111d90e33f19f502a8a53d531745a0718d5865a1f7"},
+			"1e4e6c728830b59f21c497a6892859e7622e06d729eb7e5b1de7d6dae6fe969c"},
 		{[]string{"-workload", "em3d", "-instr", "200000", "-cores", "4", "-topology", "ring", "-checkpoint-every", "100000"},
-			"d2c06f5606ea4c15b52cca9a1a7541e4619323941922fd08bcc006e03dd1ea3c"},
+			"d52f1b93dc68abd64160a20a02f3fed77cbc8e254dda867a3eb8c5f092581712"},
 	} {
 		checkCheckpointSHA(t, tc.args, tc.sha)
 	}

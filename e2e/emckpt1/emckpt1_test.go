@@ -170,7 +170,7 @@ func encodeV1(ck *machine.Checkpoint, edit func(ms []*v1Snapshot, envs []*v1Enve
 		Active     int
 		IL1, DL1   cache.SetAssocState
 		L2         []cache.SetAssocState
-		L3         *cache.SetAssocState
+		L3         *cache.SetAssocState // written nil: no EMCKPT1 writer configured a finite L3
 		Prefetch   *prefetch.State
 		Controller *ControllerState
 		Stats      machine.Stats
@@ -243,7 +243,7 @@ func encodeV1(ck *machine.Checkpoint, edit func(ms []*v1Snapshot, envs []*v1Enve
 	old := Checkpoint{Workload: ck.Workload, Replay: ck.Replay, Instr: ck.Instr, Cores: ck.Cores, Events: ck.Events}
 	for _, s := range ms {
 		v := Snapshot{Cores: s.Snap.Cores, Active: s.Snap.Active, IL1: s.IL1, DL1: s.DL1, L2: s.Snap.L2,
-			L3: s.Snap.L3, Prefetch: s.Snap.Prefetch, Stats: s.Snap.Stats, Telemetry: s.Snap.Telemetry}
+			Prefetch: s.Snap.Prefetch, Stats: s.Snap.Stats, Telemetry: s.Snap.Telemetry}
 		if s.Controller != nil {
 			v.Controller = michaud(s.Controller)
 		}

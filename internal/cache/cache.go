@@ -3,7 +3,7 @@
 // SetAssoc is set-associative with true LRU, or 4-way
 // skewed-associative (the paper's L2 and affinity-cache organisation,
 // after Bodin & Seznec). The machine model probes, fills and flags it
-// for its L1s, L2s and finite L3, and checkpoints it through
+// for its L1s and L2s, and checkpoints it through
 // State/SetState.
 //
 // FullyAssoc is fully-associative LRU: the 16-Kbyte L1 filters of the

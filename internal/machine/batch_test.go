@@ -61,7 +61,7 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 			driveMix(refSink{ref}, 24<<10, refs)
 			want := machineState(t, ref)
 			st := ref.Stats
-			if st.L2Misses == 0 || (cfg.L3 != nil && st.L3Misses == 0) ||
+			if st.L2Misses == 0 ||
 				(cfg.Prefetch != nil && st.PrefetchIssued == 0) ||
 				(cfg.BroadcastThreshold > 0 && st.SuppressedRegBytes == 0) ||
 				(cfg.Migration != nil && cfg.Policy != migration.PolicyNever && st.Migrations == 0) {

@@ -20,6 +20,8 @@ import (
 // scenario, an extension with the policy and topology names and a
 // gob-in-gob envelope per machine for every other policy. The michaud
 // default on a non-uniform topology wrote its state in both places.
+// Its snapshots also had room for a finite shared L3; no front end
+// could configure one, so every EMCKPT1 file on disk leaves it nil.
 // The v1* types below decode those shapes by field name; translateV1
 // is the only code that reads them.
 
@@ -75,6 +77,8 @@ type v1PolicyState struct {
 // snapshots disagree on it is refused, since the pair's machines share
 // one L1 front end. A snapshot whose Controller and extension envelope
 // both carry state must carry the same state, or the file is refused.
+// So is a snapshot holding a finite L3: the machine it would resume
+// into has an infinite one.
 func translateV1(payload []byte) (*Checkpoint, error) {
 	dec := gob.NewDecoder(bytes.NewReader(payload))
 	var old v1Checkpoint
@@ -99,12 +103,15 @@ func translateV1(payload []byte) (*Checkpoint, error) {
 			return nil, fmt.Errorf("checkpoint: EMCKPT1 snapshots %q and %q hold different L1 states; the pair shares one L1 front end",
 				old.Machines[0].Name, m.Name)
 		}
+		if s.L3 != nil {
+			return nil, fmt.Errorf("checkpoint: EMCKPT1 snapshot %q holds a finite L3; the machine's L3 is infinite", m.Name)
+		}
 		ps, err := v1PolicyOf(m.Name, s.Controller, ext.PolicyStates)
 		if err != nil {
 			return nil, err
 		}
 		ck.Machines = append(ck.Machines, NamedSnapshot{Name: m.Name, Snap: Snapshot{
-			Cores: s.Cores, Active: s.Active, L2: s.L2, L3: s.L3, Prefetch: s.Prefetch,
+			Cores: s.Cores, Active: s.Active, L2: s.L2, Prefetch: s.Prefetch,
 			Policy: ps, Stats: s.Stats, Telemetry: s.Telemetry,
 		}})
 	}

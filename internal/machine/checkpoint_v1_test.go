@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"repro/internal/affinity"
@@ -99,7 +100,7 @@ func encodeV1(t testing.TB, ck *Checkpoint, edit func(ms []*v1TestSnapshot, envs
 	old := Checkpoint{Workload: ck.Workload, Replay: ck.Replay, Instr: ck.Instr, Cores: ck.Cores, Events: ck.Events}
 	for _, s := range ms {
 		v := Snapshot{Cores: s.Snap.Cores, Active: s.Snap.Active, IL1: s.IL1, DL1: s.DL1, L2: s.Snap.L2,
-			L3: s.Snap.L3, Prefetch: s.Snap.Prefetch, Stats: s.Snap.Stats, Telemetry: s.Snap.Telemetry}
+			L3: s.L3, Prefetch: s.Snap.Prefetch, Stats: s.Snap.Stats, Telemetry: s.Snap.Telemetry}
 		if s.Controller != nil {
 			v.Controller = michaud(s.Controller)
 		}
@@ -136,11 +137,13 @@ func encodeV1(t testing.TB, ck *Checkpoint, edit func(ms []*v1TestSnapshot, envs
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
-// v1TestSnapshot is one machine as encodeV1 is about to write it.
+// v1TestSnapshot is one machine as encodeV1 is about to write it. L3 is
+// nil unless a test sets it: no EMCKPT1 writer configured a finite L3.
 type v1TestSnapshot struct {
 	Name       string
 	Snap       Snapshot
 	IL1, DL1   cache.SetAssocState
+	L3         *cache.SetAssocState
 	Controller *migration.ControllerState
 }
 
@@ -228,6 +231,23 @@ func TestCheckpointV1RejectsSplitL1(t *testing.T) {
 				t.Fatalf("ReadCheckpoint error = %v, want ok=%v", err, tc.ok)
 			}
 		})
+	}
+}
+
+// TestCheckpointV1RejectsFiniteL3: EMCKPT1 snapshots had room for a
+// finite shared L3, which the machine does not model. A file that
+// fills it is refused, naming the machine, rather than resumed into a
+// machine whose L3 is infinite.
+func TestCheckpointV1RejectsFiniteL3(t *testing.T) {
+	ck := scenarioPair(t, 4, "", "", 20_000)
+	l3 := cache.NewSetAssoc(cache.GeometryFor(1<<20, 6, 8, false)).State()
+	raw := encodeV1(t, ck, func(ms []*v1TestSnapshot, _ []*v1TestEnvelope) { ms[1].L3 = &l3 })
+	_, err := ReadCheckpoint(bytes.NewReader(raw))
+	if err == nil {
+		t.Fatal("accepted an EMCKPT1 file whose snapshot holds a finite L3")
+	}
+	if !strings.Contains(err.Error(), `"migration"`) {
+		t.Fatalf("error %q does not name the machine", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package machine
 import (
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/migration"
 	"repro/internal/prefetch"
@@ -97,32 +96,6 @@ func TestPointerLoadFiltering(t *testing.T) {
 	}
 	if m2.Stats.Migrations == 0 {
 		t.Fatal("no migrations from pointer loads under PointerLoadsOnly")
-	}
-}
-
-// TestFiniteL3 exercises the optional shared L3: hits and misses are
-// classified, and a working set fitting the L3 stops going to memory
-// after the cold pass.
-func TestFiniteL3(t *testing.T) {
-	l3 := cache.GeometryFor(8<<20, 6, 8, false) // 8 MB shared L3
-	cfg := NormalConfig()
-	cfg.L3 = &l3
-	m := MustNew(cfg)
-	const ws = 32 << 10 // 2 MB: misses L2, fits L3
-	trace.Drive(trace.NewCircular(ws), m, 10*ws, 6, 3)
-	if m.Stats.L3Misses < uint64(ws) {
-		t.Fatalf("L3 misses %d below cold-fill %d", m.Stats.L3Misses, ws)
-	}
-	// After the cold pass, everything is an L3 hit.
-	if m.Stats.L3Misses > uint64(ws)+uint64(ws)/20 {
-		t.Fatalf("L3 misses %d: working set should fit the 8MB L3", m.Stats.L3Misses)
-	}
-	if m.Stats.L3Hits == 0 {
-		t.Fatal("no L3 hits recorded")
-	}
-	if m.Stats.L3Hits+m.Stats.L3Misses != m.Stats.L2Misses {
-		t.Fatalf("L3 accounting broken: hits %d + misses %d != L2 misses %d",
-			m.Stats.L3Hits, m.Stats.L3Misses, m.Stats.L2Misses)
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package machine implements the paper's multi-core machine model (§2):
-// per-core IL1/DL1 and L2 caches, a shared L3 (modelled as infinite —
-// the paper counts L2 misses and treats L2-to-L2 misses and L3 hits
-// alike), the migration-mode coherence protocol of §2.1 (modified-bit
-// discipline with an update bus keeping inactive copies valid), L1
-// mirroring (§2.3), and the migration controller hookup with L2
-// filtering (§3.4).
+// per-core IL1/DL1 and L2 caches, an infinite shared L3 (the paper
+// counts L2 misses and treats L2-to-L2 misses and L3 hits alike), the
+// migration-mode coherence protocol of §2.1 (modified-bit discipline
+// with an update bus keeping inactive copies valid), L1 mirroring
+// (§2.3), and the migration controller hookup with L2 filtering (§3.4).
 //
 // The model is trace-driven and event-counting, like the paper's
 // simulator: it implements mem.BatchSink, consumes a workload's
@@ -55,10 +54,6 @@ type Config struct {
 	// uniform chip); michaud and never ignore it. Only meaningful with
 	// Migration set.
 	Topology *migration.Topology
-	// L3, when non-nil, models a finite shared L3 behind the L2s
-	// (write-back); L3 misses count as memory accesses. When nil the L3
-	// is infinite, as the paper assumes (it never reports L3 misses).
-	L3 *cache.Geometry
 	// Prefetch, when non-nil, attaches a stream prefetcher to the L2
 	// miss stream (prefetches land in the active core's L2) — the
 	// substrate for the §6 prefetching-interaction study.
@@ -70,12 +65,6 @@ type Config struct {
 	// register-update cache whose content (RegisterSpillBytes) is
 	// spilled on each migration.
 	BroadcastThreshold float64
-	// CountWriteThroughL2Misses includes L2 write-allocations triggered
-	// by DL1-hit stores (§2.1's "write allocation in L2 may be triggered
-	// even upon DL1 hits") in the headline L2-miss count. The paper's
-	// counts are trace-driven from L1-miss requests, so the default
-	// (false) reports them separately in Stats.WriteThroughL2Misses.
-	CountWriteThroughL2Misses bool
 }
 
 // PaperL1 returns the paper's 16 KB 4-way L1 geometry.
@@ -179,15 +168,17 @@ type Stats struct {
 	// L3Writebacks counts modified lines written back to L3 (evictions
 	// + forward-writebacks).
 	L3Writebacks uint64
-	// WriteThroughL2Misses counts L2 write-allocations from DL1-hit
-	// stores when CountWriteThroughL2Misses is false.
+	// WriteThroughL2Misses counts L2 write-allocations triggered by
+	// DL1-hit stores (§2.1's "write allocation in L2 may be triggered
+	// even upon DL1 hits"). The paper's counts are trace-driven from
+	// L1-miss requests, so these stay out of L2Misses.
 	WriteThroughL2Misses uint64
 
 	Migrations uint64
 
-	// L3Hits/L3Misses/MemWritebacks are populated only with a finite L3
-	// configured: L2 misses that hit/missed the shared L3, and modified
-	// L3 victims written to memory.
+	// L3Hits, L3Misses and MemWritebacks are always zero: the L3 is
+	// infinite. They stay only for the shape of the JSON results, which
+	// embed Stats.
 	L3Hits, L3Misses, MemWritebacks uint64
 
 	// PrefetchIssued/PrefetchUseful are populated only with a
@@ -281,7 +272,6 @@ type Machine struct {
 	// where no remote copy exists. Aliased with l2 by Cluster.
 	//emlint:nosnapshot derived from the L2 flags; Restore rebuilds it
 	own *owners
-	l3  *cache.SetAssoc // nil = infinite L3 (the paper's assumption)
 	pf  *prefetch.Prefetcher
 	// pol is the migration policy (nil in normal mode). The default is
 	// the paper's Michaud controller; see Config.Policy.
@@ -318,11 +308,6 @@ func (cfg Config) Validate() error {
 	}{{"IL1", cfg.IL1}, {"DL1", cfg.DL1}, {"L2", cfg.L2}} {
 		if err := g.geo.Validate(); err != nil {
 			return fmt.Errorf("machine: %s: %w", g.name, err)
-		}
-	}
-	if cfg.L3 != nil {
-		if err := cfg.L3.Validate(); err != nil {
-			return fmt.Errorf("machine: L3: %w", err)
 		}
 	}
 	if cfg.Migration == nil {
@@ -366,9 +351,6 @@ func newMachine(cfg Config, g *Group) (*Machine, error) {
 	}
 	if cfg.Cores > 1 {
 		m.own = newOwners(cfg.Cores)
-	}
-	if cfg.L3 != nil {
-		m.l3 = cache.NewSetAssoc(*cfg.L3)
 	}
 	if cfg.Prefetch != nil {
 		m.pf = prefetch.New(*cfg.Prefetch)
@@ -608,11 +590,7 @@ func (m *Machine) storeThrough(line mem.Line) {
 		m.markModified(l2, h, line)
 		return
 	}
-	if m.cfg.CountWriteThroughL2Misses {
-		m.Stats.L2Misses++
-	} else {
-		m.Stats.WriteThroughL2Misses++
-	}
+	m.Stats.WriteThroughL2Misses++
 	m.fetch(l2, line, true)
 }
 
@@ -674,17 +652,6 @@ func (m *Machine) fetch(l2 *cache.SetAssoc, line mem.Line, isStore bool) {
 			m.Stats.L3Writebacks++
 		}
 	}
-	if m.l3 != nil {
-		if _, ok := m.l3.Probe(line); ok {
-			m.Stats.L3Hits++
-		} else {
-			m.Stats.L3Misses++
-			_, v3 := m.l3.InsertProbed(line, 0)
-			if v3.Valid && v3.Flags&cache.FlagModified != 0 {
-				m.Stats.MemWritebacks++
-			}
-		}
-	}
 	var flags uint8
 	if isStore {
 		flags = cache.FlagModified
@@ -695,16 +662,6 @@ func (m *Machine) fetch(l2 *cache.SetAssoc, line mem.Line, isStore bool) {
 	if victim.Valid && victim.Flags&cache.FlagModified != 0 {
 		m.Stats.L3Writebacks++
 		m.disown(victim.Line)
-		if m.l3 != nil {
-			if h3, ok := m.l3.Lookup(victim.Line); ok {
-				m.l3.SetFlags(h3, m.l3.Flags(h3)|cache.FlagModified)
-			} else {
-				_, v3 := m.l3.Insert(victim.Line, cache.FlagModified)
-				if v3.Valid && v3.Flags&cache.FlagModified != 0 {
-					m.Stats.MemWritebacks++
-				}
-			}
-		}
 	}
 	if isStore && m.own != nil {
 		m.own.put(line, m.active)

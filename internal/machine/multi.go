@@ -5,9 +5,8 @@ package machine
 // idle cores; a real chip time-shares. A Cluster builds one Machine per
 // program — private L1s, private migration policy and affinity state,
 // private Stats — but aliases every program onto one shared set of L2
-// arrays (and the shared L3, when configured), so cache contention
-// emerges naturally from interleaved insertions rather than from an
-// analytical model.
+// arrays, so cache contention emerges naturally from interleaved
+// insertions rather than from an analytical model.
 //
 // Scheduling is a deterministic round robin with a quantum of one
 // record batch: each turn consumes exactly one batch from every live
@@ -48,10 +47,10 @@ type Cluster struct {
 	programs []*Machine
 }
 
-// NewCluster builds k programs over a shared L2 (and L3) complex. Every
-// program gets its own Machine built from cfg; programs beyond the
-// first alias their L2 arrays, the modified-owner index over them and
-// the L3 onto program 0's.
+// NewCluster builds k programs over a shared L2 complex. Every program
+// gets its own Machine built from cfg; programs beyond the first alias
+// their L2 arrays and the modified-owner index over them onto program
+// 0's.
 func NewCluster(cfg Config, k int) (*Cluster, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("machine: cluster needs at least one program, got %d", k)
@@ -65,7 +64,6 @@ func NewCluster(cfg Config, k int) (*Cluster, error) {
 		if i > 0 {
 			m.l2 = c.programs[0].l2
 			m.own = c.programs[0].own
-			m.l3 = c.programs[0].l3
 		}
 		c.programs = append(c.programs, m)
 	}

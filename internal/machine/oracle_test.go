@@ -167,20 +167,16 @@ func machineContent(c *cache.SetAssoc) map[mem.Line]uint8 {
 	return out
 }
 
-// oChip is what the programs of a chip share: the per-core L2s and the
-// L3 (nil = infinite, as the paper assumes).
+// oChip is what the programs of a chip share: the per-core L2s (the L3
+// behind them is infinite, as the paper assumes).
 type oChip struct {
 	l2 []*oCache
-	l3 *oCache
 }
 
 func newOChip(cfg Config) *oChip {
 	ch := &oChip{}
 	for c := 0; c < cfg.Cores; c++ {
 		ch.l2 = append(ch.l2, newOCache(cfg.L2))
-	}
-	if cfg.L3 != nil {
-		ch.l3 = newOCache(*cfg.L3)
 	}
 	return ch
 }
@@ -336,11 +332,7 @@ func (o *oMachine) writeThrough(line mem.Line) {
 		o.checkCopies(line)
 		return
 	}
-	if o.cfg.CountWriteThroughL2Misses {
-		o.st.L2Misses++
-	} else {
-		o.st.WriteThroughL2Misses++
-	}
+	o.st.WriteThroughL2Misses++
 	o.load(line, true)
 	o.checkCopies(line)
 }
@@ -362,7 +354,7 @@ func (o *oMachine) write(line mem.Line) {
 
 // load fills the active L2 after a miss: a modified remote copy is
 // forwarded and written back at once, a clean one cannot be forwarded
-// (§2.1); the L3 is accessed either way.
+// (§2.1) and comes from the L3.
 func (o *oMachine) load(line mem.Line, store bool) {
 	for c, l2 := range o.chip.l2 {
 		if c == o.active {
@@ -375,29 +367,12 @@ func (o *oMachine) load(line mem.Line, store bool) {
 			break
 		}
 	}
-	if l3 := o.chip.l3; l3 != nil {
-		if l3.use(line) != nil {
-			o.st.L3Hits++
-		} else {
-			o.st.L3Misses++
-			if v, ok := l3.fill(line, 0); ok && v.flags&cache.FlagModified != 0 {
-				o.st.MemWritebacks++
-			}
-		}
-	}
 	var flags uint8
 	if store {
 		flags = cache.FlagModified
 	}
 	if v, ok := o.chip.l2[o.active].fill(line, flags); ok && v.flags&cache.FlagModified != 0 {
 		o.st.L3Writebacks++
-		if l3 := o.chip.l3; l3 != nil {
-			if e := l3.find(v.line); e != nil {
-				e.flags |= cache.FlagModified
-			} else if v3, ok := l3.fill(v.line, cache.FlagModified); ok && v3.flags&cache.FlagModified != 0 {
-				o.st.MemWritebacks++
-			}
-		}
 	}
 	if store {
 		o.write(line)
@@ -474,9 +449,6 @@ func compareOracle(t *testing.T, what string, m *Machine, o *oMachine) {
 	caches := []cachePair{{"IL1", m.il1, o.il1}, {"DL1", m.dl1, o.dl1}}
 	for c := range m.l2 {
 		caches = append(caches, cachePair{fmt.Sprintf("L2[%d]", c), m.l2[c], o.chip.l2[c]})
-	}
-	if m.l3 != nil {
-		caches = append(caches, cachePair{"L3", m.l3, o.chip.l3})
 	}
 	for _, c := range caches {
 		if got, want := machineContent(c.m), c.o.content(); !reflect.DeepEqual(got, want) {
@@ -574,24 +546,20 @@ func oracleConfigs() map[string]Config {
 		}
 		return cfg
 	}
-	l3 := cache.GeometryFor(1<<20, 6, 8, false) // small enough to miss on the test streams
 	pf := prefetch.Default()
 	none := func(*Config) {}
 	return map[string]Config{
-		"normal":      NormalConfig(),
-		"michaud-2":   mig(2, none),
-		"michaud-4":   mig(4, none),
-		"michaud-8":   mig(8, none),
-		"numa-ring":   scenario("numa", "ring"),
-		"never":       scenario("never", ""),
-		"unbounded":   mig(4, func(c *Config) { mc := *c.Migration; mc.TableEntries = 0; c.Migration = &mc }),
-		"l3":          mig(4, func(c *Config) { c.L3 = &l3 }),
-		"prefetch":    mig(4, func(c *Config) { c.Prefetch = &pf }),
-		"broadcast":   mig(4, func(c *Config) { c.BroadcastThreshold = 0.25 }),
-		"writethru":   mig(4, func(c *Config) { c.CountWriteThroughL2Misses = true }),
-		"ptrloads":    mig(4, func(c *Config) { mc := *c.Migration; mc.PointerLoadsOnly = true; c.Migration = &mc }),
-		"nofilter":    mig(4, func(c *Config) { mc := *c.Migration; mc.NoL2Filtering = true; c.Migration = &mc }),
-		"prefetch-l3": mig(2, func(c *Config) { c.Prefetch = &pf; c.L3 = &l3 }),
+		"normal":    NormalConfig(),
+		"michaud-2": mig(2, none),
+		"michaud-4": mig(4, none),
+		"michaud-8": mig(8, none),
+		"numa-ring": scenario("numa", "ring"),
+		"never":     scenario("never", ""),
+		"unbounded": mig(4, func(c *Config) { mc := *c.Migration; mc.TableEntries = 0; c.Migration = &mc }),
+		"prefetch":  mig(4, func(c *Config) { c.Prefetch = &pf }),
+		"broadcast": mig(4, func(c *Config) { c.BroadcastThreshold = 0.25 }),
+		"ptrloads":  mig(4, func(c *Config) { mc := *c.Migration; mc.PointerLoadsOnly = true; c.Migration = &mc }),
+		"nofilter":  mig(4, func(c *Config) { mc := *c.Migration; mc.NoL2Filtering = true; c.Migration = &mc }),
 	}
 }
 
@@ -730,10 +698,9 @@ func TestOracle(t *testing.T) {
 	for name, cfg := range configs {
 		st := totals[name]
 		if st.L2Misses == 0 || st.L3Writebacks == 0 ||
-			(cfg.L3 != nil && (st.L3Misses == 0 || st.MemWritebacks == 0)) ||
 			(cfg.Prefetch != nil && st.PrefetchUseful == 0) ||
 			(cfg.BroadcastThreshold > 0 && st.SuppressedRegBytes == 0) ||
-			(cfg.Migration != nil && cfg.Policy != migration.PolicyNever && (st.Migrations == 0 || st.L2ToL2 == 0)) ||
+			(cfg.Migration != nil && cfg.Policy != migration.PolicyNever && (st.Migrations == 0 || st.L2ToL2 == 0 || st.WriteThroughL2Misses == 0)) ||
 			// Without L2 filtering execution moves on the request, before
 			// the active L2 is probed, so no hit follows a migration.
 			(cfg.Migration != nil && cfg.Policy != migration.PolicyNever && !cfg.Migration.NoL2Filtering && st.L2HitsAfterMigration == 0) {

@@ -89,7 +89,6 @@ func referenceConfigs() map[string]Config {
 		}
 		return cfg
 	}
-	l3 := cache.GeometryFor(2<<20, 6, 8, false) // small enough to miss on the test streams
 	pf := prefetch.Default()
 	return map[string]Config{
 		"normal":      NormalConfig(),
@@ -102,7 +101,6 @@ func referenceConfigs() map[string]Config {
 			mc.TableEntries = 0
 			c.Migration = &mc
 		}),
-		"l3":        mig(func(c *Config) { c.L3 = &l3 }),
 		"prefetch":  mig(func(c *Config) { c.Prefetch = &pf }),
 		"broadcast": mig(func(c *Config) { c.BroadcastThreshold = 0.25 }),
 	}

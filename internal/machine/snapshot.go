@@ -10,7 +10,7 @@ import (
 )
 
 // Snapshot is the serialisable state of a Machine behind its L1 front
-// end: every L2 (and the L3), the prefetcher, the migration policy
+// end: every L2, the prefetcher, the migration policy
 // (splitters, affinity table), the active core, and the accumulated
 // Stats. The L1s belong to the machine's Group, which checkpoints them
 // once for all its members (Group.Capture). Restoring a group's
@@ -23,7 +23,6 @@ type Snapshot struct {
 	Active int
 
 	L2       []cache.SetAssocState
-	L3       *cache.SetAssocState
 	Prefetch *prefetch.State
 
 	// Policy is the migration policy's state, nil in normal mode.
@@ -54,10 +53,6 @@ func (m *Machine) Snapshot() (Snapshot, error) {
 	}
 	for _, l2 := range m.l2 {
 		s.L2 = append(s.L2, l2.State())
-	}
-	if m.l3 != nil {
-		st := m.l3.State()
-		s.L3 = &st
 	}
 	if m.pf != nil {
 		st := m.pf.State()
@@ -91,9 +86,6 @@ func (m *Machine) Restore(s Snapshot) error {
 	if len(s.L2) != len(m.l2) {
 		return fmt.Errorf("machine: snapshot has %d L2s, machine has %d", len(s.L2), len(m.l2))
 	}
-	if (s.L3 != nil) != (m.l3 != nil) {
-		return fmt.Errorf("machine: snapshot and machine disagree on L3 presence")
-	}
 	if (s.Prefetch != nil) != (m.pf != nil) {
 		return fmt.Errorf("machine: snapshot and machine disagree on prefetcher presence")
 	}
@@ -108,11 +100,6 @@ func (m *Machine) Restore(s Snapshot) error {
 	if m.own != nil {
 		if err := m.own.rebuild(s.L2); err != nil {
 			return err
-		}
-	}
-	if s.L3 != nil {
-		if err := m.l3.SetState(*s.L3); err != nil {
-			return fmt.Errorf("machine: L3: %w", err)
 		}
 	}
 	if s.Prefetch != nil {
