@@ -11,26 +11,45 @@ import (
 	"testing"
 )
 
+// sampleFlags are the canonical sampling parameters. The warmup of 3
+// intervals matters: migrations are a long-horizon metric (the affinity
+// table takes many intervals of history to reach migration steady
+// state), and with too little warmup the measured intervals
+// systematically under-migrate — the bias EXPERIMENTS.md documents.
+// Three 40k-instr intervals keep the migration estimate inside its bars
+// while the measured set still amortizes past the 10x savings floor.
+var sampleFlags = []string{"-sample", "-sample-interval", "40000", "-sample-clusters", "4", "-sample-warmup", "3"}
+
 // sampleArgs is the canonical sampled invocation: em3d is the workload
-// the acceptance criterion names. The warmup of 3 intervals matters:
-// migrations are a long-horizon metric (the affinity table takes many
-// intervals of history to reach migration steady state), and with too
-// little warmup the measured intervals systematically under-migrate —
-// the bias EXPERIMENTS.md documents. Three 40k-instr intervals keep the
-// migration estimate inside its bars while the measured set still
-// amortizes past the 10x savings floor.
+// the acceptance criterion names.
 func sampleArgs(extra ...string) []string {
-	return append([]string{"-workload", "em3d", "-instr", "8000000", "-cores", "4",
-		"-sample", "-sample-interval", "40000", "-sample-clusters", "4", "-sample-warmup", "3"}, extra...)
+	args := append([]string{"-workload", "em3d", "-instr", "8000000", "-cores", "4"}, sampleFlags...)
+	return append(args, extra...)
 }
 
-// TestEmsimSampleGolden locks the ESTIMATED report format.
+// TestEmsimSampleGolden locks the ESTIMATED report format: the
+// canonical em3d run, and a scenario whose policy carries state from
+// one measured interval to the next (numa's distance hysteresis on an
+// 8-core ring).
 func TestEmsimSampleGolden(t *testing.T) {
-	stdout, _ := runCLI(t, "emsim", sampleArgs("-j", "1")...)
-	if !strings.Contains(stdout, "ESTIMATED") {
-		t.Fatalf("sampled report is not labelled ESTIMATED:\n%s", stdout)
+	for _, tc := range []struct {
+		name, golden string
+		scenario     []string
+	}{
+		{"em3d", "emsim_sample_em3d.golden",
+			[]string{"-workload", "em3d", "-instr", "8000000", "-cores", "4"}},
+		{"mst_numa_ring", "emsim_sample_mst_numa_ring.golden",
+			[]string{"-workload", "mst", "-instr", "8000000", "-cores", "8", "-policy", "numa", "-topology", "ring"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append(append(tc.scenario, sampleFlags...), "-j", "1")
+			stdout, _ := runCLI(t, "emsim", args...)
+			if !strings.Contains(stdout, "ESTIMATED") {
+				t.Fatalf("sampled report is not labelled ESTIMATED:\n%s", stdout)
+			}
+			checkGolden(t, tc.golden, []byte(stdout))
+		})
 	}
-	checkGolden(t, "emsim_sample_em3d.golden", []byte(stdout))
 }
 
 // TestEmsimSampleVerifyWithinBars runs the sampled estimate against the
