@@ -172,8 +172,7 @@ func TestScalarBatchCheckpointResume(t *testing.T) {
 	// None of these is a multiple of the 4096-record batch length, and
 	// one sits exactly one event past a batch boundary. The sampling
 	// profiler's interval boundaries ride along: those are the events the
-	// -sample simulator cuts and warm-starts at, so checkpoint/resume
-	// parity there is what makes sampled estimates trustworthy.
+	// -sample simulator cuts at.
 	cuts := []uint64{1, 4097, 12_345, ref.Events - 3}
 	cuts = append(cuts, samplingCuts(t, base, 3)...)
 	for _, cut := range cuts {

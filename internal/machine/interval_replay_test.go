@@ -2,17 +2,18 @@ package machine
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
-// The interval-sampling warm-start property: at any interval boundary,
+// The checkpoint completeness property: at any interval boundary,
 // replacing a machine with a fresh one restored from an EMCKPT2
 // round-trip of its own snapshot and replaying the next interval must
 // be indistinguishable from never having stopped — not just in final
 // stats but in the checkpoint bytes of the end state, which cover every
-// field the format carries. This is the invariant that lets emsim
-// -sample warm-start every measured interval from checkpoint state and
-// still claim full-fidelity interval measurements.
+// field the format carries. emsim -resume and the service's spooled
+// jobs rest on it, so it is pinned for every scenario shape a run can
+// take: each policy, and the migration chip at 2, 4 and 8 cores.
 
 // intervalScenario is one machine configuration under test.
 type intervalScenario struct {
@@ -28,20 +29,30 @@ func intervalScenarios() []intervalScenario {
 			build: func() (*Machine, error) { return New(NormalConfig()) }},
 		{name: "migration", cores: 4,
 			build: func() (*Machine, error) { return New(MigrationConfigN(4)) }},
-		{name: "numa-cluster", cores: 4, policy: "numa", topology: "cluster",
-			build: func() (*Machine, error) {
-				cfg, err := MigrationConfigScenario(4, "numa", "cluster")
-				if err != nil {
-					return nil, err
-				}
-				return New(cfg)
-			}},
+		{name: "michaud-2", cores: 2,
+			build: func() (*Machine, error) { return New(MigrationConfigN(2)) }},
+		{name: "michaud-8", cores: 8,
+			build: func() (*Machine, error) { return New(MigrationConfigN(8)) }},
+		policyScenario(4, "never", ""),
+		policyScenario(4, "numa", "cluster"),
 	}
 }
 
+// policyScenario is a policy and topology scenario of the migration chip,
+// named after them.
+func policyScenario(cores int, policy, topology string) intervalScenario {
+	return intervalScenario{name: strings.Trim(policy+"-"+topology, "-"), cores: cores, policy: policy, topology: topology,
+		build: func() (*Machine, error) {
+			cfg, err := MigrationConfigScenario(cores, policy, topology)
+			if err != nil {
+				return nil, err
+			}
+			return New(cfg)
+		}}
+}
+
 // warmRestart round-trips m's state through the EMCKPT2 encode/decode
-// path and returns a fresh machine restored from the decoded bytes,
-// exactly as the sampling simulator's warm start does.
+// path and returns a fresh machine restored from the decoded bytes.
 func warmRestart(t *testing.T, sc intervalScenario, m *Machine, events uint64) *Machine {
 	t.Helper()
 	ck, err := RoundTripCheckpoint(scenarioCheckpoint(t, sc, m, events))
@@ -82,8 +93,8 @@ func endStateBytes(t *testing.T, sc intervalScenario, m *Machine) []byte {
 }
 
 // TestIntervalWarmStartReplayIdentical: restore-at-interval-i, replay
-// to interval i+1 == uninterrupted run, per boundary, for all three
-// scenario shapes. The interrupted run warm-restarts at EVERY interval
+// to interval i+1 == uninterrupted run, per boundary, for every
+// scenario shape. The interrupted run warm-restarts at EVERY interval
 // boundary, so each i→i+1 segment runs on checkpoint-born state; the
 // end states must still serialise to identical bytes.
 func TestIntervalWarmStartReplayIdentical(t *testing.T) {

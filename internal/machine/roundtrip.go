@@ -3,13 +3,10 @@ package machine
 import "bytes"
 
 // RoundTripCheckpoint pushes a checkpoint through the full EMCKPT2
-// encode/decode path in memory and returns the decoded copy. The
-// interval sampler warm-starts every measured interval from a
-// round-tripped snapshot instead of the live machine state: anything
-// the checkpoint format failed to capture would desynchronize the
-// estimate from a full-fidelity run immediately, so the format's
-// completeness is exercised on the production path, not only in tests
-// (which pin the same property per interval boundary).
+// encode/decode path in memory and returns the decoded copy: what a
+// resume from a checkpoint file would restore, without the file. The
+// checkpoint completeness tests restore from it at every boundary they
+// cut.
 func RoundTripCheckpoint(ck *Checkpoint) (*Checkpoint, error) {
 	var buf bytes.Buffer
 	if err := WriteCheckpoint(&buf, ck); err != nil {

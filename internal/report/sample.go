@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/run"
 	"repro/internal/runner"
 	"repro/internal/sampling"
@@ -90,7 +91,7 @@ func SampleRun(spec run.Spec, opt RunOptions) (SampleResultJSON, error) {
 	if err != nil {
 		return SampleResultJSON{}, err
 	}
-	if err := src(prof); err != nil {
+	if _, err := (&run.Stream{To: []mem.BatchSink{prof}}).RunContext(opt.ctx(), src); err != nil {
 		return SampleResultJSON{}, err
 	}
 	intervals := prof.Finish()

@@ -17,10 +17,12 @@
 package run
 
 import (
+	"context"
 	"math"
 	"sync/atomic"
 
 	"repro/internal/mem"
+	"repro/internal/runner"
 )
 
 // Stream is the engine's sink. It numbers every event it receives (an
@@ -45,9 +47,8 @@ import (
 // at the next span (the asynchronous interrupt: SIGINT, a deadline, a
 // drain).
 //
-// A Stream must be driven through Run, which owns the stop sentinel.
-// To may be re-pointed between events (the sampler's warm start swaps
-// in restored machines from its Hook).
+// A Stream must be driven through Run or RunContext, which own the stop
+// sentinel.
 type Stream struct {
 	To     []mem.BatchSink
 	Skip   uint64
@@ -94,6 +95,18 @@ func (s *Stream) Run(src func(mem.BatchSink) error) (stopped bool, err error) {
 	}()
 	s.cross()
 	return false, src(s)
+}
+
+// RunContext is Run with Stop set from ctx: the stream stops at the
+// next span once ctx is done, and then returns ctx.Err().
+func (s *Stream) RunContext(ctx context.Context, src func(mem.BatchSink) error) (stopped bool, err error) {
+	stop, release := runner.StopWhenDone(ctx)
+	defer release()
+	s.Stop = stop
+	if stopped, err = s.Run(src); err == nil && stop.Load() {
+		err = ctx.Err()
+	}
+	return stopped, err
 }
 
 // Events is the number of events the stream has seen, the skipped

@@ -15,13 +15,16 @@
 //   - Workers == 1 runs the jobs inline on the calling goroutine, in
 //     order — the legacy serial path, byte-identical by construction;
 //   - the first error (lowest job index among failures) cancels the
-//     remaining jobs and is returned;
+//     remaining jobs and is returned; a job that returns the
+//     cancellation itself is not a failure, so a job the cancel stopped
+//     never hides the error that caused it;
 //   - OnDone fires once per completed job, serialised, so progress
 //     reporting needs no locking of its own.
 package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -104,7 +107,9 @@ func Map[T any](ctx context.Context, n int, cfg Config, fn func(ctx context.Cont
 				}
 				r, err := fn(ctx, i)
 				if err != nil {
-					fail(i, err)
+					if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
+						fail(i, err) // not a job the cancellation stopped
+					}
 					continue
 				}
 				results[i] = r

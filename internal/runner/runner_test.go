@@ -89,6 +89,25 @@ func TestMapError(t *testing.T) {
 	}
 }
 
+// TestMapErrorNotHiddenByCancellation: a job that a later job's
+// failure cancels returns the cancellation, and that must not stand in
+// for the failure even though its index is lower.
+func TestMapErrorNotHiddenByCancellation(t *testing.T) {
+	sentinel := errors.New("boom")
+	_, err := Map(context.Background(), 2, Config{Workers: 2},
+		func(ctx context.Context, i int) (int, error) {
+			if i == 1 {
+				return 0, sentinel
+			}
+			<-ctx.Done()
+			return 0, ctx.Err()
+		})
+	var je *JobError
+	if !errors.As(err, &je) || je.Index != 1 || !errors.Is(err, sentinel) {
+		t.Fatalf("error %v, want job 1's sentinel", err)
+	}
+}
+
 // TestMapCancellation: cancelling the context stops the run promptly
 // and surfaces ctx.Err.
 func TestMapCancellation(t *testing.T) {

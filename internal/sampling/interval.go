@@ -1,15 +1,14 @@
-// Package sampling implements interval sampling with checkpoint
-// warm-start: the SimPoint-style recipe of "Improving the
-// Representativeness of Simulation Intervals for the Cache Memory
-// System" applied to the execution-migration experiments. One cheap
-// machine-free profiling pass splits the event stream into fixed-size
-// instruction intervals and fingerprints each with its lrustack
-// working-set signature; a deterministic seeded k-medoids groups the
-// fingerprints; only the representative intervals are simulated at full
-// fidelity (each warm-started through an EMCKPT2 snapshot round-trip at
-// its start boundary); and the full-run metric totals are reconstructed
-// as stratified estimates with per-metric error bars from the recorded
-// within-cluster variance.
+// Package sampling implements interval sampling: the SimPoint-style
+// recipe of "Improving the Representativeness of Simulation Intervals
+// for the Cache Memory System" applied to the execution-migration
+// experiments. One cheap machine-free profiling pass splits the event
+// stream into fixed-size instruction intervals and fingerprints each
+// with its lrustack working-set signature; a deterministic seeded
+// k-medoids groups the fingerprints; only the representative intervals
+// are simulated at full fidelity, each chain of them on one machine
+// pair warmed by the unmeasured intervals before it; and the full-run
+// metric totals are reconstructed as stratified estimates with
+// per-metric error bars from the recorded within-cluster variance.
 //
 // Everything here is deterministic: the same stream, interval size,
 // cluster count and seed produce byte-identical estimates, and the

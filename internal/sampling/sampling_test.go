@@ -266,8 +266,9 @@ func testSimConfig(t *testing.T) SimConfig {
 // TestExactWhenEveryIntervalMeasured is the keystone correctness test:
 // with k == M every interval is its own cluster, the plan measures all
 // of them, and the stratified estimate must reproduce the full-run
-// totals exactly with zero-width error bars — warm-starting through an
-// EMCKPT2 round-trip at every boundary included.
+// totals exactly with zero-width error bars: a chain's machines are the
+// full run's machines over the same events, so the per-cut deltas sum
+// to the full-run totals.
 func TestExactWhenEveryIntervalMeasured(t *testing.T) {
 	src := phasedBatchedSource(3)
 	p, ivs := profile(t, src, 1000)
@@ -371,9 +372,9 @@ func TestSimulateScalarBatchParity(t *testing.T) {
 	}
 }
 
-// TestSimulatePolicyScenario exercises the warm-start path of a
-// non-default scenario (the numa policy's hysteresis state on a
-// topology).
+// TestSimulatePolicyScenario: a non-default scenario's policy state
+// (the numa policy's hysteresis on a topology) carries from one
+// measured interval to the next exactly as in the full run.
 func TestSimulatePolicyScenario(t *testing.T) {
 	src := phasedBatchedSource(4)
 	p, ivs := profile(t, src, 1000)

@@ -54,8 +54,10 @@ type Source func(sink mem.BatchSink) error
 // SimConfig shapes the simulation pass.
 type SimConfig struct {
 	// Normal and Mig are the two machine configurations of the
-	// experiment tee. A non-default Mig scenario's policy state rides
-	// the warm-start checkpoint exactly as emsim -checkpoint writes it.
+	// experiment tee. Each chain drives one pair of them from its first
+	// interval to its last, so the caches, the affinity tables and a
+	// scenario's policy state (numa's distance hysteresis included)
+	// carry across the chain's unmeasured gaps as in a full run.
 	Normal, Mig machine.Config
 	// Workers sizes the chain worker pool (0 = all cores). Results
 	// merge in chain order, so every worker count produces identical
@@ -84,21 +86,6 @@ type SimResult struct {
 	DeliveredEvents uint64
 }
 
-// chainRun is the per-chain job state: the hook the run engine's
-// stream fires at every cut.
-type chainRun struct {
-	cfg       SimConfig
-	intervals []Interval
-	measured  []Measured // this chain's measured intervals, ascending
-	pair      *run.Pair
-	stream    *run.Stream
-
-	mi       int      // next measured interval to open
-	open     bool     // a measured interval is in flight
-	base     []uint64 // metric vector at the open interval's start
-	measures []IntervalMeasure
-}
-
 // cutsFor returns the ascending unique boundary events of the chain:
 // each measured interval's start and end.
 func cutsFor(intervals []Interval, measured []Measured) []uint64 {
@@ -113,66 +100,14 @@ func cutsFor(intervals []Interval, measured []Measured) []uint64 {
 	return cuts
 }
 
-// hook runs at each cut event: close the open measured interval and/or
-// warm-start the next one through an EMCKPT2 snapshot round-trip.
-func (r *chainRun) hook(event uint64) error {
-	if r.open && event == r.intervals[r.measured[r.mi].Interval].EndEvent {
-		m := r.measured[r.mi]
-		iv := r.intervals[m.Interval]
-		cur := extract(r.pair.Normal.Stats, r.pair.Mig.Stats)
-		for i := range cur {
-			cur[i] -= r.base[i]
-		}
-		r.measures = append(r.measures, IntervalMeasure{
-			Interval: m.Interval,
-			Cluster:  m.Cluster,
-			Role:     m.Role,
-			Events:   iv.Events(),
-			Instr:    iv.Instr,
-			Values:   cur,
-		})
-		r.open = false
-		r.mi++
-	}
-	if !r.open && r.mi < len(r.measured) && event == r.intervals[r.measured[r.mi].Interval].StartEvent {
-		if err := r.warmStart(event); err != nil {
-			return err
-		}
-		r.base = extract(r.pair.Normal.Stats, r.pair.Mig.Stats)
-		r.open = true
-	}
-	return nil
-}
-
-// warmStart replaces both machines with fresh ones restored from an
-// EMCKPT2 round-trip of their own snapshots — the measured interval
-// starts from checkpoint bytes, so the estimate inherits the resume
-// path's bit-exactness guarantee (and its tests).
-func (r *chainRun) warmStart(event uint64) error {
-	ck, err := r.pair.Checkpoint(run.Spec{}, event)
-	if err != nil {
-		return err
-	}
-	if ck, err = machine.RoundTripCheckpoint(ck); err != nil {
-		return err
-	}
-	fresh, err := run.NewPairConfig(r.cfg.Normal, r.cfg.Mig)
-	if err != nil {
-		return err
-	}
-	if err := fresh.Restore(ck); err != nil {
-		return err
-	}
-	r.pair = fresh
-	r.stream.To = fresh.Sinks()
-	return nil
-}
-
 // runChain executes one chain on the run engine: fast-forward to the
-// chain's first interval, deliver through its last, and measure at the
-// cuts. With no warmup the first cut is the skip edge itself, where the
-// stream's cut hook fires before any event is delivered.
-func runChain(src Source, intervals []Interval, plan Plan, chain Chain, cfg SimConfig) ([]IntervalMeasure, error) {
+// chain's first interval, deliver through its last into one machine
+// pair, and read the metric vector at every cut. A measured interval is
+// the difference of the vectors at its end and its start. With no
+// warmup the first cut is the skip edge itself, where the stream's cut
+// hook fires before any event is delivered. A chain that ctx stops
+// returns ctx.Err().
+func runChain(ctx context.Context, src Source, intervals []Interval, plan Plan, chain Chain, cfg SimConfig) ([]IntervalMeasure, error) {
 	pair, err := run.NewPairConfig(cfg.Normal, cfg.Mig)
 	if err != nil {
 		return nil, err
@@ -181,23 +116,44 @@ func runChain(src Source, intervals []Interval, plan Plan, chain Chain, cfg SimC
 	for i, mi := range chain.Measured {
 		measured[i] = plan.Measured[mi]
 	}
-	r := &chainRun{cfg: cfg, intervals: intervals, measured: measured, pair: pair}
-	r.stream = &run.Stream{
+	cuts := cutsFor(intervals, measured)
+	at := make(map[uint64][]uint64, len(cuts)) // the metric vector at each cut
+	stream := &run.Stream{
 		To:     pair.Sinks(),
 		Skip:   chain.SkipEvents,
-		Cuts:   cutsFor(intervals, measured),
+		Cuts:   cuts,
 		StopAt: intervals[chain.LastInterval].EndEvent,
-		Hook:   r.hook,
+		Hook: func(event uint64) error {
+			at[event] = extract(pair.Normal.Stats, pair.Mig.Stats)
+			return nil
+		},
 	}
-	stopped, err := r.stream.Run(src)
+	stopped, err := stream.RunContext(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	if !stopped || len(r.measures) != len(measured) {
-		return nil, fmt.Errorf("sampling: stream ended at event %d before chain [%d..%d] completed (%d/%d intervals measured)",
-			r.stream.Events(), chain.FirstInterval, chain.LastInterval, len(r.measures), len(measured))
+	if !stopped || len(at) != len(cuts) {
+		return nil, fmt.Errorf("sampling: stream ended at event %d before chain [%d..%d] completed (%d/%d cuts reached)",
+			stream.Events(), chain.FirstInterval, chain.LastInterval, len(at), len(cuts))
 	}
-	return r.measures, nil
+	measures := make([]IntervalMeasure, len(measured))
+	for i, m := range measured {
+		iv := intervals[m.Interval]
+		start, end := at[iv.StartEvent], at[iv.EndEvent]
+		v := make([]uint64, len(Metrics))
+		for j := range v {
+			v[j] = end[j] - start[j]
+		}
+		measures[i] = IntervalMeasure{
+			Interval: m.Interval,
+			Cluster:  m.Cluster,
+			Role:     m.Role,
+			Events:   iv.Events(),
+			Instr:    iv.Instr,
+			Values:   v,
+		}
+	}
+	return measures, nil
 }
 
 // Simulate runs every chain of the plan over the worker pool and
@@ -207,8 +163,8 @@ func runChain(src Source, intervals []Interval, plan Plan, chain Chain, cfg SimC
 func Simulate(ctx context.Context, src Source, intervals []Interval, plan Plan, cfg SimConfig) (SimResult, error) {
 	chains := plan.Chains
 	results, err := runner.Map(ctx, len(chains), runner.Config{Workers: cfg.Workers},
-		func(_ context.Context, i int) ([]IntervalMeasure, error) {
-			return runChain(src, intervals, plan, chains[i], cfg)
+		func(ctx context.Context, i int) ([]IntervalMeasure, error) {
+			return runChain(ctx, src, intervals, plan, chains[i], cfg)
 		})
 	if err != nil {
 		return SimResult{}, err

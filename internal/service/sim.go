@@ -87,8 +87,10 @@ func (s *Service) runJob(ctx context.Context, spec RunSpec, ck *machine.Checkpoi
 // the response bytes match `emsim -json` for the same parameters.
 // Workers is 1 (the caller already holds a worker slot); both drivers
 // give identical bytes at any worker count anyway. Neither carries
-// checkpoint machinery to spool, so a cancelled job discards its work;
-// the drivers observe cancellation between jobs.
+// checkpoint machinery to spool, so a cancelled job discards its work.
+// A sampled run stops within a batch of its deadline (its profile pass
+// and every chain run on a stream the context stops); a multiprogrammed
+// run observes cancellation only between jobs.
 func (s *Service) reportJob(ctx context.Context, spec RunSpec) ([]byte, error) {
 	jobCtx, cancel := s.jobContext(ctx)
 	defer cancel()
