@@ -98,12 +98,12 @@ func (s *Stream) Run(src func(mem.BatchSink) error) (stopped bool, err error) {
 }
 
 // RunContext is Run with Stop set from ctx: the stream stops at the
-// next span once ctx is done, and then returns ctx.Err().
+// next span once ctx is done, and a stopped stream returns ctx.Err().
 func (s *Stream) RunContext(ctx context.Context, src func(mem.BatchSink) error) (stopped bool, err error) {
 	stop, release := runner.StopWhenDone(ctx)
 	defer release()
 	s.Stop = stop
-	if stopped, err = s.Run(src); err == nil && stop.Load() {
+	if stopped, err = s.Run(src); stopped && err == nil {
 		err = ctx.Err()
 	}
 	return stopped, err

@@ -14,8 +14,8 @@ import (
 // Workload generators cannot return early and machine passes run for
 // millions of events between function returns, so a context deadline on
 // its own would only be observed at job granularity. This helper is the
-// bridge: the service layer derives a per-request context, hands the
-// flag to the pass's sink, and the job observes the deadline at event
+// bridge: run.Stream.RunContext hands the flag to the pass's stream, so
+// a service job or a sampled pass observes its deadline at event
 // granularity instead.
 //
 // release must be called when the pass ends (typically deferred); it

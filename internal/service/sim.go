@@ -9,7 +9,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/run"
-	"repro/internal/runner"
 )
 
 // Plain /run jobs are thin calls into the run engine (internal/run),
@@ -46,14 +45,7 @@ func (s *Service) runJob(ctx context.Context, spec RunSpec, ck *machine.Checkpoi
 
 	jobCtx, cancel := s.jobContext(ctx)
 	defer cancel()
-	stop, releaseStop := runner.StopWhenDone(jobCtx)
-	defer releaseStop()
-	stream.Stop = stop
-
-	interrupted, err := stream.Run(spec.Feed)
-	if err != nil {
-		return nil, err
-	}
+	interrupted, err := stream.RunContext(jobCtx, spec.Feed)
 	if interrupted {
 		path := ""
 		if s.jobsCtx.Err() != nil && s.cfg.SpoolDir != "" {
@@ -63,6 +55,9 @@ func (s *Service) runJob(ctx context.Context, spec RunSpec, ck *machine.Checkpoi
 			}
 		}
 		return nil, s.ctxError(ctx, path)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	var buf bytes.Buffer
