@@ -32,10 +32,39 @@ func NewBisort() workloads.Workload {
 	}
 }
 
+// bisortTree is the sort's tree stored in heap order: node i's children
+// are 2i+1 and 2i+2. Each node keeps its value and the allocation slot
+// of its simulated record, which sits at base + bisortNodeBytes*slot.
+type bisortTree struct {
+	nodes []bisortNode
+	base  mem.Addr
+}
+
 type bisortNode struct {
-	value       int32
-	left, right int32
-	addr        mem.Addr
+	value, slot int32
+}
+
+// bisortNodeBytes is a node record's size: two nodes per line, like the
+// original's records.
+const bisortNodeBytes = 32
+
+func (t *bisortTree) addr(id int32) mem.Addr {
+	return t.base + mem.Addr(t.nodes[id].slot)*bisortNodeBytes
+}
+
+// left and right return a node's child, or -1 for a leaf.
+func (t *bisortTree) left(id int32) int32 {
+	if c := 2*id + 1; int(c) < len(t.nodes) {
+		return c
+	}
+	return -1
+}
+
+func (t *bisortTree) right(id int32) int32 {
+	if c := 2*id + 2; int(c) < len(t.nodes) {
+		return c
+	}
+	return -1
 }
 
 const (
@@ -52,26 +81,20 @@ func (w *Bisort) Run(sink mem.Sink, budget uint64) {
 	fSwap := code.Func("swapValLeft", 256)
 
 	data := sp.AddRegion("bisort", 1<<30)
-	const nodeBytes = 32 // two nodes per line, like the original's records
 
 	rng := trace.NewRNG(250000)
-	nodes := make([]bisortNode, w.size)
-	// Build the perfect tree in heap order but allocate node records in
-	// random arrival order, like the original's malloc pattern.
-	perm := rng.Perm(w.size)
-	addrs := make([]mem.Addr, w.size)
-	for _, p := range perm {
-		addrs[p] = data.Alloc(nodeBytes, 32)
+	// Node records are allocated in random arrival order, like the
+	// original's malloc pattern: node perm[k] takes the k-th record.
+	t := &bisortTree{
+		nodes: make([]bisortNode, w.size),
+		base:  data.Alloc(uint64(w.size)*bisortNodeBytes, 32),
+	}
+	nodes := t.nodes
+	for k, p := range rng.Perm(w.size) {
+		nodes[p].slot = int32(k)
 	}
 	for i := range nodes {
-		l, r := 2*i+1, 2*i+2
-		nodes[i] = bisortNode{value: int32(rng.Uint64()), left: -1, right: -1, addr: addrs[i]}
-		if l < w.size {
-			nodes[i].left = int32(l)
-		}
-		if r < w.size {
-			nodes[i].right = int32(r)
-		}
+		nodes[i].value = int32(rng.Uint64())
 	}
 
 	cpu := sim.NewCPU(sink)
@@ -81,16 +104,15 @@ func (w *Bisort) Run(sink mem.Sink, budget uint64) {
 	var bimerge func(id int32, dir bool) int32
 	var swapLeft func(id int32)
 	swapLeft = func(id int32) {
-		n := &nodes[id]
 		cpu.Enter(fSwap)
-		cpu.Load(n.addr)
+		cpu.Load(t.addr(id))
 		cpu.Exec(6)
-		if n.left >= 0 {
-			l := &nodes[n.left]
-			cpu.Load(l.addr)
-			n.value, l.value = l.value, n.value
-			cpu.Store(n.addr)
-			cpu.Store(l.addr)
+		if l := t.left(id); l >= 0 {
+			cpu.Load(t.addr(l))
+			n, c := &nodes[id], &nodes[l]
+			n.value, c.value = c.value, n.value
+			cpu.Store(t.addr(id))
+			cpu.Store(t.addr(l))
 			cpu.Exec(6)
 		}
 	}
@@ -100,34 +122,33 @@ func (w *Bisort) Run(sink mem.Sink, budget uint64) {
 			return 0 // budget pruning: stop descending
 		}
 		cpu.Enter(fBimerge)
-		n := &nodes[id]
-		cpu.Load(n.addr)
+		cpu.Load(t.addr(id))
 		cpu.Exec(10)
 		// Compare-exchange down the spine: walk both subtrees swapping
 		// out-of-order pairs (the original's pl/pr walk).
-		l, r := n.left, n.right
+		l, r := t.left(id), t.right(id)
 		for l >= 0 && r >= 0 {
 			nl, nr := &nodes[l], &nodes[r]
-			cpu.LoadPtr(nl.addr)
-			cpu.LoadPtr(nr.addr)
+			cpu.LoadPtr(t.addr(l))
+			cpu.LoadPtr(t.addr(r))
 			cpu.Exec(8)
 			if (nl.value > nr.value) != dir {
 				nl.value, nr.value = nr.value, nl.value
-				cpu.Store(nl.addr)
-				cpu.Store(nr.addr)
+				cpu.Store(t.addr(l))
+				cpu.Store(t.addr(r))
 			}
 			if (uint32(nl.value)^uint32(nr.value))&1 == 0 {
-				l, r = nl.left, nr.left
+				l, r = t.left(l), t.left(r)
 			} else {
-				l, r = nl.right, nr.right
+				l, r = t.right(l), t.right(r)
 			}
 		}
-		if n.left >= 0 {
-			bimerge(n.left, dir)
-			bimerge(n.right, dir)
+		if l := t.left(id); l >= 0 {
+			bimerge(l, dir)
+			bimerge(t.right(id), dir)
 			swapLeft(id)
 		}
-		return n.value
+		return nodes[id].value
 	}
 
 	var bisortRec func(id int32, dir bool)
@@ -136,14 +157,14 @@ func (w *Bisort) Run(sink mem.Sink, budget uint64) {
 			return // budget pruning
 		}
 		cpu.Enter(fBisort)
-		n := &nodes[id]
-		cpu.Load(n.addr)
+		cpu.Load(t.addr(id))
 		cpu.Exec(8)
-		if n.left < 0 {
+		l := t.left(id)
+		if l < 0 {
 			return
 		}
-		bisortRec(n.left, dir)
-		bisortRec(n.right, !dir)
+		bisortRec(l, dir)
+		bisortRec(t.right(id), !dir)
 		bimerge(id, dir)
 	}
 

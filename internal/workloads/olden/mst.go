@@ -20,10 +20,13 @@ type Mst struct {
 	nodes int
 }
 
-// NewMst returns the default configuration: 2048 vertices with ~1M hash
-// entries (≈ 33 MB of hash heap — far beyond the 2 MB aggregate, like
-// the paper's mst whose stack profile only falls near 16 MB), and each
-// Prim step's chain walks touch more than the aggregate L2 can hold.
+// NewMst returns the default configuration: 2048 vertices with 523,264
+// hash entries (32 bytes each, ≈ 16 MiB of simulated hash heap — far
+// beyond the 2 MB aggregate, like the paper's mst whose stack profile
+// only falls near 16 MB), and each Prim step's chain walks touch more
+// than the aggregate L2 can hold. The host keeps one 12-byte
+// {key, val, next} record per entry (≈ 6.3 MB); an entry's simulated
+// address follows from its index.
 func NewMst() workloads.Workload {
 	return &Mst{
 		Base: workloads.Base{
@@ -35,19 +38,28 @@ func NewMst() workloads.Workload {
 	}
 }
 
+const mstBuckets = 16
+
+// mstHashEnt is one edge-hash entry. Entry id lives at simulated address
+// entBase + 32*id, where sequential 32-byte allocations would put it.
 type mstHashEnt struct {
 	key  int32
 	val  int32
 	next int32
-	addr mem.Addr
 }
 
 type mstVertex struct {
-	buckets []int32 // entry-pool indices, -1 empty
+	buckets [mstBuckets]int32 // entry-pool indices, -1 empty
 	bktAddr mem.Addr
 	mindist int32
 	addr    mem.Addr
 	inTree  bool
+}
+
+// mstStored reports whether vertex i stores an edge to j: a subset of
+// pairs that keeps ~32 entries per bucket.
+func mstStored(i, j int) bool {
+	return i != j && (uint32(i*j)+uint32(i+j))%4 == 0
 }
 
 // Run implements workloads.Workload.
@@ -59,33 +71,38 @@ func (w *Mst) Run(sink mem.Sink, budget uint64) {
 
 	data := sp.AddRegion("mst", 1<<33)
 	const vertBytes = 64
-	const nBuckets = 16
+	const entBytes = 32
 
 	rng := trace.NewRNG(1024)
 	n := w.nodes
 	verts := make([]mstVertex, n)
-	var pool []mstHashEnt
 
-	hashOf := func(a, b int32) uint32 { return uint32(a*31+b*17) % nBuckets }
+	hashOf := func(a, b int32) uint32 { return uint32(a*31+b*17) % mstBuckets }
 
 	for i := range verts {
 		verts[i].addr = data.Alloc(vertBytes, 64)
-		verts[i].bktAddr = data.Alloc(nBuckets*8, 64)
-		verts[i].buckets = make([]int32, nBuckets)
+		verts[i].bktAddr = data.Alloc(mstBuckets*8, 64)
 		for b := range verts[i].buckets {
 			verts[i].buckets[b] = -1
 		}
 	}
-	// Dense-ish edge weights: each vertex stores a weight to every other
-	// vertex whose index differs by < n (the original computes weights
-	// from a pseudo-random function; it stores one entry per pair).
+	// Dense-ish edge weights: each vertex stores a weight to a fixed
+	// subset of the other vertices (the original computes weights from a
+	// pseudo-random function; it stores one entry per pair). A counting
+	// pass sizes the pool exactly.
+	count := 0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i == j {
-				continue
+			if mstStored(i, j) {
+				count++
 			}
-			// keep ~32 entries per bucket: only store a subset of pairs
-			if (uint32(i*j)+uint32(i+j))%4 != 0 {
+		}
+	}
+	pool := make([]mstHashEnt, 0, count)
+	entBase := data.Alloc(uint64(count)*entBytes, entBytes)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if !mstStored(i, j) {
 				continue
 			}
 			h := hashOf(int32(i), int32(j))
@@ -94,7 +111,6 @@ func (w *Mst) Run(sink mem.Sink, budget uint64) {
 				key:  int32(j),
 				val:  int32(rng.Uint64n(65536)),
 				next: verts[i].buckets[h],
-				addr: data.Alloc(32, 32),
 			})
 			verts[i].buckets[h] = id
 		}
@@ -110,7 +126,7 @@ func (w *Mst) Run(sink mem.Sink, budget uint64) {
 		cpu.Load(v.bktAddr + mem.Addr(h*8))
 		cpu.Exec(6)
 		for e := v.buckets[h]; e >= 0; e = pool[e].next {
-			cpu.LoadPtr(pool[e].addr)
+			cpu.LoadPtr(entBase + mem.Addr(e)*entBytes)
 			cpu.Exec(4)
 			if pool[e].key == j {
 				return pool[e].val, true

@@ -10,6 +10,9 @@ import (
 // Relaxation sweeps the fine grid (~4 MB) plus the coarser levels every
 // cycle — circular, but the total working set exceeds the 2 MB aggregate
 // L2, so the paper reports no migration benefit (Table 2 ratio 1.00).
+// The grids exist only as simulated addresses: no address, branch or
+// budget check reads a grid value, so the kernel emits each sweep's
+// references without relaxing, restricting or interpolating values.
 type Mgrid struct {
 	workloads.Base
 	n int // fine-grid edge (power of two)
@@ -28,11 +31,11 @@ func NewMgrid() workloads.Workload {
 	}
 }
 
+// mgLevel is one grid level: its edge and the simulated addresses of
+// its solution (u) and residual (r) grids.
 type mgLevel struct {
-	n    int
-	u, r []float64
-	au   mem.Addr
-	ar   mem.Addr
+	n      int
+	au, ar mem.Addr
 }
 
 // Run implements workloads.Workload.
@@ -48,25 +51,19 @@ func (w *Mgrid) Run(sink mem.Sink, budget uint64) {
 	var levels []*mgLevel
 	for n := w.n; n >= 10; n /= 2 {
 		cells := n * n * n
-		l := &mgLevel{
+		levels = append(levels, &mgLevel{
 			n:  n,
-			u:  make([]float64, cells),
-			r:  make([]float64, cells),
 			au: data.Alloc(uint64(cells)*8, 64),
 			ar: data.Alloc(uint64(cells)*8, 64),
-		}
-		for i := range l.u {
-			l.u[i] = float64(i%31) * 0.07
-		}
-		levels = append(levels, l)
+		})
 	}
 
 	cpu := sim.NewCPU(sink)
 	at := func(base mem.Addr, idx int) mem.Addr { return base + mem.Addr(idx*8) }
 
-	// relax runs one 7-point Jacobi-ish sweep over level l, reading src
-	// and writing dst.
-	relax := func(l *mgLevel, dst, src []float64, dstA, srcA mem.Addr, f *sim.Func) {
+	// relax runs one 7-point Jacobi-ish sweep over level l, reading the
+	// grid at srcA and writing the one at dstA.
+	relax := func(l *mgLevel, dstA, srcA mem.Addr, f *sim.Func) {
 		cpu.Enter(f)
 		n := l.n
 		n2 := n * n
@@ -83,8 +80,6 @@ func (w *Mgrid) Run(sink mem.Sink, budget uint64) {
 						cpu.Load(at(srcA, idx+n2))
 						cpu.Store(at(dstA, idx))
 					}
-					dst[idx] = (src[idx-1] + src[idx+1] + src[idx-n] + src[idx+n] +
-						src[idx-n2] + src[idx+n2]) / 6.0
 					cpu.Exec(4)
 				}
 			}
@@ -93,28 +88,24 @@ func (w *Mgrid) Run(sink mem.Sink, budget uint64) {
 
 	// transfer moves data between adjacent levels (restriction or
 	// prolongation): coarse-grid sweep touching the fine grid strided.
-	transfer := func(coarse, fine *mgLevel, down bool, f *sim.Func) {
+	transfer := func(coarse, fine *mgLevel, f *sim.Func) {
 		cpu.Enter(f)
 		cn := coarse.n
 		cn2 := cn * cn
 		fn := fine.n
 		fn2 := fn * fn
+		fcells := fn2 * fn
 		for z := 1; z < cn-1; z++ {
 			for y := 1; y < cn-1; y++ {
 				for x := 1; x < cn-1; x++ {
 					cidx := z*cn2 + y*cn + x
 					fidx := (2*z)*fn2 + (2*y)*fn + (2 * x)
-					if fidx >= len(fine.u) {
+					if fidx >= fcells {
 						continue
 					}
 					if x%4 == 1 {
 						cpu.Load(at(fine.ar, fidx))
 						cpu.Store(at(coarse.ar, cidx))
-					}
-					if down {
-						coarse.r[cidx] = fine.r[fidx]
-					} else {
-						fine.u[fidx] += coarse.u[cidx]
 					}
 					cpu.Exec(5)
 				}
@@ -126,14 +117,14 @@ func (w *Mgrid) Run(sink mem.Sink, budget uint64) {
 		// V-cycle: down-sweep with restriction, coarse solves, up-sweep
 		// with interpolation, then fine-grid residual+smooth.
 		for i := 0; i+1 < len(levels); i++ {
-			relax(levels[i], levels[i].r, levels[i].u, levels[i].ar, levels[i].au, fResid)
-			transfer(levels[i+1], levels[i], true, fRprj)
+			relax(levels[i], levels[i].ar, levels[i].au, fResid)
+			transfer(levels[i+1], levels[i], fRprj)
 		}
 		last := levels[len(levels)-1]
-		relax(last, last.u, last.r, last.au, last.ar, fPsinv)
+		relax(last, last.au, last.ar, fPsinv)
 		for i := len(levels) - 2; i >= 0; i-- {
-			transfer(levels[i+1], levels[i], false, fInterp)
-			relax(levels[i], levels[i].u, levels[i].r, levels[i].au, levels[i].ar, fPsinv)
+			transfer(levels[i+1], levels[i], fInterp)
+			relax(levels[i], levels[i].au, levels[i].ar, fPsinv)
 		}
 	}
 }
