@@ -109,7 +109,10 @@ type Feed func(sink mem.BatchSink) error
 // robin, one batch per program per turn. Feeds run concurrently but
 // delivery order is deterministic (see the package comment). A feed
 // error aborts nothing — remaining programs run to completion so the
-// machines stay consistent — and all feed errors come back joined.
+// machines stay consistent — and all feed errors come back joined. A
+// feed that returns early (an error, or a stream its context stopped)
+// closes its channel; Run keeps receiving from every other feed until
+// each has returned, so no producer is left blocked on a send.
 func (c *Cluster) Run(feeds []Feed) error {
 	if len(feeds) != len(c.programs) {
 		return fmt.Errorf("machine: %d feeds for %d programs", len(feeds), len(c.programs))

@@ -141,7 +141,8 @@ func workloadSources(reg *workloads.Registry, names []string, budget uint64) fun
 // runs. Streams run on the worker pool and come back in input order,
 // byte-identical for every worker count: each job opens its own source
 // and builds its own group, and a group leaves every member in the
-// state a machine of its own would reach on the same stream.
+// state a machine of its own would reach on the same stream. Each
+// stream stops within a batch once its job's context is done.
 func runGroups(labels []string, cfgs []machine.Config, interval uint64, open func(i int) (source, error), opt RunOptions) ([]pass, error) {
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
@@ -149,7 +150,7 @@ func runGroups(labels []string, cfgs []machine.Config, interval uint64, open fun
 		}
 	}
 	label := func(i int) string { return labels[i] }
-	return runner.Map(opt.ctx(), len(labels), opt.config(label), func(_ context.Context, i int) (pass, error) {
+	return runner.Map(opt.ctx(), len(labels), opt.config(label), func(ctx context.Context, i int) (pass, error) {
 		src, err := open(i)
 		if err != nil {
 			return pass{}, err
@@ -178,7 +179,7 @@ func runGroups(labels []string, cfgs []machine.Config, interval uint64, open fun
 				return nil
 			}
 		}
-		if _, err := s.Run(src.feed); err != nil {
+		if _, err := s.RunContext(ctx, src.feed); err != nil {
 			return pass{}, err
 		}
 		return p, nil

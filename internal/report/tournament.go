@@ -14,6 +14,7 @@ import (
 	"io"
 
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/migration"
 	"repro/internal/run"
 	"repro/internal/stats"
@@ -177,7 +178,8 @@ func WriteMultiRunJSON(w io.Writer, r MultiRunResultJSON) error { return writeJS
 // 1-core baseline on the worker pool, and assembles the combined
 // result. Output is byte-identical for every opt.Workers value: the
 // cluster pass is inherently serial and the solo jobs come back in
-// input order.
+// input order. Every feed and every solo pass runs on a run.Stream that
+// opt.Context stops, so a cancelled run returns within a batch or so.
 func MultiRun(spec run.Spec, opt RunOptions) (MultiRunResultJSON, error) {
 	if len(spec.Programs) == 0 {
 		return MultiRunResultJSON{}, fmt.Errorf("report: multiprogram run needs at least one workload")
@@ -196,9 +198,14 @@ func MultiRun(spec run.Spec, opt RunOptions) (MultiRunResultJSON, error) {
 	if err != nil {
 		return MultiRunResultJSON{}, err
 	}
+	ctx := opt.ctx()
 	feeds := make([]machine.Feed, len(spec.Programs))
 	for i, name := range spec.Programs {
-		feeds[i] = run.Spec{Workload: name, Instr: spec.Instr, Registry: reg}.Feed
+		src := run.Spec{Workload: name, Instr: spec.Instr, Registry: reg}
+		feeds[i] = func(sink mem.BatchSink) error {
+			_, err := (&run.Stream{To: []mem.BatchSink{sink}}).RunContext(ctx, src.Feed)
+			return err
+		}
 	}
 	if err := cluster.Run(feeds); err != nil {
 		return MultiRunResultJSON{}, err
