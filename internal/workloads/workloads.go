@@ -5,7 +5,7 @@
 //
 // The paper evaluates 13 SPEC CPU2000 and 5 Olden benchmarks on
 // SimpleScalar/PISA. Those binaries and that toolchain are proprietary /
-// unavailable, so this repository substitutes analogue kernels — real Go
+// unavailable, so this repository substitutes analogue kernels — Go
 // implementations of the same algorithm classes, instrumented with
 // simulated addresses (package sim) — whose working-set shapes (size,
 // circularity, randomness, phase structure, pointer chasing, code
@@ -13,6 +13,13 @@
 // The Olden analogues implement the actual Olden algorithms (Barnes-Hut,
 // bitonic sort, em3d, health, mst). See DESIGN.md §2 for the
 // substitution rationale.
+//
+// The kernels are address-exact analogues: the machine sees only the
+// reference stream, so a kernel keeps the host state that decides its
+// stream — addresses, branch conditions, budget checks, every RNG draw
+// in order — and skips arithmetic nothing in the stream reads. A grid
+// whose values decide nothing exists only as simulated addresses, and a
+// record whose simulated address follows from its index stores none.
 package workloads
 
 import (
