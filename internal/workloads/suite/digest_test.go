@@ -30,9 +30,9 @@ func (c *columnHash) AccessBatch(b *mem.Batch) {
 
 // streamDigests pins each generator's stream at the two budgets users
 // wait on: a 200,000-instruction service miss and perfbench's 4,000,000-
-// instruction `full` shape. Every entry was recorded before the kernels
-// were cut down to the state their streams read, so a kernel change that
-// moves any address, kind or instruction count fails here.
+// instruction `full` shape. A kernel change that moves any address, kind
+// or instruction count changes what the machine measures and fails here;
+// an entry is regenerated only for a deliberate stream change.
 var streamDigests = map[string][2]string{
 	"164.gzip": {
 		"5da2aaba99284a908039e914b8689b42ffbdf0b99c2ebe672fd589cec9ec1d56",
