@@ -43,11 +43,8 @@ func (w *Swim) Run(sink mem.Sink, budget uint64) {
 	n := w.n
 	cells := n * n
 	data := sp.AddRegion("grids", 1<<30)
-	var addrOf [6]mem.Addr
-	for g := range addrOf {
-		addrOf[g] = data.Alloc(uint64(cells)*8, 64)
-	}
-	au, av, ap, aunew, avnew, apnew := addrOf[0], addrOf[1], addrOf[2], addrOf[3], addrOf[4], addrOf[5]
+	grid := func() mem.Addr { return data.Alloc(uint64(cells)*8, 64) }
+	au, av, ap, aunew, avnew, apnew := grid(), grid(), grid(), grid(), grid(), grid()
 
 	at := func(base mem.Addr, idx int) mem.Addr { return base + mem.Addr(idx*8) }
 	cpu := sim.NewCPU(sink)
