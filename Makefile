@@ -16,15 +16,19 @@ check: build vet lint
 
 # Short fuzzing smoke: arbitrary bytes through the trace reader and the
 # checkpoint reader must produce a typed error or a clean result, never
-# a panic, arbitrary line streams through the bucketed LRU stack must
+# a panic, a trace reader resumed at any position a full replay
+# recorded must decode exactly the suffix of its records with its
+# verdict, arbitrary line streams through the bucketed LRU stack must
 # match its exact-depth oracle, and arbitrary operation streams through
 # the set-associative cache must match its naive LRU oracle. Extend
-# FUZZTIME for a real fuzzing session. The checkpoint target caps input
-# minimization at 200 runs: its seeds are whole checkpoints, and the
-# default 60 s per new input stalls a short smoke at 0 execs/s.
+# FUZZTIME for a real fuzzing session. The checkpoint and resume targets
+# cap input minimization at 200 runs: each run of theirs decodes a whole
+# input many times over, and the default 60 s per new input stalls a
+# short smoke at 0 execs/s.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzResume -fuzztime=$(FUZZTIME) -fuzzminimizetime=200x ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointRestore -fuzztime=$(FUZZTIME) -fuzzminimizetime=200x ./internal/machine
 	$(GO) test -run=^$$ -fuzz=FuzzStack -fuzztime=$(FUZZTIME) ./internal/lrustack
 	$(GO) test -run=^$$ -fuzz=FuzzSetAssoc -fuzztime=$(FUZZTIME) ./internal/cache

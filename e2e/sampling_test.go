@@ -7,6 +7,8 @@ package e2e
 
 import (
 	"encoding/json"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -152,5 +154,41 @@ func TestEmsimcSampleMatchesEmsimJSON(t *testing.T) {
 	}
 	if !strings.Contains(fullErr, "cache miss") {
 		t.Fatalf("full run after sampled run not a distinct cache miss: %s", fullErr)
+	}
+}
+
+// TestEmsimReplaySample samples a recorded mst trace. The chain lanes
+// resume the trace at positions the profile pass recorded, so this is
+// the one e2e check of resumed replays: the JSON must be byte-identical
+// across -j 1/2/4 and carry the estimates of sampling the workload
+// itself, identity fields (workload, replay, instr) aside.
+func TestEmsimReplaySample(t *testing.T) {
+	scenario := []string{"-workload", "mst", "-instr", "8000000"}
+	path := filepath.Join(t.TempDir(), "mst.trace")
+	runCLI(t, "emsim", append([]string{"-record", path}, scenario...)...)
+	sampled := func(input []string, j string) string {
+		args := append(append(append([]string{"-json", "-cores", "4"}, input...), sampleFlags...), "-j", j)
+		out, _ := runCLI(t, "emsim", args...)
+		return out
+	}
+	ref := sampled([]string{"-replay", path}, "1")
+	for _, j := range []string{"2", "4"} {
+		if out := sampled([]string{"-replay", path}, j); out != ref {
+			t.Fatalf("-j %s sampled replay diverged from -j 1:\n--- j=%s ---\n%s\n--- j=1 ---\n%s", j, j, out, ref)
+		}
+	}
+	withoutIdentity := func(out string) map[string]any {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(out), &m); err != nil {
+			t.Fatalf("decoding sampled JSON: %v\n%s", err, out)
+		}
+		delete(m, "workload")
+		delete(m, "replay")
+		delete(m, "instr")
+		return m
+	}
+	got, want := withoutIdentity(ref), withoutIdentity(sampled(scenario, "1"))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sampled replay diverged from the sampled workload:\n--- replay ---\n%v\n--- workload ---\n%v", got, want)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sampling"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // SampleParamsJSON echoes the sampling parameters into the result.
@@ -72,7 +73,7 @@ func WriteSampleJSON(w io.Writer, r SampleResultJSON) error {
 // returns the canonical result. The spec's scenario names are echoed
 // as given, so callers pass them normalized. Deterministic for a fixed
 // spec: the profile pass is serial, clustering and planning are seeded
-// and ordered, and the chain jobs merge in index order for every
+// and ordered, and the chain lanes merge in chain order for every
 // Workers value.
 func SampleRun(spec run.Spec, opt RunOptions) (SampleResultJSON, error) {
 	if err := spec.Validate(); err != nil {
@@ -84,14 +85,17 @@ func SampleRun(spec run.Spec, opt RunOptions) (SampleResultJSON, error) {
 		return SampleResultJSON{}, err
 	}
 	// Each Feed call opens the trace or constructs the workload afresh,
-	// so concurrent chain jobs never share generator state.
+	// so concurrent chain lanes never share generator state. A replay's
+	// profile pass records the trace's resume positions as it reads.
 	src := sampling.Source(spec.Feed)
+	idx := new(trace.Index)
+	profSrc := func(sink mem.BatchSink) error { return spec.FeedIndexed(sink, idx) }
 
 	prof, err := sampling.NewProfiler(spec.SampleInterval, normalCfg.LineShift)
 	if err != nil {
 		return SampleResultJSON{}, err
 	}
-	if _, err := (&run.Stream{To: []mem.BatchSink{prof}}).RunContext(opt.ctx(), src); err != nil {
+	if _, err := (&run.Stream{To: []mem.BatchSink{prof}}).RunContext(opt.ctx(), profSrc); err != nil {
 		return SampleResultJSON{}, err
 	}
 	intervals := prof.Finish()
@@ -105,6 +109,7 @@ func SampleRun(spec run.Spec, opt RunOptions) (SampleResultJSON, error) {
 		Normal:  normalCfg,
 		Mig:     migCfg,
 		Workers: opt.Workers,
+		Resume:  replayResume(spec, idx),
 	})
 	if err != nil {
 		return SampleResultJSON{}, err
@@ -138,6 +143,22 @@ func SampleRun(spec run.Spec, opt RunOptions) (SampleResultJSON, error) {
 		r.Savings = float64(prof.Events()) / float64(sim.DeliveredEvents)
 	}
 	return r, nil
+}
+
+// replayResume lets the chain lanes begin a replay at any position its
+// profile pass recorded; nil for a generated stream.
+func replayResume(spec run.Spec, idx *trace.Index) *sampling.Resume {
+	if spec.Replay == "" {
+		return nil
+	}
+	r := &sampling.Resume{From: func(i int) sampling.Source {
+		p := idx.Positions[i]
+		return func(sink mem.BatchSink) error { return spec.FeedFrom(p, sink) }
+	}}
+	for _, p := range idx.Positions {
+		r.Events = append(r.Events, p.Events)
+	}
+	return r
 }
 
 // SampleBatch runs the sampled spec base for each named workload on

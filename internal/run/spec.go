@@ -232,19 +232,14 @@ func (s Spec) Workloads() *workloads.Registry {
 // call replays the identical stream, so independent passes, resumed
 // runs and sampled chains all see the events one uninterrupted pass
 // would.
-func (s Spec) Feed(sink mem.BatchSink) error {
+func (s Spec) Feed(sink mem.BatchSink) error { return s.FeedIndexed(sink, nil) }
+
+// FeedIndexed is Feed that, for a replay, records the trace's resume
+// positions into idx while it reads; a nil idx records none, and a
+// workload records none.
+func (s Spec) FeedIndexed(sink mem.BatchSink, idx *trace.Index) error {
 	if s.Replay != "" {
-		f, err := os.Open(s.Replay)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tr, err := trace.NewBatchReader(f)
-		if err != nil {
-			return err
-		}
-		_, err = tr.ReplayBatches(sink, nil)
-		return err
+		return s.replay(sink, nil, idx)
 	}
 	w, err := s.Workloads().New(s.Workload)
 	if err != nil {
@@ -254,4 +249,32 @@ func (s Spec) Feed(sink mem.BatchSink) error {
 	w.Run(ba, s.Instr)
 	ba.Flush()
 	return nil
+}
+
+// FeedFrom replays the spec's trace from p, a position FeedIndexed
+// recorded: sink sees the events after event p.Events, numbered as a
+// Stream with Start p.Events numbers them.
+func (s Spec) FeedFrom(p trace.Position, sink mem.BatchSink) error {
+	return s.replay(sink, &p, nil)
+}
+
+// replay drives the spec's trace into sink, from the top or from a
+// recorded position.
+func (s Spec) replay(sink mem.BatchSink, from *trace.Position, idx *trace.Index) error {
+	f, err := os.Open(s.Replay)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	tr, err := trace.NewBatchReader(f)
+	if err != nil {
+		return err
+	}
+	if from != nil {
+		if err := tr.Resume(*from); err != nil {
+			return err
+		}
+	}
+	_, err = tr.ReplayIndexed(sink, nil, idx)
+	return err
 }

@@ -18,6 +18,7 @@ package run
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -38,6 +39,13 @@ import (
 //     fast-forward edge itself. Cuts inside the prefix never fire;
 //   - StopAt (0 = never), where the stream stops after any hook.
 //
+// Start numbers a pass whose source begins part way into the stream,
+// at a point recorded earlier (a trace position): its first event is
+// event Start+1, as if Start events had been seen. Start may not exceed
+// Skip or a nonzero StopAt, so such a pass acts at exactly the events,
+// on exactly the machine state, of a pass from event 0 with the same
+// Skip.
+//
 // Hook runs once per boundary event, after every event up to it and
 // before any later one has reached the machines; a non-nil error stops
 // the stream and Run returns it. Batches are delivered in sub-spans that
@@ -51,6 +59,7 @@ import (
 // sentinel.
 type Stream struct {
 	To     []mem.BatchSink
+	Start  uint64
 	Skip   uint64
 	Every  []uint64
 	Cuts   []uint64
@@ -58,8 +67,8 @@ type Stream struct {
 	Stop   *atomic.Bool
 	Hook   func(events uint64) error
 
-	events uint64 // events seen, including the skipped prefix
-	next   uint64 // the next boundary event (0 until event 0's boundary ran)
+	events uint64 // events seen, including the skipped prefix and Start
+	next   uint64 // the next boundary event (Start until Start's boundary ran)
 	ci     int    // first index of Cuts not yet passed
 	err    error  // the Hook error that stopped the stream
 
@@ -85,6 +94,12 @@ func unwind(v any) {
 // stopped the source (StopAt, Stop or a Hook error, which comes back as
 // err) instead of the source running to its end.
 func (s *Stream) Run(src func(mem.BatchSink) error) (stopped bool, err error) {
+	if s.Start > s.Skip || s.StopAt > 0 && s.Start > s.StopAt {
+		return false, fmt.Errorf("run: stream starts at event %d, past its skip %d or stop %d", s.Start, s.Skip, s.StopAt)
+	}
+	if s.events < s.Start {
+		s.events, s.next = s.Start, s.Start
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(stopSignal); !ok {
@@ -110,7 +125,7 @@ func (s *Stream) RunContext(ctx context.Context, src func(mem.BatchSink) error) 
 }
 
 // Events is the number of events the stream has seen, the skipped
-// prefix included.
+// prefix and Start included.
 func (s *Stream) Events() uint64 { return s.events }
 
 // Position is the event the machines have reached: Events, except that

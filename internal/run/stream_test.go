@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -304,3 +305,96 @@ func TestStreamAccessBatchZeroAllocs(t *testing.T) {
 type batchOf struct{ mem.Sink }
 
 func (b batchOf) AccessBatch(batch *mem.Batch) { mem.DeliverBatch(batch, b.Sink) }
+
+// TestStreamStartMatchesSkip: a pass whose source begins part way into
+// the stream (a resumed trace) and is numbered from Start acts exactly
+// like a pass from event 0 with the same Skip: the same hook events on
+// the same delivered records, the same end, the same stop, and the same
+// machine state. Stop is the asynchronous flag, raised by a hook.
+func TestStreamStartMatchesSkip(t *testing.T) {
+	const total = 5000
+	recs := records(6, total)
+	type startCase struct {
+		bounds
+		start  uint64
+		stopOn uint64 // a hook at this event raises Stop (0 = never)
+	}
+	table := []startCase{
+		{bounds{skip: 0}, 0, 0},
+		{bounds{skip: 100}, 100, 0},
+		{bounds{skip: 100, cuts: []uint64{100, 200}}, 40, 0},
+		{bounds{skip: 4096, every: []uint64{4096}}, 4096, 0},
+		{bounds{skip: 1234, every: []uint64{1234}, cuts: []uint64{1234}}, 1000, 0}, // skip edge: cut yes, period no
+		{bounds{skip: 777, every: []uint64{7, 100}, cuts: []uint64{5, 776, 777, 778, 4000}}, 500, 0},
+		{bounds{skip: 300, stopAt: 300, cuts: []uint64{300}}, 300, 0}, // stop at the start itself
+		{bounds{skip: 300, stopAt: 2999, cuts: []uint64{300, 1000, 2999}}, 299, 0},
+		{bounds{skip: 10, every: []uint64{250}}, 3, 1000},
+		{bounds{skip: 2000, cuts: []uint64{2000, 2500, 3000}, stopAt: 4000}, 1500, 2500},
+		{bounds{skip: total, cuts: []uint64{total}}, total, 0}, // nothing left to deliver
+	}
+	rng := trace.NewRNG(43)
+	for i := 0; i < 100; i++ {
+		b := randomBounds(rng, total)
+		if b.skip > total {
+			b.skip = total
+		}
+		c := startCase{bounds: b, start: rng.Uint64n(b.skip + 1)}
+		if c.stopAt > 0 && c.stopAt < c.start {
+			c.stopAt = 0
+		}
+		if len(c.cuts) > 0 && rng.Uint64n(2) == 0 {
+			c.stopOn = c.cuts[len(c.cuts)-1]
+		}
+		table = append(table, c)
+	}
+	drive := func(c startCase, start uint64, n int) (outcome, machine.Stats, machine.Stats) {
+		t.Helper()
+		pair, err := NewPairConfig(machine.NormalConfig(), machine.MigrationConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var o outcome
+		var stop atomic.Bool
+		s := &Stream{To: append([]mem.BatchSink{&o.rec}, pair.Sinks()...), Start: start,
+			Skip: c.skip, Every: c.every, Cuts: c.cuts, StopAt: c.stopAt, Stop: &stop}
+		s.Hook = func(ev uint64) error {
+			o.hooks = append(o.hooks, ev)
+			o.seen = append(o.seen, len(o.rec.kinds))
+			if ev == c.stopOn && c.stopOn > 0 {
+				stop.Store(true)
+			}
+			return nil
+		}
+		suffix := &mem.Batch{Addr: recs.Addr[start:], Kind: recs.Kind[start:]}
+		stopped, err := s.Run(batchedSource(suffix, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.events, o.stopped = s.Events(), stopped
+		return o, pair.Normal.Stats, pair.Mig.Stats
+	}
+	for _, c := range table {
+		want, wantN, wantM := drive(c, 0, 4096)
+		for _, n := range []int{1, 129, 4096} {
+			got, gotN, gotM := drive(c, c.start, n)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v start=%d stopOn=%d batch %d: got hooks %v seen %v events %d stopped %v (%d records), want hooks %v seen %v events %d stopped %v (%d records)",
+					c.bounds, c.start, c.stopOn, n, got.hooks, got.seen, got.events, got.stopped, len(got.rec.kinds),
+					want.hooks, want.seen, want.events, want.stopped, len(want.rec.kinds))
+			}
+			if gotN != wantN || gotM != wantM {
+				t.Fatalf("%v start=%d batch %d: machine state diverges from the pass from event 0", c.bounds, c.start, n)
+			}
+		}
+	}
+}
+
+// TestStreamStartPastSkip: a start past the skip edge or the stop event
+// would miss boundaries a pass from event 0 acts at, so Run refuses it.
+func TestStreamStartPastSkip(t *testing.T) {
+	for _, s := range []*Stream{{Start: 10, Skip: 5}, {Start: 10, Skip: 20, StopAt: 5}} {
+		if _, err := s.Run(recordSource(records(7, 10))); err == nil {
+			t.Errorf("start %d skip %d stopAt %d: accepted", s.Start, s.Skip, s.StopAt)
+		}
+	}
+}

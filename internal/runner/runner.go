@@ -43,8 +43,9 @@ type Config struct {
 	OnDone func(index int)
 }
 
-// workers resolves the effective pool size for n jobs.
-func (c Config) workers(n int) int {
+// Pool resolves the effective pool size for n jobs: the number of
+// workers Map runs them on.
+func (c Config) Pool(n int) int {
 	w := c.Workers
 	if w <= 0 {
 		w = runtime.NumCPU()
@@ -69,7 +70,7 @@ func Map[T any](ctx context.Context, n int, cfg Config, fn func(ctx context.Cont
 		return nil, nil
 	}
 	results := make([]T, n)
-	if cfg.workers(n) == 1 {
+	if cfg.Pool(n) == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -97,7 +98,7 @@ func Map[T any](ctx context.Context, n int, cfg Config, fn func(ctx context.Cont
 
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.workers(n); w++ {
+	for w := 0; w < cfg.Pool(n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

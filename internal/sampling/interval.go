@@ -12,7 +12,7 @@
 //
 // Everything here is deterministic: the same stream, interval size,
 // cluster count and seed produce byte-identical estimates, and the
-// chain jobs of the simulation pass merge in index order so serial and
+// chain lanes of the simulation pass merge in chain order so serial and
 // parallel runs agree (the repository's -j contract).
 package sampling
 

@@ -19,12 +19,12 @@ type Measured struct {
 	Role     string
 }
 
-// Chain is one independent simulation job: fast-forward (generate
-// without delivering) to the start of FirstInterval, deliver intervals
-// FirstInterval..LastInterval into the machines, measuring the Measured
-// subset. Consecutive measured intervals whose warmup windows touch
-// share a chain, so the stream between them is delivered once and the
-// machines stay warm across the gap.
+// Chain is one independent measurement on a fresh machine pair:
+// fast-forward (read without delivering) to the start of FirstInterval,
+// deliver intervals FirstInterval..LastInterval into the machines,
+// measuring the Measured subset. Consecutive measured intervals whose
+// warmup windows touch share a chain, so the stream between them is
+// delivered once and the machines stay warm across the gap.
 type Chain struct {
 	// SkipEvents is the fast-forward prefix (== the StartEvent of
 	// FirstInterval).

@@ -1,8 +1,11 @@
 package sampling
 
 import (
+	"bytes"
 	"context"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/machine"
@@ -326,15 +329,20 @@ func TestSampledEstimateWithinBars(t *testing.T) {
 }
 
 // TestSimulateWorkerInvariance pins the -j contract: serial and
-// parallel chain execution produce identical measures.
+// parallel chain execution produce identical measures, with fewer
+// workers than chains (several chains per lane), one lane per chain,
+// and the all-cores default.
 func TestSimulateWorkerInvariance(t *testing.T) {
 	src := phasedBatchedSource(6)
 	_, ivs := profile(t, src, 1000)
 	cfg := testSimConfig(t)
 	cl := Cluster(ivs, 4, 42)
-	plan := NewPlan(ivs, cl, 1)
+	plan := NewPlan(ivs, cl, 0)
+	if len(plan.Chains) <= 3 {
+		t.Fatalf("plan has %d chains; the lanes need more chains than workers", len(plan.Chains))
+	}
 	var base SimResult
-	for i, workers := range []int{1, 2, 4} {
+	for i, workers := range []int{1, 2, 3, len(plan.Chains), 0} {
 		cfg.Workers = workers
 		sim, err := Simulate(context.Background(), src, ivs, plan, cfg)
 		if err != nil {
@@ -346,6 +354,151 @@ func TestSimulateWorkerInvariance(t *testing.T) {
 		}
 		if !reflect.DeepEqual(base, sim) {
 			t.Fatalf("workers=%d disagrees with workers=1", workers)
+		}
+	}
+}
+
+// countingSource counts the passes made over src.
+func countingSource(src Source, calls *atomic.Int64) Source {
+	return func(sink mem.BatchSink) error {
+		calls.Add(1)
+		return src(sink)
+	}
+}
+
+// TestSimulateOnePassPerLane: the chain pass reads a generated source
+// once per lane: exactly once at Workers=1 whatever the chain count, and
+// once per chain when there are at least as many workers as chains.
+func TestSimulateOnePassPerLane(t *testing.T) {
+	src := phasedBatchedSource(6)
+	_, ivs := profile(t, src, 1000)
+	cfg := testSimConfig(t)
+	for _, tc := range []struct{ clusters, warmup int }{{1, 0}, {4, 1}, {4, 0}, {len(ivs), 0}} {
+		plan := NewPlan(ivs, Cluster(ivs, tc.clusters, 42), tc.warmup)
+		n := len(plan.Chains)
+		for _, w := range []struct{ workers, passes int }{{1, 1}, {n, n}, {n + 3, n}} {
+			var calls atomic.Int64
+			cfg.Workers = w.workers
+			if _, err := Simulate(context.Background(), countingSource(src, &calls), ivs, plan, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if got := calls.Load(); got != int64(w.passes) {
+				t.Errorf("%d clusters, warmup %d: %d chains at Workers=%d read the source %d times, want %d",
+					tc.clusters, tc.warmup, n, w.workers, got, w.passes)
+			}
+		}
+	}
+}
+
+// countSink counts the events a pass decodes before its stream stops
+// it.
+type countSink struct {
+	mem.BatchSink
+	events uint64
+}
+
+func (c *countSink) AccessBatch(b *mem.Batch) {
+	c.events += uint64(b.Len())
+	c.BatchSink.AccessBatch(b)
+}
+
+// TestSimulateResumesReplay: over a recorded trace whose positions the
+// profile pass indexed, a lane starts each pass at the latest position
+// before its first chain, so every pass decodes less than one position
+// stride before a chain begins and a serial chain pass decodes no event
+// twice; the measures equal those of passes from the top.
+func TestSimulateResumesReplay(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacityBody(w, 6)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	reader := func() *trace.BatchReader {
+		br, err := trace.NewBatchReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return br
+	}
+	idx := new(trace.Index)
+	p, ivs := profile(t, func(sink mem.BatchSink) error {
+		_, err := reader().ReplayIndexed(sink, nil, idx)
+		return err
+	}, 2000)
+	if len(idx.Positions) < 4 {
+		t.Fatalf("%d positions over %d events", len(idx.Positions), p.Events())
+	}
+	type passLog struct{ start, decoded uint64 }
+	var (
+		mu   sync.Mutex
+		log  []passLog
+		from = func(i int) Source {
+			pos := idx.Positions[i]
+			return func(sink mem.BatchSink) error {
+				br := reader()
+				if err := br.Resume(pos); err != nil {
+					return err
+				}
+				c := &countSink{BatchSink: sink}
+				defer func() { // the stream ends the pass by unwinding through here
+					mu.Lock()
+					log = append(log, passLog{pos.Events, c.events})
+					mu.Unlock()
+				}()
+				_, err := br.ReplayBatches(c, nil)
+				return err
+			}
+		}
+		resume = &Resume{From: from}
+	)
+	for _, pos := range idx.Positions {
+		resume.Events = append(resume.Events, pos.Events)
+	}
+	src := capacitySource(6)
+	cfg := testSimConfig(t)
+	plan := NewPlan(ivs, Cluster(ivs, 4, 42), 1)
+	want, err := Simulate(context.Background(), src, ivs, plan, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, len(plan.Chains)} {
+		log = nil
+		cfg.Workers, cfg.Resume = workers, resume
+		got, err := Simulate(context.Background(), src, ivs, plan, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: resumed passes disagree with passes from the top", workers)
+		}
+		var decoded uint64
+		resumed := 0
+		for _, l := range log {
+			decoded += l.decoded
+			first := -1
+			for ci, c := range plan.Chains {
+				if c.SkipEvents >= l.start {
+					first = ci
+					break
+				}
+			}
+			if first < 0 || plan.Chains[first].SkipEvents-l.start >= idx.Stride() {
+				t.Fatalf("workers=%d: a pass from event %d decodes a stride or more before its first chain", workers, l.start)
+			}
+			if l.start > 0 {
+				resumed++
+			}
+		}
+		if resumed == 0 {
+			t.Fatalf("workers=%d: no pass resumed past event 0", workers)
+		}
+		if workers == 1 && (len(log) < 2 || decoded > p.Events()) {
+			t.Fatalf("workers=1: %d passes decoded %d events of %d", len(log), decoded, p.Events())
 		}
 	}
 }

@@ -289,22 +289,7 @@ func (t *BatchReader) finish() error {
 // capacity, returning the event count; b may be nil to use a
 // DefaultBatchLen batch.
 func (t *BatchReader) ReplayBatches(sink mem.BatchSink, b *mem.Batch) (uint64, error) {
-	if b == nil {
-		b = mem.NewBatch(0)
-	}
-	for {
-		b.Reset()
-		_, err := t.NextBatch(b)
-		if b.Len() > 0 {
-			sink.AccessBatch(b)
-		}
-		if err == io.EOF {
-			return t.st.Events, nil
-		}
-		if err != nil {
-			return t.st.Events, err
-		}
-	}
+	return t.ReplayIndexed(sink, b, nil)
 }
 
 // DriveBatched is Drive delivering through the batched sink interface:
