@@ -55,7 +55,14 @@ func TestMain(m *testing.M) {
 // (progress lines, metric-server banner) is returned separately.
 func runCLI(t *testing.T, bin string, args ...string) (stdout, stderr string) {
 	t.Helper()
+	return runCLIEnv(t, nil, bin, args...)
+}
+
+// runCLIEnv is runCLI in the environment env (nil inherits the test's).
+func runCLIEnv(t *testing.T, env []string, bin string, args ...string) (stdout, stderr string) {
+	t.Helper()
 	cmd := exec.Command(filepath.Join(binDir, bin), args...)
+	cmd.Env = env
 	var out, errb bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &errb

@@ -7,6 +7,7 @@ package e2e
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -190,5 +191,34 @@ func TestEmsimReplaySample(t *testing.T) {
 	got, want := withoutIdentity(ref), withoutIdentity(sampled(scenario, "1"))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sampled replay diverged from the sampled workload:\n--- replay ---\n%v\n--- workload ---\n%v", got, want)
+	}
+}
+
+// TestSampledBytesIgnoreCPUCount: the profile pass reads its input
+// through a producer goroutine, and the chain lanes run on the worker
+// pool, so the host's CPU count decides what overlaps. It may not
+// decide a byte: emsim -sample -json is identical under GOMAXPROCS=1
+// and the default, for a generated workload and a recorded replay.
+func TestSampledBytesIgnoreCPUCount(t *testing.T) {
+	var inherited []string
+	for _, kv := range os.Environ() {
+		if !strings.HasPrefix(kv, "GOMAXPROCS=") {
+			inherited = append(inherited, kv)
+		}
+	}
+	oneCPU := append(append([]string(nil), inherited...), "GOMAXPROCS=1")
+	path := filepath.Join(t.TempDir(), "mcf.trace")
+	runCLI(t, "emsim", "-record", path, "-workload", "181.mcf", "-instr", "4000000")
+	for name, input := range map[string][]string{
+		"em3d":   {"-workload", "em3d", "-instr", "8000000"},
+		"replay": {"-replay", path},
+	} {
+		t.Run(name, func(t *testing.T) {
+			args := append(append([]string{"-json", "-cores", "4"}, input...), sampleFlags...)
+			ref, _ := runCLIEnv(t, inherited, "emsim", args...)
+			if got, _ := runCLIEnv(t, oneCPU, "emsim", args...); got != ref {
+				t.Fatalf("GOMAXPROCS=1 output diverged from the default:\n--- GOMAXPROCS=1 ---\n%s\n--- default ---\n%s", got, ref)
+			}
+		})
 	}
 }

@@ -11,8 +11,8 @@ package machine
 // Scheduling is a deterministic round robin with a quantum of one
 // record batch: each turn consumes exactly one batch from every live
 // program, in program order. Producers run concurrently (one goroutine
-// per feed, pumping owned batch copies through an unbuffered channel)
-// but the coordinator alone touches the machines and imposes the total
+// per feed, handing owned batch copies over through a mem.Stage) but
+// the coordinator alone touches the machines and imposes the total
 // order, so a multiprogram run is a pure function of its feeds — the
 // property the determinism tests pin across -j worker counts.
 //
@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 
 	"repro/internal/mem"
 )
@@ -106,47 +105,48 @@ func AddStats(a, b Stats) Stats {
 type Feed func(sink mem.BatchSink) error
 
 // Run drives the cluster to completion: one feed per program, round
-// robin, one batch per program per turn. Feeds run concurrently but
-// delivery order is deterministic (see the package comment). A feed
-// error aborts nothing — remaining programs run to completion so the
-// machines stay consistent — and all feed errors come back joined. A
-// feed that returns early (an error, or a stream its context stopped)
-// closes its channel; Run keeps receiving from every other feed until
-// each has returned, so no producer is left blocked on a send.
-func (c *Cluster) Run(feeds []Feed) error {
+// robin, one batch per program per turn. Feeds run concurrently, each
+// on a mem.Stage of depth 1, but delivery order is deterministic (see
+// the package comment); an empty batch takes no turn. A feed error
+// aborts nothing — remaining programs run to completion so the machines
+// stay consistent — and all feed errors come back joined. A feed that
+// returns early (an error, or a stream its context stopped) ends its
+// stage; Run keeps reading every other stage until its feed has
+// returned, so no producer is left blocked on a send.
+func (c *Cluster) Run(feeds []Feed) (err error) {
 	if len(feeds) != len(c.programs) {
 		return fmt.Errorf("machine: %d feeds for %d programs", len(feeds), len(c.programs))
 	}
-	chans := make([]chan *mem.Batch, len(feeds))
-	errs := make([]error, len(feeds))
-	var wg sync.WaitGroup
+	stages := make([]*mem.Stage, len(feeds))
 	for i, f := range feeds {
-		ch := make(chan *mem.Batch)
-		chans[i] = ch
-		wg.Add(1)
-		go func(i int, f Feed) {
-			defer wg.Done()
-			defer close(ch)
-			s := newFeedSink(ch)
-			if err := f(s); err != nil {
-				errs[i] = fmt.Errorf("machine: program %d feed: %w", i, err)
-				return
-			}
-			s.Flush()
-		}(i, f)
+		stages[i] = mem.NewStage(1, f)
 	}
-	live := len(chans)
-	open := make([]bool, len(chans))
+	// Closing every stage reaps every producer, also when a feed's
+	// panic re-raises here.
+	defer func() {
+		errs := make([]error, len(stages))
+		for i, st := range stages {
+			if e := st.Close(); e != nil {
+				errs[i] = fmt.Errorf("machine: program %d feed: %w", i, e)
+			}
+		}
+		err = errors.Join(errs...)
+	}()
+	live := len(stages)
+	open := make([]bool, len(stages))
 	for i := range open {
 		open[i] = true
 	}
 	for live > 0 {
-		for p, ch := range chans {
+		for p, st := range stages {
 			if !open[p] {
 				continue
 			}
-			b, ok := <-ch
-			if !ok {
+			b := st.Next()
+			for b != nil && b.Len() == 0 {
+				b = st.Next()
+			}
+			if b == nil {
 				open[p] = false
 				live--
 				continue
@@ -154,8 +154,7 @@ func (c *Cluster) Run(feeds []Feed) error {
 			c.apply(p, b)
 		}
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return nil
 }
 
 // apply rebases program p's access records into its private address
@@ -170,34 +169,4 @@ func (c *Cluster) apply(p int, b *mem.Batch) {
 		}
 	}
 	c.programs[p].AccessBatch(b)
-}
-
-// feedSink is one producer goroutine's end of the coordinator's
-// channel: every batch is copied into one of two alternating buffers the
-// sink owns and handed over. Double buffering is sufficient because the
-// channel is unbuffered and the coordinator fully applies a batch before
-// its next receive on the same channel: when the send of buffer B
-// unblocks, buffer A is already consumed. Run wraps it in a mem.Batcher,
-// which accumulates a feed's scalar records into batches.
-type feedSink struct {
-	ch   chan<- *mem.Batch
-	bufs [2]*mem.Batch
-	cur  int
-}
-
-func newFeedSink(ch chan<- *mem.Batch) *mem.Batcher {
-	return mem.NewBatcher(&feedSink{ch: ch, bufs: [2]*mem.Batch{mem.NewBatch(0), mem.NewBatch(0)}}, 0)
-}
-
-// AccessBatch copies b into an owned buffer and hands it to the
-// coordinator.
-func (s *feedSink) AccessBatch(b *mem.Batch) {
-	if b.Len() == 0 {
-		return
-	}
-	buf := s.bufs[s.cur]
-	s.cur ^= 1
-	buf.Addr = append(buf.Addr[:0], b.Addr...)
-	buf.Kind = append(buf.Kind[:0], b.Kind...)
-	s.ch <- buf
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // recordedFeed adapts a captured event stream to a cluster Feed,
-// delivering scalar records (the feedSink batches them internally).
+// delivering scalar records (the feed's mem.Stage batches them).
 func recordedFeed(evs []recordedEvent) Feed {
 	return func(sink mem.BatchSink) error {
 		for _, e := range evs {
@@ -65,11 +65,25 @@ func TestClusterSingleProgramMatchesMachine(t *testing.T) {
 	}
 }
 
+// emptiesFeed is batchedFeed with an empty batch before every batch.
+func emptiesFeed(evs []recordedEvent) Feed {
+	return func(sink mem.BatchSink) error { return batchedFeed(evs)(emptyFirst{sink}) }
+}
+
+// emptyFirst delivers an empty batch ahead of every batch.
+type emptyFirst struct{ mem.BatchSink }
+
+func (s emptyFirst) AccessBatch(b *mem.Batch) {
+	s.BatchSink.AccessBatch(&mem.Batch{})
+	s.BatchSink.AccessBatch(b)
+}
+
 // TestClusterDeterminism: the coordinator's round robin makes a cluster
 // run a pure function of its feeds — per-program stats and controller
 // states are identical across repeated runs, regardless of producer
 // goroutine scheduling, and identical whether the feeds deliver scalar
-// records or pre-built batches.
+// records or pre-built batches, with or without empty batches between
+// them (an empty batch takes no turn).
 func TestClusterDeterminism(t *testing.T) {
 	streams := [][]recordedEvent{
 		captureWorkload(t, "mst", 150_000),
@@ -102,6 +116,18 @@ func TestClusterDeterminism(t *testing.T) {
 	}
 	if batched := run(batchedFeed); !reflect.DeepEqual(batched, first) {
 		t.Fatalf("batched feeds diverged from scalar feeds:\n%+v\nvs\n%+v", batched, first)
+	}
+	// Program 0 alone sends empty batches: were they turns, its real
+	// batches would fall out of step with the other programs'.
+	calls := 0
+	gappy := run(func(evs []recordedEvent) Feed {
+		if calls++; calls == 1 {
+			return emptiesFeed(evs)
+		}
+		return batchedFeed(evs)
+	})
+	if !reflect.DeepEqual(gappy, first) {
+		t.Fatalf("feeds with empty batches diverged from scalar feeds:\n%+v\nvs\n%+v", gappy, first)
 	}
 }
 

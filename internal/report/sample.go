@@ -69,12 +69,18 @@ func WriteSampleJSON(w io.Writer, r SampleResultJSON) error {
 	return writeJSON(w, r)
 }
 
+// profileStageDepth is how many batches the profile pass's input may
+// run ahead of its stack profiler; DESIGN.md §16 gives the pairs that
+// chose it.
+const profileStageDepth = 8
+
 // SampleRun executes the full sampling pipeline for a sampled spec and
 // returns the canonical result. The spec's scenario names are echoed
 // as given, so callers pass them normalized. Deterministic for a fixed
-// spec: the profile pass is serial, clustering and planning are seeded
-// and ordered, and the chain lanes merge in chain order for every
-// Workers value.
+// spec: the profile pass profiles its stream in order (its input is
+// produced on a goroutine of its own, but batch for batch as a serial
+// pass would read it), clustering and planning are seeded and ordered,
+// and the chain lanes merge in chain order for every Workers value.
 func SampleRun(spec run.Spec, opt RunOptions) (SampleResultJSON, error) {
 	if err := spec.Validate(); err != nil {
 		return SampleResultJSON{}, err
@@ -86,10 +92,12 @@ func SampleRun(spec run.Spec, opt RunOptions) (SampleResultJSON, error) {
 	}
 	// Each Feed call opens the trace or constructs the workload afresh,
 	// so concurrent chain lanes never share generator state. A replay's
-	// profile pass records the trace's resume positions as it reads.
+	// profile pass records the trace's resume positions as it reads, on
+	// its stage's goroutine; Staged returns only after that goroutine
+	// has, so the chain lanes read idx safely.
 	src := sampling.Source(spec.Feed)
 	idx := new(trace.Index)
-	profSrc := func(sink mem.BatchSink) error { return spec.FeedIndexed(sink, idx) }
+	profSrc := mem.Staged(profileStageDepth, func(sink mem.BatchSink) error { return spec.FeedIndexed(sink, idx) })
 
 	prof, err := sampling.NewProfiler(spec.SampleInterval, normalCfg.LineShift)
 	if err != nil {
@@ -163,7 +171,8 @@ func replayResume(spec run.Spec, idx *trace.Index) *sampling.Resume {
 
 // SampleBatch runs the sampled spec base for each named workload on
 // the worker pool, returning results in input order (byte-identical for
-// every Workers value: each job is a serial SampleRun of its own).
+// every Workers value: each job is a SampleRun of its own with one chain
+// lane; its profile pass still overlaps its input).
 func SampleBatch(names []string, base run.Spec, opt RunOptions) ([]SampleResultJSON, error) {
 	return runner.Map(opt.ctx(), len(names), opt.config(func(i int) string { return names[i] }),
 		func(_ context.Context, i int) (SampleResultJSON, error) {
