@@ -46,7 +46,7 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: build emlint (the seven analyzers
+# Project-specific static analysis: build emlint (the four analyzers
 # of internal/analysis, see DESIGN.md par.8 and par.14) and run them in
 # one package-load pass over the module. Findings triaged in
 # ci/emlint.baseline are reported but do not fail the run; anything new

@@ -1,7 +1,6 @@
-// Command emlint is the repository's static-analysis driver: seven
-// analyzers (nondeterminism, snapshotcomplete, hotpath, nopanic,
-// lockguard, ctxflow, closecheck) that enforce the simulator's
-// determinism, checkpoint, allocation, locking and shutdown invariants
+// Command emlint is the repository's static-analysis driver: four
+// analyzers (nopanic, lockguard, ctxflow, closecheck) that enforce the
+// simulator's error-path, locking, shutdown and file-write invariants
 // at build time. `make lint` runs it as
 //
 //	emlint [-format text|json|sarif] [-o file] [-baseline ci/emlint.baseline] ./...

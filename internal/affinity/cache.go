@@ -24,8 +24,8 @@ type Cache struct {
 	// skew computes a line's candidate frames; cand holds them for the
 	// current call, so Lookup, Store and touch share one evaluation of
 	// the skewing functions per way.
-	skew cache.Skew //emlint:nosnapshot derived from the shape at construction
-	cand []int32    //emlint:nosnapshot per-call scratch, rebuilt by every Lookup and Store
+	skew cache.Skew // not checkpointed: derived from the shape at construction
+	cand []int32    // not checkpointed: per-call scratch, rebuilt by every Lookup and Store
 
 	// Stats. A telemetry registry exposes them as views (see
 	// telemetry.Registry.View), so these are their only counts.
@@ -69,8 +69,6 @@ func NewCache(entries, ways int) *Cache {
 }
 
 // frames returns line's candidate frame in each way, in way order.
-//
-//emlint:hotpath
 func (c *Cache) frames(line mem.Line) []int32 {
 	c.skew.Frames(line, c.cand)
 	return c.cand
@@ -78,8 +76,6 @@ func (c *Cache) frames(line mem.Line) []int32 {
 
 // touch applies the age policy around a hit/fill at frame hit among a
 // line's candidate frames fr.
-//
-//emlint:hotpath
 func (c *Cache) touch(fr []int32, hit int32) {
 	for _, f := range fr {
 		if e := &c.entries[f]; f == hit {
@@ -91,8 +87,6 @@ func (c *Cache) touch(fr []int32, hit int32) {
 }
 
 // Lookup implements Table. It runs once per L1-filtered reference.
-//
-//emlint:hotpath
 func (c *Cache) Lookup(line mem.Line) (int64, bool) {
 	fr := c.frames(line)
 	for _, f := range fr {
@@ -107,8 +101,6 @@ func (c *Cache) Lookup(line mem.Line) (int64, bool) {
 }
 
 // Store implements Table. It runs once per R-window pop.
-//
-//emlint:hotpath
 func (c *Cache) Store(line mem.Line, oe int64) {
 	fr := c.frames(line)
 	// Update in place on hit.

@@ -64,7 +64,7 @@ func (d *Ideal) Ref(e mem.Line) int64 {
 	for _, w := range d.win {
 		inWin[w] = true
 	}
-	//emlint:ordered each key is updated from its own value only; no cross-iteration state
+	// Each key is updated from its own value only, so map order cannot matter.
 	for line, a := range d.aff {
 		if inWin[line] {
 			d.aff[line] = d.sat.Add(a, s)

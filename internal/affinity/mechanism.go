@@ -82,8 +82,8 @@ type winEntry struct {
 // Definition 1, and document the Figure-2 discrepancy here and in
 // DESIGN.md.
 type Mechanism struct {
-	cfg   MechConfig //emlint:nosnapshot configuration; states restore into identically configured mechanisms
-	table Table      //emlint:nosnapshot shared table, checkpointed separately via CaptureTableState
+	cfg   MechConfig // not checkpointed: configuration; states restore into identically configured mechanisms
+	table Table      // not checkpointed: shared table, checkpointed separately via CaptureTableState
 
 	win  []winEntry
 	head int  // next slot to overwrite (oldest entry)
@@ -91,7 +91,7 @@ type Mechanism struct {
 
 	ar, delta, filter int64
 
-	satVal, satAR, satDelta, satFilter Sat //emlint:nosnapshot derived from cfg at construction
+	satVal, satAR, satDelta, satFilter Sat // not checkpointed: derived from cfg at construction
 
 	// Refs counts references processed by this mechanism.
 	Refs uint64

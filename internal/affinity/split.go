@@ -100,9 +100,9 @@ type Splitter struct {
 	// mechs is the tree; the first Ways−1 nodes are used. A fixed array
 	// rather than a slice spares the walk a slice-header load per node.
 	mechs [7]*Mechanism
-	//emlint:nosnapshot configuration; states restore into identically configured splitters
+	// Not checkpointed: configuration; states restore into identically configured splitters.
 	levels int
-	//emlint:nosnapshot configuration; states restore into identically configured splitters
+	// Not checkpointed: configuration; states restore into identically configured splitters.
 	sampleLimit uint32
 
 	refs        uint64

@@ -52,7 +52,7 @@ type Unbounded struct {
 	// telemetry registry (the zero value is a no-op). State capture and
 	// restore go through the non-counting find, so checkpointing never
 	// perturbs them.
-	//emlint:nosnapshot observational handles; counter values live in the owning telemetry registry
+	// Not checkpointed: observational handles; counter values live in the owning telemetry registry.
 	Probes TableProbes
 }
 
@@ -85,8 +85,6 @@ func (u *Unbounded) homeSlot(line mem.Line) uint64 {
 
 // Lookup implements Table. It is the innermost read of the affinity
 // mechanism, once per L1-filtered reference.
-//
-//emlint:hotpath
 func (u *Unbounded) Lookup(line mem.Line) (int64, bool) {
 	oe, ok := u.find(line)
 	if ok {
@@ -114,9 +112,7 @@ func (u *Unbounded) find(line mem.Line) (int64, bool) {
 }
 
 // Store implements Table. Steady state updates in place or swaps inside
-// preallocated arrays; growth is confined to the coldpath helpers.
-//
-//emlint:hotpath
+// preallocated arrays; growth is confined to grow and fifoPush.
 func (u *Unbounded) Store(line mem.Line, oe int64) {
 	if len(u.keys) != 0 {
 		mask := uint64(len(u.keys) - 1)
@@ -154,8 +150,6 @@ func (u *Unbounded) Store(line mem.Line, oe int64) {
 
 // grow rehashes every live entry into arrays of newCap slots. Growth
 // doubles, so its allocations amortise to O(1) per insertion.
-//
-//emlint:coldpath
 func (u *Unbounded) grow(newCap int) {
 	oldKeys, oldVals, oldUsed := u.keys, u.vals, u.used
 	u.keys = make([]mem.Line, newCap)
@@ -232,8 +226,6 @@ func (u *Unbounded) delete(line mem.Line) {
 // fifoPush appends line to the insertion-order ring, doubling the ring
 // (up to limit slots) while the table is still filling; at the cap it
 // runs allocation-free.
-//
-//emlint:coldpath
 func (u *Unbounded) fifoPush(line mem.Line) {
 	if u.fcount == len(u.fifo) {
 		newCap := 16

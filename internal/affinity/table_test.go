@@ -161,21 +161,40 @@ func TestUnboundedMatchesMapModel(t *testing.T) {
 
 // TestUnboundedStoreSteadyStateAllocs: once the live working set is
 // resident, Store and Lookup never allocate — the property the
-// simulator's hot path depends on.
+// simulator's hot path depends on. Every allocation over a window of
+// Store+Lookup pairs counts, and the window cycles a working set larger
+// than the limited table, so evictions recur inside it.
 func TestUnboundedStoreSteadyStateAllocs(t *testing.T) {
 	for _, limit := range []int{0, 256} {
-		u := NewUnboundedLimit(limit)
-		for i := 0; i < 1024; i++ {
-			u.Store(mem.Line(i%500), int64(i))
-		}
-		line := mem.Line(0)
-		allocs := testing.AllocsPerRun(1000, func() {
-			u.Store(line, 7)
-			u.Lookup(line)
-			line = (line + 1) % 500
-		})
-		if allocs != 0 {
-			t.Fatalf("limit=%d: %v allocs/op in steady-state Store+Lookup", limit, allocs)
+		if allocs := steadyTableAllocs(NewUnboundedLimit(limit)); allocs != 0 {
+			t.Errorf("limit=%d: %v allocations over %d steady-state Store+Lookup pairs", limit, allocs, steadyTableRefs)
 		}
 	}
+}
+
+// TestCacheSteadyStateAllocs: the bounded affinity cache of the Table 2
+// machine holds the same zero, with evictions in the window.
+func TestCacheSteadyStateAllocs(t *testing.T) {
+	if allocs := steadyTableAllocs(NewCache(256, 4)); allocs != 0 {
+		t.Errorf("%v allocations over %d steady-state Store+Lookup pairs", allocs, steadyTableRefs)
+	}
+}
+
+// steadyTableRefs is the window steadyTableAllocs counts over.
+const steadyTableRefs = 10_000
+
+// steadyTableAllocs fills tab from a 500-line working set, then counts
+// every allocation over steadyTableRefs Store+Lookup pairs cycling it.
+func steadyTableAllocs(tab Table) float64 {
+	for i := 0; i < 1024; i++ {
+		tab.Store(mem.Line(i%500), int64(i))
+	}
+	line := mem.Line(0)
+	return testing.AllocsPerRun(1, func() {
+		for n := 0; n < steadyTableRefs; n++ {
+			tab.Store(line, 7)
+			tab.Lookup(line)
+			line = (line + 1) % 500
+		}
+	})
 }

@@ -8,35 +8,13 @@ import (
 
 // The emlint annotation vocabulary. Annotations are ordinary line
 // comments of the form `//emlint:<name> [reason...]` (no space after
-// //, like //go: directives). They either opt a declaration into a
-// check (hotpath) or record a reviewed exemption with its reason
-// (ordered, allowpanic, nosnapshot, coldpath).
+// //, like //go: directives). They either declare a contract an
+// analyzer checks (guardedby, locked) or record a reviewed exemption
+// with its reason (allowpanic, detached).
 const (
-	// DirHotpath marks a function as steady-state allocation-free: the
-	// hotpath analyzer forbids closures, interface conversions,
-	// escaping appends, and calls into allocating non-annotated code.
-	DirHotpath = "hotpath"
-	// DirColdpath marks a function as a known amortised/cold path
-	// (table growth, eviction ring doubling): hotpath functions may
-	// call it even though it allocates.
-	DirColdpath = "coldpath"
-	// DirOrdered marks a map-range loop whose escaping result has been
-	// reviewed as iteration-order-independent.
-	DirOrdered = "ordered"
 	// DirAllowPanic marks a reviewed panic in library code: a
 	// documented internal-invariant trap rather than input validation.
 	DirAllowPanic = "allowpanic"
-	// DirNoSnapshot marks a struct field that Snapshot/Restore may
-	// legitimately skip: configuration, derived values rebuilt on
-	// restore, or scratch space with no cross-call state.
-	DirNoSnapshot = "nosnapshot"
-	// DirWallclock marks a reviewed wall-clock read in a
-	// result-producing package: a use of time.Now/time.Since whose value
-	// provably never feeds a simulation result (e.g. seeding client
-	// retry jitter, which *must* differ across processes). The reason is
-	// mandatory in review, so the annotation documents why the read is
-	// outside the determinism boundary.
-	DirWallclock = "wallclock"
 	// DirGuardedBy marks a struct field as protected by a sibling mutex
 	// field: `//emlint:guardedby mu`. The lockguard analyzer requires
 	// every function referencing the field to lexically acquire that
@@ -57,16 +35,12 @@ const (
 const dirPrefix = "//emlint:"
 
 // Directive is one parsed annotation: its name plus everything after
-// it. For argumentless directives (hotpath) Arg is the reason text; for
-// parameterised ones (guardedby, locked) it carries the
-// operand, and Fields splits it on whitespace.
+// it. For exemptions (allowpanic, detached) Arg is the reason text; for
+// parameterised ones (guardedby, locked) it carries the operand.
 type Directive struct {
 	Name string
 	Arg  string
 }
-
-// Fields returns Arg split on whitespace.
-func (d Directive) Fields() []string { return strings.Fields(d.Arg) }
 
 // Directives indexes a package's //emlint: annotations by file and
 // line so analyzers can answer "is this node annotated?" without
@@ -149,13 +123,6 @@ func (d *Directives) ArgOnLineOrAbove(fset *token.FileSet, node ast.Node, name s
 	return d.argAt(pos.Filename, pos.Line-1, name)
 }
 
-// CommentedFunc reports whether a function declaration carries the
-// annotation anywhere in its doc comment (the conventional placement:
-// the last doc line before func).
-func CommentedFunc(decl *ast.FuncDecl, name string) bool {
-	return len(FuncArgs(decl, name)) > 0
-}
-
 // FuncArgs returns the argument of every annotation named name in the
 // function's doc comment, one entry per directive line (a declaration
 // may carry several, e.g. one //emlint:locked per held mutex).
@@ -170,13 +137,6 @@ func FuncArgs(decl *ast.FuncDecl, name string) []string {
 		}
 	}
 	return args
-}
-
-// CommentedField reports whether a struct field carries the annotation
-// in its doc comment or trailing line comment.
-func CommentedField(field *ast.Field, name string) bool {
-	_, ok := FieldArg(field, name)
-	return ok
 }
 
 // FieldArg returns the argument of the annotation named name in a

@@ -5,7 +5,7 @@ package suite
 // analyzer. Loading dominates emlint's cost — `go list -export -deps`
 // plus typechecking the whole tree — so the driver does it exactly once
 // per invocation and reuses the FileSet, ASTs, type info and parsed
-// directives across all seven analyzers. (The previous driver ran the
+// directives across every analyzer. (The previous driver ran the
 // suite per package too, but callers that wanted several output formats
 // or a baseline pass reloaded; Lint is the one entry point now.)
 

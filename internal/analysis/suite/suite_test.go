@@ -21,28 +21,23 @@ func TestForPackage(t *testing.T) {
 		}
 		return out
 	}
-	// Shorthand tiers: result packages get the full battery, library
-	// packages drop nondeterminism, commands drop nopanic too; ctxflow
-	// joins only in the concurrent service layer.
-	result := []string{"nondeterminism", "snapshotcomplete", "hotpath", "nopanic", "lockguard", "closecheck"}
-	resultCtx := []string{"nondeterminism", "snapshotcomplete", "hotpath", "nopanic", "lockguard", "ctxflow", "closecheck"}
+	// Shorthand tiers: library packages get nopanic, commands do not;
+	// ctxflow joins only in the concurrent service layer.
+	lib := []string{"nopanic", "lockguard", "closecheck"}
+	libCtx := []string{"nopanic", "lockguard", "ctxflow", "closecheck"}
 	cases := []struct {
 		pkg  string
 		want []string
 	}{
-		{"repro/internal/report", result},
-		{"repro/internal/machine", result},
-		{"repro/internal/migration", result},
-		{"repro/internal/cache", result},
-		{"repro/internal/mem", result},
-		{"repro/internal/trace", result},
-		{"repro/internal/service", resultCtx},
-		{"repro/internal/runner", resultCtx},
-		{"repro/internal/health", resultCtx},
-		{"repro/internal/telemetry/telhttp", []string{"snapshotcomplete", "hotpath", "nopanic", "lockguard", "ctxflow", "closecheck"}},
-		{"repro/internal/ioutilx", []string{"snapshotcomplete", "hotpath", "nopanic", "lockguard", "closecheck"}},
-		{"repro/cmd/emsim", []string{"snapshotcomplete", "hotpath", "lockguard", "closecheck"}},
-		{"repro/cmd/emsimd", []string{"snapshotcomplete", "hotpath", "lockguard", "ctxflow", "closecheck"}},
+		{"repro/internal/report", lib},
+		{"repro/internal/machine", lib},
+		{"repro/internal/ioutilx", lib},
+		{"repro/internal/service", libCtx},
+		{"repro/internal/runner", libCtx},
+		{"repro/internal/health", libCtx},
+		{"repro/internal/telemetry/telhttp", libCtx},
+		{"repro/cmd/emsim", []string{"lockguard", "closecheck"}},
+		{"repro/cmd/emsimd", []string{"lockguard", "ctxflow", "closecheck"}},
 		{"repro/internal/runner.test", nil},
 		{"fmt", nil},
 		{"example.com/other", nil},

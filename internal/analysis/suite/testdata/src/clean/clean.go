@@ -1,24 +1,21 @@
 // Package clean is the suite-wide negative fixture: it exercises the
-// territory every emlint analyzer patrols — map iteration feeding
-// results, a snapshot pair, an annotated hot function, fallible
-// construction, mutex-guarded state, a scalar/batch kernel pair, a
-// bounded goroutine fan-out and a written file — written the way the
-// repository's invariants demand, so the whole suite must report
-// nothing.
+// territory every emlint analyzer patrols — fallible construction,
+// mutex-guarded state, a bounded goroutine fan-out and a written file —
+// written the way the repository's invariants demand, so the whole
+// suite must report nothing.
 package clean
 
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 )
 
-// Counter aggregates event counts and snapshots completely.
+// Counter aggregates event counts.
 type Counter struct {
 	counts map[string]uint64
 	total  uint64
-	limit  int //emlint:nosnapshot configuration, fixed at construction
+	limit  int
 }
 
 // NewCounter returns an error for bad configuration instead of panicking.
@@ -33,50 +30,6 @@ func NewCounter(limit int) (*Counter, error) {
 func (c *Counter) Add(name string) {
 	c.counts[name]++
 	c.total++
-}
-
-// Total is the steady-state read path: loads only.
-//
-//emlint:hotpath
-func (c *Counter) Total() uint64 {
-	return c.total
-}
-
-// Keys iterates the map in sorted order before order can escape.
-func (c *Counter) Keys() []string {
-	keys := make([]string, 0, len(c.counts))
-	//emlint:ordered
-	for k := range c.counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// CounterState is the serialised form of Counter.
-type CounterState struct {
-	Counts map[string]uint64
-	Total  uint64
-}
-
-// State deep-copies every state field.
-func (c *Counter) State() CounterState {
-	out := make(map[string]uint64, len(c.counts))
-	//emlint:ordered
-	for k, v := range c.counts {
-		out[k] = v
-	}
-	return CounterState{Counts: out, Total: c.total}
-}
-
-// SetState restores every state field.
-func (c *Counter) SetState(s CounterState) {
-	c.counts = make(map[string]uint64, len(s.Counts))
-	//emlint:ordered
-	for k, v := range s.Counts {
-		c.counts[k] = v
-	}
-	c.total = s.Total
 }
 
 // Save writes the total out, folding the Close error into the return.

@@ -17,12 +17,12 @@ type SetAssoc struct {
 	// setMask and wayStride are derived from geo once at construction:
 	// Lookup runs per simulated reference, and rederiving the mask and
 	// frame stride in the loop costs measurable time there.
-	setMask   uint64 //emlint:nosnapshot derived from geo at construction
-	wayStride int32  //emlint:nosnapshot derived from geo at construction
+	setMask   uint64 // not checkpointed: derived from geo at construction
+	wayStride int32  // not checkpointed: derived from geo at construction
 
 	// skew precomputes the per-way constants of SkewIndex, so the hot
 	// walks share the per-line decomposition.
-	skew Skew //emlint:nosnapshot derived from geo at construction
+	skew Skew // not checkpointed: derived from geo at construction
 
 	// probeVictim is the insertion victim chosen during the walk of the
 	// most recent Probe miss; probeLine/probeOK guard its validity. They
@@ -31,9 +31,9 @@ type SetAssoc struct {
 	// the skewed L2 that halves the SkewIndex evaluations on the miss
 	// path, which profiles as the single hottest computation of the
 	// simulator.
-	probeVictim int32    //emlint:nosnapshot probe scratch, rebuilt by the next Probe
-	probeLine   mem.Line //emlint:nosnapshot probe scratch, rebuilt by the next Probe
-	probeOK     bool     //emlint:nosnapshot probe scratch, rebuilt by the next Probe
+	probeVictim int32    // not checkpointed: probe scratch, rebuilt by the next Probe
+	probeLine   mem.Line // not checkpointed: probe scratch, rebuilt by the next Probe
+	probeOK     bool     // not checkpointed: probe scratch, rebuilt by the next Probe
 }
 
 // frame is one line frame: its tag and its LRU stamp side by side, so a
@@ -71,8 +71,6 @@ func NewSetAssoc(geo Geometry) *SetAssoc {
 // indexed reports whether line's candidate frames are set + w*wayStride:
 // true unless the cache is skewed over more than one set (a single-set
 // skewed cache indexes set 0 in every way).
-//
-//emlint:hotpath
 func (c *SetAssoc) indexed() bool { return !c.geo.Skewed || c.geo.SetsLog2 == 0 }
 
 // Lookup finds line without touching replacement state.
@@ -81,8 +79,6 @@ func (c *SetAssoc) indexed() bool { return !c.geo.Skewed || c.geo.SetsLog2 == 0 
 // set-indexed walk strides a precomputed frame index, and the skewed
 // walk shares one decomposition of the line across its ways. This is
 // one of the hottest functions of the simulator.
-//
-//emlint:hotpath
 func (c *SetAssoc) Lookup(line mem.Line) (Handle, bool) {
 	if c.indexed() {
 		f := int32(uint64(line) & c.setMask)
@@ -114,8 +110,6 @@ func (c *SetAssoc) Lookup(line mem.Line) (Handle, bool) {
 // Probe on this cache; the caller must not mutate this cache between
 // the Probe miss and its InsertProbed (interleaved operations on
 // *other* caches are fine — see Machine.request).
-//
-//emlint:hotpath
 func (c *SetAssoc) Probe(line mem.Line) (Handle, bool) {
 	best := int32(-1)
 	bestStamp := ^uint64(0)
@@ -162,8 +156,6 @@ func (c *SetAssoc) Probe(line mem.Line) (Handle, bool) {
 // established that line is absent from every candidate frame (and the
 // caller guarantees this cache was not mutated since), so the resident-
 // line check lives only on the Insert fallback.
-//
-//emlint:hotpath
 func (c *SetAssoc) InsertProbed(line mem.Line, flags uint8) (Handle, Victim) {
 	if !c.probeOK || c.probeLine != line {
 		return c.Insert(line, flags)
@@ -186,8 +178,6 @@ func (c *SetAssoc) Insert(line mem.Line, flags uint8) (Handle, Victim) {
 
 // fill writes line into frame best (the victim chosen by a Probe miss)
 // and returns the displaced occupant, if any.
-//
-//emlint:hotpath
 func (c *SetAssoc) fill(best int32, line mem.Line, flags uint8) (Handle, Victim) {
 	var v Victim
 	fr := &c.frames[best]

@@ -58,16 +58,12 @@ func NewSkew(ways int, setsLog2 uint) Skew {
 
 // split decomposes line for set: a1 and a2 are its two index-bit
 // groups, hiK the golden-ratio multiply of its high bits.
-//
-//emlint:hotpath
 func (s *Skew) split(line mem.Line) (a1, a2, hiK uint64) {
 	v := uint64(line)
 	return v & s.mask, (v >> s.setsLog2) & s.mask, (v >> (2 * s.setsLog2)) * 0x9e3779b97f4a7c15
 }
 
 // set is SkewIndex(w, line, setsLog2) from line's split.
-//
-//emlint:hotpath
 func (s *Skew) set(w int, a1, a2, hiK uint64) uint32 {
 	if w == 0 {
 		return uint32(a1 ^ a2)
@@ -81,8 +77,6 @@ func (s *Skew) set(w int, a1, a2, hiK uint64) uint32 {
 
 // Frames writes line's candidate frame in way w, w<<setsLog2 +
 // SkewIndex(w, line, setsLog2), into dst[w] for every w < len(dst).
-//
-//emlint:hotpath
 func (s *Skew) Frames(line mem.Line, dst []int32) {
 	a1, a2, hiK := s.split(line)
 	for w := range dst {

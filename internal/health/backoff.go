@@ -34,7 +34,6 @@ type Backoff struct {
 // line — identical seeds would re-synchronise the herd the jitter
 // exists to spread out.
 func NewBackoff(base, cap time.Duration) *Backoff {
-	//emlint:wallclock client retry jitter must differ across processes; never feeds a simulation result
 	seed := uint64(time.Now().UnixNano())
 	return &Backoff{Base: base, Cap: cap, rng: trace.NewRNG(seed)}
 }

@@ -22,7 +22,7 @@ const indexInitialLog2 = 8
 
 // alloc replaces the table with an empty one of 2^log2 slots.
 //
-//emlint:coldpath table growth: amortised over the stack's distinct lines
+// Allocates only on table growth, amortised over the stack's distinct lines.
 func (ix *lineIndex) alloc(log2 uint) {
 	ix.slots = make([]int32, 1<<log2)
 	ix.mask = 1<<log2 - 1
@@ -31,16 +31,12 @@ func (ix *lineIndex) alloc(log2 uint) {
 }
 
 // home is line's first probe slot.
-//
-//emlint:hotpath
 func (ix *lineIndex) home(line mem.Line) uint64 {
 	return (uint64(line) * 0x9e3779b97f4a7c15) >> ix.shift
 }
 
 // find returns the node holding line, or none, and the slot it was
 // found in; on a miss the slot is the empty one that ends the probe run.
-//
-//emlint:hotpath
 func (ix *lineIndex) find(nodes []node, line mem.Line) (uint64, int32) {
 	for i := ix.home(line); ; i = (i + 1) & ix.mask {
 		v := ix.slots[i]
@@ -55,16 +51,12 @@ func (ix *lineIndex) find(nodes []node, line mem.Line) (uint64, int32) {
 
 // insert stores node x in the empty slot i that find returned for its
 // line. The caller grows the table afterwards if it passed half full.
-//
-//emlint:hotpath
 func (ix *lineIndex) insert(i uint64, x int32) {
 	ix.slots[i] = x + 1
 	ix.n++
 }
 
 // remove deletes node x from the table.
-//
-//emlint:hotpath
 func (ix *lineIndex) remove(nodes []node, x int32) {
 	i := ix.home(nodes[x].line)
 	for ix.slots[i] != x+1 {
@@ -84,13 +76,11 @@ func (ix *lineIndex) remove(nodes []node, x int32) {
 }
 
 // full reports whether the table has passed half load.
-//
-//emlint:hotpath
 func (ix *lineIndex) full() bool { return 2*ix.n > len(ix.slots) }
 
 // grow doubles the table and reinserts every entry.
 //
-//emlint:coldpath table growth: amortised over the stack's distinct lines
+// Allocates only on table growth, amortised over the stack's distinct lines.
 func (ix *lineIndex) grow(nodes []node) {
 	old := ix.slots
 	ix.alloc(64 - ix.shift + 1)

@@ -160,3 +160,29 @@ func TestMultiStackLimited(t *testing.T) {
 		t.Fatalf("profile refs = %d, want 40000", p.Refs)
 	}
 }
+
+// TestRefSteadyStateZeroAllocs: once a capped stack holds its limit,
+// Ref allocates nothing, though about half the references in the window
+// are cold misses that evict. Every allocation over the window counts,
+// so an allocation on one reference in thousands fails too.
+func TestRefSteadyStateZeroAllocs(t *testing.T) {
+	const refs = 100_000
+	s := New([]int64{64, 512, 2048}, 4096)
+	rng := trace.NewRNG(9)
+	for i := 0; i < refs; i++ {
+		s.Ref(mem.Line(rng.Uint64n(8192)))
+	}
+	dropped := s.Dropped()
+	allocs := testing.AllocsPerRun(1, func() {
+		for n := 0; n < refs; n++ {
+			s.Ref(mem.Line(rng.Uint64n(8192)))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations over %d steady-state references", allocs, refs)
+	}
+	// AllocsPerRun ran the window twice: once to warm, once measured.
+	if s.Dropped()-dropped < refs/2 {
+		t.Fatalf("%d evictions over %d references; the window must keep evicting", s.Dropped()-dropped, 2*refs)
+	}
+}

@@ -96,8 +96,6 @@ func New(thresholds []int64, limit int64) *Stack {
 }
 
 // Ref records one reference to line.
-//
-//emlint:hotpath
 func (s *Stack) Ref(line mem.Line) {
 	i, x := s.index.find(s.nodes, line)
 	if x != none {
@@ -174,7 +172,7 @@ func (s *Stack) push(x int32) {
 // alloc takes a node off the free list, or grows the arena by one, and
 // initialises it for line.
 //
-//emlint:coldpath arena growth, amortised over the stack's distinct lines
+// Allocates only on arena growth, amortised over the stack's distinct lines.
 func (s *Stack) alloc(line mem.Line) int32 {
 	x := s.free
 	if x == none {

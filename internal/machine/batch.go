@@ -82,35 +82,23 @@ func NewGroup(cfgs ...Config) (*Group, error) {
 func (g *Group) Machines() []*Machine { return g.ms }
 
 // Access implements mem.Sink: one access record through AccessBatch.
-//
-//emlint:hotpath
 func (g *Group) Access(addr mem.Addr, kind mem.Kind) { g.AccessBatch(g.rec.Access(addr, kind)) }
 
 // Instr implements mem.Sink: one instruction record through AccessBatch.
-//
-//emlint:hotpath
 func (g *Group) Instr(n uint64) { g.AccessBatch(g.rec.Instr(n)) }
 
 // Access implements mem.Sink, driving the machine's group.
-//
-//emlint:hotpath
 func (m *Machine) Access(addr mem.Addr, kind mem.Kind) { m.grp.Access(addr, kind) }
 
 // Instr implements mem.Sink, driving the machine's group.
-//
-//emlint:hotpath
 func (m *Machine) Instr(n uint64) { m.grp.Instr(n) }
 
 // AccessBatch implements mem.BatchSink, driving the machine's group.
-//
-//emlint:hotpath
 func (m *Machine) AccessBatch(b *mem.Batch) { m.grp.AccessBatch(b) }
 
 // AccessBatch implements mem.BatchSink. It delivers every record of b
 // in order to every member and must stay allocation-free in steady
 // state (see TestAccessBatchSteadyStateZeroAllocs).
-//
-//emlint:hotpath
 func (g *Group) AccessBatch(b *mem.Batch) {
 	kinds := b.Kind
 	addrs := b.Addr
@@ -192,8 +180,6 @@ type batchCounts struct {
 // broadcast to the inactive L1 copies (§2.3), every store costs 16
 // bytes of update bus, and each instruction 9 — unless the §6 threshold
 // gates register updates, which gateRegisters accounts per record.
-//
-//emlint:hotpath
 func (m *Machine) fold(c *batchCounts) {
 	s := &m.Stats
 	s.IFetches += c.fetches
@@ -216,8 +202,6 @@ func (m *Machine) fold(c *batchCounts) {
 // gateRegisters accounts one instruction record's register updates
 // under §6's broadcast threshold: on the bus while a migration is near,
 // suppressed otherwise.
-//
-//emlint:hotpath
 func (m *Machine) gateRegisters(n uint64) {
 	if m.polNearMigration(m.cfg.BroadcastThreshold) {
 		m.Stats.UpdateBusBytes += 9 * n
@@ -230,7 +214,7 @@ func (m *Machine) gateRegisters(n uint64) {
 // AccessBatch body so the hot loop stays free of the interface boxing a
 // panic argument implies.
 //
-//emlint:coldpath terminal: only reached on a programming error
+// Off the hot path: only reached on a programming error.
 func raggedBatch() {
 	//emlint:allowpanic Batch invariant: parallel columns always have equal length
 	panic("machine: ragged batch")

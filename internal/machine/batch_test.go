@@ -142,7 +142,8 @@ func TestAccessBatchRaggedPanics(t *testing.T) {
 }
 
 // TestAccessBatchSteadyStateZeroAllocs extends the allocation gate to
-// the batch kernel: once warm, AccessBatch must not allocate.
+// the batch kernel: once warm, AccessBatch must not allocate, counted
+// over a window of 100 batches.
 func TestAccessBatchSteadyStateZeroAllocs(t *testing.T) {
 	for name, m := range steadyMachines() {
 		g := trace.NewCircular(24 << 10)
@@ -163,12 +164,14 @@ func TestAccessBatchSteadyStateZeroAllocs(t *testing.T) {
 		}
 		fill()
 		m.AccessBatch(b) // warm the batch path itself
-		allocs := testing.AllocsPerRun(100, func() {
-			fill()
-			m.AccessBatch(b)
+		allocs := testing.AllocsPerRun(1, func() {
+			for n := 0; n < 100; n++ {
+				fill()
+				m.AccessBatch(b)
+			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s: %v allocs/op in steady-state AccessBatch; the //emlint:hotpath batch kernel must stay allocation-free", name, allocs)
+			t.Errorf("%s: %v allocations over 100 steady-state batches; the batch kernel must stay allocation-free", name, allocs)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/prefetch"
 )
 
 // The checkpoint completeness property: at any interval boundary,
@@ -13,7 +15,8 @@ import (
 // stats but in the checkpoint bytes of the end state, which cover every
 // field the format carries. emsim -resume and the service's spooled
 // jobs rest on it, so it is pinned for every scenario shape a run can
-// take: each policy, and the migration chip at 2, 4 and 8 cores.
+// take: each policy, the migration chip at 2, 4 and 8 cores, and the
+// migration chip with the stream prefetcher on.
 
 // intervalScenario is one machine configuration under test.
 type intervalScenario struct {
@@ -35,6 +38,13 @@ func intervalScenarios() []intervalScenario {
 			build: func() (*Machine, error) { return New(MigrationConfigN(8)) }},
 		policyScenario(4, "never", ""),
 		policyScenario(4, "numa", "cluster"),
+		{name: "prefetch", cores: 4,
+			build: func() (*Machine, error) {
+				cfg := MigrationConfigN(4)
+				pfc := prefetch.Default()
+				cfg.Prefetch = &pfc
+				return New(cfg)
+			}},
 	}
 }
 
@@ -92,11 +102,12 @@ func endStateBytes(t *testing.T, sc intervalScenario, m *Machine) []byte {
 	return buf.Bytes()
 }
 
-// TestIntervalWarmStartReplayIdentical: restore-at-interval-i, replay
-// to interval i+1 == uninterrupted run, per boundary, for every
-// scenario shape. The interrupted run warm-restarts at EVERY interval
-// boundary, so each i→i+1 segment runs on checkpoint-born state; the
-// end states must still serialise to identical bytes.
+// TestIntervalWarmStartReplayIdentical is the machine's state law:
+// restore-at-interval-i, replay to interval i+1 == uninterrupted run,
+// per boundary, for every scenario shape. The interrupted run
+// warm-restarts at EVERY interval boundary, so each i→i+1 segment runs
+// on checkpoint-born state. Each restored machine must serialise to its
+// source's bytes at once, and the end states to identical bytes.
 func TestIntervalWarmStartReplayIdentical(t *testing.T) {
 	// A working set larger than one L2's 8192 lines keeps the caches
 	// churning (and the migration controller active) across boundaries.
@@ -122,7 +133,11 @@ func TestIntervalWarmStartReplayIdentical(t *testing.T) {
 				}
 				deliver(t, evs[start:end], m)
 				if end < len(evs) {
-					m = warmRestart(t, sc, m, uint64(end))
+					fresh := warmRestart(t, sc, m, uint64(end))
+					if !bytes.Equal(endStateBytes(t, sc, fresh), endStateBytes(t, sc, m)) {
+						t.Fatalf("restored machine's checkpoint bytes differ from its source at event %d", end)
+					}
+					m = fresh
 				}
 			}
 

@@ -261,16 +261,16 @@ type Machine struct {
 	cfg Config
 	// il1 and dl1 are mirrored across cores: one physical copy, owned
 	// by the machine's Group and shared by every member of it.
-	//emlint:nosnapshot the group's L1 front end; Group.Capture and Group.Restore carry its one section
+	// Not checkpointed: the group's L1 front end; Group.Capture and Group.Restore carry its one section.
 	il1 *cache.SetAssoc
-	//emlint:nosnapshot the group's L1 front end; Group.Capture and Group.Restore carry its one section
+	// Not checkpointed: the group's L1 front end; Group.Capture and Group.Restore carry its one section.
 	dl1 *cache.SetAssoc
-	//emlint:nosnapshot the L1 front end and member list; Group.Capture and Group.Restore carry the L1 section
+	// Not checkpointed: the L1 front end and member list; Group.Capture and Group.Restore carry the L1 section.
 	grp *Group
 	l2  []*cache.SetAssoc
 	// own indexes the modified copies of the L2s; nil with one core,
 	// where no remote copy exists. Aliased with l2 by Cluster.
-	//emlint:nosnapshot derived from the L2 flags; Restore rebuilds it
+	// Not checkpointed: derived from the L2 flags; Restore rebuilds it.
 	own *owners
 	pf  *prefetch.Prefetcher
 	// pol is the migration policy (nil in normal mode). The default is
@@ -281,13 +281,13 @@ type Machine struct {
 	// miss, and the concrete call keeps the hot path free of interface
 	// dispatch. Nil under the never baseline, which pays the itab
 	// lookup.
-	//emlint:nosnapshot an alias of pol, whose state Snapshot.Policy carries
+	// Not checkpointed: an alias of pol, whose state Snapshot.Policy carries.
 	ctrl *migration.Controller
 
 	tel *telemetry.Registry
 	// refs counts references: the one registry-owned machine counter,
 	// as Stats keeps no total.
-	//emlint:nosnapshot observational handle into tel; its value restores through Snapshot.Telemetry
+	// Not checkpointed: observational handle into tel; its value restores through Snapshot.Telemetry.
 	refs telemetry.Counter
 
 	active int
@@ -497,8 +497,6 @@ func (m *Machine) spillRegisters() {
 // request services an L1-miss request (§2.2's controller-visible path).
 // isStore marks write-allocate semantics: the fetched/hit line becomes
 // modified on the active core and loses its modified bit elsewhere.
-//
-//emlint:hotpath
 func (m *Machine) request(line mem.Line, isStore, isPtrLoad bool) {
 	if m.pol != nil {
 		if core, migrated := m.polOnRequest(line); migrated {
@@ -547,8 +545,6 @@ func (m *Machine) request(line mem.Line, isStore, isPtrLoad bool) {
 
 // notePrefetchHit converts a prefetched line of the active L2 into a
 // useful one the first time a demand request touches it.
-//
-//emlint:hotpath
 func (m *Machine) notePrefetchHit(l2 *cache.SetAssoc, h cache.Handle) {
 	if m.pf == nil {
 		return
@@ -582,8 +578,6 @@ func (m *Machine) prefetchAfterMiss(line mem.Line) {
 // storeThrough performs the write-through of a DL1-hit store: update the
 // active L2 (allocating on miss — §2.1), set its modified bit, reset
 // modified on inactive copies.
-//
-//emlint:hotpath
 func (m *Machine) storeThrough(line mem.Line) {
 	l2 := m.l2[m.active]
 	if h, ok := l2.Probe(line); ok {
@@ -599,8 +593,6 @@ func (m *Machine) storeThrough(line mem.Line) {
 // content is refreshed over the update bus (§2.1). A copy that is
 // already modified is the line's one modified copy, so there is
 // nothing to reset.
-//
-//emlint:hotpath
 func (m *Machine) markModified(l2 *cache.SetAssoc, h cache.Handle, line mem.Line) {
 	f := l2.Flags(h)
 	if f&cache.FlagModified != 0 {
@@ -616,8 +608,6 @@ func (m *Machine) markModified(l2 *cache.SetAssoc, h cache.Handle, line mem.Line
 }
 
 // resetModified clears the modified bit of core's copy of line.
-//
-//emlint:hotpath
 func (m *Machine) resetModified(core int, line mem.Line) {
 	l2 := m.l2[core]
 	if h, ok := l2.Lookup(line); ok {
@@ -626,8 +616,6 @@ func (m *Machine) resetModified(core int, line mem.Line) {
 }
 
 // disown drops an evicted modified line from the owner index.
-//
-//emlint:hotpath
 func (m *Machine) disown(line mem.Line) {
 	if m.own != nil {
 		m.own.take(line)
@@ -638,8 +626,6 @@ func (m *Machine) disown(line mem.Line) {
 // (L2-to-L2, with simultaneous writeback) or from L3. Non-modified
 // remote copies cannot be forwarded (§2.1) — the line is re-fetched
 // from L3. The caller's last Probe of l2 missed on line.
-//
-//emlint:hotpath
 func (m *Machine) fetch(l2 *cache.SetAssoc, line mem.Line, isStore bool) {
 	if m.own != nil {
 		// The active L2 missed, so an owner is a remote core: forward

@@ -44,7 +44,7 @@ func newOwners(cores int) *owners {
 
 // alloc replaces the table with an empty one of 2^log2 slots.
 //
-//emlint:coldpath table growth: amortised over the modified set's growth
+// Allocates only on table growth, amortised over the modified set's growth.
 func (o *owners) alloc(log2 uint) {
 	o.slots = make([]uint64, 1<<log2)
 	o.mask = 1<<log2 - 1
@@ -53,16 +53,12 @@ func (o *owners) alloc(log2 uint) {
 }
 
 // home is line's first probe slot.
-//
-//emlint:hotpath
 func (o *owners) home(line mem.Line) uint64 {
 	return (uint64(line) * 0x9e3779b97f4a7c15) >> o.shift
 }
 
 // find returns the slot index holding line and whether it was found;
 // on a miss the index is the empty slot that ends the probe run.
-//
-//emlint:hotpath
 func (o *owners) find(line mem.Line) (uint64, bool) {
 	key := uint64(line)
 	for i := o.home(line); ; i = (i + 1) & o.mask {
@@ -77,13 +73,9 @@ func (o *owners) find(line mem.Line) (uint64, bool) {
 }
 
 // owner decodes the owner core of occupied slot i.
-//
-//emlint:hotpath
 func (o *owners) owner(i uint64) int { return int(o.slots[i]&(1<<o.obits-1)) - 1 }
 
 // put makes core line's modified owner and returns the previous owner.
-//
-//emlint:hotpath
 func (o *owners) put(line mem.Line, core int) (prev int, had bool) {
 	i, ok := o.find(line)
 	if ok {
@@ -99,8 +91,6 @@ func (o *owners) put(line mem.Line, core int) (prev int, had bool) {
 }
 
 // take removes line from the index and returns its owner.
-//
-//emlint:hotpath
 func (o *owners) take(line mem.Line) (int, bool) {
 	i, ok := o.find(line)
 	if !ok {
@@ -123,7 +113,7 @@ func (o *owners) take(line mem.Line) (int, bool) {
 
 // grow doubles the table and reinserts every entry.
 //
-//emlint:coldpath table growth: amortised over the modified set's growth
+// Allocates only on table growth, amortised over the modified set's growth.
 func (o *owners) grow() {
 	old := o.slots
 	o.alloc(64 - o.shift + 1)

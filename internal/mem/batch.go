@@ -65,8 +65,6 @@ func (b *Batch) Reset() {
 // Full first): the columns are extended within their existing capacity
 // so the zero-allocation contract of the hot path holds, and appending
 // to a full batch faults on the slice bound instead of reallocating.
-//
-//emlint:hotpath
 func (b *Batch) Append(addr Addr, kind Kind) {
 	n := len(b.Kind)
 	b.Addr = b.Addr[: n+1 : cap(b.Addr)]
@@ -76,8 +74,6 @@ func (b *Batch) Append(addr Addr, kind Kind) {
 }
 
 // AppendInstr adds one instruction-count record.
-//
-//emlint:hotpath
 func (b *Batch) AppendInstr(n uint64) {
 	i := len(b.Kind)
 	b.Addr = b.Addr[: i+1 : cap(b.Addr)]
@@ -115,16 +111,12 @@ type Record struct {
 }
 
 // Access returns a batch holding the one access record (addr, kind).
-//
-//emlint:hotpath
 func (r *Record) Access(addr Addr, kind Kind) *Batch {
 	r.addr[0], r.kind[0] = addr, uint8(kind)
 	return r.batch()
 }
 
 // Instr returns a batch holding the one instruction record n.
-//
-//emlint:hotpath
 func (r *Record) Instr(n uint64) *Batch {
 	r.addr[0], r.kind[0] = Addr(n), KindInstr
 	return r.batch()
@@ -168,8 +160,6 @@ func NewBatcher(out interface{ AccessBatch(*Batch) }, n int) *Batcher {
 }
 
 // Access implements Sink.
-//
-//emlint:hotpath
 func (ba *Batcher) Access(addr Addr, kind Kind) {
 	ba.b.Append(addr, kind)
 	if ba.b.Full() {
@@ -178,8 +168,6 @@ func (ba *Batcher) Access(addr Addr, kind Kind) {
 }
 
 // Instr implements Sink.
-//
-//emlint:hotpath
 func (ba *Batcher) Instr(n uint64) {
 	ba.b.AppendInstr(n)
 	if ba.b.Full() {
@@ -195,8 +183,6 @@ func (ba *Batcher) AccessBatch(b *Batch) {
 }
 
 // Flush delivers any buffered records to the consumer.
-//
-//emlint:hotpath
 func (ba *Batcher) Flush() {
 	if ba.b.Len() == 0 {
 		return

@@ -140,8 +140,6 @@ type stageWriter struct {
 }
 
 // Access implements Sink.
-//
-//emlint:hotpath
 func (w *stageWriter) Access(addr Addr, kind Kind) {
 	w.cur.Append(addr, kind)
 	if w.cur.Len() == DefaultBatchLen {
@@ -150,8 +148,6 @@ func (w *stageWriter) Access(addr Addr, kind Kind) {
 }
 
 // Instr implements Sink.
-//
-//emlint:hotpath
 func (w *stageWriter) Instr(n uint64) {
 	w.cur.AppendInstr(n)
 	if w.cur.Len() == DefaultBatchLen {

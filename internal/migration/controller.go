@@ -102,10 +102,10 @@ type Controller struct {
 	// name is the registry name the controller was built under
 	// (PolicyMichaud or PolicyNuma); it names the checkpointed policy
 	// state and selects whether the deferral counter is exposed.
-	//emlint:nosnapshot configuration; states restore into identically configured controllers
+	// Not checkpointed: configuration; states restore into identically configured controllers.
 	name string
 	// topo weighs moves in decide; the uniform chip when none was given.
-	//emlint:nosnapshot configuration; states restore into identically configured controllers
+	// Not checkpointed: configuration; states restore into identically configured controllers.
 	topo   *Topology
 	active int
 	// target/pending track the hysteresis: the core the splitter has
@@ -114,9 +114,9 @@ type Controller struct {
 	target  int
 	pending int
 	// noFiltering and ptrOnly mirror immutable Config switches.
-	//emlint:nosnapshot configuration; states restore into identically configured controllers
+	// Not checkpointed: configuration; states restore into identically configured controllers.
 	noFiltering bool
-	//emlint:nosnapshot configuration; states restore into identically configured controllers
+	// Not checkpointed: configuration; states restore into identically configured controllers.
 	ptrOnly bool
 
 	// Migrations counts executed migrations; Deferred counts commits
@@ -140,7 +140,7 @@ type Controller struct {
 
 	// probes carry the telemetry the controller keeps no field for (the
 	// zero value is a no-op).
-	//emlint:nosnapshot observational handles; counter values live in the owning telemetry registry
+	// Not checkpointed: observational handles; counter values live in the owning telemetry registry.
 	probes Probes
 }
 

@@ -17,7 +17,7 @@ const PolicyNever = "never"
 
 // NeverPolicy implements Policy by never migrating.
 type NeverPolicy struct {
-	//emlint:nosnapshot configuration; states restore into a baseline built for the same core count
+	// Not checkpointed: configuration; states restore into a baseline built for the same core count.
 	ways int
 
 	// Requests counts L1-miss requests; L2MissUpdates counts L2 misses

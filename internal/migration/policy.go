@@ -87,7 +87,6 @@ var policyFactories = map[string]func(cfg Config, topo *Topology) (Policy, error
 // PolicyNames returns the registered policy names, sorted.
 func PolicyNames() []string {
 	names := make([]string, 0, len(policyFactories))
-	//emlint:ordered collected names are sorted before they escape
 	for n := range policyFactories {
 		names = append(names, n)
 	}

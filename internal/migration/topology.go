@@ -139,7 +139,6 @@ var topologyBuilders = map[string]func(cores int) *Topology{
 // TopologyNames returns the registered topology names, sorted.
 func TopologyNames() []string {
 	names := make([]string, 0, len(topologyBuilders))
-	//emlint:ordered collected names are sorted before they escape
 	for n := range topologyBuilders {
 		names = append(names, n)
 	}

@@ -53,10 +53,10 @@ type stream struct {
 
 // Prefetcher detects strided streams in a miss sequence.
 type Prefetcher struct {
-	cfg     Config //emlint:nosnapshot configuration; states restore into an identically configured prefetcher
+	cfg     Config // not checkpointed: configuration; states restore into an identically configured prefetcher
 	streams []stream
 	clock   uint64
-	buf     []mem.Line //emlint:nosnapshot per-OnMiss scratch, valid only until the next call
+	buf     []mem.Line // not checkpointed: per-OnMiss scratch, valid only until the next call
 
 	// Trained counts misses that matched a trained stream.
 	Trained uint64

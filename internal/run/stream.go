@@ -206,8 +206,6 @@ func (s *Stream) Instr(n uint64) { s.AccessBatch(s.rec.Instr(n)) }
 // boundary inside it, each span either discarded (skip prefix) or handed
 // straight to every target's batch kernel. Targets may not retain or
 // mutate the batch, so handing the same view to each is safe.
-//
-//emlint:hotpath
 func (s *Stream) AccessBatch(b *mem.Batch) {
 	i, n := 0, b.Len()
 	for {

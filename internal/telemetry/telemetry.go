@@ -70,8 +70,6 @@ type Counter struct {
 
 // Add adds n to the counter. It is the hot-path operation: one pointer
 // increment, allocation-free.
-//
-//emlint:hotpath
 func (c Counter) Add(n uint64) {
 	if c.p != nil {
 		*c.p += n
@@ -79,8 +77,6 @@ func (c Counter) Add(n uint64) {
 }
 
 // Inc adds 1 to the counter.
-//
-//emlint:hotpath
 func (c Counter) Inc() {
 	if c.p != nil {
 		*c.p++
@@ -181,8 +177,6 @@ type Histogram struct {
 
 // Observe records one value. Hot-path: a bits.Len64 and one array
 // store, allocation-free.
-//
-//emlint:hotpath
 func (h Histogram) Observe(v uint64) {
 	if h.b != nil {
 		h.b[bits.Len64(v)]++

@@ -115,15 +115,9 @@ func TestTimelineCapEvictionIsAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ev uint64
-	allocs := testing.AllocsPerRun(5000, func() {
-		ev++
-		c.Inc()
-		h.Observe(ev)
-		tl.MaybeSample(ev)
-	})
+	allocs := sampleAllocs(c, h, tl)
 	if allocs != 0 {
-		t.Fatalf("%v allocs per evicting sample; eviction must recycle the slot", allocs)
+		t.Fatalf("%v allocations over %d evicting samples; eviction must recycle the slot", allocs, sampledEvents)
 	}
 }
 
@@ -144,16 +138,27 @@ func TestTimelineSamplingIsAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ev uint64
-	allocs := testing.AllocsPerRun(5000, func() {
-		ev++
-		c.Inc()
-		h.Observe(ev)
-		tl.MaybeSample(ev)
-	})
+	allocs := sampleAllocs(c, h, tl)
 	if allocs != 0 {
-		t.Fatalf("%v allocs per sampled event; the timeline ring must be preallocated", allocs)
+		t.Fatalf("%v allocations over %d sampled events; the timeline ring must be preallocated", allocs, sampledEvents)
 	}
+}
+
+// sampledEvents is the window sampleAllocs counts allocations over.
+const sampledEvents = 5000
+
+// sampleAllocs counts every allocation over sampledEvents events, each
+// bumping c, observing into h and offering a sample to tl.
+func sampleAllocs(c Counter, h Histogram, tl *Timeline) float64 {
+	var ev uint64
+	return testing.AllocsPerRun(1, func() {
+		for n := 0; n < sampledEvents; n++ {
+			ev++
+			c.Inc()
+			h.Observe(ev)
+			tl.MaybeSample(ev)
+		}
+	})
 }
 
 func TestMergeRowsInterleavesDeterministically(t *testing.T) {

@@ -106,7 +106,7 @@ func (t *BatchReader) flushCRC() {
 // Refills happen once per ~64 KB of trace, so this is the reader's cold
 // path.
 //
-//emlint:coldpath window refill, amortised over thousands of records
+// Allocates only on window refill, amortised over thousands of records.
 func (t *BatchReader) fill() error {
 	t.flushCRC()
 	copy(t.buf, t.buf[t.pos:t.n])
@@ -138,8 +138,6 @@ func (t *BatchReader) fill() error {
 // 56 bits and more take. Truncation and overflow are reported as
 // binary.Uvarint reports them, except that ten continuation bytes at the
 // end of the stream are an overflow, as the scalar reader reports them.
-//
-//emlint:hotpath
 func (t *BatchReader) uvarint() (uint64, bool, error) {
 	if t.n-t.pos >= 8 {
 		x := binary.LittleEndian.Uint64(t.buf[t.pos:])
@@ -170,25 +168,21 @@ func (t *BatchReader) uvarint() (uint64, bool, error) {
 // *FormatError boxes values, and every one of these is terminal — a
 // BatchReader returns at most one of them per trace.
 
-//emlint:coldpath terminal error path
 func (t *BatchReader) errVarintTruncated() error {
 	return &FormatError{Offset: t.off + int64(t.n), Kind: ErrTruncated,
 		Detail: fmt.Sprintf("stream ended inside record starting at byte %d", t.offset()-1)}
 }
 
-//emlint:coldpath terminal error path
 func (t *BatchReader) errVarintOverflow() error {
 	return &FormatError{Offset: t.offset() - 1, Kind: ErrCorrupt,
 		Detail: "record: varint overflows a 64-bit value"}
 }
 
-//emlint:coldpath terminal error path
 func (t *BatchReader) errNoTerminator() error {
 	return &FormatError{Offset: t.offset(), Kind: ErrTruncated,
 		Detail: "stream ended before end-of-trace record"}
 }
 
-//emlint:coldpath terminal error path
 func (t *BatchReader) errBadTag(tag byte) error {
 	return &FormatError{Offset: t.offset() - 1, Kind: ErrCorrupt,
 		Detail: fmt.Sprintf("unknown record tag %#x", tag)}
@@ -199,8 +193,6 @@ func (t *BatchReader) errBadTag(tag byte) error {
 // after the end-of-trace record and a valid footer (possibly alongside
 // a final partial batch), or a *FormatError on damage. The batch's
 // backing arrays are the caller's — reuse them across calls via Reset.
-//
-//emlint:hotpath
 func (t *BatchReader) NextBatch(b *mem.Batch) (int, error) {
 	if t.done {
 		return 0, io.EOF
@@ -247,7 +239,7 @@ func (t *BatchReader) NextBatch(b *mem.Batch) (int, error) {
 // finish validates the footer after the end-of-trace record and returns
 // io.EOF on success: a CRC or event-count mismatch is ErrCorrupt.
 //
-//emlint:coldpath runs once per trace, after the terminator record
+// Off the hot path: runs once per trace, after the terminator record.
 func (t *BatchReader) finish() error {
 	if t.version == 1 {
 		return io.EOF

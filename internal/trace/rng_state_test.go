@@ -2,8 +2,9 @@ package trace
 
 import "testing"
 
-// TestRNGStateRoundTrip: restoring a mid-stream state replays the exact
-// remaining sequence.
+// TestRNGStateRoundTrip is the RNG's state law: a fresh generator
+// restored from a mid-stream state has the same State at once, replays
+// the exact remaining sequence, and still has the same State after.
 func TestRNGStateRoundTrip(t *testing.T) {
 	r := NewRNG(42)
 	for i := 0; i < 1000; i++ {
@@ -15,10 +16,16 @@ func TestRNGStateRoundTrip(t *testing.T) {
 	if err := fresh.SetState(st); err != nil {
 		t.Fatalf("SetState: %v", err)
 	}
+	if fresh.State() != st {
+		t.Fatalf("restored state %+v, want %+v", fresh.State(), st)
+	}
 	for i := 0; i < 1000; i++ {
 		if a, b := r.Uint64(), fresh.Uint64(); a != b {
 			t.Fatalf("stream diverges at draw %d: %#x vs %#x", i, a, b)
 		}
+	}
+	if fresh.State() != r.State() {
+		t.Fatalf("states differ after 1000 more draws: %+v vs %+v", fresh.State(), r.State())
 	}
 }
 
