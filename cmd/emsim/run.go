@@ -155,7 +155,10 @@ func run(p *runParams) (*runResult, error) {
 		}
 		return nil
 	}
-	interrupted, err := s.Run(p.Feed)
+	// The input is produced on a goroutine of its own, up to
+	// engine.StageDepth batches ahead; the pair, its hooks and the stop
+	// stay on this one, and see the batches an unstaged pass would.
+	interrupted, err := s.Run(mem.Staged(engine.StageDepth, p.Feed))
 	if err != nil {
 		return nil, err
 	}

@@ -136,6 +136,82 @@ func TestEmsimTimelineParallelMatchesGolden(t *testing.T) {
 	}
 }
 
+// cpuEnvs returns the test's environment without a GOMAXPROCS setting
+// (the default: every CPU) and the same with GOMAXPROCS=1.
+func cpuEnvs() (inherited, oneCPU []string) {
+	for _, kv := range os.Environ() {
+		if !strings.HasPrefix(kv, "GOMAXPROCS=") {
+			inherited = append(inherited, kv)
+		}
+	}
+	return inherited, append(append([]string(nil), inherited...), "GOMAXPROCS=1")
+}
+
+// TestSerialTeeBytesIgnoreCPUCount: emsim's serial tee reads its input
+// through a producer goroutine, so the host's CPU count decides what
+// overlaps. It may not decide a byte: the -j 1 JSON, the timeline and
+// the last periodic checkpoint are identical under GOMAXPROCS=1 and the
+// default, for a generated workload and a recorded replay.
+func TestSerialTeeBytesIgnoreCPUCount(t *testing.T) {
+	inherited, oneCPU := cpuEnvs()
+	dir := t.TempDir()
+	tr := filepath.Join(dir, "mcf.trace")
+	runCLI(t, "emsim", "-record", tr, "-workload", "181.mcf", "-instr", "1000000")
+	for name, input := range map[string][]string{
+		"em3d":   {"-workload", "em3d", "-instr", "1000000"},
+		"replay": {"-replay", tr},
+	} {
+		t.Run(name, func(t *testing.T) {
+			outputs := func(env []string, tag string) [3]string {
+				tl, ck := filepath.Join(dir, name+tag+".jsonl"), filepath.Join(dir, name+tag+".ckpt")
+				args := append([]string{"-json", "-j", "1", "-cores", "4", "-interval", "100000", "-timeline", tl,
+					"-checkpoint", ck, "-checkpoint-every", "150000"}, input...)
+				stdout, _ := runCLIEnv(t, env, "emsim", args...)
+				out := [3]string{stdout}
+				for i, path := range []string{tl, ck} {
+					b, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[i+1] = string(b)
+				}
+				return out
+			}
+			ref, one := outputs(inherited, "default"), outputs(oneCPU, "one")
+			for i, what := range []string{"JSON", "timeline", "checkpoint"} {
+				if one[i] != ref[i] {
+					t.Errorf("%s under GOMAXPROCS=1 diverged from the default", what)
+				}
+			}
+		})
+	}
+}
+
+// TestSerialTeeDamagedReplay: a damaged trace ends emsim's serial tee
+// with exit code 1, no report, and the decoder's error naming the byte
+// it stopped at, whatever the CPU count.
+func TestSerialTeeDamagedReplay(t *testing.T) {
+	inherited, oneCPU := cpuEnvs()
+	dir := t.TempDir()
+	tr := filepath.Join(dir, "mst.trace")
+	runCLI(t, "emsim", "-record", tr, "-workload", "mst", "-instr", "200000")
+	b, err := os.ReadFile(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := len(b) * 2 / 3
+	if err := os.WriteFile(tr, b[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("trace: trace truncated at byte %d: ", cut)
+	for _, env := range [][]string{inherited, oneCPU} {
+		code, stdout, stderr := runCLIExitEnv(t, env, "emsim", "-j", "1", "-replay", tr)
+		if code != 1 || stdout != "" || !strings.HasPrefix(stderr, want) || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("exit %d, stdout %q, stderr %q; want exit 1, no report and one line starting %q", code, stdout, stderr, want)
+		}
+	}
+}
+
 // TestEmsimTimelineStdout: "-timeline -" streams the JSONL to stdout
 // ahead of the report, so stdout must start with the timeline golden.
 func TestEmsimTimelineStdout(t *testing.T) {

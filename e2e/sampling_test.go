@@ -7,7 +7,6 @@ package e2e
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -200,13 +199,7 @@ func TestEmsimReplaySample(t *testing.T) {
 // decide a byte: emsim -sample -json is identical under GOMAXPROCS=1
 // and the default, for a generated workload and a recorded replay.
 func TestSampledBytesIgnoreCPUCount(t *testing.T) {
-	var inherited []string
-	for _, kv := range os.Environ() {
-		if !strings.HasPrefix(kv, "GOMAXPROCS=") {
-			inherited = append(inherited, kv)
-		}
-	}
-	oneCPU := append(append([]string(nil), inherited...), "GOMAXPROCS=1")
+	inherited, oneCPU := cpuEnvs()
 	path := filepath.Join(t.TempDir(), "mcf.trace")
 	runCLI(t, "emsim", "-record", path, "-workload", "181.mcf", "-instr", "4000000")
 	for name, input := range map[string][]string{

@@ -25,7 +25,15 @@ import (
 // returns the exit code instead of failing the test on one.
 func runCLIExit(t *testing.T, bin string, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
+	return runCLIExitEnv(t, nil, bin, args...)
+}
+
+// runCLIExitEnv is runCLIExit in the environment env (nil inherits the
+// test's).
+func runCLIExitEnv(t *testing.T, env []string, bin string, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
 	cmd := exec.Command(filepath.Join(binDir, bin), args...)
+	cmd.Env = env
 	var out, errb bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &errb

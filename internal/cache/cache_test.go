@@ -294,6 +294,58 @@ func TestSkewFramesMatchSkewIndex(t *testing.T) {
 	}
 }
 
+// TestCandsMatchIndexing: the candidates evaluated once for several
+// caches are, way for way, the frames a cache of the geometry indexes —
+// w<<setsLog2 + SkewIndex(w, line, setsLog2) when skewed, w<<setsLog2 +
+// the line's set when set-indexed — and walking a cache from them
+// (ProbeAt, LookupAt) leaves it exactly as its own Probe and Lookup do.
+func TestCandsMatchIndexing(t *testing.T) {
+	rng := trace.NewRNG(7)
+	for _, skewed := range []bool{true, false} {
+		for _, sl := range []uint{0, 1, 3, 9, 11} {
+			geo := Geometry{Ways: 4, SetsLog2: sl, Skewed: skewed}
+			k := NewCands(geo)
+			own, shared := NewSetAssoc(geo), NewSetAssoc(geo)
+			span := uint64(3 * geo.Frames())
+			for i := 0; i < 5000; i++ {
+				line := mem.Line(rng.Uint64())
+				k.Eval(line)
+				for w, f := range k.frames {
+					set := int32(uint64(line) & (1<<sl - 1))
+					if skewed {
+						set = int32(SkewIndex(w, line, sl))
+					}
+					if want := int32(w)<<sl + set; f != want {
+						t.Fatalf("%+v way %d line %#x: candidate %d, want %d", geo, w, line, f, want)
+					}
+				}
+				line = mem.Line(rng.Uint64n(span))
+				k.Eval(line)
+				if i%4 == 0 {
+					h1, ok1 := own.Lookup(line)
+					h2, ok2 := shared.LookupAt(k)
+					if h1 != h2 || ok1 != ok2 {
+						t.Fatalf("%+v line %#x: Lookup (%d,%v), LookupAt (%d,%v)", geo, line, h1, ok1, h2, ok2)
+					}
+					continue
+				}
+				h1, ok1 := own.Probe(line)
+				h2, ok2 := shared.ProbeAt(k)
+				if h1 != h2 || ok1 != ok2 {
+					t.Fatalf("%+v line %#x: Probe (%d,%v), ProbeAt (%d,%v)", geo, line, h1, ok1, h2, ok2)
+				}
+				if !ok1 {
+					own.InsertProbed(line, 0)
+					shared.InsertProbed(line, 0)
+				}
+			}
+			if !reflect.DeepEqual(own.State(), shared.State()) {
+				t.Fatalf("%+v: a cache walked from shared candidates diverged from its own walks", geo)
+			}
+		}
+	}
+}
+
 // TestSetAssocSetStateRejectsUnreachable: a checkpoint is input from
 // outside the program, so SetState must refuse a state no cache can
 // reach — a valid bit that disagrees with the stamp (stamp 0 is what

@@ -20,9 +20,10 @@ type SetAssoc struct {
 	setMask   uint64 // not checkpointed: derived from geo at construction
 	wayStride int32  // not checkpointed: derived from geo at construction
 
-	// skew precomputes the per-way constants of SkewIndex, so the hot
-	// walks share the per-line decomposition.
-	skew Skew // not checkpointed: derived from geo at construction
+	// cands is where Probe, Lookup and Insert on a skewed cache
+	// evaluate a line's candidates before the one candidate walk
+	// (ProbeAt, LookupAt); nil on a set-indexed cache.
+	cands *Cands // not checkpointed: scratch, evaluated afresh by every skewed Probe and Lookup
 
 	// probeVictim is the insertion victim chosen during the walk of the
 	// most recent Probe miss; probeLine/probeOK guard its validity. They
@@ -62,8 +63,8 @@ func NewSetAssoc(geo Geometry) *SetAssoc {
 		setMask:   uint64(1)<<geo.SetsLog2 - 1,
 		wayStride: int32(1) << geo.SetsLog2,
 	}
-	if geo.Skewed && geo.SetsLog2 > 0 {
-		c.skew = NewSkew(geo.Ways, geo.SetsLog2)
+	if !c.indexed() {
+		c.cands = NewCands(geo)
 	}
 	return c
 }
@@ -75,26 +76,29 @@ func (c *SetAssoc) indexed() bool { return !c.geo.Skewed || c.geo.SetsLog2 == 0 
 
 // Lookup finds line without touching replacement state.
 //
-// The two indexing schemes are split into separate loops: the
-// set-indexed walk strides a precomputed frame index, and the skewed
-// walk shares one decomposition of the line across its ways. This is
-// one of the hottest functions of the simulator.
+// A set-indexed cache strides a precomputed frame index over its ways;
+// a skewed one evaluates the line's candidates and walks them with
+// LookupAt. This is one of the hottest functions of the simulator.
 func (c *SetAssoc) Lookup(line mem.Line) (Handle, bool) {
-	if c.indexed() {
-		f := int32(uint64(line) & c.setMask)
-		for w := 0; w < c.geo.Ways; w++ {
-			if fr := &c.frames[f]; fr.line == line && fr.stamp != 0 {
-				return Handle(f), true
-			}
-			f += c.wayStride
-		}
-		return -1, false
+	if !c.indexed() {
+		c.cands.Eval(line)
+		return c.LookupAt(c.cands)
 	}
-	sl := c.geo.SetsLog2
-	a1, a2, hiK := c.skew.split(line)
+	f := int32(uint64(line) & c.setMask)
 	for w := 0; w < c.geo.Ways; w++ {
-		f := int32(w)<<sl + int32(c.skew.set(w, a1, a2, hiK))
 		if fr := &c.frames[f]; fr.line == line && fr.stamp != 0 {
+			return Handle(f), true
+		}
+		f += c.wayStride
+	}
+	return -1, false
+}
+
+// LookupAt is Lookup of k's line over the candidates k holds, which
+// must be evaluated in this cache's geometry.
+func (c *SetAssoc) LookupAt(k *Cands) (Handle, bool) {
+	for _, f := range k.frames {
+		if fr := &c.frames[f]; fr.line == k.line && fr.stamp != 0 {
 			return Handle(f), true
 		}
 	}
@@ -109,43 +113,51 @@ func (c *SetAssoc) Lookup(line mem.Line) (Handle, bool) {
 // indexing functions. The recorded victim stays valid until the next
 // Probe on this cache; the caller must not mutate this cache between
 // the Probe miss and its InsertProbed (interleaved operations on
-// *other* caches are fine — see Machine.request).
+// *other* caches are fine — see Machine.request). A skewed cache
+// evaluates the line's candidates and walks them with ProbeAt.
 func (c *SetAssoc) Probe(line mem.Line) (Handle, bool) {
+	if !c.indexed() {
+		c.cands.Eval(line)
+		return c.ProbeAt(c.cands)
+	}
 	best := int32(-1)
 	bestStamp := ^uint64(0)
-	if c.indexed() {
-		f := int32(uint64(line) & c.setMask)
-		for w := 0; w < c.geo.Ways; w++ {
-			fr := &c.frames[f]
-			if fr.line == line && fr.stamp != 0 {
-				c.clock++
-				fr.stamp = c.clock
-				return Handle(f), true
-			}
-			if fr.stamp < bestStamp {
-				best, bestStamp = f, fr.stamp
-			}
-			f += c.wayStride
+	f := int32(uint64(line) & c.setMask)
+	for w := 0; w < c.geo.Ways; w++ {
+		fr := &c.frames[f]
+		if fr.line == line && fr.stamp != 0 {
+			c.clock++
+			fr.stamp = c.clock
+			return Handle(f), true
 		}
-	} else {
-		sl := c.geo.SetsLog2
-		a1, a2, hiK := c.skew.split(line)
-		for w := 0; w < c.geo.Ways; w++ {
-			f := int32(w)<<sl + int32(c.skew.set(w, a1, a2, hiK))
-			fr := &c.frames[f]
-			if fr.line == line && fr.stamp != 0 {
-				c.clock++
-				fr.stamp = c.clock
-				return Handle(f), true
-			}
-			if fr.stamp < bestStamp {
-				best, bestStamp = f, fr.stamp
-			}
+		if fr.stamp < bestStamp {
+			best, bestStamp = f, fr.stamp
+		}
+		f += c.wayStride
+	}
+	c.probeVictim, c.probeLine, c.probeOK = best, line, true
+	return -1, false
+}
+
+// ProbeAt is Probe of k's line over the candidates k holds, which must
+// be evaluated in this cache's geometry. Several caches of one geometry
+// are probed for one line from one Cands.Eval.
+func (c *SetAssoc) ProbeAt(k *Cands) (Handle, bool) {
+	line := k.line
+	best := int32(-1)
+	bestStamp := ^uint64(0)
+	for _, f := range k.frames {
+		fr := &c.frames[f]
+		if fr.line == line && fr.stamp != 0 {
+			c.clock++
+			fr.stamp = c.clock
+			return Handle(f), true
+		}
+		if fr.stamp < bestStamp {
+			best, bestStamp = f, fr.stamp
 		}
 	}
-	c.probeVictim = best
-	c.probeLine = line
-	c.probeOK = true
+	c.probeVictim, c.probeLine, c.probeOK = best, line, true
 	return -1, false
 }
 

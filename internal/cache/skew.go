@@ -83,3 +83,54 @@ func (s *Skew) Frames(line mem.Line, dst []int32) {
 		dst[w] = int32(w)<<s.setsLog2 + int32(s.set(w, a1, a2, hiK))
 	}
 }
+
+// Cands is one line's candidate frames in one cache geometry: frame w
+// is where the line sits if it is resident in way w. One L1 miss walks
+// several L2s of one geometry — the active core's, the core a migration
+// moves to, a previous owner's, and those of every machine behind one
+// L1 front end — and the skewed indexing functions are the simulator's
+// hottest computation, so a caller evaluates the candidates once with
+// Eval and walks each cache from them with SetAssoc.ProbeAt and
+// LookupAt.
+type Cands struct {
+	geo    Geometry
+	line   mem.Line
+	frames []int32
+
+	skewed bool // skewed over more than one set: frames come from skew
+	skew   Skew
+	mask   uint64 // set-indexed: frame w is line&mask + w*stride
+	stride int32
+}
+
+// NewCands returns candidate storage for geo; Eval fills it.
+func NewCands(geo Geometry) *Cands {
+	k := &Cands{
+		geo:    geo,
+		frames: make([]int32, geo.Ways),
+		skewed: geo.Skewed && geo.SetsLog2 > 0,
+		mask:   uint64(1)<<geo.SetsLog2 - 1,
+		stride: int32(1) << geo.SetsLog2,
+	}
+	if k.skewed {
+		k.skew = NewSkew(geo.Ways, geo.SetsLog2)
+	}
+	return k
+}
+
+// Eval evaluates line's candidate frames, replacing the previous line's.
+func (k *Cands) Eval(line mem.Line) {
+	k.line = line
+	if k.skewed {
+		k.skew.Frames(line, k.frames)
+		return
+	}
+	f := int32(uint64(line) & k.mask)
+	for w := range k.frames {
+		k.frames[w] = f
+		f += k.stride
+	}
+}
+
+// Geometry returns the geometry the candidates are evaluated in.
+func (k *Cands) Geometry() Geometry { return k.geo }

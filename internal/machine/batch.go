@@ -16,7 +16,9 @@ import (
 // tight loop with local accumulators that are folded into every
 // member's Stats once per batch. Each L1 probe and fill happens once
 // per record; each L1 miss, DL1-hit store and instruction record fans
-// out to every member's L2 side in member order. Access and Instr are
+// out to every member's L2 side in member order, and the line's L2
+// candidate frames are evaluated once per member L2 geometry before an
+// L1 miss or DL1-hit store fans out. Access and Instr are
 // one-record forwards into the kernel, so there is exactly one
 // definition of what an event does; TestAccessBatchMatchesScalar pins
 // it against the record-at-a-time reference model kept in the tests,
@@ -46,7 +48,10 @@ type Group struct {
 	// gated lists the members whose §6 broadcast threshold decides per
 	// instruction record whether register updates go on the bus.
 	gated []*Machine
-	rec   mem.Record
+	// l2c holds one candidate slot per distinct member L2 geometry;
+	// each member's l2c points into it.
+	l2c []*cache.Cands
+	rec mem.Record
 }
 
 // NewGroup builds one machine per configuration over a single shared
@@ -76,6 +81,28 @@ func NewGroup(cfgs ...Config) (*Group, error) {
 		}
 	}
 	return g, nil
+}
+
+// l2Cands returns the candidate slot of L2 geometry geo, adding one for
+// a geometry no member has yet: members of one L2 geometry share one
+// evaluation per serviced line.
+func (g *Group) l2Cands(geo cache.Geometry) *cache.Cands {
+	for _, k := range g.l2c {
+		if k.Geometry() == geo {
+			return k
+		}
+	}
+	k := cache.NewCands(geo)
+	g.l2c = append(g.l2c, k)
+	return k
+}
+
+// evalL2 evaluates line's L2 candidate frames once per member L2
+// geometry, for every member's walks of the line.
+func (g *Group) evalL2(line mem.Line) {
+	for _, k := range g.l2c {
+		k.Eval(line)
+	}
 }
 
 // Machines returns the members in construction order.
@@ -127,6 +154,7 @@ func (g *Group) AccessBatch(b *mem.Batch) {
 				continue
 			}
 			c.il1Misses++
+			g.evalL2(line)
 			for _, m := range ms {
 				m.request(line, false, false)
 			}
@@ -141,6 +169,7 @@ func (g *Group) AccessBatch(b *mem.Batch) {
 			c.dl1Misses++
 			c.dl1Fills++
 			ptr := mem.Kind(k) == mem.PtrLoad
+			g.evalL2(line)
 			for _, m := range ms {
 				m.request(line, false, ptr)
 			}
@@ -150,6 +179,7 @@ func (g *Group) AccessBatch(b *mem.Batch) {
 			if _, ok := dl1.Probe(line); ok {
 				// DL1 hit: write-through to the active L2 without an
 				// L1-miss request (invisible to the controller).
+				g.evalL2(line)
 				for _, m := range ms {
 					m.storeThrough(line)
 				}
@@ -158,6 +188,7 @@ func (g *Group) AccessBatch(b *mem.Batch) {
 			// DL1 miss: non-write-allocate — no DL1 fill, but the store
 			// is an L1-miss request serviced by the L2.
 			c.dl1Misses++
+			g.evalL2(line)
 			for _, m := range ms {
 				m.request(line, true, false)
 			}

@@ -202,3 +202,21 @@ func BenchmarkAccessBatchSteadyState(b *testing.B) {
 		})
 	}
 }
+
+// TestGroupSharesL2Cands: a group keeps one candidate slot per distinct
+// member L2 geometry, and members of one geometry share it.
+func TestGroupSharesL2Cands(t *testing.T) {
+	g, err := NewGroup(mixedL2Group()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := g.Machines()
+	if len(g.l2c) != 3 {
+		t.Fatalf("%d candidate slots for 3 L2 geometries", len(g.l2c))
+	}
+	for i := 0; i < len(ms); i += 2 {
+		if ms[i].l2c != ms[i+1].l2c || ms[i].l2c.Geometry() != ms[i].cfg.L2 {
+			t.Fatalf("members %d and %d share L2 geometry %+v but not its candidates", i, i+1, ms[i].cfg.L2)
+		}
+	}
+}

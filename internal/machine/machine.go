@@ -268,6 +268,13 @@ type Machine struct {
 	// Not checkpointed: the L1 front end and member list; Group.Capture and Group.Restore carry the L1 section.
 	grp *Group
 	l2  []*cache.SetAssoc
+	// l2c holds the candidate frames, in this machine's L2 geometry, of
+	// the line an L1 miss or a DL1-hit store is servicing: the group
+	// evaluates them once per such event for every member of that
+	// geometry, and every walk of the line over this machine's L2s
+	// reads them.
+	// Not checkpointed: scratch, evaluated afresh for every serviced line.
+	l2c *cache.Cands
 	// own indexes the modified copies of the L2s; nil with one core,
 	// where no remote copy exists. Aliased with l2 by Cluster.
 	// Not checkpointed: derived from the L2 flags; Restore rebuilds it.
@@ -345,7 +352,7 @@ func newMachine(cfg Config, g *Group) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, il1: g.il1, dl1: g.dl1, grp: g}
+	m := &Machine{cfg: cfg, il1: g.il1, dl1: g.dl1, grp: g, l2c: g.l2Cands(cfg.L2)}
 	for i := 0; i < cfg.Cores; i++ {
 		m.l2 = append(m.l2, cache.NewSetAssoc(cfg.L2))
 	}
@@ -497,6 +504,7 @@ func (m *Machine) spillRegisters() {
 // request services an L1-miss request (§2.2's controller-visible path).
 // isStore marks write-allocate semantics: the fetched/hit line becomes
 // modified on the active core and loses its modified bit elsewhere.
+// m.l2c holds line's candidates.
 func (m *Machine) request(line mem.Line, isStore, isPtrLoad bool) {
 	if m.pol != nil {
 		if core, migrated := m.polOnRequest(line); migrated {
@@ -508,7 +516,7 @@ func (m *Machine) request(line mem.Line, isStore, isPtrLoad bool) {
 		}
 	}
 	l2 := m.l2[m.active]
-	if h, ok := l2.Probe(line); ok {
+	if h, ok := l2.ProbeAt(m.l2c); ok {
 		m.Stats.L2Hits++
 		m.notePrefetchHit(l2, h)
 		if isStore {
@@ -525,7 +533,7 @@ func (m *Machine) request(line mem.Line, isStore, isPtrLoad bool) {
 			m.active = core
 			m.spillRegisters()
 			l2 = m.l2[m.active]
-			if h, ok := l2.Probe(line); ok {
+			if h, ok := l2.ProbeAt(m.l2c); ok {
 				// The new active L2 holds the line: serviced locally
 				// after the migration, no L3 access.
 				m.Stats.L2Hits++
@@ -577,10 +585,10 @@ func (m *Machine) prefetchAfterMiss(line mem.Line) {
 
 // storeThrough performs the write-through of a DL1-hit store: update the
 // active L2 (allocating on miss — §2.1), set its modified bit, reset
-// modified on inactive copies.
+// modified on inactive copies. m.l2c holds line's candidates.
 func (m *Machine) storeThrough(line mem.Line) {
 	l2 := m.l2[m.active]
-	if h, ok := l2.Probe(line); ok {
+	if h, ok := l2.ProbeAt(m.l2c); ok {
 		m.markModified(l2, h, line)
 		return
 	}
@@ -603,14 +611,15 @@ func (m *Machine) markModified(l2 *cache.SetAssoc, h cache.Handle, line mem.Line
 		return
 	}
 	if prev, had := m.own.put(line, m.active); had {
-		m.resetModified(prev, line)
+		m.resetModified(prev)
 	}
 }
 
-// resetModified clears the modified bit of core's copy of line.
-func (m *Machine) resetModified(core int, line mem.Line) {
+// resetModified clears the modified bit of core's copy of the line
+// being serviced, whose candidates m.l2c holds.
+func (m *Machine) resetModified(core int) {
 	l2 := m.l2[core]
-	if h, ok := l2.Lookup(line); ok {
+	if h, ok := l2.LookupAt(m.l2c); ok {
 		l2.SetFlags(h, l2.Flags(h)&^cache.FlagModified)
 	}
 }
@@ -633,7 +642,7 @@ func (m *Machine) fetch(l2 *cache.SetAssoc, line mem.Line, isStore bool) {
 		// copy was the only modified one, so a store's write has no
 		// other copy to reset.
 		if c, ok := m.own.take(line); ok {
-			m.resetModified(c, line)
+			m.resetModified(c)
 			m.Stats.L2ToL2++
 			m.Stats.L3Writebacks++
 		}

@@ -686,6 +686,9 @@ func TestOracle(t *testing.T) {
 					oracleGroup(t, batches, NormalConfig(), configs["michaud-4"], configs["numa-ring"],
 						configs["never"], configs["broadcast"])
 				})
+				// Members of three L2 geometries behind one L1 front end:
+				// each geometry's members share one candidate evaluation.
+				t.Run("mixed-l2", func(t *testing.T) { oracleGroup(t, batches, mixedL2Group()...) })
 			}
 			t.Run("cluster-2", func(t *testing.T) { oracleCluster(t, MigrationConfig(), batches) })
 		})
@@ -707,6 +710,23 @@ func TestOracle(t *testing.T) {
 			t.Errorf("%s: the streams leave a path of the configuration unexercised: %+v", name, st)
 		}
 	}
+}
+
+// mixedL2Group is a group's configurations over three L2 geometries:
+// the paper's skewed L2, a set-indexed one and a smaller skewed one,
+// each shared by a normal and a migration member.
+func mixedL2Group() []Config {
+	var cfgs []Config
+	for _, l2 := range []cache.Geometry{
+		PaperL2(),
+		cache.GeometryFor(256<<10, 6, 8, false),
+		cache.GeometryFor(128<<10, 6, 4, true),
+	} {
+		normal, mig := NormalConfig(), MigrationConfig()
+		normal.L2, mig.L2 = l2, l2
+		cfgs = append(cfgs, normal, mig)
+	}
+	return cfgs
 }
 
 // oracleGroup checks one Group over cfgs, each member against its own

@@ -48,6 +48,7 @@ func (r refSink) Access(addr mem.Addr, kind mem.Kind) {
 			return
 		}
 		m.Stats.IL1Misses++
+		m.l2c.Eval(line)
 		m.request(line, false, false)
 		r.fill(m.il1, line)
 	case mem.Load, mem.PtrLoad:
@@ -56,6 +57,7 @@ func (r refSink) Access(addr mem.Addr, kind mem.Kind) {
 			return
 		}
 		m.Stats.DL1Misses++
+		m.l2c.Eval(line)
 		m.request(line, false, kind == mem.PtrLoad)
 		r.fill(m.dl1, line)
 	case mem.Store:
@@ -63,6 +65,7 @@ func (r refSink) Access(addr mem.Addr, kind mem.Kind) {
 		if m.cfg.Migration != nil {
 			m.Stats.UpdateBusBytes += 16
 		}
+		m.l2c.Eval(line)
 		if _, ok := m.dl1.Probe(line); ok {
 			m.storeThrough(line)
 			return

@@ -188,7 +188,8 @@ func TestNumaHysteresisDefers(t *testing.T) {
 
 // TestNumaStateRoundTrip: capture mid-stream, restore into a fresh
 // policy, and require identical decisions from there on — including the
-// in-flight hysteresis counter.
+// in-flight hysteresis counter: the capture is taken where a move is
+// pending, so a restore that drops the count decides differently.
 func TestNumaStateRoundTrip(t *testing.T) {
 	cfg := Table2Config()
 	topo, _ := NewTopology("ring", 4)
@@ -198,9 +199,17 @@ func TestNumaStateRoundTrip(t *testing.T) {
 	for i := range lines {
 		lines[i] = mem.Line(g.Next())
 	}
-	for _, line := range lines[:200_000] {
+	cut := 200_000
+	for _, line := range lines[:cut] {
 		a.OnRequest(line)
 		a.OnL2Miss(false)
+	}
+	for ; a.pending == 0 && cut < len(lines); cut++ {
+		a.OnRequest(lines[cut])
+		a.OnL2Miss(false)
+	}
+	if a.pending == 0 {
+		t.Fatal("the stream never left a move pending")
 	}
 	st, err := a.PolicyState()
 	if err != nil {
@@ -213,7 +222,7 @@ func TestNumaStateRoundTrip(t *testing.T) {
 	if err := b.SetPolicyState(st); err != nil {
 		t.Fatal(err)
 	}
-	for i, line := range lines[200_000:] {
+	for i, line := range lines[cut:] {
 		ca, ma := a.OnRequest(line)
 		cb, mb := b.OnRequest(line)
 		if ca != cb || ma != mb {

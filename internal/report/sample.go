@@ -69,11 +69,6 @@ func WriteSampleJSON(w io.Writer, r SampleResultJSON) error {
 	return writeJSON(w, r)
 }
 
-// profileStageDepth is how many batches the profile pass's input may
-// run ahead of its stack profiler; DESIGN.md §16 gives the pairs that
-// chose it.
-const profileStageDepth = 8
-
 // SampleRun executes the full sampling pipeline for a sampled spec and
 // returns the canonical result. The spec's scenario names are echoed
 // as given, so callers pass them normalized. Deterministic for a fixed
@@ -97,7 +92,7 @@ func SampleRun(spec run.Spec, opt RunOptions) (SampleResultJSON, error) {
 	// has, so the chain lanes read idx safely.
 	src := sampling.Source(spec.Feed)
 	idx := new(trace.Index)
-	profSrc := mem.Staged(profileStageDepth, func(sink mem.BatchSink) error { return spec.FeedIndexed(sink, idx) })
+	profSrc := mem.Staged(run.StageDepth, func(sink mem.BatchSink) error { return spec.FeedIndexed(sink, idx) })
 
 	prof, err := sampling.NewProfiler(spec.SampleInterval, normalCfg.LineShift)
 	if err != nil {

@@ -79,6 +79,13 @@ type Stream struct {
 	rec  mem.Record
 }
 
+// StageDepth is how many batches a single-stream pass's input may run
+// ahead of the pass when it is read through mem.Staged, so that
+// generation or trace decode overlaps the consumer: the sampled profile
+// pass and emsim's serial tee. DESIGN.md §16 gives the pairs that chose
+// it.
+const StageDepth = 8
+
 // stopSignal is the sentinel unwind panics with to end a source early:
 // workload generators and trace decoders cannot return mid-stream.
 type stopSignal struct{}
