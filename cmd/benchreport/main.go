@@ -379,7 +379,7 @@ func measurePair(refs uint64) HotPathResult {
 		//emlint:allowpanic compile-time-constant configuration; an error is an internal invariant violation
 		panic(err)
 	}
-	return measureSink(pairConfig, p.Sinks()[0], refs)
+	return measureSink(pairConfig, p.Sink(), refs)
 }
 
 // samplingProfileConfig names the sampling profiling-pass entry in the

@@ -80,7 +80,7 @@ func perRecordRun(t *testing.T, p runParams, ck *machine.Checkpoint) *runResult 
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &engine.Stream{To: pair.Sinks()}
+	s := &engine.Stream{To: pair.Sink()}
 	if ck != nil {
 		if err := pair.Restore(ck); err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func perRecordRun(t *testing.T, p runParams, ck *machine.Checkpoint) *runResult 
 	}
 	if tel != nil {
 		s.Every = []uint64{tel.interval}
-		s.Hook = func(events uint64) error { tel.tickBoth(events); return nil }
+		s.Hook = func(events uint64) error { tel.tick(events); return nil }
 	}
 	if _, err := s.Run(func(sink mem.BatchSink) error { return p.Feed(perRecord{sink}) }); err != nil {
 		t.Fatal(err)
@@ -138,9 +138,9 @@ func TestScalarBatchIdenticalRun(t *testing.T) {
 	tracePath := recordTrace(t, dir, "em3d", 150_000)
 
 	cases := map[string]runParams{
-		"workload": {Spec: engine.Spec{Workload: "179.art", Instr: 300_000, Cores: 4}, Workers: 1, TimelineInterval: 7_777},
-		"replay":   {Spec: engine.Spec{Replay: tracePath, Workload: "em3d", Cores: 2}, Workers: 1, TimelineInterval: 3_001},
-		"parallel": {Spec: engine.Spec{Workload: "em3d", Instr: 200_000, Cores: 2}, Workers: 2, TimelineInterval: 5_555},
+		"workload": {Spec: engine.Spec{Workload: "179.art", Instr: 300_000, Cores: 4}, TimelineInterval: 7_777},
+		"replay":   {Spec: engine.Spec{Replay: tracePath, Workload: "em3d", Cores: 2}, TimelineInterval: 3_001},
+		"em3d":     {Spec: engine.Spec{Workload: "em3d", Instr: 200_000, Cores: 2}, TimelineInterval: 5_555},
 	}
 	for name, base := range cases {
 		t.Run(name, func(t *testing.T) {

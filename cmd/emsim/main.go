@@ -11,7 +11,7 @@
 //	emsim -replay mcf.trace              # drive the machines from a trace
 //	emsim -checkpoint run.ckpt -checkpoint-every 1000000
 //	emsim -resume run.ckpt               # continue an interrupted run
-//	emsim -j 2                           # run the two machines concurrently
+//	emsim -sample -j 2                   # estimate; two chain lanes
 //	emsim -cpuprofile cpu.pprof -memprofile mem.pprof
 //	emsim -json                          # machine-readable result (same bytes as emsimd /run)
 //	emsim -list
@@ -59,7 +59,7 @@ func main() {
 		ckptEvery = flag.Uint64("checkpoint-every", 0, "events between periodic checkpoints (0 = only on interrupt)")
 		resume    = flag.String("resume", "", "resume from this checkpoint file (run parameters come from the checkpoint)")
 		list      = flag.Bool("list", false, "list available workloads")
-		jobs      = flag.Int("j", 0, "worker pool for the two machine passes: 0 = all cores, 1 = one serial tee pass driving both machines (checkpoint/resume or one CPU force it), its input produced on a goroutine of its own; under -sample it sizes the chain lanes, each one pass over the input (1 = one pass for all chains); the sampled profile pass overlaps its input at every -j")
+		jobs      = flag.Int("j", 0, "workers (0 = all cores): sizes the -sample chain lanes, each one pass over the input (1 = one pass for all chains), and the -programs solo-baseline pool; a plain run is always one pass driving both machines, its input produced on a goroutine of its own, as is the sampled profile pass")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		timeline  = flag.String("timeline", "", "write per-interval metric samples of both machines as JSONL to this file (\"-\" = stdout)")

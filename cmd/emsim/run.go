@@ -1,15 +1,12 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/machine"
 	"repro/internal/mem"
 	engine "repro/internal/run"
-	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/telhttp"
 )
@@ -17,15 +14,14 @@ import (
 // runParams describes one simulation run: the experiment's spec plus
 // emsim's side channels. Both machines (the 1-core baseline and the
 // N-core migration configuration) are driven in a single pass over the
-// input, so a checkpoint captures them at the same event and a resumed
-// run replays the identical stream to both.
+// input, so they always sit at the same event: a checkpoint, a timeline
+// row or a stop captures both there, and a resumed run replays the
+// identical stream to both.
 type runParams struct {
 	engine.Spec
 
-	// Workers sets the worker pool for the two machine passes: 0 = all
-	// cores, 1 = the legacy serial tee pass. Checkpointing, resuming and
-	// a single usable CPU force the serial path regardless (a checkpoint
-	// must capture both machines at the same event).
+	// Workers sizes the -sample chain lanes and the -programs pool: 0 =
+	// all cores, 1 = serial. A plain run is one pass whatever its value.
 	Workers int
 
 	Checkpoint      string // checkpoint file path ("" = no checkpointing)
@@ -34,9 +30,7 @@ type runParams struct {
 
 	// TimelineInterval, when positive, samples every machine metric at
 	// each multiple of this event count; the samples come back as
-	// runResult.Timeline. Both the serial tee pass and the independent
-	// parallel passes number events identically, so the rows are
-	// byte-identical for every worker count.
+	// runResult.Timeline.
 	TimelineInterval uint64
 	// live, when non-nil, receives metric snapshots at every timeline
 	// boundary (the -metrics endpoint).
@@ -58,6 +52,9 @@ type runParams struct {
 // become "", which makes spelling out a default indistinguishable from
 // omitting it (same report, same JSON bytes, same checkpoint bytes).
 func (p *runParams) validate() error {
+	if p.Workers < 0 {
+		return fmt.Errorf("emsim: -j must be 0 (all cores) or a positive worker count, got %d", p.Workers)
+	}
 	if err := p.Spec.Validate(); err != nil {
 		return fmt.Errorf("emsim: %w", err)
 	}
@@ -100,17 +97,6 @@ func run(p *runParams) (*runResult, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	if p.independent(resumeCk != nil, runtime.GOMAXPROCS(0)) {
-		normal, mig, err := p.NewMachines()
-		if err != nil {
-			return nil, err
-		}
-		tel, err := newRunTelemetry(p, normal, mig)
-		if err != nil {
-			return nil, err
-		}
-		return runIndependent(p, normal, mig, tel)
-	}
 	pair, err := p.NewPair()
 	if err != nil {
 		return nil, err
@@ -120,7 +106,7 @@ func run(p *runParams) (*runResult, error) {
 		return nil, err
 	}
 
-	s := &engine.Stream{To: pair.Sinks(), StopAt: p.stopAfter, Stop: p.stop}
+	s := &engine.Stream{To: pair.Sink(), StopAt: p.stopAfter, Stop: p.stop}
 	if resumeCk != nil {
 		if err := pair.Restore(resumeCk); err != nil {
 			return nil, fmt.Errorf("emsim: resuming %s: %w", p.Resume, err)
@@ -146,7 +132,7 @@ func run(p *runParams) (*runResult, error) {
 	}
 	s.Hook = func(events uint64) error {
 		if tel != nil {
-			tel.tickBoth(events)
+			tel.tick(events)
 		}
 		if every > 0 && events%every == 0 {
 			if err := save(events); err != nil {
@@ -173,58 +159,6 @@ func run(p *runParams) (*runResult, error) {
 		Events:      s.Events(),
 		Interrupted: interrupted,
 		Resumed:     s.Skip,
-		Timeline:    tel.finish(),
-
-		TimelineDropped: tel.droppedRows(),
-	}, nil
-}
-
-// independent reports whether run drives the two machines as separate
-// passes (runIndependent) rather than one teed pass. With no checkpoint
-// state in play the machines never need to agree on an event boundary,
-// so they can consume independent copies of the (deterministic) input
-// stream concurrently, on two goroutines whose machines cannot share
-// the pair's L1 front end. That buys wall time only when procs, the
-// CPUs the process may run on at once, number at least two; on one CPU
-// it generates the stream twice for nothing.
-func (p *runParams) independent(resuming bool, procs int) bool {
-	return p.Workers != 1 && p.Checkpoint == "" && !resuming && procs >= 2
-}
-
-// runIndependent drives the two machines as separate passes over the
-// input through the worker pool. Each pass regenerates the workload (or
-// reopens the trace) itself, so it observes the exact event stream the
-// serial tee would have delivered and the stats are bit-identical to
-// the serial path. The -stop-after test hook counts events per pass and
-// so also stops deterministically; only an asynchronous SIGINT may
-// catch the two passes at different events, in which case the partial
-// report covers whatever each machine had consumed.
-func runIndependent(p *runParams, normal, mig *machine.Machine, tel *runTelemetry) (*runResult, error) {
-	streams := [2]*engine.Stream{
-		{To: []mem.BatchSink{normal}, StopAt: p.stopAfter, Stop: p.stop},
-		{To: []mem.BatchSink{mig}, StopAt: p.stopAfter, Stop: p.stop},
-	}
-	if tel != nil {
-		for i, s := range streams {
-			s.Every = []uint64{tel.interval}
-			s.Hook = func(events uint64) error { tel.tick(i, events); return nil }
-		}
-	}
-	var interrupted [2]bool
-	pass := func(i int) func(context.Context) error {
-		return func(context.Context) (err error) {
-			interrupted[i], err = streams[i].Run(p.Feed)
-			return err
-		}
-	}
-	if err := runner.Run(context.Background(), runner.Config{Workers: p.Workers}, pass(0), pass(1)); err != nil {
-		return nil, err
-	}
-	return &runResult{
-		Normal:      normal.FinalStats(),
-		Mig:         mig.FinalStats(),
-		Events:      max(streams[0].Events(), streams[1].Events()),
-		Interrupted: interrupted[0] || interrupted[1],
 		Timeline:    tel.finish(),
 
 		TimelineDropped: tel.droppedRows(),

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -30,9 +31,22 @@ func TestValidateParams(t *testing.T) {
 			t.Errorf("params %+v accepted", p)
 		}
 	}
-	ok := runParams{Spec: engine.Spec{Workload: "179.art", Cores: 4}}
-	if err := ok.validate(); err != nil {
-		t.Errorf("valid params rejected: %v", err)
+	// -j is 0 (all cores) or a worker count, for a plain run and for the
+	// pools it sizes; a negative one is an error, not all cores.
+	for _, spec := range []engine.Spec{
+		{Workload: "179.art", Cores: 4},
+		{Workload: "179.art", Cores: 4, Sample: true, SampleInterval: 1, SampleClusters: 1},
+	} {
+		for _, workers := range []int{0, 1, 8} {
+			ok := runParams{Spec: spec, Workers: workers}
+			if err := ok.validate(); err != nil {
+				t.Errorf("valid params %+v at -j %d rejected: %v", spec, workers, err)
+			}
+		}
+		neg := runParams{Spec: spec, Workers: -3}
+		if err := neg.validate(); err == nil || !strings.Contains(err.Error(), "-j") {
+			t.Errorf("%+v at -j -3: error %v, want one naming -j", spec, err)
+		}
 	}
 	// Spelled-out defaults normalize to the omitted form.
 	spelled := runParams{Spec: engine.Spec{Workload: "179.art", Cores: 4, Policy: "michaud", Topology: "uniform"}}
@@ -241,111 +255,42 @@ func TestSIGINTGracefulStop(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerialTee: the two-pass concurrent path must
-// produce stats bit-identical to the legacy serial tee pass, for both a
-// workload source and a trace replay, including the event count.
-func TestParallelMatchesSerialTee(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "golden.trace")
-	{
-		f, err := os.Create(tracePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := suite.Registry().New("bh")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tw, err := trace.NewWriter(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Run(tw, 100_000)
-		if err := tw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for _, tc := range []struct {
-		name string
-		base runParams
-	}{
-		{"workload", runParams{Spec: engine.Spec{Workload: "181.mcf", Instr: 300_000, Cores: 4}}},
-		{"replay", runParams{Spec: engine.Spec{Replay: tracePath, Cores: 2}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sp := tc.base
-			sp.Workers = 1
-			serial, err := run(&sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pp := tc.base
-			pp.Workers = 2
-			parallel, err := run(&pp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.Normal != parallel.Normal || serial.Mig != parallel.Mig {
-				t.Fatalf("stats diverged:\nserial:   %+v %+v\nparallel: %+v %+v",
-					serial.Normal, serial.Mig, parallel.Normal, parallel.Mig)
-			}
-			if serial.Events != parallel.Events {
-				t.Fatalf("events diverged: serial %d, parallel %d", serial.Events, parallel.Events)
-			}
-		})
-	}
-}
-
-// TestIndependentNeedsTwoCPUs pins run's choice of pass: independent
-// passes only off the serial -j 1, with no checkpoint state in play,
-// and only when at least two CPUs can run them at once.
-func TestIndependentNeedsTwoCPUs(t *testing.T) {
-	for _, tc := range []struct {
-		workers  int
-		ckpt     string
-		resuming bool
-		procs    int
-		want     bool
-	}{
-		{workers: 0, procs: 2, want: true},
-		{workers: 2, procs: 8, want: true},
-		{workers: 0, procs: 1},
-		{workers: 2, procs: 1},
-		{workers: 1, procs: 2},
-		{workers: 0, ckpt: "run.ckpt", procs: 2},
-		{workers: 0, resuming: true, procs: 2},
-	} {
-		p := runParams{Workers: tc.workers, Checkpoint: tc.ckpt}
-		if got := p.independent(tc.resuming, tc.procs); got != tc.want {
-			t.Errorf("-j %d, checkpoint %q, resuming %v, %d CPUs: independent = %v, want %v",
-				tc.workers, tc.ckpt, tc.resuming, tc.procs, got, tc.want)
-		}
-	}
-}
-
-// TestParallelStopAfterDeterministic: the per-pass event counter makes
-// the stop-after hook deterministic even on the concurrent path — both
-// machines halt at exactly the same event.
-func TestParallelStopAfterDeterministic(t *testing.T) {
-	sp := runParams{Spec: engine.Spec{Workload: "em3d", Instr: 200_000, Cores: 4}, Workers: 1, stopAfter: 34_567}
-	serial, err := run(&sp)
+// TestAsyncStopLandsOnOneEvent: a stop requested from another
+// goroutine, as the SIGINT handler does, lands on one event for both
+// machines at the default -j: the partial result counts the same
+// instructions and references for the baseline and the migration chip,
+// and equals a run stopped after exactly its event count.
+func TestAsyncStopLandsOnOneEvent(t *testing.T) {
+	base := runParams{Spec: engine.Spec{Workload: "181.mcf", Instr: 20_000_000, Cores: 4}}
+	p := base
+	var stop atomic.Bool
+	p.stop = &stop
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		stop.Store(true)
+	}()
+	res, err := run(&p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp := sp
-	pp.Workers = 2
-	parallel, err := run(&pp)
+	requireNoProducer(t)
+	if !res.Interrupted || res.Events == 0 {
+		t.Skipf("the stop request did not land mid-run (interrupted %v at event %d)", res.Interrupted, res.Events)
+	}
+	n, m := res.Normal, res.Mig
+	if n.Instructions != m.Instructions || n.IFetches != m.IFetches || n.Loads != m.Loads || n.Stores != m.Stores {
+		t.Fatalf("the machines stopped apart: normal %d instr %d/%d/%d refs, migration %d instr %d/%d/%d refs",
+			n.Instructions, n.IFetches, n.Loads, n.Stores, m.Instructions, m.IFetches, m.Loads, m.Stores)
+	}
+	q := base
+	q.stopAfter = res.Events
+	want, err := run(&q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !serial.Interrupted || !parallel.Interrupted {
-		t.Fatalf("stop-after did not trigger: serial %+v parallel %+v", serial, parallel)
-	}
-	if serial.Normal != parallel.Normal || serial.Mig != parallel.Mig || serial.Events != parallel.Events {
-		t.Fatalf("stop-after runs diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	if want.Events != res.Events || want.Normal != res.Normal || want.Mig != res.Mig {
+		t.Fatalf("stopped at event %d, but a run stopped after %d events differs:\n got %+v\n     %+v\nwant %+v\n     %+v",
+			res.Events, want.Events, res.Normal, res.Mig, want.Normal, want.Mig)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // runSample executes the sampled run and renders it, with the
 // estimate-vs-actual table when verify is set. The actual column is
-// the full run `emsim -json` makes for the same spec at the same -j.
+// the one full pass `emsim -json` makes for the same spec.
 // p must be validated (policy/topology normalized) before the call.
 func runSample(w io.Writer, p runParams, verify, jsonOut bool) error {
 	spec := p.Spec
@@ -32,7 +32,7 @@ func runSample(w io.Writer, p runParams, verify, jsonOut bool) error {
 	fmt.Fprint(w, report.FormatSample(res))
 	if verify {
 		full := runParams{Spec: engine.Spec{Workload: spec.Workload, Replay: spec.Replay, Instr: spec.Instr,
-			Cores: spec.Cores, Policy: spec.Policy, Topology: spec.Topology}, Workers: p.Workers}
+			Cores: spec.Cores, Policy: spec.Policy, Topology: spec.Topology}}
 		actual, err := run(&full)
 		if err != nil {
 			return err

@@ -77,7 +77,7 @@ func TestRunSampleRendering(t *testing.T) {
 }
 
 // TestRunSampleVerifyIsTheFullRun: -sample-verify's actual column is
-// the full run `emsim -json` makes for the same spec at the same -j,
+// the one full pass `emsim -json` makes for the same spec at any -j,
 // that run retires exactly the instructions the profile pass counted,
 // and on this small config every estimate lands inside its own bar.
 func TestRunSampleVerifyIsTheFullRun(t *testing.T) {
@@ -94,7 +94,7 @@ func TestRunSampleVerifyIsTheFullRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full := runParams{Spec: engine.Spec{Workload: "mst", Instr: 200_000, Cores: 4}, Workers: workers}
+			full := runParams{Spec: engine.Spec{Workload: "mst", Instr: 200_000, Cores: 4}}
 			actual, err := run(&full)
 			if err != nil {
 				t.Fatal(err)

@@ -56,7 +56,7 @@ func TestSerialTeeStopResumeBytes(t *testing.T) {
 		{"replay", engine.Spec{Replay: tracePath, Cores: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runParams{Spec: tc.spec, Workers: 1, TimelineInterval: 20_000}
+			base := runParams{Spec: tc.spec, TimelineInterval: 20_000}
 			refp := base
 			ref, err := run(&refp)
 			if err != nil {
@@ -76,7 +76,7 @@ func TestSerialTeeStopResumeBytes(t *testing.T) {
 				t.Fatalf("stop after %d: interrupted %v at event %d", p.stopAfter, stopped.Interrupted, stopped.Events)
 			}
 
-			q := runParams{Resume: ckpt, Workers: 1, TimelineInterval: base.TimelineInterval}
+			q := runParams{Resume: ckpt, TimelineInterval: base.TimelineInterval}
 			resumed, err := run(&q)
 			if err != nil {
 				t.Fatal(err)
@@ -99,7 +99,6 @@ func TestSerialTeeErrors(t *testing.T) {
 	dir := t.TempDir()
 	p := runParams{
 		Spec:       engine.Spec{Workload: "em3d", Instr: 200_000, Cores: 4},
-		Workers:    1,
 		Checkpoint: filepath.Join(dir, "missing", "run.ckpt"), CheckpointEvery: 10_000,
 	}
 	if _, err := run(&p); err == nil || !strings.HasPrefix(err.Error(), "emsim: checkpointing failed: ") {
@@ -120,7 +119,7 @@ func TestSerialTeeErrors(t *testing.T) {
 	if want == nil {
 		t.Fatal("the truncated trace decoded without an error")
 	}
-	q := runParams{Spec: spec, Workers: 1}
+	q := runParams{Spec: spec}
 	if _, err := run(&q); err == nil || err.Error() != want.Error() {
 		t.Fatalf("damaged replay: error %v, want %v", err, want)
 	}

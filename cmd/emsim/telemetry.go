@@ -11,8 +11,7 @@ import (
 )
 
 // runTelemetry owns the per-run observability state: one timeline per
-// machine (sampled on the shared event numbering, so serial and
-// parallel passes sample identical points) and the optional live
+// machine (both sampled at the same events) and the optional live
 // endpoint. It is created only when -timeline or -metrics is in play.
 type runTelemetry struct {
 	interval uint64
@@ -51,30 +50,22 @@ func newRunTelemetry(p *runParams, normal, mig *machine.Machine) (*runTelemetry,
 	return rt, nil
 }
 
-// tick is machine i's boundary step: sample its timeline at events
-// and, at a sampling point, publish its registry to the live endpoint.
-// The independent passes each call it for their own machine, as each
-// numbers its own identical copy of the event stream.
-func (rt *runTelemetry) tick(i int, events uint64) {
-	m := &rt.ms[i]
-	m.tl.MaybeSample(events)
-	if rt.live != nil && events != 0 && events%rt.interval == 0 {
-		rt.live.Publish(m.name, m.reg.Snapshot())
-	}
-}
-
-// tickBoth is the serial tee pass's boundary hook: both machines sit at
-// the same event, so both timelines sample together.
-func (rt *runTelemetry) tickBoth(events uint64) {
+// tick is the pass's boundary step: both machines sit at events, so
+// both timelines sample there and, at a sampling point, both registries
+// go to the live endpoint.
+func (rt *runTelemetry) tick(events uint64) {
 	for i := range rt.ms {
-		rt.tick(i, events)
+		m := &rt.ms[i]
+		m.tl.MaybeSample(events)
+		if rt.live != nil && events != 0 && events%rt.interval == 0 {
+			rt.live.Publish(m.name, m.reg.Snapshot())
+		}
 	}
 }
 
 // finish publishes the end-of-run values and returns the merged row
 // stream: interval-ascending, normal before migration within an
-// interval — the order the serial tee produces, so parallel runs merge
-// to byte-identical JSONL.
+// interval.
 func (rt *runTelemetry) finish() []telemetry.Row {
 	if rt == nil {
 		return nil

@@ -121,13 +121,15 @@ func TestEmsimReportGolden(t *testing.T) {
 	checkGolden(t, "emsim_mst_timeline.golden", jsonl)
 }
 
-// TestEmsimTimelineParallelMatchesGolden reruns the same workload with
-// the parallel two-pass engine; the timeline file must be byte-equal to
-// the serial golden.
-func TestEmsimTimelineParallelMatchesGolden(t *testing.T) {
+// TestEmsimPlainRunIgnoresJobs: -j sizes only the sampled and
+// multiprogrammed pools, so a plain run at -j 2 or 0 is the one pass
+// the goldens recorded at -j 1: the report and the timeline file are
+// byte-equal to them.
+func TestEmsimPlainRunIgnoresJobs(t *testing.T) {
 	for _, j := range []string{"2", "0"} {
 		tl := filepath.Join(t.TempDir(), "tl.jsonl")
-		runCLI(t, "emsim", emsimArgs("-timeline", tl, "-j", j)...)
+		stdout, _ := runCLI(t, "emsim", emsimArgs("-timeline", tl, "-j", j)...)
+		checkGolden(t, "emsim_mst.golden", []byte(stdout))
 		jsonl, err := os.ReadFile(tl)
 		if err != nil {
 			t.Fatal(err)

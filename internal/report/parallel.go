@@ -160,7 +160,7 @@ func runGroups(labels []string, cfgs []machine.Config, interval uint64, open fun
 			return pass{}, err
 		}
 		p := pass{source: src, ms: g.Machines()}
-		s := &run.Stream{To: []mem.BatchSink{g}}
+		s := &run.Stream{To: g}
 		if interval > 0 {
 			for _, m := range p.ms {
 				tl, err := telemetry.NewTimeline(m.Telemetry(), interval, 64)

@@ -98,7 +98,7 @@ func SampleRun(spec run.Spec, opt RunOptions) (SampleResultJSON, error) {
 	if err != nil {
 		return SampleResultJSON{}, err
 	}
-	if _, err := (&run.Stream{To: []mem.BatchSink{prof}}).RunContext(opt.ctx(), profSrc); err != nil {
+	if _, err := (&run.Stream{To: prof}).RunContext(opt.ctx(), profSrc); err != nil {
 		return SampleResultJSON{}, err
 	}
 	intervals := prof.Finish()

@@ -203,7 +203,7 @@ func MultiRun(spec run.Spec, opt RunOptions) (MultiRunResultJSON, error) {
 	for i, name := range spec.Programs {
 		src := run.Spec{Workload: name, Instr: spec.Instr, Registry: reg}
 		feeds[i] = func(sink mem.BatchSink) error {
-			_, err := (&run.Stream{To: []mem.BatchSink{sink}}).RunContext(ctx, src.Feed)
+			_, err := (&run.Stream{To: sink}).RunContext(ctx, src.Feed)
 			return err
 		}
 	}

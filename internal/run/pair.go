@@ -8,9 +8,8 @@ import (
 // Pair is the experiment's two machines: the 1-core baseline, named
 // "normal" in checkpoints, and the migration chip, named "migration".
 // They are one machine.Group: both see every event through one shared
-// L1 front end, so a pair is driven only as a whole (Sinks) and from
-// one goroutine. Passes that drive the two machines separately build
-// them unshared (Spec.NewMachines).
+// L1 front end, so a pair is driven only as a whole (Sink) and from one
+// goroutine, and its two machines always sit at the same event.
 type Pair struct {
 	Normal, Mig *machine.Machine
 	grp         *machine.Group
@@ -28,9 +27,9 @@ func NewPairConfig(normal, mig machine.Config) (*Pair, error) {
 	return &Pair{Normal: ms[0], Mig: ms[1], grp: g, migCfg: mig}, nil
 }
 
-// Sinks returns the pair as a Stream's tee targets: the one group
-// kernel that feeds both machines.
-func (p *Pair) Sinks() []mem.BatchSink { return []mem.BatchSink{p.grp} }
+// Sink returns the pair as a Stream's target: the one group kernel
+// that feeds both machines.
+func (p *Pair) Sink() mem.BatchSink { return p.grp }
 
 // Checkpoint captures the pair after events events of the run spec
 // describes: the scenario names, the shared L1 section once, and both

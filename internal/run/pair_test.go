@@ -78,7 +78,7 @@ func TestPairResumeMatchesUninterrupted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole := &Stream{To: ref.Sinks()}
+		whole := &Stream{To: ref.Sink()}
 		if _, err := whole.Run(in.Feed); err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestPairResumeMatchesUninterrupted(t *testing.T) {
 			t.Fatal(err)
 		}
 		cut := whole.Events()/2 + 1
-		part := &Stream{To: first.Sinks(), StopAt: cut}
+		part := &Stream{To: first.Sink(), StopAt: cut}
 		if stopped, err := part.Run(in.Feed); err != nil || !stopped {
 			t.Fatalf("stopped=%v err=%v", stopped, err)
 		}
@@ -106,7 +106,7 @@ func TestPairResumeMatchesUninterrupted(t *testing.T) {
 		if err := second.Restore(ck); err != nil {
 			t.Fatal(err)
 		}
-		rest := &Stream{To: second.Sinks(), Skip: ck.Events}
+		rest := &Stream{To: second.Sink(), Skip: ck.Events}
 		if _, err := rest.Run(in.Feed); err != nil {
 			t.Fatal(err)
 		}

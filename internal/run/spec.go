@@ -201,23 +201,6 @@ func (s Spec) NewPair() (*Pair, error) {
 	return NewPairConfig(machine.NormalConfig(), mig)
 }
 
-// NewMachines builds the spec's two machines unshared, each with its
-// own L1 front end, for passes that drive them from separate
-// goroutines.
-func (s Spec) NewMachines() (normal, mig *machine.Machine, err error) {
-	migCfg, err := s.MigConfig()
-	if err != nil {
-		return nil, nil, err
-	}
-	if normal, err = machine.New(machine.NormalConfig()); err != nil {
-		return nil, nil, err
-	}
-	if mig, err = machine.New(migCfg); err != nil {
-		return nil, nil, err
-	}
-	return normal, mig, nil
-}
-
 // Workloads returns the registry that resolves the spec's workload
 // names.
 func (s Spec) Workloads() *workloads.Registry {
@@ -229,9 +212,8 @@ func (s Spec) Workloads() *workloads.Registry {
 
 // Feed drives the spec's input into sink: a workload through a
 // mem.Batcher, a trace through the zero-copy trace.BatchReader. Every
-// call replays the identical stream, so independent passes, resumed
-// runs and sampled chains all see the events one uninterrupted pass
-// would.
+// call replays the identical stream, so resumed runs and sampled
+// chains see the events one uninterrupted pass would.
 func (s Spec) Feed(sink mem.BatchSink) error { return s.FeedIndexed(sink, nil) }
 
 // FeedIndexed is Feed that, for a replay, records the trace's resume

@@ -9,9 +9,10 @@
 //   - Spec names one experiment, normalizes, validates and keys it, and
 //     its Feed drives a workload (through a mem.Batcher) or a recorded
 //     trace (through trace.BatchReader) into a sink;
-//   - Stream tees the events into the machines, numbers them, discards a
-//     resume prefix, splits batches at boundaries and fires one hook at
-//     each, and stops the source through the one stop sentinel;
+//   - Stream delivers the events to one sink (a Pair's machine group),
+//     numbers them, discards a resume prefix, splits batches at
+//     boundaries and fires one hook at each, and stops the source
+//     through the one stop sentinel;
 //   - Pair builds the two machines of a scenario, checkpoints them as
 //     EMCKPT2 and restores them.
 package run
@@ -28,7 +29,8 @@ import (
 
 // Stream is the engine's sink. It numbers every event it receives (an
 // Access, an Instr, or one record of a batch), discards the first Skip
-// events, tees the rest into To, and acts at boundary events:
+// events, delivers the rest to To (nil discards them too), and acts at
+// boundary events:
 //
 //   - each multiple of an Every period strictly past Skip. A resumed run
 //     already acted at its resume edge before it was checkpointed, so
@@ -58,7 +60,7 @@ import (
 // A Stream must be driven through Run or RunContext, which own the stop
 // sentinel.
 type Stream struct {
-	To     []mem.BatchSink
+	To     mem.BatchSink
 	Start  uint64
 	Skip   uint64
 	Every  []uint64
@@ -82,8 +84,8 @@ type Stream struct {
 // StageDepth is how many batches a single-stream pass's input may run
 // ahead of the pass when it is read through mem.Staged, so that
 // generation or trace decode overlaps the consumer: the sampled profile
-// pass and emsim's serial tee. DESIGN.md §16 gives the pairs that chose
-// it.
+// pass and emsim's full-run pass. DESIGN.md §16 gives the pairs that
+// chose it.
 const StageDepth = 8
 
 // stopSignal is the sentinel unwind panics with to end a source early:
@@ -210,9 +212,9 @@ func (s *Stream) Access(addr mem.Addr, kind mem.Kind) { s.AccessBatch(s.rec.Acce
 func (s *Stream) Instr(n uint64) { s.AccessBatch(s.rec.Instr(n)) }
 
 // AccessBatch implements mem.BatchSink: the batch is cut at every
-// boundary inside it, each span either discarded (skip prefix) or handed
-// straight to every target's batch kernel. Targets may not retain or
-// mutate the batch, so handing the same view to each is safe.
+// boundary inside it, each span either discarded (skip prefix, or no
+// target) or handed straight to the target's batch kernel, which may
+// not retain or mutate it.
 func (s *Stream) AccessBatch(b *mem.Batch) {
 	i, n := 0, b.Len()
 	for {
@@ -221,12 +223,10 @@ func (s *Stream) AccessBatch(b *mem.Batch) {
 			return
 		}
 		span := min(uint64(n-i), s.next-s.events)
-		if s.events >= s.Skip {
+		if s.To != nil && s.events >= s.Skip {
 			s.view.Addr = b.Addr[i : i+int(span)]
 			s.view.Kind = b.Kind[i : i+int(span)]
-			for _, o := range s.To {
-				o.AccessBatch(&s.view)
-			}
+			s.To.AccessBatch(&s.view)
 		}
 		s.events += span
 		i += int(span)

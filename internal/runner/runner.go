@@ -5,7 +5,9 @@
 // Every experiment in this reproduction (the Table 1/2 rows, the
 // Figure 3/4/5 panels, the working-set sweep) is a set of *independent*
 // trace-driven simulations: each job owns its own machines, generators
-// and RNG state, and no job reads another's output. That independence
+// and RNG state, and no job reads another's output. emsim's plain run is
+// not such a set: its two machines see one stream through one shared
+// L1 front end (run.Pair), so it is one pass and never a pool job. That independence
 // is the whole determinism model — parallel execution changes only the
 // wall-clock interleaving, never the numbers — so the engine's contract
 // is simply:
@@ -176,17 +178,6 @@ func (f *failures) serialize(cb func()) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cb()
-}
-
-// Run executes a fixed set of heterogeneous jobs on the pool and waits
-// for all of them. It is Map with per-index functions and no results —
-// the shape of "run the baseline machine and the migration machine at
-// the same time".
-func Run(ctx context.Context, cfg Config, jobs ...func(ctx context.Context) error) error {
-	_, err := Map(ctx, len(jobs), cfg, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, jobs[i](ctx)
-	})
-	return err
 }
 
 // JobError wraps a job function's error with the index of the job that

@@ -167,26 +167,3 @@ func TestMapEmpty(t *testing.T) {
 		t.Fatalf("got %v, %v; want nil, nil", got, err)
 	}
 }
-
-// TestRun: heterogeneous jobs all execute; an error propagates.
-func TestRun(t *testing.T) {
-	var a, b atomic.Bool
-	err := Run(context.Background(), Config{Workers: 2},
-		func(context.Context) error { a.Store(true); return nil },
-		func(context.Context) error { b.Store(true); return nil },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Load() || !b.Load() {
-		t.Fatal("not all jobs ran")
-	}
-	sentinel := errors.New("run fail")
-	err = Run(context.Background(), Config{Workers: 2},
-		func(context.Context) error { return nil },
-		func(context.Context) error { return sentinel },
-	)
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("error %v does not wrap sentinel", err)
-	}
-}

@@ -155,7 +155,7 @@ func runPass(ctx context.Context, src Source, start uint64, intervals []Interval
 			if pair, err = run.NewPairConfig(cfg.Normal, cfg.Mig); err != nil {
 				return err
 			}
-			stream.To = pair.Sinks()
+			stream.To = pair.Sink()
 			at = make(map[uint64][]uint64, 2*len(c.Measured)+1)
 		}
 		at[event] = extract(pair.Normal.Stats, pair.Mig.Stats)

@@ -35,7 +35,7 @@ func (s *Service) runJob(ctx context.Context, spec RunSpec, ck *machine.Checkpoi
 	if err != nil {
 		return nil, err
 	}
-	stream := &run.Stream{To: pair.Sinks()}
+	stream := &run.Stream{To: pair.Sink()}
 	if ck != nil {
 		if err := pair.Restore(ck); err != nil {
 			return nil, err

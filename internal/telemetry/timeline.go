@@ -204,9 +204,8 @@ func (t *Timeline) Rows(machine string) []Row {
 
 // MergeRows interleaves several machines' row sets into one
 // deterministic stream: ascending interval, and within an interval the
-// order the row sets were passed in. This is the order the serial tee
-// pass produces naturally, so parallel passes merged this way are
-// byte-identical to a serial run.
+// order the row sets were passed in: the order a pass that samples
+// every machine at each boundary produces.
 func MergeRows(rowsets ...[]Row) []Row {
 	maxLen := 0
 	total := 0
